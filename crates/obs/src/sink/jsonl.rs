@@ -154,14 +154,14 @@ fn machine_line(stats: &BTreeMap<String, f64>) -> Value {
 pub fn render_deterministic(trace: &Trace) -> String {
     let mut out = String::new();
     for r in &trace.records {
-        out.push_str(&record_line(r).to_string());
+        record_line(r).write_json(&mut out);
         out.push('\n');
     }
     if !trace.track_names.is_empty() {
-        out.push_str(&tracks_line(&trace.track_names).to_string());
+        tracks_line(&trace.track_names).write_json(&mut out);
         out.push('\n');
     }
-    out.push_str(&metrics_line(&trace.metrics).to_string());
+    metrics_line(&trace.metrics).write_json(&mut out);
     out.push('\n');
     out
 }
@@ -171,7 +171,7 @@ pub fn render_deterministic(trace: &Trace) -> String {
 #[must_use]
 pub fn render(trace: &Trace) -> String {
     let mut out = render_deterministic(trace);
-    out.push_str(&machine_line(&trace.machine).to_string());
+    machine_line(&trace.machine).write_json(&mut out);
     out.push('\n');
     out
 }

@@ -72,9 +72,12 @@ pub fn serve_connection(stream: TcpStream, service: &mut Service) -> std::io::Re
         if line.trim().is_empty() {
             continue;
         }
-        let reply = handle_line(&line, service);
+        // One write per reply: a separate write for the newline would sit
+        // behind Nagle's algorithm until the client's delayed ACK of the
+        // reply (tens of milliseconds per request).
+        let mut reply = handle_line(&line, service);
+        reply.push('\n');
         writer.write_all(reply.as_bytes())?;
-        writer.write_all(b"\n")?;
         handled += 1;
     }
     writer.flush()?;

@@ -4,9 +4,10 @@
 use hc_core::jobs::JobGoal;
 use hc_core::Stimulus;
 use hc_serve::front::{handle_line, render_response, Front};
-use hc_serve::{Request, Response, Service, ServiceConfig};
+use hc_serve::{Request, Response, ServeError, Service, ServiceConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 #[test]
 fn handle_line_round_trips_the_wire_path() {
@@ -92,4 +93,69 @@ fn tcp_front_serves_a_connection_to_eof() {
         Response::MetricsReport { players, .. } => assert_eq!(*players, 1),
         other => panic!("unexpected: {other:?}"),
     }
+}
+
+#[test]
+fn deeply_nested_lines_are_rejected_without_killing_the_service() {
+    let mut svc = Service::new(ServiceConfig::default()).expect("config valid");
+    let hostile = "[".repeat(1 << 20);
+    let reply = handle_line(&hostile, &mut svc);
+    let parsed: Response = serde_json::from_str(&reply).expect("reply decodes");
+    assert!(
+        matches!(
+            parsed,
+            Response::Error {
+                error: ServeError::InvalidRequest { .. }
+            }
+        ),
+        "unexpected reply: {reply}"
+    );
+    let ok = handle_line(
+        &serde_json::to_string(&Request::Metrics).expect("encodes"),
+        &mut svc,
+    );
+    let parsed: Response = serde_json::from_str(&ok).expect("reply decodes");
+    assert!(matches!(parsed, Response::MetricsReport { .. }));
+}
+
+/// Each reply goes out in one write. A separate write for the newline
+/// waits behind Nagle's algorithm for the client's delayed ACK, about
+/// 40 ms per round trip on Linux loopback (8 s for this loop).
+#[test]
+fn sequential_round_trips_do_not_wait_on_delayed_acks() {
+    const ROUND_TRIPS: usize = 200;
+    let front = Front::bind("127.0.0.1:0").expect("bind");
+    let addr = front.local_addr().expect("addr");
+    let client = std::thread::spawn(move || {
+        let stream = TcpStream::connect(addr).expect("connect");
+        let mut writer = stream.try_clone().expect("clone");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let request = format!(
+            "{}\n",
+            serde_json::to_string(&Request::Metrics).expect("encodes")
+        );
+        let started = Instant::now();
+        let mut line = String::new();
+        for _ in 0..ROUND_TRIPS {
+            writer.write_all(request.as_bytes()).expect("write");
+            line.clear();
+            reader.read_line(&mut line).expect("read");
+            let reply: Response = serde_json::from_str(&line).expect("decodes");
+            assert!(matches!(reply, Response::MetricsReport { .. }));
+        }
+        let elapsed = started.elapsed();
+        stream
+            .shutdown(std::net::Shutdown::Write)
+            .expect("shutdown");
+        elapsed
+    });
+
+    let mut svc = Service::new(ServiceConfig::default()).expect("config valid");
+    let handled = front.serve_one(&mut svc).expect("serve");
+    assert_eq!(handled, ROUND_TRIPS as u64);
+    let elapsed = client.join().expect("client thread");
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "{ROUND_TRIPS} round trips took {elapsed:?}"
+    );
 }
