@@ -6,7 +6,9 @@
 //! platform's agreement mechanism against the standard baselines, all
 //! implemented here:
 //!
-//! * [`MajorityVote`] — plurality over redundant labels.
+//! * [`MajorityVote`] — plurality over redundant labels; the rule
+//!   itself is [`plurality`], which also runs over sparse per-label
+//!   tallies.
 //! * [`WeightedVote`] — plurality with per-worker weights (e.g. gold-task
 //!   accuracy).
 //! * [`AgreementThreshold`] — accept only labels with at least `k`
@@ -52,7 +54,7 @@ pub mod weighted;
 pub use confusion::ConfusionMatrix;
 pub use data::{Assignment, LabelMatrix};
 pub use dawid_skene::{DawidSkene, DawidSkeneFit};
-pub use majority::MajorityVote;
+pub use majority::{plurality, MajorityVote};
 pub use quality::{score, QualityReport};
 pub use synthetic::{SyntheticCrowd, SyntheticWorld};
 pub use threshold::AgreementThreshold;
@@ -73,7 +75,7 @@ pub mod prelude {
     pub use crate::confusion::ConfusionMatrix;
     pub use crate::data::{Assignment, LabelMatrix};
     pub use crate::dawid_skene::{DawidSkene, DawidSkeneFit};
-    pub use crate::majority::MajorityVote;
+    pub use crate::majority::{plurality, MajorityVote};
     pub use crate::quality::{score, QualityReport};
     pub use crate::synthetic::{SyntheticCrowd, SyntheticWorld};
     pub use crate::threshold::AgreementThreshold;

@@ -1,6 +1,7 @@
 //! Agreement thresholding — the GWAP repetition rule over a label matrix.
 
 use crate::data::LabelMatrix;
+use crate::majority::plurality;
 use crate::Aggregator;
 
 /// Accept a task's modal class only when at least `k` workers voted for
@@ -25,12 +26,7 @@ impl Aggregator for AgreementThreshold {
         (0..matrix.n_tasks())
             .map(|t| {
                 let counts = matrix.class_counts(t);
-                let best = counts.iter().copied().max().unwrap_or(0);
-                if best >= self.k {
-                    counts.iter().position(|&c| c == best)
-                } else {
-                    None
-                }
+                plurality(counts.iter().copied().enumerate(), self.k).map(|(class, _)| class)
             })
             .collect()
     }

@@ -747,7 +747,7 @@ pub fn analyze_source(source: &str, rel_path: &str, kind: FileKind, report: &mut
 // ---------------------------------------------------------------------------
 
 /// Recursively collects every `.rs` file under `root`, skipping
-/// [`SKIP_DIRS`], sorted for deterministic reports.
+/// [`SKIP_DIRS`] and nested workspaces, sorted for deterministic reports.
 ///
 /// # Errors
 ///
@@ -764,7 +764,10 @@ pub fn collect_rs_files(root: &Path) -> Result<Vec<PathBuf>, String> {
             let name = entry.file_name();
             let name = name.to_string_lossy();
             if path.is_dir() {
-                if !SKIP_DIRS.contains(&name.as_ref()) && !name.starts_with('.') {
+                if !SKIP_DIRS.contains(&name.as_ref())
+                    && !name.starts_with('.')
+                    && !is_nested_workspace(&path)
+                {
                     stack.push(path);
                 }
             } else if name.ends_with(".rs") {
@@ -774,6 +777,20 @@ pub fn collect_rs_files(root: &Path) -> Result<Vec<PathBuf>, String> {
     }
     files.sort();
     Ok(files)
+}
+
+/// `true` when `dir` holds a `Cargo.toml` declaring a `[workspace]` of
+/// its own. Such a directory is a separate build (a benchmark package,
+/// say) that only reaches this workspace through path dependencies, so
+/// its code is not analyzed as part of it — for the same reason
+/// `vendor/` is not.
+fn is_nested_workspace(dir: &Path) -> bool {
+    std::fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|manifest| {
+        manifest.lines().any(|line| {
+            let line = line.trim();
+            line == "[workspace]" || line.starts_with("[workspace.")
+        })
+    })
 }
 
 /// Runs the full pass over a workspace root.

@@ -297,6 +297,33 @@ fn r2_spares_sorted_justified_and_sink_free_iteration() {
 
 #[test]
 fn files_scanned_counts_every_fixture() {
+    // 23 member files; the nested workspace's `src/main.rs` is not one.
     let report = analyze_workspace(&fixture_root()).expect("fixture walk");
-    assert_eq!(report.files_scanned, 22);
+    assert_eq!(report.files_scanned, 23);
+}
+
+#[test]
+fn nested_workspaces_are_not_walked() {
+    // fixtures/ws/nested_bench/Cargo.toml declares a `[workspace]` of
+    // its own. Its forwarding `impl ShardGame` would root R1 and reach
+    // the un-indexed draw in fixtures/ws/crates/games/src/timed.rs
+    // (line 5), which nothing else calls. The walk skips the nested
+    // workspace, so neither file fires, while the member-crate R1
+    // plants still do.
+    let report = analyze_workspace(&fixture_root()).expect("fixture walk");
+    let leaked: Vec<_> = report
+        .diagnostics
+        .iter()
+        .filter(|d| d.path.starts_with("nested_bench/") || d.path.ends_with("games/src/timed.rs"))
+        .collect();
+    assert!(
+        leaked.is_empty(),
+        "nested workspace was analyzed: {leaked:?}"
+    );
+    let member_r1 = report
+        .diagnostics
+        .iter()
+        .filter(|d| d.rule == "R1" && d.path.starts_with("crates/"))
+        .count();
+    assert_eq!(member_r1, 6, "member-crate R1 plants stopped firing");
 }

@@ -12,12 +12,17 @@
 //! Wire format: one JSON-encoded [`Request`] per line in, one
 //! JSON-encoded [`Response`] per line out. Malformed input never kills
 //! the connection; it yields a [`ServeError::InvalidRequest`] response
-//! on its line and the stream continues.
+//! on its line and the stream continues. That covers lines that are not
+//! UTF-8 and lines longer than [`MAX_LINE_BYTES`], which are discarded
+//! up to their newline without being buffered.
 
 use crate::service::Service;
 use crate::wire::{Request, Response, ServeError};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+
+/// Longest request line the front reads, newline excluded (1 MiB).
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// A blocking TCP front over a [`Service`].
 #[derive(Debug)]
@@ -65,17 +70,30 @@ impl Front {
 /// Propagates read/write failures.
 pub fn serve_connection(stream: TcpStream, service: &mut Service) -> std::io::Result<u64> {
     let mut writer = stream.try_clone()?;
-    let reader = BufReader::new(stream);
+    let mut reader = BufReader::new(stream);
+    let mut line = Vec::new();
     let mut handled = 0u64;
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
+    loop {
+        line.clear();
+        // One byte past the cap tells an oversized line from one that
+        // fills it exactly.
+        let cap = MAX_LINE_BYTES as u64 + 1;
+        if (&mut reader).take(cap).read_until(b'\n', &mut line)? == 0 {
+            break;
         }
+        let mut reply = if line.last() != Some(&b'\n') && line.len() > MAX_LINE_BYTES {
+            discard_line(&mut reader)?;
+            invalid_request(format!("request line longer than {MAX_LINE_BYTES} bytes"))
+        } else {
+            match std::str::from_utf8(&line) {
+                Ok(text) if text.trim().is_empty() => continue,
+                Ok(text) => handle_line(text.trim_end_matches(['\n', '\r']), service),
+                Err(e) => invalid_request(format!("request line is not UTF-8: {e}")),
+            }
+        };
         // One write per reply: a separate write for the newline would sit
         // behind Nagle's algorithm until the client's delayed ACK of the
         // reply (tens of milliseconds per request).
-        let mut reply = handle_line(&line, service);
         reply.push('\n');
         writer.write_all(reply.as_bytes())?;
         handled += 1;
@@ -84,19 +102,39 @@ pub fn serve_connection(stream: TcpStream, service: &mut Service) -> std::io::Re
     Ok(handled)
 }
 
+/// Skips the rest of the current line, through its newline or to EOF,
+/// without buffering it.
+fn discard_line(reader: &mut impl BufRead) -> std::io::Result<()> {
+    loop {
+        let buf = reader.fill_buf()?;
+        if buf.is_empty() {
+            return Ok(());
+        }
+        if let Some(end) = buf.iter().position(|&b| b == b'\n') {
+            reader.consume(end + 1);
+            return Ok(());
+        }
+        let len = buf.len();
+        reader.consume(len);
+    }
+}
+
+/// The encoded [`ServeError::InvalidRequest`] reply for a line the
+/// front refuses before decoding.
+fn invalid_request(reason: String) -> String {
+    render_response(&Response::Error {
+        error: ServeError::InvalidRequest { reason },
+    })
+}
+
 /// Decodes one request line, runs it through the service, and encodes
 /// the response. Malformed JSON becomes an [`ServeError::InvalidRequest`]
 /// response rather than an error.
 pub fn handle_line(line: &str, service: &mut Service) -> String {
-    let response = match serde_json::from_str::<Request>(line) {
-        Ok(request) => service.handle(&request),
-        Err(e) => Response::Error {
-            error: ServeError::InvalidRequest {
-                reason: format!("malformed request: {e}"),
-            },
-        },
-    };
-    render_response(&response)
+    match serde_json::from_str::<Request>(line) {
+        Ok(request) => render_response(&service.handle(&request)),
+        Err(e) => invalid_request(format!("malformed request: {e}")),
+    }
 }
 
 /// Encodes a response as a single JSON line (no trailing newline).

@@ -13,8 +13,8 @@
 use crate::wire::{
     AggregateRow, ExportedLabel, Request, Response, RoundOutcome, ServeError, SessionPhase,
 };
-use hc_aggregate::{Aggregator, AgreementThreshold, Assignment, LabelMatrix, MajorityVote};
-use hc_collect::DetMap;
+use hc_aggregate::plurality;
+use hc_collect::{DetMap, Interner, Sym};
 use hc_core::id::IdAllocator;
 use hc_core::matchmaker::MatchDecision;
 use hc_core::session::{RoundRecord, Session};
@@ -54,6 +54,16 @@ struct RoundAssign {
     answers: [Option<Answer>; 2],
 }
 
+/// Vote counts over one task's submitted text answers: the sufficient
+/// statistic for both wire aggregation rules.
+#[derive(Debug, Default)]
+struct Tally {
+    /// Text answers recorded for the task.
+    answers: u32,
+    /// Per-label counts in first-submission order.
+    labels: Vec<(Sym, u32)>,
+}
+
 /// A session currently being played through the service.
 #[derive(Debug)]
 struct LiveSession {
@@ -91,9 +101,14 @@ pub struct Service {
     session_ids: IdAllocator<SessionId>,
     sessions: DetMap<SessionId, LiveSession>,
     players: DetMap<PlayerId, SessionPhase>,
-    /// Raw submitted text answers per task, submission order — the
-    /// input to the [`Request::Aggregate`] matrix.
-    raw_answers: DetMap<TaskId, Vec<(PlayerId, Label)>>,
+    /// Submitted text answers per task as label tallies — the input to
+    /// [`Request::Aggregate`].
+    tallies: DetMap<TaskId, Tally>,
+    /// Every submitted label, interned once on first submission.
+    label_syms: Interner,
+    /// The label behind each [`Sym`], indexed by `Sym::index`: the read
+    /// path renders from here because `Label::from` re-normalizes.
+    label_text: Vec<Label>,
     sessions_recorded: u64,
     requests_handled: u64,
     now: SimTime,
@@ -114,7 +129,9 @@ impl Service {
             session_ids: IdAllocator::new(),
             sessions: DetMap::new(),
             players: DetMap::new(),
-            raw_answers: DetMap::new(),
+            tallies: DetMap::new(),
+            label_syms: Interner::new(),
+            label_text: Vec::new(),
             sessions_recorded: 0,
             requests_handled: 0,
             now: SimTime::ZERO,
@@ -439,16 +456,18 @@ impl Service {
         }
         current.answers[seat] = Some(answer.clone());
         let round = current.round;
-        let both = match (&current.answers[0], &current.answers[1]) {
-            (Some(a), Some(b)) => Some((a.clone(), b.clone())),
-            _ => None,
-        };
-        let Some((left, right)) = both else {
-            return Ok(Response::AnswerRecorded {
-                session,
-                round,
-                outcome: RoundOutcome::Waiting,
-            });
+        // Move both answers out instead of cloning them: a resolved
+        // round is dropped below.
+        let (left, right) = match std::mem::take(&mut current.answers) {
+            [Some(left), Some(right)] => (left, right),
+            pending => {
+                current.answers = pending;
+                return Ok(Response::AnswerRecorded {
+                    session,
+                    round,
+                    outcome: RoundOutcome::Waiting,
+                });
+            }
         };
         // Round resolution: both seats answered.
         let players = live.players;
@@ -458,8 +477,8 @@ impl Service {
         let outcome = match (&left, &right) {
             (Answer::Pass, Answer::Pass) => RoundOutcome::Passed,
             (Answer::Text(a), Answer::Text(b)) => {
-                self.record_raw(task, players[0], a.clone());
-                self.record_raw(task, players[1], b.clone());
+                self.record_raw(task, a);
+                self.record_raw(task, b);
                 if a == b {
                     let promoted = self
                         .platform
@@ -476,10 +495,10 @@ impl Service {
             _ => {
                 // One seat passed, the other answered: no agreement.
                 if let Answer::Text(a) = &left {
-                    self.record_raw(task, players[0], a.clone());
+                    self.record_raw(task, a);
                 }
                 if let Answer::Text(b) = &right {
-                    self.record_raw(task, players[1], b.clone());
+                    self.record_raw(task, b);
                 }
                 RoundOutcome::Mismatched
             }
@@ -538,93 +557,69 @@ impl Service {
         })
     }
 
-    fn record_raw(&mut self, task: TaskId, player: PlayerId, label: Label) {
-        self.raw_answers
-            .entry(task)
-            .or_default()
-            .push((player, label));
+    fn record_raw(&mut self, task: TaskId, label: &Label) {
+        let sym = self.label_syms.intern(label.as_str());
+        if sym.index() == self.label_text.len() {
+            self.label_text.push(label.clone());
+        }
+        let tally = self.tallies.entry(task).or_default();
+        tally.answers += 1;
+        match tally.labels.iter_mut().find(|(s, _)| *s == sym) {
+            Some((_, count)) => *count += 1,
+            None => tally.labels.push((sym, 1)),
+        }
     }
 
-    fn aggregate(&mut self, job: hc_core::JobId, threshold: u32) -> Result<Response, ServeError> {
-        let tasks: Vec<TaskId> = self
+    /// Votes each of the job's tasks from its tally. Ties break to the
+    /// label first seen in (task-enrollment, submission) order across
+    /// the job: each label's job-level rank is assigned the first time
+    /// the walk meets it, which is exactly the dense class index a
+    /// [`hc_aggregate::LabelMatrix`] built in that order would give it.
+    fn aggregate(&self, job: hc_core::JobId, threshold: u32) -> Result<Response, ServeError> {
+        let tasks = self
             .platform
             .jobs()
             .get(job)
             .ok_or(ServeError::UnknownJob { job })?
-            .tasks()
-            .to_vec();
-        // Map labels and workers to dense indices in first-seen order
-        // (job-task enrollment order, submission order within a task),
-        // so the matrix layout is a pure function of the request log.
-        let mut classes: Vec<Label> = Vec::new();
-        let mut workers: Vec<PlayerId> = Vec::new();
-        let mut assignments: Vec<Assignment> = Vec::new();
-        let mut answer_counts: Vec<u32> = vec![0; tasks.len()];
-        for (ti, task) in tasks.iter().enumerate() {
-            let Some(raw) = self.raw_answers.get(task) else {
-                continue;
-            };
-            for (player, label) in raw {
-                let class = match classes.iter().position(|c| c == label) {
-                    Some(i) => i,
-                    None => {
-                        classes.push(label.clone());
-                        classes.len() - 1
-                    }
-                };
-                let worker = match workers.iter().position(|w| w == player) {
-                    Some(i) => i,
-                    None => {
-                        workers.push(*player);
-                        workers.len() - 1
-                    }
-                };
-                assignments.push(Assignment {
-                    task: ti,
-                    worker,
-                    class,
-                });
-                if let Some(slot) = answer_counts.get_mut(ti) {
-                    *slot += 1;
-                }
-            }
-        }
-        let estimates: Vec<Option<usize>> = if classes.is_empty() {
-            vec![None; tasks.len()]
-        } else {
-            let mut matrix = LabelMatrix::new(tasks.len(), classes.len());
-            for a in assignments {
-                matrix.push(a);
-            }
-            let est = if threshold <= 1 {
-                MajorityVote.aggregate(&matrix)
-            } else {
-                AgreementThreshold::new(threshold as usize).aggregate(&matrix)
-            };
-            tasks
-                .iter()
-                .enumerate()
-                .map(|(ti, _)| est.get(ti).copied().flatten())
-                .collect()
-        };
-        let rows: Vec<AggregateRow> = tasks
+            .tasks();
+        let mut rank: Vec<Option<usize>> = vec![None; self.label_text.len()];
+        let mut by_rank: Vec<Sym> = Vec::new();
+        let mut counts: Vec<(usize, usize)> = Vec::new();
+        let rows = tasks
             .iter()
-            .enumerate()
-            .map(|(ti, task)| {
-                let label = estimates
-                    .get(ti)
-                    .copied()
-                    .flatten()
-                    .and_then(|class| classes.get(class).cloned());
-                let support = match (&label, self.raw_answers.get(task)) {
-                    (Some(l), Some(raw)) => raw.iter().filter(|(_, x)| x == l).count() as u32,
-                    _ => 0,
+            .map(|&task| {
+                let Some(tally) = self.tallies.get(&task) else {
+                    return AggregateRow {
+                        task,
+                        label: None,
+                        support: 0,
+                        answers: 0,
+                    };
                 };
+                counts.clear();
+                for &(sym, count) in &tally.labels {
+                    let r = match rank.get_mut(sym.index()) {
+                        Some(Some(r)) => *r,
+                        Some(slot) => {
+                            *slot = Some(by_rank.len());
+                            by_rank.push(sym);
+                            by_rank.len() - 1
+                        }
+                        None => continue,
+                    };
+                    counts.push((r, count as usize));
+                }
+                let winner =
+                    plurality(counts.iter().copied(), threshold as usize).and_then(|(r, votes)| {
+                        let sym = by_rank.get(r)?;
+                        Some((self.label_text.get(sym.index())?.clone(), votes as u32))
+                    });
+                let (label, support) = winner.map_or((None, 0), |(l, v)| (Some(l), v));
                 AggregateRow {
-                    task: *task,
+                    task,
                     label,
                     support,
-                    answers: answer_counts.get(ti).copied().unwrap_or(0),
+                    answers: tally.answers,
                 }
             })
             .collect();

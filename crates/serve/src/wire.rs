@@ -100,7 +100,10 @@ pub enum Request {
         /// The job.
         job: JobId,
     },
-    /// Runs label aggregation over a job's raw submitted answers.
+    /// Votes a label for each of a job's tasks from the text answers
+    /// submitted in resolved rounds (passes and taboo-rejected answers
+    /// do not count): the most-answered label wins, a tie goes to the
+    /// label first submitted across the job in task-enrollment order.
     Aggregate {
         /// The job.
         job: JobId,
@@ -198,9 +201,10 @@ pub struct AggregateRow {
     pub task: TaskId,
     /// The estimated label (`None` when the aggregator abstains).
     pub label: Option<Label>,
-    /// Number of raw answers supporting the estimate.
+    /// Number of submitted answers supporting the estimate (0 when the
+    /// aggregator abstains).
     pub support: u32,
-    /// Total raw answers submitted for the task.
+    /// Total text answers submitted for the task.
     pub answers: u32,
 }
 
@@ -316,7 +320,7 @@ pub enum Response {
         /// The verified labels.
         labels: Vec<ExportedLabel>,
     },
-    /// Aggregated estimates over a job's raw answers.
+    /// Per-task vote results over a job's submitted text answers.
     Aggregated {
         /// The job.
         job: JobId,

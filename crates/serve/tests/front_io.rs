@@ -3,7 +3,7 @@
 
 use hc_core::jobs::JobGoal;
 use hc_core::Stimulus;
-use hc_serve::front::{handle_line, render_response, Front};
+use hc_serve::front::{handle_line, render_response, Front, MAX_LINE_BYTES};
 use hc_serve::{Request, Response, ServeError, Service, ServiceConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -158,4 +158,87 @@ fn sequential_round_trips_do_not_wait_on_delayed_acks() {
         elapsed < Duration::from_secs(2),
         "{ROUND_TRIPS} round trips took {elapsed:?}"
     );
+}
+
+/// Writes `lines` (raw bytes, newline-terminated by the caller) on one
+/// connection, half-closes it, and returns the handled count and the
+/// decoded replies.
+fn exchange_raw(lines: Vec<Vec<u8>>) -> (std::io::Result<u64>, Vec<Response>) {
+    let front = Front::bind("127.0.0.1:0").expect("bind");
+    let addr = front.local_addr().expect("addr");
+    let client = std::thread::spawn(move || {
+        let stream = TcpStream::connect(addr).expect("connect");
+        let mut writer = stream.try_clone().expect("clone");
+        for line in &lines {
+            writer.write_all(line).expect("write");
+        }
+        stream
+            .shutdown(std::net::Shutdown::Write)
+            .expect("shutdown");
+        BufReader::new(stream)
+            .lines()
+            .map_while(Result::ok)
+            .map(|l| serde_json::from_str::<Response>(&l).expect("reply decodes"))
+            .collect::<Vec<_>>()
+    });
+    let mut svc = Service::new(ServiceConfig::default()).expect("config valid");
+    let handled = front.serve_one(&mut svc);
+    (handled, client.join().expect("client thread"))
+}
+
+fn metrics_line() -> Vec<u8> {
+    let mut line = serde_json::to_string(&Request::Metrics)
+        .expect("encodes")
+        .into_bytes();
+    line.push(b'\n');
+    line
+}
+
+fn is_invalid_request(reply: &Response) -> bool {
+    matches!(
+        reply,
+        Response::Error {
+            error: ServeError::InvalidRequest { .. }
+        }
+    )
+}
+
+#[test]
+fn invalid_utf8_lines_are_answered_and_the_connection_continues() {
+    let (handled, replies) =
+        exchange_raw(vec![b"\xff\xfe{\"Metrics\"}\n".to_vec(), metrics_line()]);
+    assert_eq!(handled.expect("serve"), 2);
+    assert_eq!(replies.len(), 2, "replies: {replies:?}");
+    assert!(is_invalid_request(&replies[0]), "got {:?}", replies[0]);
+    assert!(matches!(replies[1], Response::MetricsReport { .. }));
+}
+
+#[test]
+fn oversized_lines_are_discarded_and_the_connection_continues() {
+    // A well-formed request past the cap is refused, not served.
+    let mut oversized = serde_json::to_string(&Request::PublishBatch {
+        name: "x".repeat(MAX_LINE_BYTES),
+        goal: JobGoal::OutputsPerTask(1),
+        stimuli: vec![Stimulus::Image(1)],
+    })
+    .expect("encodes")
+    .into_bytes();
+    assert!(oversized.len() > MAX_LINE_BYTES);
+    oversized.push(b'\n');
+    // At the cap exactly (newline excluded) a line is still served.
+    let mut at_cap = serde_json::to_string(&Request::Metrics)
+        .expect("encodes")
+        .into_bytes();
+    at_cap.splice(
+        0..0,
+        std::iter::repeat_n(b' ', MAX_LINE_BYTES - at_cap.len()),
+    );
+    assert_eq!(at_cap.len(), MAX_LINE_BYTES);
+    at_cap.push(b'\n');
+    let (handled, replies) = exchange_raw(vec![oversized, at_cap, metrics_line()]);
+    assert_eq!(handled.expect("serve"), 3);
+    assert_eq!(replies.len(), 3, "replies: {replies:?}");
+    assert!(is_invalid_request(&replies[0]), "got {:?}", replies[0]);
+    assert!(matches!(replies[1], Response::MetricsReport { .. }));
+    assert!(matches!(replies[2], Response::MetricsReport { .. }));
 }

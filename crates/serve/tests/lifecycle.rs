@@ -488,3 +488,65 @@ fn cancel_job_stops_it_and_is_idempotent() {
     });
     assert!(matches!(r, Response::JobCancelled { .. }));
 }
+
+#[test]
+fn aggregate_ties_break_to_the_label_first_seen_in_an_earlier_task() {
+    let mut svc = svc();
+    let (job, tasks) = publish(&mut svc, 2);
+    let a = register(&mut svc);
+    let b = register(&mut svc);
+    let session = seat_pair(&mut svc, a, b, SimTime::from_secs(1));
+
+    // Task 0 splits cat/dog, task 1 splits bird/dog; both are mismatches,
+    // so nothing is promoted or made taboo.
+    for round in 0..2u64 {
+        let at = SimTime::from_secs(2 + round);
+        let task = match svc.handle(&Request::RequestTask {
+            session,
+            player: a,
+            at,
+        }) {
+            Response::TaskAssigned { task, .. } => task,
+            other => panic!("unexpected: {other:?}"),
+        };
+        let [left, right] = if task == tasks[0] {
+            ["cat", "dog"]
+        } else {
+            ["bird", "dog"]
+        };
+        for (player, word) in [(a, left), (b, right)] {
+            let r = svc.handle(&Request::SubmitAnswer {
+                session,
+                player,
+                answer: Answer::text(word),
+                at,
+            });
+            assert!(matches!(r, Response::AnswerRecorded { .. }), "{r:?}");
+        }
+    }
+
+    // Job-level first-seen order is cat, dog (task 0), then bird (task
+    // 1). Task 0's tie goes to cat. Task 1's tie goes to dog, although
+    // bird was submitted first within task 1, because dog was first
+    // seen in the earlier task.
+    let row = |label: Option<&str>, task: TaskId, support: u32| hc_serve::AggregateRow {
+        task,
+        label: label.map(Label::new),
+        support,
+        answers: 2,
+    };
+    match svc.handle(&Request::Aggregate { job, threshold: 1 }) {
+        Response::Aggregated { rows, .. } => assert_eq!(
+            rows,
+            vec![row(Some("cat"), tasks[0], 1), row(Some("dog"), tasks[1], 1)]
+        ),
+        other => panic!("unexpected: {other:?}"),
+    }
+    // No label reaches two votes: both tasks abstain.
+    match svc.handle(&Request::Aggregate { job, threshold: 2 }) {
+        Response::Aggregated { rows, .. } => {
+            assert_eq!(rows, vec![row(None, tasks[0], 0), row(None, tasks[1], 0)]);
+        }
+        other => panic!("unexpected: {other:?}"),
+    }
+}
