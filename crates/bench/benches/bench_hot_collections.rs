@@ -23,9 +23,9 @@ fn id_stream(seed: u64, n: usize) -> Vec<u64> {
     out
 }
 
-/// Matchmaker rematch storm: every arrival does one `get` on the
+/// Wait-pool rematch storm: every arrival does one `get` on the
 /// last-partner map and every pairing two inserts — keyed by player id
-/// over a bounded population, exactly the `Matchmaker::on_arrival` shape.
+/// over a bounded population, exactly the `BucketPool::on_arrival` shape.
 fn bench_matchmaker_rematch(c: &mut Criterion) {
     let mut group = c.benchmark_group("hot_matchmaker_rematch");
     const POP: u64 = 512;

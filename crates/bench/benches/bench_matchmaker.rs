@@ -1,8 +1,8 @@
-//! Micro-benchmark: matchmaker arrival handling (pairing decision cost)
+//! Micro-benchmark: wait-pool arrival handling (pairing decision cost)
 //! at several standing queue depths.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hc_core::{Matchmaker, MatchmakerConfig, PlayerId};
+use hc_core::{BucketPool, MatchmakerConfig, PlayerId};
 use hc_sim::SimTime;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -15,7 +15,7 @@ fn bench_matchmaker(c: &mut Criterion) {
             &waiting,
             |b, &waiting| {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-                let mut mm = Matchmaker::new(MatchmakerConfig {
+                let mut mm = BucketPool::new(MatchmakerConfig {
                     avoid_rematch: false,
                     ..MatchmakerConfig::default()
                 });

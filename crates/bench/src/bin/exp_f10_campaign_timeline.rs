@@ -8,8 +8,8 @@
 //! together with cumulative world coverage, to regenerate that curve.
 
 use hc_bench::{f1, pct, seed_from_args, Table};
-use hc_games::{EspCampaign, EspCampaignConfig};
-use hc_sim::{RateSeries, SimDuration, SimTime};
+use hc_games::{Campaign, CampaignConfig, EspDriver, WorldConfig};
+use hc_sim::{RateSeries, RngFactory, SimDuration, SimTime};
 use serde::Serialize;
 use std::collections::HashSet;
 
@@ -26,14 +26,18 @@ struct Row {
 
 fn main() {
     let seed = seed_from_args();
-    let mut config = EspCampaignConfig::small();
+    let world = WorldConfig {
+        stimuli: 12_000,
+        ..WorldConfig::small()
+    };
+    let world_size = world.stimuli;
+    let driver = EspDriver::generate(&world, &mut RngFactory::new(seed).stream("world"));
+    let mut config = CampaignConfig::small();
     config.players = 100;
-    config.world.stimuli = 12_000;
     config.horizon = SimTime::from_secs(HORIZON_HOURS * 3600);
     config.arrival_spread = SimDuration::from_hours(2);
 
-    let world_size = config.world.stimuli;
-    let mut campaign = EspCampaign::new(config, seed);
+    let mut campaign = Campaign::new(driver, config, seed);
     let report = campaign.run();
 
     // Bucket promotions by their platform timestamps.
@@ -81,7 +85,7 @@ fn main() {
     println!(
         "\ncampaign totals: {} live + {} replay sessions, precision {:.3}",
         report.live_sessions,
-        report.replay_sessions,
+        report.solo_sessions,
         report.precision_rate()
     );
     println!("expected shape: rate climbs during warm-up, coverage saturates toward 100%, and the marginal label rate bends as taboo lists deepen");

@@ -15,8 +15,8 @@
 //! the determinism diff proves the bytes never moved.
 
 use hc_bench::{f1, f3, pct, run_grid, Cell, RunOpts, Table};
-use hc_games::{EspCampaign, EspCampaignConfig};
-use hc_sim::{OnlineStats, SimDuration, SimTime};
+use hc_games::{Campaign, CampaignConfig, EspDriver, WorldConfig};
+use hc_sim::{OnlineStats, RngFactory, SimDuration, SimTime};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -73,18 +73,22 @@ fn main() {
         cells,
         reps,
         |&players, ctx| {
-            let mut config = EspCampaignConfig::small();
+            let world = WorldConfig {
+                stimuli: 600,
+                ..WorldConfig::small()
+            };
+            let driver =
+                EspDriver::generate(&world, &mut RngFactory::new(ctx.seed).stream("world"));
+            let mut config = CampaignConfig::small();
             config.players = players;
             config.horizon = SimTime::from_secs(24 * 3600);
-            config.world.stimuli = 600;
             config.arrival_spread = SimDuration::from_mins(45);
-            let mut campaign = EspCampaign::new(config, ctx.seed);
-            let report = campaign.run();
+            let report = Campaign::new(driver, config, ctx.seed).run();
             RepRow {
                 players,
                 rep: ctx.rep,
                 live_sessions: report.live_sessions,
-                replay_sessions: report.replay_sessions,
+                replay_sessions: report.solo_sessions,
                 replay_share: report.matchmaker.replay_share(),
                 mean_wait_secs: report.mean_wait_secs,
                 labels_per_hour: report.metrics.throughput_per_human_hour,

@@ -1,15 +1,16 @@
-//! Sharded matchmaking: deterministic skill-tier buckets.
+//! The wait pool: random matching with a replay-bot fallback.
 //!
-//! The streaming [`Matchmaker`](crate::Matchmaker) owns one global wait pool
-//! and therefore must live on the serial hub of a sharded run — the Amdahl
-//! bottleneck at planetary scale. [`BucketPool`] is the sharded form: the
-//! wait pool is partitioned by a **deterministic skill tier** (a pure
-//! function of the player's profile, never of the shard layout), each bucket
-//! is owned by one shard (`bucket % shards`), and pairing runs inside the
-//! shard window on worker threads. Only matched pairs and replay-fallback
-//! spillover reduce through the hub, via the key-ordered exchange.
+//! [`BucketPool`] is the one pairing pool in the workspace. The serial
+//! campaign loop and the task service each own a single pool; a sharded
+//! run partitions its wait pool by a **deterministic skill tier** (a pure
+//! function of the player's profile, never of the shard layout), each
+//! bucket is owned by one shard (`bucket % shards`), and pairing runs
+//! inside the shard window on worker threads. Only matched pairs and
+//! replay-fallback spillover reduce through the hub, via the key-ordered
+//! exchange.
 //!
-//! Two properties make this byte-identical at any `--shards×--threads`:
+//! Two properties make the sharded form byte-identical at any
+//! `--shards×--threads`:
 //!
 //! 1. A bucket's pairing outcome depends only on its own arrival
 //!    subsequence (delivered in `(time, player)` exchange-key order) and its
@@ -18,19 +19,21 @@
 //!    ([`BucketPool::next_deadline`] feeds the shard wake), so sweep timing
 //!    is a pure function of pool contents, not of co-scheduled shard work.
 //!
-//! The pairing algorithm itself — uniform draw over eligible waiters with
-//! optional strict rematch avoidance, replay-bot fallback on timeout — is
-//! exactly the hub-global [`Matchmaker`](crate::Matchmaker)'s; the
-//! equivalence is pinned by property tests in `tests/bucket_props.rs`.
+//! The pairing algorithm is a uniform draw over eligible waiters with
+//! optional strict rematch avoidance, and replay-bot fallback on timeout;
+//! `tests/bucket_props.rs` pins it draw for draw against a reference
+//! implementation of the same policy.
 //!
 //! This type is shard-reachable: it must not emit `hc-obs` telemetry (worker
 //! threads carry no collector, so emissions would vary with `--threads`) and
 //! every RNG it consumes must come from an indexed stream (analyzer rule R1).
+//! Serial callers record each resolved wait through
+//! [`trace_pairing`](crate::matchmaker::trace_pairing).
 
 use crate::id::PlayerId;
 use crate::matchmaker::{MatchDecision, MatchmakerConfig, MatchmakerStats};
 use hc_collect::DetMap;
-use hc_sim::{OnlineStats, SimTime};
+use hc_sim::{OnlineStats, SimDuration, SimTime};
 use rand::Rng;
 
 /// Number of skill tiers a campaign partitions its wait pool into.
@@ -72,8 +75,8 @@ impl BucketLayout {
     }
 }
 
-/// One skill tier's wait pool: the sharded counterpart of
-/// [`Matchmaker`](crate::Matchmaker).
+/// A wait pool: one skill tier of a sharded run, or the whole population
+/// of a serial one.
 ///
 /// # Examples
 ///
@@ -132,11 +135,13 @@ impl BucketPool {
     /// Handles an arriving player: pairs with a uniformly random eligible
     /// waiter or queues them.
     ///
-    /// Identical decision procedure and RNG consumption as
-    /// [`Matchmaker::on_arrival`](crate::Matchmaker::on_arrival) — one
-    /// `gen_range` draw over the eligible count — but allocation-free: the
-    /// eligible set is counted and the k-th candidate re-found in place
-    /// instead of collecting an index vector per arrival.
+    /// Eligible waiters are everyone except the player themself and —
+    /// under strict rematch avoidance — their previous partner; a player
+    /// whose only possible partner is their last one queues instead, and
+    /// the replay-bot fallback rescues them if nobody else shows up. One
+    /// `gen_range` draw over the eligible count picks the partner, and the
+    /// k-th candidate is re-found in place, so an arrival allocates
+    /// nothing.
     pub fn on_arrival<R: Rng + ?Sized>(
         &mut self,
         now: SimTime,
@@ -171,21 +176,26 @@ impl BucketPool {
     }
 
     /// Appends every player whose wait exceeds the bot-fallback threshold
-    /// as of `now` to `out` (in queue order) and removes them from the
-    /// pool; returns how many timed out. The caller pairs each with a
-    /// replay bot. `out` is caller-owned scratch so steady-state sweeps
-    /// allocate nothing.
-    pub fn take_timed_out_into(&mut self, now: SimTime, out: &mut Vec<PlayerId>) -> usize {
+    /// as of `now` to `out` (in queue order), with how long they waited,
+    /// and removes them from the pool; returns how many timed out. The
+    /// caller pairs each with a replay bot (or sends them home when the
+    /// game has none; the pool counts both as replay pairs). `out` is
+    /// caller-owned scratch so steady-state sweeps allocate nothing.
+    pub fn take_timed_out_into(
+        &mut self,
+        now: SimTime,
+        out: &mut Vec<(PlayerId, SimDuration)>,
+    ) -> usize {
         let threshold = self.config.bot_fallback_wait;
         let before = out.len();
         let mut write = 0;
         for read in 0..self.waiting.len() {
             let (entered, player) = self.waiting[read];
-            if now.saturating_since(entered) >= threshold {
-                let waited = now.saturating_since(entered);
+            let waited = now.saturating_since(entered);
+            if waited >= threshold {
                 self.wait_stats.push(waited.as_secs_f64());
                 self.stats.replay_pairs += 1;
-                out.push(player);
+                out.push((player, waited));
             } else {
                 self.waiting[write] = (entered, player);
                 write += 1;
@@ -195,14 +205,11 @@ impl BucketPool {
         out.len() - before
     }
 
-    /// Drains the entire pool (end-of-run abandonment), appending the
-    /// stranded players to `out` in queue order and counting each as an
-    /// abandonment.
-    pub fn abandon_all_into(&mut self, out: &mut Vec<PlayerId>) -> usize {
-        let n = self.waiting.len();
-        self.stats.abandonments += n as u64;
-        out.extend(self.waiting.drain(..).map(|(_, p)| p));
-        n
+    /// Drains the entire pool (end-of-run abandonment), counting every
+    /// stranded player as an abandonment; yields them in queue order.
+    pub fn abandon_all(&mut self) -> impl Iterator<Item = PlayerId> + '_ {
+        self.stats.abandonments += self.waiting.len() as u64;
+        self.waiting.drain(..).map(|(_, p)| p)
     }
 
     /// The earliest instant any current waiter crosses the bot-fallback
@@ -238,8 +245,6 @@ impl BucketPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Matchmaker;
-    use hc_sim::SimDuration;
     use rand::SeedableRng;
 
     fn rng() -> rand::rngs::StdRng {
@@ -248,6 +253,13 @@ mod tests {
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
+    }
+
+    fn lenient() -> MatchmakerConfig {
+        MatchmakerConfig {
+            avoid_rematch: false,
+            ..MatchmakerConfig::default()
+        }
     }
 
     #[test]
@@ -263,32 +275,108 @@ mod tests {
     }
 
     #[test]
-    fn pool_matches_hub_global_matchmaker_pairing_sequence() {
-        // Same arrivals, same RNG stream: the pool must reproduce the
-        // hub-global matchmaker's decisions draw for draw.
-        let cfg = MatchmakerConfig::default();
-        let mut pool = BucketPool::new(cfg);
-        let mut hub = Matchmaker::new(cfg);
-        let mut r_pool = rng();
-        let mut r_hub = rng();
-        let arrivals: Vec<(u64, u64)> = (0..200).map(|i| (i / 3, 1 + i % 37)).collect();
-        for (sec, id) in arrivals {
-            let at = t(sec);
-            let p = PlayerId::new(id);
-            assert_eq!(
-                pool.on_arrival(at, p, &mut r_pool),
-                hub.on_arrival(at, p, &mut r_hub)
-            );
-        }
-        let mut spill = Vec::new();
-        pool.take_timed_out_into(t(100), &mut spill);
-        assert_eq!(spill, hub.take_timed_out(t(100)));
-        assert_eq!(pool.stats(), hub.stats());
-        assert_eq!(pool.wait_stats().count(), hub.wait_stats().count());
+    fn first_arrival_queues_second_pairs() {
+        let mut r = rng();
+        let mut pool = BucketPool::new(MatchmakerConfig::default());
+        assert_eq!(
+            pool.on_arrival(t(0), PlayerId::new(1), &mut r),
+            MatchDecision::Queued
+        );
+        assert_eq!(pool.queue_len(), 1);
+        assert_eq!(
+            pool.on_arrival(t(4), PlayerId::new(2), &mut r),
+            MatchDecision::Paired {
+                partner: PlayerId::new(1),
+                waited: SimDuration::from_secs(4),
+            }
+        );
+        assert_eq!(pool.queue_len(), 0);
+        assert_eq!(pool.stats().live_pairs, 1);
+        assert_eq!(pool.wait_stats().count(), 1);
     }
 
     #[test]
-    fn timeout_sweep_is_in_queue_order_and_reuses_scratch() {
+    fn player_never_paired_with_self() {
+        let mut r = rng();
+        let mut pool = BucketPool::new(MatchmakerConfig::default());
+        pool.on_arrival(t(0), PlayerId::new(1), &mut r);
+        // The same player arriving again (e.g. a re-queue) must not
+        // self-pair.
+        assert_eq!(
+            pool.on_arrival(t(1), PlayerId::new(1), &mut r),
+            MatchDecision::Queued
+        );
+        assert_eq!(pool.queue_len(), 2);
+    }
+
+    #[test]
+    fn strict_rematch_avoidance_queues_instead() {
+        let mut r = rng();
+        let mut pool = BucketPool::new(MatchmakerConfig::default());
+        // 1 and 2 get paired.
+        pool.on_arrival(t(0), PlayerId::new(1), &mut r);
+        pool.on_arrival(t(0), PlayerId::new(2), &mut r);
+        // 1 re-queues; 2 arrives but may not rematch — queues too.
+        assert_eq!(
+            pool.on_arrival(t(1), PlayerId::new(1), &mut r),
+            MatchDecision::Queued
+        );
+        assert_eq!(
+            pool.on_arrival(t(2), PlayerId::new(2), &mut r),
+            MatchDecision::Queued
+        );
+        assert_eq!(pool.queue_len(), 2);
+        // A third player pairs with either waiter.
+        assert!(matches!(
+            pool.on_arrival(t(3), PlayerId::new(3), &mut r),
+            MatchDecision::Paired { .. }
+        ));
+        assert_eq!(pool.queue_len(), 1);
+    }
+
+    #[test]
+    fn rematch_allowed_when_avoidance_disabled() {
+        let mut r = rng();
+        let mut pool = BucketPool::new(lenient());
+        pool.on_arrival(t(0), PlayerId::new(1), &mut r);
+        pool.on_arrival(t(0), PlayerId::new(2), &mut r);
+        pool.on_arrival(t(1), PlayerId::new(1), &mut r);
+        match pool.on_arrival(t(2), PlayerId::new(2), &mut r) {
+            MatchDecision::Paired { partner, .. } => assert_eq!(partner, PlayerId::new(1)),
+            MatchDecision::Queued => panic!("expected pairing"),
+        }
+    }
+
+    #[test]
+    fn random_pairing_spreads_partners() {
+        let mut r = rng();
+        let mut pool = BucketPool::new(lenient());
+        // Refill 10 waiters, pair 10 fresh arrivals against them, 200
+        // times over, and count partner diversity.
+        let mut partner_hist: std::collections::BTreeMap<PlayerId, u32> =
+            std::collections::BTreeMap::new();
+        for trial in 0..200u64 {
+            for i in 0..10 {
+                pool.on_arrival(t(trial), PlayerId::new(100 + i), &mut r);
+            }
+            for i in 0..10 {
+                let arriver = PlayerId::new(200 + trial * 10 + i);
+                if let MatchDecision::Paired { partner, .. } =
+                    pool.on_arrival(t(trial), arriver, &mut r)
+                {
+                    *partner_hist.entry(partner).or_insert(0) += 1;
+                }
+            }
+        }
+        assert!(
+            partner_hist.len() >= 9,
+            "partners drawn: {}",
+            partner_hist.len()
+        );
+    }
+
+    #[test]
+    fn timeout_sweep_reports_waits_in_queue_order_and_reuses_scratch() {
         let cfg = MatchmakerConfig {
             bot_fallback_wait: SimDuration::from_secs(10),
             avoid_rematch: false,
@@ -301,11 +389,26 @@ mod tests {
         let mut out = Vec::new();
         assert_eq!(pool.take_timed_out_into(t(9), &mut out), 0);
         assert_eq!(pool.take_timed_out_into(t(11), &mut out), 2);
-        assert_eq!(out, vec![PlayerId::new(1), PlayerId::new(1)]);
-        assert_eq!(pool.queue_len(), 1);
+        assert_eq!(
+            out,
+            vec![
+                (PlayerId::new(1), SimDuration::from_secs(11)),
+                (PlayerId::new(1), SimDuration::from_secs(10)),
+            ]
+        );
+        assert_eq!(
+            pool.queue_len(),
+            1,
+            "the t=5 entry is still within threshold"
+        );
         assert_eq!(pool.next_deadline(), Some(t(15)));
-        out.clear();
-        assert_eq!(pool.abandon_all_into(&mut out), 1);
+        assert_eq!(pool.stats().replay_pairs, 2);
+        assert_eq!(pool.wait_stats().count(), 2);
+        assert!((pool.stats().replay_share() - 1.0).abs() < 1e-12);
+        assert_eq!(
+            pool.abandon_all().collect::<Vec<_>>(),
+            vec![PlayerId::new(1)]
+        );
         assert_eq!(pool.stats().abandonments, 1);
         assert_eq!(pool.next_deadline(), None);
     }

@@ -20,9 +20,10 @@
 //! * **GWAP evaluation metrics** ([`metrics`]) — throughput, average
 //!   lifetime play (ALP) and expected contribution, exactly as the paper
 //!   defines them.
-//! * **Platform orchestration** ([`platform`], [`matchmaker`], [`replay`])
-//!   — job/task management, player pairing with a recorded-session
-//!   fallback ("bot" partner) when the live population is thin.
+//! * **Platform orchestration** ([`platform`], [`bucket`], [`matchmaker`],
+//!   [`replay`]) — job/task management, and player pairing through one
+//!   wait pool with a recorded-session fallback ("bot" partner) when the
+//!   live population is thin.
 //!
 //! Concrete games (ESP, TagATune, Verbosity, Peekaboom, Matchin) live in
 //! the `hc-games` crate; simulated players live in `hc-crowd`; this crate
@@ -74,9 +75,7 @@ pub use bucket::{BucketLayout, BucketPool};
 pub use error::{Error, Result};
 pub use id::{JobId, PlayerId, RoundId, SessionId, TaskId};
 pub use jobs::{Job, JobBook, JobGoal, JobState};
-pub use matchmaker::{
-    BatchMatcher, MatchDecision, Matchmaker, MatchmakerConfig, PairKind, PairingPolicy,
-};
+pub use matchmaker::{BatchMatcher, MatchDecision, MatchmakerConfig, PairingPolicy};
 pub use metrics::{ContributionLedger, GwapMetrics};
 pub use platform::{Platform, PlatformConfig, VerifiedLabel};
 pub use replay::{RecordedRound, RecordedSession, ReplayStore};
@@ -97,9 +96,7 @@ pub mod prelude {
     pub use crate::error::{Error, Result};
     pub use crate::id::{JobId, PlayerId, RoundId, SessionId, TaskId};
     pub use crate::jobs::{Job, JobBook, JobGoal, JobState};
-    pub use crate::matchmaker::{
-        BatchMatcher, MatchDecision, Matchmaker, MatchmakerConfig, PairKind, PairingPolicy,
-    };
+    pub use crate::matchmaker::{BatchMatcher, MatchDecision, MatchmakerConfig, PairingPolicy};
     pub use crate::metrics::{ContributionLedger, GwapMetrics};
     pub use crate::platform::{Platform, PlatformConfig, VerifiedLabel};
     pub use crate::replay::{RecordedRound, RecordedSession, ReplayStore};

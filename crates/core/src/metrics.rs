@@ -39,6 +39,41 @@ pub struct GwapMetrics {
     pub player_count: u64,
 }
 
+impl GwapMetrics {
+    /// A campaign's metrics: the platform ledger's live play (`live`,
+    /// from [`ContributionLedger::metrics`]) plus the play time of solo
+    /// sessions, which a campaign keeps in its own `solo` ledger because
+    /// replay-bot sessions bypass the platform's two-seat accounting.
+    ///
+    /// Outputs come from `live` alone; hours add. `player_count` is
+    /// `max(live players, solo players)`, a **lower bound** on the size of
+    /// the union of the two player sets, so ALP (hours per player) reads
+    /// high whenever some players played only solo and others only live.
+    #[must_use]
+    pub fn with_solo_play(live: &GwapMetrics, solo: &ContributionLedger) -> GwapMetrics {
+        let hours = live.total_human_hours + solo.total_human_hours();
+        let players = live.player_count.max(solo.player_count());
+        let throughput = if hours > 0.0 {
+            live.total_outputs as f64 / hours
+        } else {
+            0.0
+        };
+        let alp = if players > 0 {
+            hours / players as f64
+        } else {
+            0.0
+        };
+        GwapMetrics {
+            throughput_per_human_hour: throughput,
+            alp_hours: alp,
+            expected_contribution: throughput * alp,
+            total_outputs: live.total_outputs,
+            total_human_hours: hours,
+            player_count: players,
+        }
+    }
+}
+
 impl std::fmt::Display for GwapMetrics {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -253,6 +288,29 @@ mod tests {
             Some(SimDuration::from_hours(2))
         );
         assert!((a.total_human_hours() - 4.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn solo_play_adds_hours_and_counts_the_larger_player_set() {
+        let mut live = ContributionLedger::new();
+        live.record_play(PlayerId::new(1), SimDuration::from_hours(1));
+        live.record_play(PlayerId::new(2), SimDuration::from_hours(1));
+        live.record_outputs(30);
+        let mut solo = ContributionLedger::new();
+        solo.record_play(PlayerId::new(3), SimDuration::from_hours(1));
+        let m = GwapMetrics::with_solo_play(&live.metrics(), &solo);
+        assert_eq!(m.total_outputs, 30);
+        assert!((m.total_human_hours - 3.0).abs() < 1e-12);
+        assert!((m.throughput_per_human_hour - 10.0).abs() < 1e-12);
+        // Three distinct players played, but the bound counts two.
+        assert_eq!(m.player_count, 2);
+        assert!((m.alp_hours - 1.5).abs() < 1e-12);
+        let empty = GwapMetrics::with_solo_play(&ContributionLedger::new().metrics(), &solo);
+        assert_eq!(empty.throughput_per_human_hour, 0.0);
+        assert_eq!(
+            GwapMetrics::with_solo_play(&live.metrics(), &ContributionLedger::new()),
+            live.metrics()
+        );
     }
 
     #[test]

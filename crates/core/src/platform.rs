@@ -20,7 +20,7 @@ use crate::anticheat::CheatDetector;
 use crate::error::{Error, Result};
 use crate::id::{IdAllocator, JobId, PlayerId, TaskId};
 use crate::jobs::{JobBook, JobGoal};
-use crate::matchmaker::{Matchmaker, MatchmakerConfig};
+use crate::matchmaker::MatchmakerConfig;
 use crate::metrics::{ContributionLedger, GwapMetrics};
 use crate::replay::ReplayStore;
 use crate::scoring::{ScoreRule, Scoreboard};
@@ -63,7 +63,8 @@ pub struct PlatformConfig {
     pub gold_min_evidence: u32,
     /// Session shape.
     pub session: SessionConfig,
-    /// Matchmaker behaviour.
+    /// Wait-pool behaviour, read by whoever owns the pool (the serial
+    /// campaign, the task service, or a sharded run's tier pools).
     pub matchmaker: MatchmakerConfig,
     /// Recordings kept per task for replay fallback.
     pub replay_capacity_per_task: usize,
@@ -130,7 +131,6 @@ pub struct Platform {
     cheat: CheatDetector,
     scoreboard: Scoreboard,
     ledger: ContributionLedger,
-    matchmaker: Matchmaker,
     replay: ReplayStore,
     verified: Vec<VerifiedLabel>,
     player_ids: IdAllocator<PlayerId>,
@@ -159,7 +159,6 @@ impl Platform {
             cheat: CheatDetector::new(0.5, 0.5, 20),
             scoreboard: Scoreboard::new(config.session.score_rule),
             ledger: ContributionLedger::new(),
-            matchmaker: Matchmaker::new(config.matchmaker),
             replay: ReplayStore::new(config.replay_capacity_per_task),
             verified: Vec::new(),
             player_ids: IdAllocator::new(),
@@ -419,17 +418,6 @@ impl Platform {
     #[must_use]
     pub fn tasks(&self) -> &TaskQueue {
         &self.tasks
-    }
-
-    /// Access to the matchmaker.
-    pub fn matchmaker_mut(&mut self) -> &mut Matchmaker {
-        &mut self.matchmaker
-    }
-
-    /// Read access to the matchmaker.
-    #[must_use]
-    pub fn matchmaker(&self) -> &Matchmaker {
-        &self.matchmaker
     }
 
     /// Access to the replay store.
@@ -698,9 +686,7 @@ mod tests {
         assert_eq!(p.config().agreement_threshold, 1);
         assert_eq!(p.score_rule().match_points, 100);
         assert_eq!(p.agreement().threshold(), 1);
-        assert_eq!(p.matchmaker().queue_len(), 0);
         assert_eq!(p.replay().covered_tasks(), 0);
-        let _ = p.matchmaker_mut();
         let _ = p.replay_mut();
         p.set_cheat_detector(CheatDetector::new(0.4, 1.0, 5));
     }

@@ -3,8 +3,10 @@
 //! Two equivalences pin the bucketed design:
 //!
 //! 1. **Pool vs hub-global matchmaker** — fed the same arrivals and the same
-//!    RNG stream, a single [`BucketPool`] reproduces the hub-global
-//!    [`Matchmaker`]'s pairing sequence exactly (decisions, timeouts, stats).
+//!    RNG stream, a single [`BucketPool`] reproduces the pairing sequence of
+//!    the streaming [`Matchmaker`] it replaced (decisions, timeouts, waits,
+//!    stats). That matchmaker's arrival and timeout logic is kept below as
+//!    the oracle.
 //! 2. **Sharded vs serial reduction** — distributing buckets over any
 //!    `--shards` layout, stepping shards only when they hold arrivals or a
 //!    sweep deadline is due (the engine's wake discipline), produces the
@@ -13,11 +15,77 @@
 //!    that makes campaign results byte-identical at any layout.
 
 use hc_core::bucket::{BucketLayout, BucketPool};
-use hc_core::matchmaker::{MatchDecision, Matchmaker, MatchmakerConfig};
+use hc_core::matchmaker::{MatchDecision, MatchmakerConfig, MatchmakerStats};
 use hc_core::PlayerId;
 use hc_sim::{RngFactory, SimDuration, SimTime};
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
+
+/// The oracle: the hub-global streaming matchmaker's wait pool, as it
+/// paired players before [`BucketPool`] replaced it.
+#[derive(Debug)]
+struct Matchmaker {
+    waiting: Vec<(SimTime, PlayerId)>,
+    last_partner: BTreeMap<PlayerId, PlayerId>,
+    config: MatchmakerConfig,
+    stats: MatchmakerStats,
+    waits: u64,
+}
+
+impl Matchmaker {
+    fn new(config: MatchmakerConfig) -> Self {
+        Matchmaker {
+            waiting: Vec::new(),
+            last_partner: BTreeMap::new(),
+            config,
+            stats: MatchmakerStats::default(),
+            waits: 0,
+        }
+    }
+
+    /// Pairs with a uniformly random eligible waiter (one `gen_range`
+    /// draw over the eligible count) or queues.
+    fn on_arrival(&mut self, now: SimTime, player: PlayerId, rng: &mut impl Rng) -> MatchDecision {
+        let last = self.last_partner.get(&player).copied();
+        let eligible = |candidate: PlayerId| {
+            candidate != player && !(self.config.avoid_rematch && Some(candidate) == last)
+        };
+        let candidates: Vec<usize> = (0..self.waiting.len())
+            .filter(|&i| eligible(self.waiting[i].1))
+            .collect();
+        if candidates.is_empty() {
+            self.waiting.push((now, player));
+            return MatchDecision::Queued;
+        }
+        let pick = candidates[rng.gen_range(0..candidates.len())];
+        let (entered, partner) = self.waiting.swap_remove(pick);
+        self.last_partner.insert(player, partner);
+        self.last_partner.insert(partner, player);
+        self.stats.live_pairs += 1;
+        self.waits += 1;
+        MatchDecision::Paired {
+            partner,
+            waited: now.saturating_since(entered),
+        }
+    }
+
+    /// Removes every waiter at or past the bot-fallback threshold, in
+    /// queue order, with their waits.
+    fn take_timed_out(&mut self, now: SimTime) -> Vec<(PlayerId, SimDuration)> {
+        let threshold = self.config.bot_fallback_wait;
+        let (out, kept): (Vec<_>, Vec<_>) = self
+            .waiting
+            .drain(..)
+            .partition(|&(entered, _)| now.saturating_since(entered) >= threshold);
+        self.waiting = kept;
+        self.stats.replay_pairs += out.len() as u64;
+        self.waits += out.len() as u64;
+        out.into_iter()
+            .map(|(entered, p)| (p, now.saturating_since(entered)))
+            .collect()
+    }
+}
 
 const WINDOW_SECS: u64 = 10;
 
@@ -74,7 +142,7 @@ fn run_layout(
     let mut pools: Vec<BucketPool> = (0..buckets).map(|_| BucketPool::new(cfg)).collect();
     let mut draws: Vec<u64> = vec![0; buckets as usize];
     let mut events: Vec<Vec<PoolEvent>> = vec![Vec::new(); buckets as usize];
-    let mut scratch: Vec<PlayerId> = Vec::new();
+    let mut scratch: Vec<(PlayerId, SimDuration)> = Vec::new();
 
     // Deliveries grouped by (delivery window, bucket), in (time, player) key
     // order — the exchange guarantees exactly this order per destination.
@@ -125,7 +193,7 @@ fn run_layout(
             for b in (0..buckets as usize).filter(|b| b % shards == shard) {
                 scratch.clear();
                 pools[b].take_timed_out_into(end, &mut scratch);
-                for &p in &scratch {
+                for &(p, _) in &scratch {
                     events[b].push(PoolEvent::TimedOut { at: end, player: p });
                 }
                 if let Some(d) = pools[b].next_deadline() {
@@ -198,8 +266,8 @@ proptest! {
         let mut spill = Vec::new();
         pool.take_timed_out_into(horizon, &mut spill);
         prop_assert_eq!(spill, hub.take_timed_out(horizon));
-        prop_assert_eq!(pool.stats(), hub.stats());
-        prop_assert_eq!(pool.queue_len(), hub.queue_len());
-        prop_assert_eq!(pool.wait_stats().count(), hub.wait_stats().count());
+        prop_assert_eq!(pool.stats(), hub.stats);
+        prop_assert_eq!(pool.queue_len(), hub.waiting.len());
+        prop_assert_eq!(pool.wait_stats().count(), hub.waits);
     }
 }

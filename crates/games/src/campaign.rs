@@ -1,25 +1,33 @@
-//! Generic event-driven campaigns — any game, full deployment dynamics.
+//! The serial event-driven campaign — any game, full deployment dynamics.
 //!
-//! [`EspCampaign`](crate::esp::EspCampaign) hard-wires the flagship game;
-//! this module generalizes the same machinery (Poisson sittings, random
-//! matching, engagement-driven returns) over a [`SessionDriver`] trait so
-//! TagATune, Verbosity, Peekaboom, Squigl and Matchin can run the same
-//! deployment analyses (e.g. the F5 concurrency story) without
-//! duplicating the event loop. Games without a replay-bot story simply
-//! drop timed-out players back into the queue at their next sitting.
+//! [`Campaign`] runs one deployment on one core: Poisson first arrivals,
+//! engagement-driven sittings and return visits, random matching through
+//! one [`BucketPool`], and a sweep every [`SWEEP_INTERVAL`] that hands each
+//! timed-out waiter to the game's solo mode — the ESP Game's replay bot —
+//! or, for a game without one, sends them home to come back after a
+//! return gap. A [`SessionDriver`] plugs in the concrete game; ESP,
+//! TagATune and Verbosity ship ready-made drivers. This is the machinery
+//! experiments T1, F5 and F10 run on; [`crate::shard`] runs the same
+//! dynamics across cores.
 
+use crate::esp::{play_esp_replay_session, play_esp_session, EspWorld};
 use crate::params::SessionParams;
-use crate::world::WorldConfig;
+use crate::world::{verified_precision, WorldConfig};
 use hc_collect::DetMap;
+use hc_core::matchmaker::{trace_pairing, MatchmakerStats};
 use hc_core::prelude::*;
 use hc_crowd::{ArchetypeMix, EngagementModel, Population, PopulationBuilder};
 use hc_sim::dist::Exponential;
-use hc_sim::{EventQueue, RngFactory, SimRng};
+use hc_sim::{RngFactory, SimRng, WheelQueue};
 
-/// Drives one session of a concrete game between two live players.
+/// How often the campaign sweeps its wait pool for timed-out waiters.
+pub const SWEEP_INTERVAL: SimDuration = SimDuration::from_secs(5);
+
+/// Drives the sessions of one concrete game.
 pub trait SessionDriver {
-    /// Plays one session, returning the transcript (already recorded into
-    /// the platform by the game's session function).
+    /// Plays one session between two live players, returning the
+    /// transcript (already recorded into the platform by the game's
+    /// session function).
     fn play(
         &mut self,
         platform: &mut Platform,
@@ -28,17 +36,35 @@ pub trait SessionDriver {
         rng: &mut SimRng,
     ) -> SessionTranscript;
 
+    /// Plays a solo fallback session for a player who waited too long, or
+    /// returns `None` — touching nothing — when the game has no solo mode
+    /// (the player gives up instead). The default has none.
+    fn play_solo(
+        &mut self,
+        _platform: &mut Platform,
+        _population: &mut Population,
+        _params: SessionParams,
+        _rng: &mut SimRng,
+    ) -> Option<SessionTranscript> {
+        None
+    }
+
     /// Registers the game's tasks on a fresh platform.
     fn register(&mut self, platform: &mut Platform);
 
-    /// A short name for reports.
+    /// `(correct, total)` of the platform's verified outputs against the
+    /// game's world truth.
+    fn precision(&self, platform: &Platform) -> (usize, usize);
+
+    /// A short name for reports and trace spans.
     fn name(&self) -> &'static str;
 }
 
 /// Campaign configuration shared by every game.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
-    /// Platform/verification parameters.
+    /// Platform/verification parameters; `platform.matchmaker` configures
+    /// the wait pool.
     pub platform: PlatformConfig,
     /// Population size.
     pub players: usize,
@@ -46,7 +72,7 @@ pub struct CampaignConfig {
     pub mix: ArchetypeMix,
     /// Engagement (sitting length / churn) model.
     pub engagement: EngagementModel,
-    /// Mean gap between a player's sittings.
+    /// Mean gap between a player's sittings (also after a give-up).
     pub mean_return_gap: SimDuration,
     /// Simulated horizon.
     pub horizon: SimTime,
@@ -73,30 +99,42 @@ impl CampaignConfig {
     }
 }
 
-/// Report of a generic campaign run.
+/// What a campaign run produced (serial or sharded).
 #[derive(Debug, Clone)]
 pub struct CampaignReport {
     /// Which game ran.
     pub game: &'static str,
-    /// GWAP metrics from the platform ledger.
+    /// The paper's three metrics over the campaign.
     pub metrics: GwapMetrics,
-    /// Sessions completed.
-    pub sessions: u64,
-    /// Verified outputs.
-    pub verified: usize,
-    /// Live-pairing statistics.
-    pub matchmaker: hc_core::matchmaker::MatchmakerStats,
-    /// Mean pairing wait in seconds.
+    /// Verified outputs: `(correct, total)` against world truth.
+    pub precision: (usize, usize),
+    /// Pairing statistics. For a game without a solo mode,
+    /// `replay_pairs` counts the waiters who timed out and went home.
+    pub matchmaker: MatchmakerStats,
+    /// Live two-player sessions completed.
+    pub live_sessions: u64,
+    /// Solo (replay-bot) sessions completed.
+    pub solo_sessions: u64,
+    /// Mean matchmaking wait (seconds).
     pub mean_wait_secs: f64,
+}
+
+impl CampaignReport {
+    /// Precision as a fraction (1.0 when nothing verified).
+    #[must_use]
+    pub fn precision_rate(&self) -> f64 {
+        if self.precision.1 == 0 {
+            1.0
+        } else {
+            self.precision.0 as f64 / self.precision.1 as f64
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
 enum Ev {
     Arrival(PlayerId),
-    /// Check whether a queued player is still waiting; if so they give up
-    /// and come back at a later sitting (no replay bots in the generic
-    /// runner).
-    GiveUp(PlayerId),
+    Sweep,
 }
 
 #[derive(Debug)]
@@ -106,18 +144,23 @@ struct Plan {
     remaining: SimDuration,
 }
 
-/// The generic campaign runner.
+/// The serial campaign runner.
 #[derive(Debug)]
 pub struct Campaign<D: SessionDriver> {
     driver: D,
     config: CampaignConfig,
     platform: Platform,
     population: Population,
+    pool: BucketPool,
     // Per-player session plans: keyed lookups only (never iterated).
     plans: DetMap<PlayerId, Plan>,
     session_ids: hc_core::id::IdAllocator<SessionId>,
     rng: SimRng,
-    sessions: u64,
+    live_sessions: u64,
+    solo_sessions: u64,
+    solo_play: ContributionLedger,
+    /// Reused timeout-sweep output.
+    timed_out: Vec<(PlayerId, SimDuration)>,
 }
 
 impl<D: SessionDriver> Campaign<D> {
@@ -155,61 +198,94 @@ impl<D: SessionDriver> Campaign<D> {
             .collect();
         Campaign {
             driver,
+            pool: BucketPool::new(config.platform.matchmaker),
             config,
             platform,
             population,
             plans,
             session_ids: hc_core::id::IdAllocator::new(),
             rng: factory.stream("campaign"),
-            sessions: 0,
+            live_sessions: 0,
+            solo_sessions: 0,
+            solo_play: ContributionLedger::new(),
+            timed_out: Vec::new(),
         }
     }
 
     /// Runs to the horizon and reports.
     pub fn run(&mut self) -> CampaignReport {
-        // Every player gets an opening arrival, so the queue's working
-        // set is at least the population; size it up front.
-        let mut queue: EventQueue<Ev> = EventQueue::with_capacity(self.config.players.max(16));
+        // Every player gets an opening arrival (plus the sweep tick), so
+        // the queue's working set is at least the population.
+        let mut queue: WheelQueue<Ev> = WheelQueue::with_capacity(self.config.players.max(16) + 1);
         let spread = Exponential::new(1.0 / self.config.arrival_spread.as_secs_f64().max(1e-6))
             .expect("positive spread"); // hc-analyze: allow(P1): rate argument clamped to at least 1e-6
         let ids: Vec<PlayerId> = self.population.players().iter().map(|p| p.id).collect();
-        for p in &ids {
-            queue.push(
-                SimTime::from_secs_f64(spread.sample(&mut self.rng)),
-                Ev::Arrival(*p),
-            );
+        for p in ids {
+            let at = SimTime::from_secs_f64(spread.sample(&mut self.rng));
+            queue.push(at, Ev::Arrival(p));
         }
+        queue.push(SimTime::ZERO + SWEEP_INTERVAL, Ev::Sweep);
+
+        // Captured once: the loop must not change shape when a recording
+        // subscriber appears mid-run on another layer.
+        let tracing = hc_obs::active();
+        let mut arrivals = 0u64;
+        let mut sweeps = 0u64;
+        let mut queue_high_water = 0usize;
+        let mut last_now = SimTime::ZERO;
+
         while let Some((now, ev)) = queue.pop() {
             if now > self.config.horizon {
                 break;
             }
             self.platform.set_time(now);
             match ev {
-                Ev::Arrival(p) => self.handle_arrival(&mut queue, now, p),
-                Ev::GiveUp(p) => {
-                    if self.platform.matchmaker_mut().abandon(p) {
-                        // Still waiting: give up and return next sitting.
-                        let gap = Exponential::new(
-                            1.0 / self.config.mean_return_gap.as_secs_f64().max(1e-6),
-                        )
-                        .expect("positive gap") // hc-analyze: allow(P1): rate argument clamped to at least 1e-6
-                        .sample(&mut self.rng);
-                        queue.push(now + SimDuration::from_secs_f64(gap), Ev::Arrival(p));
-                    }
+                Ev::Arrival(p) => {
+                    self.arrive(&mut queue, now, p);
+                    arrivals += 1;
+                }
+                Ev::Sweep => {
+                    self.sweep(&mut queue, now);
+                    queue.push(now + SWEEP_INTERVAL, Ev::Sweep);
+                    sweeps += 1;
                 }
             }
+            if tracing {
+                queue_high_water = queue_high_water.max(queue.len());
+                last_now = now;
+            }
+        }
+        if tracing {
+            hc_obs::counter("games.arrivals", last_now.ticks(), arrivals);
+            hc_obs::counter("games.sweeps", last_now.ticks(), sweeps);
+            hc_obs::gauge(
+                "games.queue_high_water",
+                last_now.ticks(),
+                queue_high_water as f64,
+            );
+            hc_obs::span(
+                "games",
+                &format!("{}.campaign", self.driver.name()),
+                0,
+                last_now.ticks(),
+                &[
+                    ("live_sessions", self.live_sessions.into()),
+                    ("replay_sessions", self.solo_sessions.into()),
+                ],
+            );
         }
         CampaignReport {
             game: self.driver.name(),
-            metrics: self.platform.metrics(),
-            sessions: self.sessions,
-            verified: self.platform.verified_labels().len(),
-            matchmaker: self.platform.matchmaker().stats(),
-            mean_wait_secs: self.platform.matchmaker().wait_stats().mean(),
+            metrics: GwapMetrics::with_solo_play(&self.platform.metrics(), &self.solo_play),
+            precision: self.driver.precision(&self.platform),
+            matchmaker: self.pool.stats(),
+            live_sessions: self.live_sessions,
+            solo_sessions: self.solo_sessions,
+            mean_wait_secs: self.pool.wait_stats().mean(),
         }
     }
 
-    fn handle_arrival(&mut self, queue: &mut EventQueue<Ev>, now: SimTime, player: PlayerId) {
+    fn arrive(&mut self, queue: &mut WheelQueue<Ev>, now: SimTime, player: PlayerId) {
         {
             let plan = self.plans.get_mut(&player).expect("planned player"); // hc-analyze: allow(P1): every registered player gets a plan at construction
             if plan.remaining.is_zero() {
@@ -220,38 +296,58 @@ impl<D: SessionDriver> Campaign<D> {
                 plan.remaining = len;
             }
         }
-        match self
-            .platform
-            .matchmaker_mut()
-            .on_arrival(now, player, &mut self.rng)
+        if let MatchDecision::Paired { partner, waited } =
+            self.pool.on_arrival(now, player, &mut self.rng)
         {
-            MatchDecision::Paired { partner, .. } => {
-                let sid = self.session_ids.next();
-                let t = self.driver.play(
-                    &mut self.platform,
-                    &mut self.population,
-                    SessionParams::pair(partner, player, sid, now),
-                    &mut self.rng,
-                );
-                self.sessions += 1;
-                let end = t.ended;
-                let dur = t.duration();
-                for p in [partner, player] {
-                    self.schedule_next(queue, end, p, dur);
-                }
-            }
-            MatchDecision::Queued => {
-                // The player waits; if nobody pairs with them within a
-                // patience window they give up (handled by GiveUp).
-                let patience = self.config.platform.matchmaker.bot_fallback_wait * 6;
-                queue.push(now + patience, Ev::GiveUp(player));
+            trace_pairing(now, player, Some(partner), waited);
+            let sid = self.session_ids.next();
+            let t = self.driver.play(
+                &mut self.platform,
+                &mut self.population,
+                SessionParams::pair(partner, player, sid, now),
+                &mut self.rng,
+            );
+            self.live_sessions += 1;
+            for p in [partner, player] {
+                self.schedule_next(queue, t.ended, p, t.duration());
             }
         }
     }
 
+    /// Hands every timed-out waiter to the game's solo mode, or sends
+    /// them home to return after a gap with their sitting unchanged.
+    fn sweep(&mut self, queue: &mut WheelQueue<Ev>, now: SimTime) {
+        let mut timed_out = std::mem::take(&mut self.timed_out);
+        timed_out.clear();
+        self.pool.take_timed_out_into(now, &mut timed_out);
+        for &(player, waited) in &timed_out {
+            // The id is committed only when a solo session actually runs.
+            let sid = SessionId::new(self.session_ids.allocated());
+            match self.driver.play_solo(
+                &mut self.platform,
+                &mut self.population,
+                SessionParams::solo(player, sid, now),
+                &mut self.rng,
+            ) {
+                Some(t) => {
+                    self.session_ids.next();
+                    trace_pairing(now, player, None, waited);
+                    self.solo_sessions += 1;
+                    self.solo_play.record_play(player, t.duration());
+                    self.schedule_next(queue, t.ended, player, t.duration());
+                }
+                None => {
+                    let gap = self.return_gap();
+                    queue.push(now + gap, Ev::Arrival(player));
+                }
+            }
+        }
+        self.timed_out = timed_out;
+    }
+
     fn schedule_next(
         &mut self,
-        queue: &mut EventQueue<Ev>,
+        queue: &mut WheelQueue<Ev>,
         end: SimTime,
         player: PlayerId,
         played: SimDuration,
@@ -263,17 +359,79 @@ impl<D: SessionDriver> Campaign<D> {
         if !plan.remaining.is_zero() {
             queue.push(end, Ev::Arrival(player));
         } else if plan.next < plan.sittings.len() {
-            let gap = Exponential::new(1.0 / self.config.mean_return_gap.as_secs_f64().max(1e-6))
-                .expect("positive gap") // hc-analyze: allow(P1): rate argument clamped to at least 1e-6
-                .sample(&mut self.rng);
-            queue.push(end + SimDuration::from_secs_f64(gap), Ev::Arrival(player));
+            let gap = self.return_gap();
+            queue.push(end + gap, Ev::Arrival(player));
         }
+    }
+
+    fn return_gap(&mut self) -> SimDuration {
+        let gap = Exponential::new(1.0 / self.config.mean_return_gap.as_secs_f64().max(1e-6))
+            .expect("positive gap") // hc-analyze: allow(P1): rate argument clamped to at least 1e-6
+            .sample(&mut self.rng);
+        SimDuration::from_secs_f64(gap)
     }
 
     /// Post-run access to the platform.
     #[must_use]
     pub fn platform(&self) -> &Platform {
         &self.platform
+    }
+}
+
+/// The ESP Game: live output-agreement sessions plus replay-bot solo
+/// sessions for waiters who time out.
+#[derive(Debug)]
+pub struct EspDriver {
+    /// The image world.
+    pub world: EspWorld,
+}
+
+impl EspDriver {
+    /// Generates a driver with a fresh world.
+    pub fn generate<R: rand::Rng + ?Sized>(config: &WorldConfig, rng: &mut R) -> Self {
+        EspDriver {
+            world: EspWorld::generate(config, rng),
+        }
+    }
+}
+
+impl SessionDriver for EspDriver {
+    fn play(
+        &mut self,
+        platform: &mut Platform,
+        population: &mut Population,
+        params: SessionParams,
+        rng: &mut SimRng,
+    ) -> SessionTranscript {
+        play_esp_session(platform, &self.world, population, params, rng)
+    }
+
+    fn play_solo(
+        &mut self,
+        platform: &mut Platform,
+        population: &mut Population,
+        params: SessionParams,
+        rng: &mut SimRng,
+    ) -> Option<SessionTranscript> {
+        Some(play_esp_replay_session(
+            platform,
+            &self.world,
+            population,
+            params,
+            rng,
+        ))
+    }
+
+    fn register(&mut self, platform: &mut Platform) {
+        self.world.register_tasks(platform);
+    }
+
+    fn precision(&self, platform: &Platform) -> (usize, usize) {
+        self.world.verified_precision(platform)
+    }
+
+    fn name(&self) -> &'static str {
+        "esp"
     }
 }
 
@@ -319,6 +477,10 @@ impl SessionDriver for TagATuneDriver {
 
     fn register(&mut self, platform: &mut Platform) {
         self.world.register_tasks(platform);
+    }
+
+    fn precision(&self, platform: &Platform) -> (usize, usize) {
+        verified_precision(platform, |task, label| self.world.is_correct(task, label))
     }
 
     fn name(&self) -> &'static str {
@@ -374,6 +536,10 @@ impl SessionDriver for VerbosityDriver {
         self.world.register_tasks(platform);
     }
 
+    fn precision(&self, platform: &Platform) -> (usize, usize) {
+        verified_precision(platform, |task, clue| self.world.is_true_fact(task, clue))
+    }
+
     fn name(&self) -> &'static str {
         "verbosity"
     }
@@ -383,45 +549,90 @@ impl SessionDriver for VerbosityDriver {
 mod tests {
     use super::*;
 
-    fn run_campaign<D: SessionDriver>(driver: D, seed: u64) -> CampaignReport {
+    fn small(players: usize, hours: u64) -> CampaignConfig {
         let mut config = CampaignConfig::small();
-        config.players = 24;
-        config.horizon = SimTime::from_secs(2 * 3600);
-        Campaign::new(driver, config, seed).run()
+        config.players = players;
+        config.horizon = SimTime::from_secs(hours * 3600);
+        config
+    }
+
+    fn world_rng(seed: u64) -> SimRng {
+        RngFactory::new(seed).stream("world")
+    }
+
+    #[test]
+    fn esp_campaign_runs_to_horizon_and_reports() {
+        let driver = EspDriver::generate(&WorldConfig::small(), &mut world_rng(7));
+        let report = Campaign::new(driver, small(40, 2), 7).run();
+        assert_eq!(report.game, "esp");
+        assert!(report.live_sessions > 0 && report.solo_sessions > 0);
+        assert_eq!(report.matchmaker.replay_pairs, report.solo_sessions);
+        assert!(report.metrics.throughput_per_human_hour > 0.0);
+        assert!(
+            report.precision_rate() > 0.8,
+            "precision {}",
+            report.precision_rate()
+        );
     }
 
     #[test]
     fn tagatune_campaign_produces_verified_tags() {
-        let factory = RngFactory::new(3);
-        let mut rng = factory.stream("world");
-        let driver = TagATuneDriver::generate(&WorldConfig::small(), 0.5, &mut rng);
-        let report = run_campaign(driver, 3);
+        let driver = TagATuneDriver::generate(&WorldConfig::small(), 0.5, &mut world_rng(3));
+        let report = Campaign::new(driver, small(24, 2), 3).run();
         assert_eq!(report.game, "tagatune");
-        assert!(report.sessions > 0, "no sessions ran");
-        assert!(report.verified > 0, "no tags verified");
+        assert!(report.live_sessions > 0, "no sessions ran");
+        assert_eq!(report.solo_sessions, 0, "tagatune has no solo mode");
+        assert!(report.precision.1 > 0, "no tags verified");
         assert!(report.metrics.total_human_hours > 0.0);
     }
 
     #[test]
     fn verbosity_campaign_collects_facts() {
-        let factory = RngFactory::new(4);
-        let mut rng = factory.stream("world");
-        let driver = VerbosityDriver::generate(&WorldConfig::small(), &mut rng);
-        let report = run_campaign(driver, 4);
+        let driver = VerbosityDriver::generate(&WorldConfig::small(), &mut world_rng(4));
+        let report = Campaign::new(driver, small(24, 2), 4).run();
         assert_eq!(report.game, "verbosity");
-        assert!(report.sessions > 0);
-        assert!(report.verified > 0, "no facts verified");
+        assert!(report.live_sessions > 0);
+        assert!(report.precision.1 > 0, "no facts verified");
     }
 
     #[test]
-    fn generic_campaigns_are_deterministic() {
-        let mk = || {
-            let factory = RngFactory::new(5);
-            let mut rng = factory.stream("world");
-            let driver = TagATuneDriver::generate(&WorldConfig::small(), 0.5, &mut rng);
-            let r = run_campaign(driver, 5);
-            (r.sessions, r.verified, r.metrics.total_outputs)
+    fn lone_verbosity_player_gives_up_and_returns_at_a_later_sitting() {
+        let driver = VerbosityDriver::generate(&WorldConfig::small(), &mut world_rng(6));
+        let mut config = small(1, 48);
+        config.mean_return_gap = SimDuration::from_mins(5);
+        let mut campaign = Campaign::new(driver, config, 6);
+        let (report, trace) = hc_obs::record_scope(0, || campaign.run());
+        // Nobody to pair with: every wait ends in a timeout, no solo
+        // session runs (none is even allocated an id), and the player
+        // keeps coming back.
+        assert_eq!(report.live_sessions, 0);
+        assert_eq!(report.solo_sessions, 0);
+        assert_eq!(campaign.session_ids.allocated(), 0);
+        let timeouts = report.matchmaker.replay_pairs;
+        assert!(timeouts >= 2, "timeouts: {timeouts}");
+        // Each arrival but possibly the last (still waiting at the
+        // horizon) timed out; a give-up is no replay fallback.
+        let arrivals = trace.metrics.counter("games.arrivals");
+        assert!(arrivals == timeouts || arrivals == timeouts + 1);
+        assert_eq!(trace.metrics.counter("core.pairs_replay"), 0);
+        // The sweep runs every `SWEEP_INTERVAL`, so every timeout lands
+        // within one interval of the fallback threshold.
+        let fallback = campaign.platform().config().matchmaker.bot_fallback_wait;
+        let wait = report.mean_wait_secs;
+        assert!(wait >= fallback.as_secs_f64());
+        assert!(wait < (fallback + SWEEP_INTERVAL).as_secs_f64());
+        assert_eq!(report.metrics.total_human_hours, 0.0);
+        assert_eq!(report.precision, (0, 0));
+        assert_eq!(report.precision_rate(), 1.0);
+    }
+
+    #[test]
+    fn campaigns_are_deterministic_per_seed() {
+        let run = |seed| {
+            let driver = TagATuneDriver::generate(&WorldConfig::small(), 0.5, &mut world_rng(seed));
+            let r = Campaign::new(driver, small(24, 2), seed).run();
+            (r.live_sessions, r.precision, r.metrics.total_outputs)
         };
-        assert_eq!(mk(), mk());
+        assert_eq!(run(5), run(5));
     }
 }

@@ -16,9 +16,10 @@
 //! [`world`] holds the synthetic ground truth each game plays over; every
 //! game module exposes a `play_*_session` function (drive one session
 //! between two seated players, feeding the [`Platform`](hc_core::Platform)
-//! pipeline) and `esp` additionally exposes the full event-driven
-//! [`campaign`](esp::EspCampaign) with arrivals, matchmaking and
-//! replay-bot fallback — the machinery experiments T1 and F3–F6 run on.
+//! pipeline). [`campaign`] runs any of them as a full event-driven
+//! deployment with arrivals, matchmaking and (for ESP) replay-bot
+//! fallback — the machinery experiments T1 and F3–F6 run on — and
+//! [`shard`] runs the same dynamics across cores.
 //!
 //! ## Example: one ESP session end to end
 //!
@@ -63,9 +64,10 @@ pub mod verbosity;
 pub mod world;
 
 pub use campaign::{
-    Campaign, CampaignConfig, CampaignReport, SessionDriver, TagATuneDriver, VerbosityDriver,
+    Campaign, CampaignConfig, CampaignReport, EspDriver, SessionDriver, TagATuneDriver,
+    VerbosityDriver,
 };
-pub use esp::{EspCampaign, EspCampaignConfig, EspCampaignReport, EspWorld};
+pub use esp::EspWorld;
 pub use matchin::{play_matchin_session, BradleyTerryRanking, MatchinWorld};
 pub use params::SessionParams;
 pub use peekaboom::{play_peekaboom_session, PeekaboomWorld};

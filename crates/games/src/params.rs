@@ -15,7 +15,7 @@ pub struct SessionParams {
     pub seats: [PlayerId; 2],
     /// Id the session is recorded under.
     pub session_id: SessionId,
-    /// Simulation time of the first round.
+    /// Simulated time of the first round.
     pub start: SimTime,
 }
 

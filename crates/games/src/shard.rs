@@ -1,9 +1,8 @@
 //! Sharded single-run campaigns over the [`hc_sim::shard`] engine.
 //!
-//! [`EspCampaign`](crate::esp::EspCampaign) and the generic
-//! [`Campaign`](crate::campaign::Campaign) process one event at a time on
-//! one core; this module re-architects the same deployment dynamics
-//! (Poisson sittings, random matching, replay-bot fallback,
+//! The serial [`Campaign`](crate::campaign::Campaign) processes one event
+//! at a time on one core; this module re-architects the same deployment
+//! dynamics (Poisson sittings, random matching, replay-bot fallback,
 //! engagement-driven returns) as a [`ShardWorkload`] so one run scales
 //! across cores while staying byte-identical at any `--shards` ×
 //! `--threads` combination.
@@ -59,9 +58,11 @@
 //! the merged order — and therefore every downstream byte —
 //! `K`-invariant.
 
+use crate::campaign::CampaignReport;
 use crate::params::SessionParams;
-use crate::world::WorldConfig;
+use crate::world::{verified_precision, WorldConfig};
 use hc_collect::{DetMap, PlayerStore, SliceArena, Span};
+use hc_core::matchmaker::trace_pairing;
 use hc_core::prelude::*;
 use hc_crowd::{ArchetypeMix, EngagementModel, PlayerProfile, PopulationBuilder};
 use hc_sim::dist::Exponential;
@@ -281,38 +282,11 @@ impl ShardedCampaignConfig {
     }
 }
 
-/// What a sharded campaign run produced. Engine statistics (window and
-/// step counts) are deliberately excluded: step counts depend on `K`,
-/// and everything in this report must be `K`/`thread`-invariant.
-#[derive(Debug, Clone)]
-pub struct ShardedCampaignReport {
-    /// Which game ran.
-    pub game: &'static str,
-    /// The paper's three metrics over the campaign.
-    pub metrics: GwapMetrics,
-    /// Verified outputs: `(correct, total)` against world truth.
-    pub precision: (usize, usize),
-    /// Live + replay pairing statistics.
-    pub matchmaker: hc_core::matchmaker::MatchmakerStats,
-    /// Live two-player sessions completed.
-    pub live_sessions: u64,
-    /// Solo (replay-rescue) sessions completed.
-    pub solo_sessions: u64,
-    /// Mean matchmaking wait (seconds).
-    pub mean_wait_secs: f64,
-}
-
-impl ShardedCampaignReport {
-    /// Precision as a fraction (1.0 when nothing verified).
-    #[must_use]
-    pub fn precision_rate(&self) -> f64 {
-        if self.precision.1 == 0 {
-            1.0
-        } else {
-            self.precision.0 as f64 / self.precision.1 as f64
-        }
-    }
-}
+/// What a sharded campaign run produced: the serial campaign's report.
+/// Engine statistics (window and step counts) are deliberately absent:
+/// step counts depend on `K`, and everything in this report must be
+/// `K`/`thread`-invariant.
+pub type ShardedCampaignReport = CampaignReport;
 
 /// Per-player sitting plan; the sitting lengths live in the shard's
 /// shared [`SliceArena`].
@@ -350,9 +324,8 @@ pub struct GameShard {
     sittings: SliceArena<SimDuration>,
     calendar: WheelQueue<PlayerId>,
     buckets: Vec<MatchBucket>,
-    /// Reused timeout/abandon sweep output; never reallocated in
-    /// steady state.
-    sweep_scratch: Vec<PlayerId>,
+    /// Reused timeout sweep output; never reallocated in steady state.
+    sweep_scratch: Vec<(PlayerId, SimDuration)>,
 }
 
 /// The sharded deployment: implements [`ShardWorkload`] with shard-side
@@ -514,33 +487,9 @@ impl<D: ShardGame> ShardedCampaign<D> {
     }
 
     fn report(&self) -> ShardedCampaignReport {
-        // Campaign ALP = platform ledger (live sessions) merged with
-        // solo-session play time, mirroring `EspCampaign::report`.
-        let mut ledger = ContributionLedger::new();
-        ledger.merge(&self.solo_play);
-        let platform_metrics = self.platform.metrics();
-        let hours = platform_metrics.total_human_hours + ledger.total_human_hours();
-        let players = platform_metrics.player_count.max(ledger.player_count());
-        let throughput = if hours > 0.0 {
-            platform_metrics.total_outputs as f64 / hours
-        } else {
-            0.0
-        };
-        let alp = if players > 0 {
-            hours / players as f64
-        } else {
-            0.0
-        };
         ShardedCampaignReport {
             game: self.driver.name(),
-            metrics: GwapMetrics {
-                throughput_per_human_hour: throughput,
-                alp_hours: alp,
-                expected_contribution: throughput * alp,
-                total_outputs: platform_metrics.total_outputs,
-                total_human_hours: hours,
-                player_count: players,
-            },
+            metrics: GwapMetrics::with_solo_play(&self.platform.metrics(), &self.solo_play),
             precision: self.driver.precision(&self.platform),
             matchmaker: self.match_stats,
             live_sessions: self.live_sessions,
@@ -603,8 +552,7 @@ impl<D: ShardGame> ShardedCampaign<D> {
 
     /// Hub-side: a bucket pool paired two players; plan and dispatch
     /// the session. The hub also owns the pairing telemetry — bucket
-    /// pools are shard-reachable and must stay silent, so the events
-    /// the serial matchmaker would emit are re-emitted here.
+    /// pools are shard-reachable and must stay silent.
     fn on_paired(
         &mut self,
         at: SimTime,
@@ -615,20 +563,7 @@ impl<D: ShardGame> ShardedCampaign<D> {
     ) {
         self.platform.set_time(at);
         let seats = [waiter.id, arriver.id];
-        if hc_obs::active() {
-            hc_obs::counter("core.pairs_live", at.ticks(), 1);
-            hc_obs::observe("core.pair_wait_secs", at.ticks(), waited.as_secs_f64());
-            hc_obs::event(
-                "core",
-                "pair",
-                at.ticks(),
-                &[
-                    ("player", u64::from(arriver.id).into()),
-                    ("partner", u64::from(waiter.id).into()),
-                    ("waited_us", waited.ticks().into()),
-                ],
-            );
-        }
+        trace_pairing(at, arriver.id, Some(waiter.id), waited);
         let sid = self.session_ids.next();
         let rounds = self
             .driver
@@ -878,7 +813,7 @@ impl<D: ShardGame> ShardWorkload for ShardedCampaign<D> {
                 {
                     continue;
                 }
-                for &p in &state.sweep_scratch {
+                for &(p, _) in &state.sweep_scratch {
                     let profile = mb.parked.remove(&p.raw()).expect("parked waiter"); // hc-analyze: allow(P1): queued players always park their profile
                     mail.send(
                         Addr::Hub,
@@ -892,9 +827,7 @@ impl<D: ShardGame> ShardWorkload for ShardedCampaign<D> {
             }
         } else {
             for mb in &mut state.buckets {
-                state.sweep_scratch.clear();
-                mb.pool.abandon_all_into(&mut state.sweep_scratch);
-                for &p in &state.sweep_scratch {
+                for p in mb.pool.abandon_all() {
                     mb.parked.remove(&p.raw());
                 }
             }
@@ -1389,12 +1322,7 @@ impl ShardGame for VerbosityShardGame {
     }
 
     fn precision(&self, platform: &Platform) -> (usize, usize) {
-        let verified = platform.verified_labels();
-        let correct = verified
-            .iter()
-            .filter(|v| self.world.is_true_fact(v.task, &v.label))
-            .count();
-        (correct, verified.len())
+        verified_precision(platform, |task, clue| self.world.is_true_fact(task, clue))
     }
 
     fn name(&self) -> &'static str {

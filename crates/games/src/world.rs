@@ -13,7 +13,7 @@
 //!   modal label plus a tail — matching the agreement dynamics the ESP
 //!   Game reports (most pairs match on an "obvious" label first).
 
-use hc_core::Label;
+use hc_core::{Label, Platform, TaskId};
 use hc_crowd::{LabelDistribution, Vocabulary};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -83,6 +83,20 @@ impl WorldConfig {
         }
         Ok(())
     }
+}
+
+/// Precision of the platform's verified outputs under a world's truth
+/// test. Returns `(correct, total)`.
+pub(crate) fn verified_precision(
+    platform: &Platform,
+    is_correct: impl Fn(TaskId, &Label) -> bool,
+) -> (usize, usize) {
+    let verified = platform.verified_labels();
+    let correct = verified
+        .iter()
+        .filter(|v| is_correct(v.task, &v.label))
+        .count();
+    (correct, verified.len())
 }
 
 /// Draws one stimulus's ground-truth label distribution: `k` distinct

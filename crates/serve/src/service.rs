@@ -15,8 +15,9 @@ use crate::wire::{
 };
 use hc_aggregate::plurality;
 use hc_collect::{DetMap, Interner, Sym};
+use hc_core::bucket::BucketPool;
 use hc_core::id::IdAllocator;
-use hc_core::matchmaker::MatchDecision;
+use hc_core::matchmaker::{trace_pairing, MatchDecision};
 use hc_core::session::{RoundRecord, Session};
 use hc_core::templates::TemplateKind;
 use hc_core::{Answer, Label, Platform, PlatformConfig, PlayerId, SessionId, Stimulus, TaskId};
@@ -72,7 +73,7 @@ struct LiveSession {
     current: Option<RoundAssign>,
 }
 
-/// The task-lifecycle service: platform + matchmaker + sessions +
+/// The task-lifecycle service: platform + wait pool + sessions +
 /// aggregation behind one request/response surface.
 ///
 /// # Examples
@@ -93,6 +94,8 @@ struct LiveSession {
 #[derive(Debug)]
 pub struct Service {
     platform: Platform,
+    /// Players waiting for a partner, paired by random matching.
+    pool: BucketPool,
     /// Root of every service RNG draw: pairing and serving randomness
     /// derive per-request `indexed_stream`s keyed by the request
     /// sequence number, so every draw replays from the request log
@@ -125,6 +128,7 @@ impl Service {
         let platform = Platform::new(config.platform).map_err(map_core)?;
         Ok(Service {
             platform,
+            pool: BucketPool::new(config.platform.matchmaker),
             rng: RngFactory::new(config.seed).child("serve"),
             session_ids: IdAllocator::new(),
             sessions: DetMap::new(),
@@ -296,7 +300,7 @@ impl Service {
             Request::Aggregate { job, threshold } => self.aggregate(*job, *threshold),
             Request::Metrics => Ok(Response::MetricsReport {
                 players: self.players.len() as u64,
-                waiting: self.platform.matchmaker().queue_len() as u32,
+                waiting: self.pool.queue_len() as u32,
                 live_sessions: self.sessions.len() as u32,
                 sessions_recorded: self.sessions_recorded,
                 verified_labels: self.platform.verified_labels().len() as u64,
@@ -318,19 +322,16 @@ impl Service {
             Some(SessionPhase::Idle) => {}
         }
         let mut rng = self.rng.indexed_stream("matchmaker", self.requests_handled);
-        let decision = self
-            .platform
-            .matchmaker_mut()
-            .on_arrival(at, player, &mut rng);
-        match decision {
+        match self.pool.on_arrival(at, player, &mut rng) {
             MatchDecision::Queued => {
                 self.players.insert(player, SessionPhase::Waiting);
                 Ok(Response::SessionQueued {
                     player,
-                    waiting: self.platform.matchmaker().queue_len() as u32,
+                    waiting: self.pool.queue_len() as u32,
                 })
             }
-            MatchDecision::Paired { partner, .. } => {
+            MatchDecision::Paired { partner, waited } => {
+                trace_pairing(at, player, Some(partner), waited);
                 let id = self.session_ids.next();
                 // The earlier arrival takes the left seat.
                 let players = [partner, player];

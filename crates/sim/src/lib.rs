@@ -19,15 +19,14 @@
 //! | Module | Contents |
 //! |---|---|
 //! | [`time`] | [`SimTime`]/[`SimDuration`] — microsecond-resolution virtual clock types |
-//! | [`event`] | [`EventQueue`] — a stable priority queue of timestamped events |
+//! | [`wheel`] | [`WheelQueue`] — a hierarchical timing-wheel future-event list: stable `(time, seq)` order, O(1) amortized push/pop |
 //! | [`rng`] | [`RngFactory`] — deterministic derivation of independent RNG streams |
 //! | [`dist`] | Distributions not in `rand` core: exponential, log-normal, Zipf, geometric, discrete |
 //! | [`arrival`] | Poisson and diurnal arrival processes |
 //! | [`stats`] | Online statistics: Welford mean/variance, histograms, percentiles, confidence intervals |
-//! | [`queue`] | FIFO waiting queues with sojourn-time accounting |
-//! | [`runner`] | [`Simulation`] — a minimal driver looping an [`EventQueue`] to completion |
 //! | [`par`] | Deterministic work-stealing replication pool: same bytes at any `--threads` |
 //! | [`shard`] | Deterministic sharded single-run engine: lock-stepped windows + message exchange, same bytes at any `--shards`/`--threads` |
+//! | [`timeseries`] | Windowed rate and gauge series for timeline experiments |
 //!
 //! ## Example
 //!
@@ -38,7 +37,7 @@
 //! let factory = RngFactory::new(42);
 //! let mut rng = factory.stream("arrivals");
 //! let arrivals = PoissonProcess::new(2.0); // 2 events per simulated second
-//! let mut queue: EventQueue<&'static str> = EventQueue::new();
+//! let mut queue: WheelQueue<&'static str> = WheelQueue::new();
 //!
 //! let mut t = SimTime::ZERO;
 //! for _ in 0..10 {
@@ -61,11 +60,8 @@
 
 pub mod arrival;
 pub mod dist;
-pub mod event;
 pub mod par;
-pub mod queue;
 pub mod rng;
-pub mod runner;
 pub mod shard;
 pub mod stats;
 pub mod time;
@@ -74,11 +70,8 @@ pub mod wheel;
 
 pub use arrival::{ArrivalProcess, DiurnalProcess, PoissonProcess};
 pub use dist::{Bernoulli, DiscreteDist, Exponential, Geometric, LogNormal, UniformRange, Zipf};
-pub use event::EventQueue;
 pub use par::{run_replications, run_seeded_replications, ReplicationError};
-pub use queue::FifoQueue;
 pub use rng::{RngFactory, SimRng};
-pub use runner::{Simulation, StepOutcome};
 pub use shard::{
     Addr, Control, HubDecision, Mailbox, ShardConfig, ShardError, ShardRunStats, ShardWorkload,
     WindowInfo,
@@ -94,11 +87,8 @@ pub mod prelude {
     pub use crate::dist::{
         Bernoulli, DiscreteDist, Exponential, Geometric, LogNormal, UniformRange, Zipf,
     };
-    pub use crate::event::EventQueue;
     pub use crate::par::{run_replications, run_seeded_replications, ReplicationError};
-    pub use crate::queue::FifoQueue;
     pub use crate::rng::{RngFactory, SimRng};
-    pub use crate::runner::{Simulation, StepOutcome};
     pub use crate::shard::{
         Addr, Control, HubDecision, Mailbox, ShardConfig, ShardError, ShardRunStats, ShardWorkload,
         WindowInfo,

@@ -1,9 +1,9 @@
 //! A hierarchical timing-wheel event queue.
 //!
-//! [`WheelQueue`] is a drop-in replacement for [`EventQueue`](crate::EventQueue)
-//! with the same observable semantics — events pop in `(time, seq)` order, so
-//! simultaneous events fire in FIFO (scheduling) order — but O(1) amortized
-//! insert and pop instead of the heap's O(log n). The near-horizon events that
+//! [`WheelQueue`] is the simulation kernel's future-event list: events pop
+//! in `(time, seq)` order, so simultaneous events fire in FIFO (scheduling)
+//! order, with O(1) amortized insert and pop instead of a binary heap's
+//! O(log n). The near-horizon events that
 //! dominate session scheduling land in the lowest wheel level and never touch
 //! a comparison-based structure.
 //!
@@ -30,7 +30,7 @@
 //! every overflow entry is strictly earlier than every wheel entry, so the
 //! overflow heap always pops first and global FIFO-within-timestamp order is
 //! preserved. The model-based property test in `tests/wheel_props.rs` pins
-//! this equivalence against [`EventQueue`](crate::EventQueue).
+//! this order against a binary-heap reference queue.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -69,8 +69,7 @@ impl<E> Ord for Entry<E> {
 
 /// A deterministic future-event list backed by a hierarchical timing wheel.
 ///
-/// Mirrors the [`EventQueue`](crate::EventQueue) API exactly; see the module
-/// docs for the data-structure design.
+/// See the module docs for the data-structure design.
 ///
 /// # Examples
 ///

@@ -19,7 +19,7 @@
 //! The hub's log — every entry in processing order — is the observable.
 
 use hc_sim::shard::{run, Addr, HubDecision, Mailbox, ShardConfig, ShardWorkload, WindowInfo};
-use hc_sim::{EventQueue, SimDuration, SimTime};
+use hc_sim::{SimDuration, SimTime, WheelQueue};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -48,7 +48,7 @@ enum Msg {
 }
 
 struct RelayShard {
-    calendar: EventQueue<u64>,
+    calendar: WheelQueue<u64>,
 }
 
 struct Relay {
@@ -122,7 +122,7 @@ fn engine_log(
 ) -> Vec<(u64, u64, u8)> {
     let mut states: Vec<RelayShard> = (0..shards)
         .map(|_| RelayShard {
-            calendar: EventQueue::new(),
+            calendar: WheelQueue::new(),
         })
         .collect();
     for (i, a) in agents.iter().enumerate() {

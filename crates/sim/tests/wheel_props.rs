@@ -1,11 +1,77 @@
 //! Model-based equivalence: [`WheelQueue`] vs the heap-backed
-//! [`EventQueue`] it replaces. Any observable divergence — pop order,
-//! FIFO stability within a timestamp, peek, horizon-bounded pops,
-//! counters — under arbitrary interleavings of operations (including
-//! pushes before already-popped times) is a determinism bug.
+//! [`EventQueue`] it replaced, kept here as the oracle. Any observable
+//! divergence — pop order, FIFO stability within a timestamp, peek,
+//! horizon-bounded pops, counters — under arbitrary interleavings of
+//! operations (including pushes before already-popped times) is a
+//! determinism bug.
 
-use hc_sim::{EventQueue, SimTime, WheelQueue};
+use hc_sim::{SimTime, WheelQueue};
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// The oracle: a binary heap keyed on `(time, seq)`, so simultaneous
+/// events pop in scheduling order. The unique sequence number decides
+/// every tie before the payload is ever compared.
+#[derive(Debug)]
+struct EventQueue<E> {
+    heap: BinaryHeap<Reverse<(SimTime, u64, E)>>,
+    next_seq: u64,
+    popped: u64,
+}
+
+impl<E: Ord> EventQueue<E> {
+    fn new() -> Self {
+        EventQueue {
+            heap: BinaryHeap::new(),
+            next_seq: 0,
+            popped: 0,
+        }
+    }
+
+    fn push(&mut self, time: SimTime, event: E) {
+        self.heap.push(Reverse((time, self.next_seq, event)));
+        self.next_seq += 1;
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, E)> {
+        let Reverse((time, _, event)) = self.heap.pop()?;
+        self.popped += 1;
+        Some((time, event))
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse((time, _, _))| *time)
+    }
+
+    fn pop_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
+        if self.peek_time()? <= horizon {
+            self.pop()
+        } else {
+            None
+        }
+    }
+
+    fn drain_through(&mut self, horizon: SimTime) -> Vec<(SimTime, E)> {
+        std::iter::from_fn(|| self.pop_before(horizon)).collect()
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    fn scheduled_count(&self) -> u64 {
+        self.next_seq
+    }
+
+    fn popped_count(&self) -> u64 {
+        self.popped
+    }
+}
 
 /// One scripted operation against both queues. `value` parameterizes the
 /// push time / horizon; tick values mix dense low ticks (forcing same-tick

@@ -9,24 +9,29 @@
 use human_computation::prelude::*;
 
 fn main() {
-    let mut config = EspCampaignConfig::small();
+    let seed = 2009;
+    let world = WorldConfig {
+        stimuli: 1_500,
+        ..WorldConfig::small()
+    };
+    let mut config = CampaignConfig::small();
     config.players = 120;
-    config.world.stimuli = 1_500;
     config.horizon = SimTime::from_secs(24 * 3600); // one simulated day
     config.platform.agreement_threshold = 1;
 
     println!(
         "running a 24h ESP campaign: {} players, {} images...",
-        config.players, config.world.stimuli
+        config.players, world.stimuli
     );
-    let mut campaign = EspCampaign::new(config, 2009);
+    let driver = EspDriver::generate(&world, &mut RngFactory::new(seed).stream("world"));
+    let mut campaign = Campaign::new(driver, config, seed);
     let report = campaign.run();
 
     println!("\n-- campaign report --");
     println!("live sessions:    {}", report.live_sessions);
     println!(
         "replay sessions:  {} ({:.1}% of pairs)",
-        report.replay_sessions,
+        report.solo_sessions,
         report.matchmaker.replay_share() * 100.0
     );
     println!("mean pairing wait: {:.1}s", report.mean_wait_secs);

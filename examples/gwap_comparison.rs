@@ -1,34 +1,33 @@
 //! Compare GWAPs head-to-head under identical deployment conditions.
 //!
 //! Runs the ESP Game (with its replay-bot fallback), TagATune and
-//! Verbosity through the same arrival/engagement regime using the
-//! generic [`Campaign`] runner, and prints the paper's three metrics
-//! side by side — the DAC'09 comparison table, live.
+//! Verbosity through the same arrival/engagement regime on the serial
+//! [`Campaign`] runner, and prints the paper's three metrics side by
+//! side — the DAC'09 comparison table, live.
 //!
 //! ```text
 //! cargo run --release --example gwap_comparison
 //! ```
 
-use hc_sim::RngFactory;
 use human_computation::prelude::*;
 
 fn main() {
     let seed = 1492;
     println!("running three campaigns under identical traffic...\n");
 
-    // ---- ESP (specialized campaign with replay bots) ----
-    let mut esp_cfg = EspCampaignConfig::small();
-    esp_cfg.players = 60;
-    esp_cfg.world.stimuli = 2_000;
-    esp_cfg.horizon = SimTime::from_secs(8 * 3600);
-    let mut esp = EspCampaign::new(esp_cfg, seed);
-    let esp_report = esp.run();
+    let mut config = CampaignConfig::small();
+    config.players = 60;
+    config.horizon = SimTime::from_secs(8 * 3600);
 
-    // ---- TagATune / Verbosity (generic campaign runner) ----
-    let mut generic_cfg = CampaignConfig::small();
-    generic_cfg.players = 60;
-    generic_cfg.horizon = SimTime::from_secs(8 * 3600);
+    // ---- ESP (with its replay-bot fallback) ----
+    let esp_world = WorldConfig {
+        stimuli: 2_000,
+        ..WorldConfig::small()
+    };
+    let esp_driver = EspDriver::generate(&esp_world, &mut RngFactory::new(seed).stream("world"));
+    let esp = Campaign::new(esp_driver, config.clone(), seed).run();
 
+    // ---- TagATune / Verbosity (timed-out waiters give up) ----
     let factory = RngFactory::new(seed);
     let mut world_rng = factory.stream("worlds");
     let mut world_cfg = WorldConfig::standard();
@@ -36,13 +35,13 @@ fn main() {
 
     let tagatune = Campaign::new(
         TagATuneDriver::generate(&world_cfg, 0.5, &mut world_rng),
-        generic_cfg.clone(),
+        config.clone(),
         seed,
     )
     .run();
     let verbosity = Campaign::new(
         VerbosityDriver::generate(&world_cfg, &mut world_rng),
-        generic_cfg,
+        config,
         seed,
     )
     .run();
@@ -52,44 +51,27 @@ fn main() {
         "game", "sessions", "verified", "thr/hh", "ALP(min)", "E[contrib]"
     );
     println!("{}", "-".repeat(65));
-    let print_row = |name: &str, sessions: u64, verified: usize, m: &GwapMetrics| {
+    for report in [&esp, &tagatune, &verbosity] {
+        let m = &report.metrics;
         println!(
             "{:<11} {:>9} {:>10} {:>9.1} {:>11.1} {:>10.1}",
-            name,
-            sessions,
-            verified,
+            report.game,
+            report.live_sessions + report.solo_sessions,
+            report.precision.1,
             m.throughput_per_human_hour,
             m.alp_hours * 60.0,
             m.expected_contribution
         );
-    };
-    print_row(
-        "esp",
-        esp_report.live_sessions + esp_report.replay_sessions,
-        esp_report.precision.1,
-        &esp_report.metrics,
-    );
-    print_row(
-        "tagatune",
-        tagatune.sessions,
-        tagatune.verified,
-        &tagatune.metrics,
-    );
-    print_row(
-        "verbosity",
-        verbosity.sessions,
-        verbosity.verified,
-        &verbosity.metrics,
-    );
+    }
 
     println!(
         "\nesp extras: replay share {:.1}%, label precision {:.1}%",
-        esp_report.matchmaker.replay_share() * 100.0,
-        esp_report.precision_rate() * 100.0
+        esp.matchmaker.replay_share() * 100.0,
+        esp.precision_rate() * 100.0
     );
     println!(
         "mean pairing waits: esp {:.1}s, tagatune {:.1}s, verbosity {:.1}s",
-        esp_report.mean_wait_secs, tagatune.mean_wait_secs, verbosity.mean_wait_secs
+        esp.mean_wait_secs, tagatune.mean_wait_secs, verbosity.mean_wait_secs
     );
     println!("\n(the ALP column reflects the campaign's *realized* play per player within the horizon, not lifetime ALP — see exp_t1 for the lifetime metric)");
 }

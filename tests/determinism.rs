@@ -8,21 +8,108 @@ use rand::SeedableRng;
 #[test]
 fn esp_campaigns_are_bit_identical_per_seed() {
     let run = |seed: u64| {
-        let mut config = EspCampaignConfig::small();
+        let mut config = CampaignConfig::small();
         config.players = 24;
         config.horizon = SimTime::from_secs(3_600);
-        let mut c = EspCampaign::new(config, seed);
-        let r = c.run();
+        let driver = EspDriver::generate(
+            &WorldConfig::small(),
+            &mut RngFactory::new(seed).stream("world"),
+        );
+        let r = Campaign::new(driver, config, seed).run();
         (
             r.metrics.total_outputs,
             r.live_sessions,
-            r.replay_sessions,
+            r.solo_sessions,
             r.precision,
             r.matchmaker.live_pairs,
         )
     };
     assert_eq!(run(5), run(5));
     assert_ne!(run(5), run(6), "different seeds should diverge");
+}
+
+/// Everything a serial ESP campaign reports, with floats as raw bits and
+/// the verified `(task, label, at)` sequence folded into an FNV-1a hash.
+#[derive(Debug, PartialEq, Eq)]
+struct Fingerprint {
+    total_outputs: u64,
+    live_sessions: u64,
+    solo_sessions: u64,
+    precision: (usize, usize),
+    live_pairs: u64,
+    replay_pairs: u64,
+    throughput_bits: u64,
+    alp_bits: u64,
+    mean_wait_bits: u64,
+    verified_fnv: u64,
+}
+
+fn fnv1a(hash: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(hash, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Runs one serial ESP campaign: `players` over `hours`, on the small
+/// world or (with `f5_cell`) on experiment F5's 600-image world and
+/// 45-minute arrival spread.
+fn esp_fingerprint(players: usize, hours: u64, f5_cell: bool, seed: u64) -> Fingerprint {
+    let mut world = WorldConfig::small();
+    let mut config = CampaignConfig::small();
+    config.players = players;
+    config.horizon = SimTime::from_secs(hours * 3600);
+    if f5_cell {
+        world.stimuli = 600;
+        config.arrival_spread = SimDuration::from_mins(45);
+    }
+    let driver = EspDriver::generate(&world, &mut RngFactory::new(seed).stream("world"));
+    let mut campaign = Campaign::new(driver, config, seed);
+    let r = campaign.run();
+    let labels = campaign.platform().verified_labels();
+    let verified_fnv = labels.iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+        let h = fnv1a(h, v.task.raw().to_le_bytes());
+        let h = fnv1a(h, v.label.as_str().bytes().chain([0xff]));
+        fnv1a(h, v.at.ticks().to_le_bytes())
+    });
+    Fingerprint {
+        total_outputs: r.metrics.total_outputs,
+        live_sessions: r.live_sessions,
+        solo_sessions: r.solo_sessions,
+        precision: r.precision,
+        live_pairs: r.matchmaker.live_pairs,
+        replay_pairs: r.matchmaker.replay_pairs,
+        throughput_bits: r.metrics.throughput_per_human_hour.to_bits(),
+        alp_bits: r.metrics.alp_hours.to_bits(),
+        mean_wait_bits: r.mean_wait_secs.to_bits(),
+        verified_fnv,
+    }
+}
+
+/// Golden fingerprints of the serial ESP campaign at seeds 1, 7 and 12:
+/// 24 players over one hour, and one F5-sized cell of 64 players over a
+/// day, as `(players, hours, f5_cell, seed, fingerprint)`. The literals
+/// were captured from the serial loop before it moved onto the timing
+/// wheel and the shared wait pool; any drift in event order, RNG draws,
+/// pairing or report arithmetic fails here.
+#[rustfmt::skip]
+const GOLDEN: [(usize, u64, bool, u64, Fingerprint); 6] = [
+    (24, 1, false, 1, Fingerprint { total_outputs: 219, live_sessions: 30, solo_sessions: 86, precision: (219, 219), live_pairs: 30, replay_pairs: 86, throughput_bits: 4631008964227945245, alp_bits: 4598220639416706359, mean_wait_bits: 4622420650783061648, verified_fnv: 1714167158042765803 }),
+    (24, 1, false, 7, Fingerprint { total_outputs: 184, live_sessions: 35, solo_sessions: 110, precision: (182, 184), live_pairs: 35, replay_pairs: 110, throughput_bits: 4628763911343057997, alp_bits: 4599176491889117627, mean_wait_bits: 4622524409407056099, verified_fnv: 7559611469328204805 }),
+    (24, 1, false, 12, Fingerprint { total_outputs: 203, live_sessions: 18, solo_sessions: 67, precision: (203, 203), live_pairs: 18, replay_pairs: 67, throughput_bits: 4632369153872513146, alp_bits: 4595691393926689433, mean_wait_bits: 4622556391128312763, verified_fnv: 3160704139833250396 }),
+    (64, 24, true, 1, Fingerprint { total_outputs: 2268, live_sessions: 560, solo_sessions: 1761, precision: (2253, 2268), live_pairs: 560, replay_pairs: 1761, throughput_bits: 4626940367290924511, alp_bits: 4609869677557459700, mean_wait_bits: 4622451267364771823, verified_fnv: 10734632168222906756 }),
+    (64, 24, true, 7, Fingerprint { total_outputs: 2255, live_sessions: 592, solo_sessions: 1767, precision: (2244, 2255), live_pairs: 592, replay_pairs: 1767, throughput_bits: 4626746196714210415, alp_bits: 4610057809977123069, mean_wait_bits: 4622424113122502283, verified_fnv: 3705937143067848295 }),
+    (64, 24, true, 12, Fingerprint { total_outputs: 2281, live_sessions: 458, solo_sessions: 1663, precision: (2263, 2281), live_pairs: 458, replay_pairs: 1663, throughput_bits: 4627518453068280134, alp_bits: 4609403422458363457, mean_wait_bits: 4622559605652855795, verified_fnv: 14236767939848507978 }),
+];
+
+#[test]
+fn serial_esp_campaign_matches_golden_fingerprints() {
+    for (players, hours, f5_cell, seed, want) in GOLDEN {
+        assert_eq!(
+            esp_fingerprint(players, hours, f5_cell, seed),
+            want,
+            "players={players} hours={hours} seed={seed}"
+        );
+    }
 }
 
 /// The regression locked in by the BTreeMap conversion in `hc-core`:

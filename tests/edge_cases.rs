@@ -4,23 +4,29 @@
 use human_computation::prelude::*;
 use rand::SeedableRng;
 
+fn esp_campaign(config: CampaignConfig, seed: u64) -> Campaign<EspDriver> {
+    let driver = EspDriver::generate(
+        &WorldConfig::small(),
+        &mut RngFactory::new(seed).stream("world"),
+    );
+    Campaign::new(driver, config, seed)
+}
+
 #[test]
 fn campaign_with_zero_horizon_does_nothing() {
-    let mut config = EspCampaignConfig::small();
+    let mut config = CampaignConfig::small();
     config.horizon = SimTime::ZERO;
-    let mut campaign = EspCampaign::new(config, 1);
-    let report = campaign.run();
+    let report = esp_campaign(config, 1).run();
     assert_eq!(report.live_sessions, 0);
     assert_eq!(report.metrics.total_outputs, 0);
 }
 
 #[test]
 fn campaign_with_one_player_only_meets_replay_bots() {
-    let mut config = EspCampaignConfig::small();
+    let mut config = CampaignConfig::small();
     config.players = 1;
     config.horizon = SimTime::from_secs(1800);
-    let mut campaign = EspCampaign::new(config, 2);
-    let report = campaign.run();
+    let report = esp_campaign(config, 2).run();
     assert_eq!(report.live_sessions, 0, "nobody to pair with");
     // With no recordings either, replay sessions still run (seeding mode)
     // but cannot verify anything against a prior human.
@@ -231,12 +237,15 @@ fn matchin_with_one_image_cannot_form_pairs() {
 
 #[test]
 fn generic_campaign_with_zero_players_is_empty() {
-    use human_computation::games::{Campaign, CampaignConfig, TagATuneDriver};
+    use human_computation::core::matchmaker::MatchmakerStats;
     let mut rng = rand::rngs::StdRng::seed_from_u64(9);
     let driver = TagATuneDriver::generate(&WorldConfig::small(), 0.5, &mut rng);
     let mut config = CampaignConfig::small();
     config.players = 0;
     let report = Campaign::new(driver, config, 9).run();
-    assert_eq!(report.sessions, 0);
-    assert_eq!(report.verified, 0);
+    assert_eq!(report.game, "tagatune");
+    assert_eq!(report.live_sessions + report.solo_sessions, 0);
+    assert_eq!(report.precision, (0, 0));
+    assert_eq!(report.matchmaker, MatchmakerStats::default());
+    assert_eq!(report.metrics.player_count, 0);
 }

@@ -238,8 +238,8 @@ proptest! {
 }
 
 /// Helper: builds an event queue from raw tick times.
-fn hc_queue(times: &[u64]) -> EventQueue<usize> {
-    let mut q = EventQueue::new();
+fn hc_queue(times: &[u64]) -> WheelQueue<usize> {
+    let mut q = WheelQueue::new();
     for (i, &t) in times.iter().enumerate() {
         q.push(SimTime::from_ticks(t), i);
     }
