@@ -223,13 +223,14 @@ impl Platform {
         self.tasks.record_served(task, players);
     }
 
-    /// The taboo list currently attached to `task` (empty for unknown
-    /// tasks).
+    /// A snapshot of the taboo list currently attached to `task` (empty
+    /// for unknown tasks). Taking it shares the task's labels; promotions
+    /// after it leave the snapshot unchanged.
     #[must_use]
     pub fn taboo_for(&self, task: TaskId) -> TabooList {
         self.tasks
             .get(task)
-            .map(|t| TabooList::from_labels(t.taboo.iter().cloned()))
+            .map(|t| t.taboo.clone())
             .unwrap_or_default()
     }
 
@@ -539,6 +540,24 @@ mod tests {
             .ingest_agreement(task, Label::new("dog"), ids[0], ids[2])
             .unwrap());
         assert_eq!(p.verified_labels().len(), 1);
+    }
+
+    #[test]
+    fn taboo_snapshots_are_copy_on_write() {
+        let mut p = platform(1);
+        let task = p.add_task(Stimulus::Image(1));
+        let (a, b) = (p.register_player(), p.register_player());
+        assert!(p.ingest_agreement(task, Label::new("sun"), a, b).unwrap());
+        let planned = p.taboo_for(task);
+        assert!(p.ingest_agreement(task, Label::new("apple"), a, b).unwrap());
+        assert!(
+            !planned.contains(&Label::new("apple")),
+            "snapshot unchanged"
+        );
+        let fresh = p.taboo_for(task);
+        let order: Vec<&str> = fresh.iter().map(Label::as_str).collect();
+        assert_eq!(order, ["sun", "apple"], "promotion order");
+        assert_eq!(planned.len(), 1);
     }
 
     #[test]

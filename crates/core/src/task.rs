@@ -9,9 +9,10 @@
 
 use crate::answer::Label;
 use crate::id::{PlayerId, TaskId};
+use crate::verify::TabooList;
 use hc_collect::{DetMap, DetSet, PlayerStore};
 use serde::{Deserialize, Serialize};
-use std::collections::BinaryHeap;
+use std::collections::BTreeSet;
 
 /// What a task presents to the player — an abstract stimulus reference.
 ///
@@ -68,9 +69,10 @@ pub struct Task {
     pub stimulus: Stimulus,
     /// Current lifecycle state.
     pub state: TaskState,
-    /// Labels that are off-limits for this task (ESP taboo words). Grows as
-    /// outputs are verified.
-    pub taboo: Vec<Label>,
+    /// Labels that are off-limits for this task (ESP taboo words), in
+    /// promotion order. Grows as outputs are verified; planned rounds
+    /// share it as a snapshot.
+    pub taboo: TabooList,
     /// How many rounds have served this task.
     pub times_served: u32,
     /// How many verified outputs this task has produced.
@@ -85,35 +87,10 @@ impl Task {
             id,
             stimulus,
             state: TaskState::Fresh,
-            taboo: Vec::new(),
+            taboo: TabooList::new(),
             times_served: 0,
             verified_outputs: 0,
         }
-    }
-}
-
-/// Priority entry: tasks with fewer verified outputs (then fewer serves)
-/// come first. `BinaryHeap` is a max-heap, so orderings are reversed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct QueueEntry {
-    verified: u32,
-    served: u32,
-    id: TaskId,
-}
-
-impl Ord for QueueEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .verified
-            .cmp(&self.verified)
-            .then(other.served.cmp(&self.served))
-            .then(other.id.cmp(&self.id))
-    }
-}
-
-impl PartialOrd for QueueEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
     }
 }
 
@@ -144,11 +121,23 @@ pub struct TaskQueue {
     // Both maps are on the serving hot path (every `next_for` /
     // `record_served`). `tasks` is iterated only for order-free counts
     // and the explicitly order-unspecified `iter()`; `seen` is
-    // membership-only. Scheduling order itself comes from the heap.
+    // membership-only. Scheduling order comes from `live`.
     tasks: DetMap<TaskId, Task>,
-    /// Lazy priority heap; entries may be stale and are validated on pop.
-    heap: BinaryHeap<QueueEntry>,
+    /// Every task that is neither completed nor retired, keyed by its
+    /// current `(verified_outputs, times_served, id)`, so iteration order
+    /// is serving priority. Every count or state change moves the key.
+    live: BTreeSet<(u32, u32, TaskId)>,
     seen: PlayerStore<DetSet<TaskId>>,
+}
+
+/// A task's key in [`TaskQueue::live`]; `None` once it can never be
+/// served again.
+fn priority(task: &Task) -> Option<(u32, u32, TaskId)> {
+    (!matches!(task.state, TaskState::Completed | TaskState::Retired)).then_some((
+        task.verified_outputs,
+        task.times_served,
+        task.id,
+    ))
 }
 
 impl TaskQueue {
@@ -158,25 +147,37 @@ impl TaskQueue {
         TaskQueue::default()
     }
 
-    /// Adds a task to the store.
+    /// Adds a task to the store, replacing any task with the same id.
     pub fn insert(&mut self, task: Task) {
-        self.heap.push(QueueEntry {
-            verified: task.verified_outputs,
-            served: task.times_served,
-            id: task.id,
-        });
-        self.tasks.insert(task.id, task);
+        let key = priority(&task);
+        if let Some(old) = self.tasks.insert(task.id, task) {
+            if let Some(old_key) = priority(&old) {
+                self.live.remove(&old_key);
+            }
+        }
+        if let Some(key) = key {
+            self.live.insert(key);
+        }
+    }
+
+    /// Applies `change` to a stored task and re-keys it in `live`.
+    fn update(&mut self, id: TaskId, change: impl FnOnce(&mut Task)) {
+        let Some(task) = self.tasks.get_mut(&id) else {
+            return;
+        };
+        if let Some(key) = priority(task) {
+            self.live.remove(&key);
+        }
+        change(task);
+        if let Some(key) = priority(task) {
+            self.live.insert(key);
+        }
     }
 
     /// Looks up a task.
     #[must_use]
     pub fn get(&self, id: TaskId) -> Option<&Task> {
         self.tasks.get(&id)
-    }
-
-    /// Mutable lookup.
-    pub fn get_mut(&mut self, id: TaskId) -> Option<&mut Task> {
-        self.tasks.get_mut(&id)
     }
 
     /// Number of stored tasks (any state).
@@ -201,55 +202,27 @@ impl TaskQueue {
     }
 
     /// Chooses the next task for the given players: least verified, then
-    /// least served, excluding completed/retired tasks and tasks any of the
-    /// players has already seen. Returns `None` when nothing qualifies.
-    pub fn next_for(&mut self, players: &[PlayerId]) -> Option<TaskId> {
-        let mut skipped = Vec::new();
-        let mut found = None;
-        while let Some(entry) = self.heap.pop() {
-            let Some(task) = self.tasks.get(&entry.id) else {
-                continue; // deleted
-            };
-            // Stale heap entry: re-push the fresh one and retry.
-            if task.verified_outputs != entry.verified || task.times_served != entry.served {
-                self.heap.push(QueueEntry {
-                    verified: task.verified_outputs,
-                    served: task.times_served,
-                    id: task.id,
-                });
-                continue;
-            }
-            if matches!(task.state, TaskState::Completed | TaskState::Retired) {
-                continue; // permanently out; drop entry
-            }
-            let seen_by_any = players.iter().any(|p| {
-                self.seen
-                    .get(p.raw())
-                    .is_some_and(|seen| seen.contains(&task.id))
-            });
-            if seen_by_any {
-                skipped.push(entry);
-                continue;
-            }
-            found = Some(entry.id);
-            skipped.push(entry); // keep it in the heap for future serves
-            break;
-        }
-        for entry in skipped {
-            self.heap.push(entry);
-        }
-        found
+    /// least served, then lowest id, excluding completed/retired tasks and
+    /// tasks any of the players has already seen. Returns `None` when
+    /// nothing qualifies.
+    #[must_use]
+    pub fn next_for(&self, players: &[PlayerId]) -> Option<TaskId> {
+        let seen = players.iter().filter_map(|p| self.seen.get(p.raw()));
+        self.live
+            .iter()
+            .map(|&(_, _, id)| id)
+            .find(|id| !seen.clone().any(|s| s.contains(id)))
     }
 
     /// Records that `task` was served to `players` (increments the serve
     /// counter and marks it seen by each player).
     pub fn record_served(&mut self, task: TaskId, players: &[PlayerId]) {
-        if let Some(t) = self.tasks.get_mut(&task) {
+        self.update(task, |t| {
             t.times_served += 1;
             if t.state == TaskState::Fresh {
                 t.state = TaskState::InProgress;
             }
-        }
+        });
         for p in players {
             self.seen
                 .get_or_insert_with(p.raw(), DetSet::new)
@@ -261,7 +234,7 @@ impl TaskQueue {
     /// `completion_threshold` verified outputs accumulate (0 = never
     /// auto-complete).
     pub fn record_verified(&mut self, task: TaskId, completion_threshold: u32) {
-        if let Some(t) = self.tasks.get_mut(&task) {
+        self.update(task, |t| {
             t.verified_outputs += 1;
             if t.state == TaskState::Fresh {
                 t.state = TaskState::InProgress;
@@ -269,16 +242,15 @@ impl TaskQueue {
             if completion_threshold > 0 && t.verified_outputs >= completion_threshold {
                 t.state = TaskState::Completed;
             }
-        }
+        });
     }
 
     /// Adds a taboo label to a task (ESP Game: verified labels become
-    /// off-limits so future pairs produce *new* labels).
+    /// off-limits so future pairs produce *new* labels). Snapshots taken
+    /// earlier keep the list they were taken with.
     pub fn add_taboo(&mut self, task: TaskId, label: Label) {
         if let Some(t) = self.tasks.get_mut(&task) {
-            if !t.taboo.contains(&label) {
-                t.taboo.push(label);
-            }
+            t.taboo.insert(label);
         }
     }
 
@@ -374,12 +346,11 @@ mod tests {
     }
 
     #[test]
-    fn heap_recovers_after_stale_entries() {
+    fn coverage_changes_reorder_serving() {
         let mut q = TaskQueue::new();
         q.insert(task(1));
         q.insert(task(2));
         q.insert(task(3));
-        // Mutate coverage out from under the heap repeatedly.
         for _ in 0..5 {
             q.record_verified(TaskId::new(2), 0);
         }

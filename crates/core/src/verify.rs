@@ -18,9 +18,14 @@
 use crate::answer::Label;
 use crate::id::{PlayerId, TaskId};
 use hc_collect::{DetMap, DetSet, PlayerStore};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
+use std::sync::Arc;
 
 /// A set of labels that may not be used for a task.
+///
+/// Clones share one snapshot of the labels; [`insert`](TabooList::insert)
+/// copies them first while another clone still holds them, so a round
+/// planned from a task's list keeps it when the task's list grows.
 ///
 /// # Examples
 ///
@@ -30,12 +35,12 @@ use serde::{Deserialize, Serialize};
 /// assert!(taboo.contains(&Label::new("Dogs"))); // normalization applies
 /// assert!(!taboo.contains(&Label::new("bird")));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TabooList {
-    // Checked on every candidate label; membership-only except for the
-    // explicitly order-unspecified `iter()`. Serialization sorts at the
-    // boundary, so the wire format matches the old BTreeSet exactly.
-    labels: DetSet<Label>,
+    // Checked on every candidate label; iterated in insertion order by
+    // `iter()`. Serialization sorts at the boundary, so the wire format
+    // matches the old BTreeSet exactly.
+    labels: Arc<DetSet<Label>>,
 }
 
 impl TabooList {
@@ -49,13 +54,13 @@ impl TabooList {
     #[must_use]
     pub fn from_labels<I: IntoIterator<Item = Label>>(labels: I) -> Self {
         TabooList {
-            labels: labels.into_iter().collect(),
+            labels: Arc::new(labels.into_iter().collect()),
         }
     }
 
     /// Adds a label; returns `true` if it was new.
     pub fn insert(&mut self, label: Label) -> bool {
-        self.labels.insert(label)
+        !self.labels.contains(&label) && Arc::make_mut(&mut self.labels).insert(label)
     }
 
     /// Membership test.
@@ -76,9 +81,28 @@ impl TabooList {
         self.labels.is_empty()
     }
 
-    /// Iterates over taboo labels in unspecified order.
+    /// Iterates over taboo labels in insertion order: the order a task's
+    /// labels were promoted, which `hc-serve` sends on the wire.
     pub fn iter(&self) -> impl Iterator<Item = &Label> {
         self.labels.iter()
+    }
+}
+
+/// `{"labels": [...]}`, sorted: what the derive wrote for a plain `DetSet`.
+impl Serialize for TabooList {
+    fn serialize_value(&self) -> Value {
+        Value::Object(vec![("labels".to_string(), self.labels.serialize_value())])
+    }
+}
+
+impl<'de> Deserialize<'de> for TabooList {
+    fn deserialize_value(value: &Value) -> Result<Self, DeError> {
+        let labels = value
+            .get("labels")
+            .ok_or_else(|| DeError::expected("object with `labels`", value))?;
+        Ok(TabooList {
+            labels: Arc::new(DetSet::deserialize_value(labels)?),
+        })
     }
 }
 
@@ -297,6 +321,16 @@ mod tests {
         assert_eq!(t.len(), 1);
         assert!(t.contains(&Label::new("DOG")));
         assert_eq!(t.iter().count(), 1);
+    }
+
+    #[test]
+    fn taboo_list_json_is_unchanged() {
+        let t = TabooList::from_labels([Label::new("dog"), Label::new("cat")]);
+        let json = serde_json::to_string(&t).unwrap();
+        assert_eq!(json, r#"{"labels":["cat","dog"]}"#, "sorted, as before");
+        let back: TabooList = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, t);
+        assert!(serde_json::from_str::<TabooList>(r#"["cat"]"#).is_err());
     }
 
     #[test]

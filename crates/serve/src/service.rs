@@ -49,7 +49,7 @@ struct RoundAssign {
     round: u32,
     task: TaskId,
     stimulus: Stimulus,
-    taboo: Vec<Label>,
+    taboo: hc_core::TabooList,
     issued_at: SimTime,
     /// Per-seat answers; a round resolves when both are present.
     answers: [Option<Answer>; 2],
@@ -273,7 +273,7 @@ impl Service {
                     state: t.state,
                     times_served: t.times_served,
                     verified: t.verified_outputs,
-                    taboo: t.taboo.clone(),
+                    taboo: t.taboo.iter().cloned().collect(),
                 })
             }
             Request::CancelJob { job, .. } => {
@@ -375,7 +375,7 @@ impl Service {
                 round: current.round,
                 task: current.task,
                 stimulus: current.stimulus.clone(),
-                taboo: current.taboo.clone(),
+                taboo: current.taboo.iter().cloned().collect(),
             });
         }
         if !live.session.can_play_more(at) {
@@ -408,7 +408,7 @@ impl Service {
             round,
             task,
             stimulus,
-            taboo,
+            taboo: taboo.iter().cloned().collect(),
         })
     }
 

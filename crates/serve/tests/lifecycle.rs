@@ -468,6 +468,89 @@ fn taboo_label_is_rejected_on_resubmission() {
     }
 }
 
+/// The taboo list a `RequestTask` hands `player`.
+fn assigned_taboo(svc: &mut Service, session: SessionId, player: PlayerId) -> Vec<Label> {
+    match svc.handle(&Request::RequestTask {
+        session,
+        player,
+        at: SimTime::from_secs(1),
+    }) {
+        Response::TaskAssigned { taboo, .. } => taboo,
+        other => panic!("unexpected: {other:?}"),
+    }
+}
+
+/// Both seats submit `word`; returns the right seat's response.
+fn both_answer(
+    svc: &mut Service,
+    session: SessionId,
+    seats: [PlayerId; 2],
+    word: &str,
+) -> Response {
+    let submit = |player| Request::SubmitAnswer {
+        session,
+        player,
+        answer: Answer::text(word),
+        at: SimTime::from_secs(2),
+    };
+    svc.handle(&submit(seats[0]));
+    svc.handle(&submit(seats[1]))
+}
+
+#[test]
+fn taboo_lists_keep_promotion_order_and_round_snapshots() {
+    let mut svc = svc();
+    let (_, tasks) = publish(&mut svc, 1);
+    let pairs: Vec<[PlayerId; 2]> = (0..3)
+        .map(|_| [register(&mut svc), register(&mut svc)])
+        .collect();
+    let sessions: Vec<SessionId> = pairs
+        .iter()
+        .map(|&[a, b]| seat_pair(&mut svc, a, b, SimTime::ZERO))
+        .collect();
+    // The first pair promotes "sun".
+    assert!(assigned_taboo(&mut svc, sessions[0], pairs[0][0]).is_empty());
+    both_answer(&mut svc, sessions[0], pairs[0], "sun");
+    // The second and third pairs are assigned the task with "sun" taboo.
+    let sun = vec![Label::new("sun")];
+    assert_eq!(assigned_taboo(&mut svc, sessions[1], pairs[1][0]), sun);
+    assert_eq!(assigned_taboo(&mut svc, sessions[2], pairs[2][0]), sun);
+    // The second pair promotes "apple", which sorts before "sun".
+    let r = both_answer(&mut svc, sessions[1], pairs[1], "apple");
+    assert!(
+        matches!(
+            r,
+            Response::AnswerRecorded {
+                outcome: RoundOutcome::Matched { promoted: true, .. },
+                ..
+            }
+        ),
+        "unexpected: {r:?}"
+    );
+    // The task lists its labels in promotion order...
+    match svc.handle(&Request::TaskStatus { task: tasks[0] }) {
+        Response::TaskStatusReport { taboo, .. } => {
+            assert_eq!(taboo, vec![Label::new("sun"), Label::new("apple")]);
+        }
+        other => panic!("unexpected: {other:?}"),
+    }
+    // ...while the third pair's open round keeps the list it was assigned
+    // with: its other seat polls the same snapshot, and "apple" is
+    // still allowed there.
+    assert_eq!(assigned_taboo(&mut svc, sessions[2], pairs[2][1]), sun);
+    let r = both_answer(&mut svc, sessions[2], pairs[2], "apple");
+    assert!(
+        matches!(
+            r,
+            Response::AnswerRecorded {
+                outcome: RoundOutcome::Matched { .. },
+                ..
+            }
+        ),
+        "unexpected: {r:?}"
+    );
+}
+
 #[test]
 fn cancel_job_stops_it_and_is_idempotent() {
     let mut svc = svc();

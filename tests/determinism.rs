@@ -2,6 +2,7 @@
 //! of its seed. These tests pin that property across crate boundaries —
 //! the foundation every number in EXPERIMENTS.md rests on.
 
+use human_computation::games::{EspShardGame, ShardedCampaign, ShardedCampaignConfig};
 use human_computation::prelude::*;
 use rand::SeedableRng;
 
@@ -65,7 +66,11 @@ fn esp_fingerprint(players: usize, hours: u64, f5_cell: bool, seed: u64) -> Fing
     let driver = EspDriver::generate(&world, &mut RngFactory::new(seed).stream("world"));
     let mut campaign = Campaign::new(driver, config, seed);
     let r = campaign.run();
-    let labels = campaign.platform().verified_labels();
+    fingerprint(&r, campaign.platform().verified_labels())
+}
+
+/// Fingerprints a finished campaign from its report and verified labels.
+fn fingerprint(r: &CampaignReport, labels: &[VerifiedLabel]) -> Fingerprint {
     let verified_fnv = labels.iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
         let h = fnv1a(h, v.task.raw().to_le_bytes());
         let h = fnv1a(h, v.label.as_str().bytes().chain([0xff]));
@@ -109,6 +114,50 @@ fn serial_esp_campaign_matches_golden_fingerprints() {
             want,
             "players={players} hours={hours} seed={seed}"
         );
+    }
+}
+
+/// Runs one ESP campaign on the sharded engine: 48 players over two
+/// hours on the small world, at `shards` x `threads`.
+fn sharded_esp_fingerprint(seed: u64, shards: usize, threads: usize) -> Fingerprint {
+    let config = ShardedCampaignConfig {
+        players: 48,
+        horizon: SimTime::from_secs(2 * 3600),
+        shards,
+        threads,
+        ..ShardedCampaignConfig::small()
+    };
+    let game = EspShardGame::generate(
+        &WorldConfig::small(),
+        &mut RngFactory::new(seed).stream("world"),
+    );
+    let mut campaign = ShardedCampaign::new(game, config, seed);
+    let r = campaign.run().expect("sharded campaign runs");
+    fingerprint(&r, campaign.platform().verified_labels())
+}
+
+/// Golden fingerprints of the sharded ESP campaign at seeds 1, 7 and 12,
+/// as `(seed, fingerprint)`. Every layout must report the same campaign,
+/// so 1x1 and 2x2 share one literal. Hub planning (task choice, served
+/// marks, taboo snapshots) feeds every field; a change to its order or
+/// its snapshots fails here.
+#[rustfmt::skip]
+const SHARDED_GOLDEN: [(u64, Fingerprint); 3] = [
+    (1, Fingerprint { total_outputs: 225, live_sessions: 72, solo_sessions: 268, precision: (219, 225), live_pairs: 72, replay_pairs: 268, throughput_bits: 4624715146927187158, alp_bits: 4599489877046772385, mean_wait_bits: 4622365706324241132, verified_fnv: 12952275731960647940 }),
+    (7, Fingerprint { total_outputs: 185, live_sessions: 69, solo_sessions: 300, precision: (182, 185), live_pairs: 69, replay_pairs: 300, throughput_bits: 4622682146921240442, alp_bits: 4599819841833187929, mean_wait_bits: 4622445389219554790, verified_fnv: 13057919984462836524 }),
+    (12, Fingerprint { total_outputs: 225, live_sessions: 96, solo_sessions: 308, precision: (221, 225), live_pairs: 96, replay_pairs: 308, throughput_bits: 4623360557595372467, alp_bits: 4600441767760436357, mean_wait_bits: 4622132937675992444, verified_fnv: 674581805557864212 }),
+];
+
+#[test]
+fn sharded_esp_campaign_matches_golden_fingerprints() {
+    for (seed, want) in SHARDED_GOLDEN {
+        for (shards, threads) in [(1, 1), (2, 2)] {
+            assert_eq!(
+                sharded_esp_fingerprint(seed, shards, threads),
+                want,
+                "seed={seed} layout={shards}x{threads}"
+            );
+        }
     }
 }
 
