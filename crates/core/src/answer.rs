@@ -7,15 +7,16 @@
 //! verification layer.
 
 use crate::text::normalize_label;
-use serde::{Deserialize, Serialize};
+use serde::read::Reader;
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::borrow::Borrow;
 use std::fmt;
 
 /// A normalized free-text label.
 ///
 /// Construction always normalizes (see [`crate::text::normalize_label`]),
-/// so two `Label`s compare equal exactly when the platform considers the
-/// underlying strings to agree.
+/// decoding included, so two `Label`s compare equal exactly when the
+/// platform considers the underlying strings to agree.
 ///
 /// # Examples
 ///
@@ -24,8 +25,23 @@ use std::fmt;
 /// assert_eq!(Label::new("  Dogs! "), Label::new("dog"));
 /// assert_eq!(Label::new("Hot Dog").as_str(), "hot dog");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct Label(String);
+
+/// Decodes from any JSON string through [`Label::new`]: wire text is
+/// client input, and the taboo and empty-label checks compare normal
+/// forms.
+impl<'de> Deserialize<'de> for Label {
+    fn deserialize_value(value: &Value) -> Result<Self, DeError> {
+        match value {
+            Value::String(raw) => Ok(Label::new(raw)),
+            other => Err(DeError::expected("string", other)),
+        }
+    }
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        Ok(Label::new(&r.string()?))
+    }
+}
 
 impl Label {
     /// Builds a label, normalizing `raw`.
@@ -230,6 +246,19 @@ mod tests {
         assert!(Label::new("!?!").is_empty());
         assert_eq!(Label::new("dog").len(), 3);
         assert_eq!(Label::new("dog").to_string(), "dog");
+    }
+
+    #[test]
+    fn labels_normalize_when_decoded() {
+        for (text, expected) in [(r#""SUN!""#, "sun"), (r#""  Hot\tDogs ""#, "hot dog")] {
+            let direct: Label = serde_json::from_str(text).unwrap();
+            let tree: Label = serde_json::from_value(serde_json::from_str(text).unwrap()).unwrap();
+            assert_eq!(direct, Label::new(expected));
+            assert_eq!(tree, Label::new(expected));
+        }
+        let empty: Answer = serde_json::from_str(r#"{"Text":"!?!"}"#).unwrap();
+        assert_eq!(empty.as_text().map(Label::is_empty), Some(true));
+        assert!(serde_json::from_str::<Label>("7").is_err());
     }
 
     #[test]
