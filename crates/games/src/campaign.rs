@@ -488,12 +488,12 @@ impl SessionDriver for TagATuneDriver {
     }
 }
 
-/// A ready-made driver for Verbosity (roles alternate by session parity).
+/// A ready-made driver for Verbosity: the left seat narrates in
+/// even-numbered sessions, the right seat in odd ones.
 #[derive(Debug)]
 pub struct VerbosityDriver {
     /// The secrets world.
     pub world: crate::verbosity::VerbosityWorld,
-    flip: bool,
 }
 
 impl VerbosityDriver {
@@ -501,7 +501,6 @@ impl VerbosityDriver {
     pub fn generate<R: rand::Rng + ?Sized>(config: &WorldConfig, rng: &mut R) -> Self {
         VerbosityDriver {
             world: crate::verbosity::VerbosityWorld::generate(config, rng),
-            flip: false,
         }
     }
 }
@@ -514,8 +513,7 @@ impl SessionDriver for VerbosityDriver {
         params: SessionParams,
         rng: &mut SimRng,
     ) -> SessionTranscript {
-        self.flip = !self.flip;
-        let (narrator, guesser) = if self.flip {
+        let (narrator, guesser) = if params.session_id.raw().is_multiple_of(2) {
             (params.left(), params.right())
         } else {
             (params.right(), params.left())

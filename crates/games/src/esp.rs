@@ -7,8 +7,14 @@
 //! 1. [`EspWorld`] — the image world (stimulus truths + task registration).
 //! 2. [`play_esp_session`] / [`play_esp_replay_session`] — drive one
 //!    session between two live players (or one player and a recorded
-//!    partner), answer by answer, through the `hc-core` round state
-//!    machine and verification pipeline.
+//!    partner): each round is planned from the platform, played answer
+//!    by answer through the `hc-core` round state machine, and its
+//!    agreements and recording applied to the verification pipeline.
+//!
+//! Each kind of round is played by one function, `play_live_round` or
+//! `play_replay_round`. The sharded campaign
+//! ([`EspShardGame`](crate::shard::EspShardGame)) plays its hub-planned
+//! rounds with the same two functions.
 //!
 //! The full event-driven deployment — Poisson player sittings, random
 //! matching, replay-bot fallback, engagement-driven return visits, the
@@ -17,9 +23,10 @@
 //! [`EspDriver`](crate::campaign::EspDriver).
 
 use crate::params::SessionParams;
+use crate::shard::{apply_round, trace_session, PlannedRound, PlayedRound, SessionPlay};
 use crate::world::{BaseWorld, WorldConfig};
 use hc_core::prelude::*;
-use hc_crowd::Population;
+use hc_crowd::{LabelDistribution, PlayerProfile, Population};
 use rand::Rng;
 
 /// Maximum answers one seat may produce in one round — the published ESP
@@ -121,140 +128,32 @@ pub fn play_esp_session<R: Rng + ?Sized>(
     params: SessionParams,
     rng: &mut R,
 ) -> SessionTranscript {
-    let SessionParams {
-        seats: [left, right],
-        session_id,
-        start,
-    } = params;
+    let [left, right] = params.seats;
     let cfg = platform.config().session;
-    let mut session = Session::new(session_id, [left, right], start, cfg);
-    let mut now = start;
-    let mut streaks = [0u32; 2];
-
-    while session.can_play_more(now) {
-        let Some(task) = platform.next_task_for(&[left, right], rng) else {
+    let mut play = SessionPlay::begin(params, cfg, cfg.score_rule);
+    while play.can_play_more() {
+        let Some(task) = platform.next_task_for(&params.seats, rng) else {
             break;
         };
-        platform.record_served(task, &[left, right]);
+        platform.record_served(task, &params.seats);
         let taboo = platform.taboo_for(task);
         let Some(truth) = world.truth_for_task(task) else {
             break;
         };
-        let mut round = OutputAgreementRound::new(task, taboo.clone(), cfg.round_time_limit);
-        let deadline = now + cfg.round_time_limit;
-
         let (pa, pb) = population
             .get_pair_mut(left, right)
             .expect("both players exist and are distinct"); // hc-analyze: allow(P1): callers pass two distinct registered ids
-        let mut profiles = [pa, pb];
-        let mut cursors = [now, now];
-        let mut guesses_left = [MAX_GUESSES_PER_SEAT; 2];
-        let mut left_trace: Vec<(SimDuration, Label)> = Vec::new();
-        let mut matched_label: Option<Label> = None;
-        let mut end = deadline;
-
-        loop {
-            // The seat whose next action is earliest moves.
-            let seat_idx = if cursors[0] <= cursors[1] { 0 } else { 1 };
-            // hc-analyze: allow(P1): seat_idx is 0 or 1 by construction
-            if guesses_left[seat_idx] == 0 && guesses_left[1 - seat_idx] == 0 {
-                break;
-            }
-            if guesses_left[seat_idx] == 0 {
-                cursors[seat_idx] = SimTime::MAX; // seat exhausted; let other play
-                continue;
-            }
-            let profile = &mut profiles[seat_idx];
-            let answer = profile
-                .behavior
-                .next_answer(truth, &world.base.vocabulary, &taboo, rng);
-            let latency = profile.response.sample(
-                match &answer {
-                    Answer::Text(l) => Some(l),
-                    _ => None,
-                },
-                rng,
-            );
-            cursors[seat_idx] += latency;
-            guesses_left[seat_idx] -= 1;
-            let at = cursors[seat_idx];
-            if at > deadline {
-                end = deadline;
-                break;
-            }
-            let seat = if seat_idx == 0 {
-                Seat::Left
-            } else {
-                Seat::Right
-            };
-            if seat == Seat::Left {
-                if let Answer::Text(l) = &answer {
-                    left_trace.push((at.saturating_since(now), l.clone()));
-                }
-            }
-            match round.submit(seat, answer, at) {
-                SubmitOutcome::Matched(label) => {
-                    matched_label = label;
-                    end = at;
-                    break;
-                }
-                SubmitOutcome::BothPassed => {
-                    end = at;
-                    break;
-                }
-                SubmitOutcome::RoundOver => {
-                    end = deadline;
-                    break;
-                }
-                _ => {}
-            }
-        }
-
-        let result = round.finish(end);
-        let matched = result.is_match();
-        if let Some(label) = matched_label.or(result.agreed_label.clone()) {
-            let _ = platform.ingest_agreement(task, label, left, right);
-        }
-        // Record the left seat's trace for future replay-bot sessions.
-        if !left_trace.is_empty() {
-            platform
-                .replay_mut()
-                .record(RecordedRound::new(task, left, left_trace));
-        }
-        let duration = end.saturating_since(now);
-        let rule = platform.score_rule();
-        let points = [
-            rule.round_score(matched, duration.as_secs_f64(), streaks[0]),
-            rule.round_score(matched, duration.as_secs_f64(), streaks[1]),
-        ];
-        for s in &mut streaks {
-            *s = if matched { *s + 1 } else { 0 };
-        }
-        session.record_round(RoundRecord {
-            template: TemplateKind::OutputAgreement,
+        let planned = PlannedRound {
             task,
-            matched,
-            candidate_outputs: u32::from(matched),
-            duration,
-            points,
-        });
-        now = end + INTER_ROUND_GAP;
+            taboo,
+            recording: None,
+        };
+        let round = play_live_round(world, &mut play, planned, truth, [pa, pb], rng);
+        apply_round(platform, round);
     }
-
-    let transcript = session.finish(now);
+    let transcript = play.finish();
     platform.record_session(&transcript);
-    if hc_obs::active() {
-        hc_obs::span(
-            "games",
-            "esp.session",
-            start.ticks(),
-            transcript.ended.ticks(),
-            &[
-                ("rounds", transcript.rounds().into()),
-                ("matched", transcript.matched_count().into()),
-            ],
-        );
-    }
+    trace_session("esp.session", &transcript);
     transcript
 }
 
@@ -269,16 +168,11 @@ pub fn play_esp_replay_session<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> SessionTranscript {
     let player = params.left();
-    let (session_id, start) = (params.session_id, params.start);
     let cfg = platform.config().session;
-    // The replay partner keeps its recorded identity for pair accounting;
-    // sessions are created against a synthetic "bot seat" of the recorded
-    // player when available.
-    let mut session = Session::new(session_id, [player, player], start, cfg);
-    let mut now = start;
-    let mut streak = 0u32;
-
-    while session.can_play_more(now) {
+    // Both seats hold the human: the replayed partner is no session
+    // player, and its recorded identity only enters pair accounting.
+    let mut play = SessionPlay::begin(params, cfg, cfg.score_rule);
+    while play.can_play_more() {
         let Some(task) = platform.next_task_for(&[player], rng) else {
             break;
         };
@@ -288,126 +182,224 @@ pub fn play_esp_replay_session<R: Rng + ?Sized>(
             break;
         };
         let recording = platform.replay().sample(task, rng).cloned();
-        let mut round = OutputAgreementRound::new(task, taboo.clone(), cfg.round_time_limit);
-        let deadline = now + cfg.round_time_limit;
-
-        // Feed the recorded partner's events up-front into a schedule.
-        let mut bot_events: Vec<(SimTime, Label)> = recording
-            .as_ref()
-            .map(|r| {
-                r.events
-                    .iter()
-                    .map(|(d, l)| (now + *d, l.clone()))
-                    .collect()
-            })
-            .unwrap_or_default();
-        bot_events.reverse(); // pop() from the back = chronological order
-
         let profile = population.get_mut(player).expect("player exists"); // hc-analyze: allow(P1): callers pass a registered id
-        let mut cursor = now;
-        let mut guesses_left = MAX_GUESSES_PER_SEAT;
-        let mut trace: Vec<(SimDuration, Label)> = Vec::new();
-        let mut matched_label: Option<Label> = None;
-        let mut end = deadline;
-
-        loop {
-            let next_bot = bot_events.last().map(|(t, _)| *t).unwrap_or(SimTime::MAX);
-            let human_turn = cursor <= next_bot && guesses_left > 0;
-            if !human_turn && next_bot == SimTime::MAX {
-                break; // both sides exhausted
-            }
-            let (seat, at, answer) = if human_turn {
-                let answer =
-                    profile
-                        .behavior
-                        .next_answer(truth, &world.base.vocabulary, &taboo, rng);
-                let latency = profile.response.sample(
-                    match &answer {
-                        Answer::Text(l) => Some(l),
-                        _ => None,
-                    },
-                    rng,
-                );
-                cursor += latency;
-                guesses_left -= 1;
-                (Seat::Left, cursor, answer)
-            } else {
-                let (t, l) = bot_events.pop().expect("checked non-empty"); // hc-analyze: allow(P1): branch taken only when bot_events is non-empty
-                (Seat::Right, t, Answer::Text(l))
-            };
-            if at > deadline {
-                end = deadline;
-                break;
-            }
-            if seat == Seat::Left {
-                if let Answer::Text(l) = &answer {
-                    trace.push((at.saturating_since(now), l.clone()));
-                }
-            }
-            match round.submit(seat, answer, at) {
-                SubmitOutcome::Matched(label) => {
-                    matched_label = label;
-                    end = at;
-                    break;
-                }
-                SubmitOutcome::BothPassed => {
-                    end = at;
-                    break;
-                }
-                SubmitOutcome::RoundOver => {
-                    end = deadline;
-                    break;
-                }
-                _ => {}
-            }
-        }
-
-        let result = round.finish(end);
-        let matched = result.is_match();
-        if let (Some(label), Some(rec)) = (
-            matched_label.or(result.agreed_label.clone()),
-            recording.as_ref(),
-        ) {
-            let _ = platform.ingest_agreement(task, label, player, rec.recorded_player);
-        }
-        if !trace.is_empty() {
-            platform
-                .replay_mut()
-                .record(RecordedRound::new(task, player, trace));
-        }
-        let duration = end.saturating_since(now);
-        let rule = platform.score_rule();
-        let points = rule.round_score(matched, duration.as_secs_f64(), streak);
-        streak = if matched { streak + 1 } else { 0 };
-        session.record_round(RoundRecord {
-            template: TemplateKind::OutputAgreement,
+        let planned = PlannedRound {
             task,
-            matched,
-            candidate_outputs: u32::from(matched),
-            duration,
-            points: [points, 0],
-        });
-        now = end + INTER_ROUND_GAP;
+            taboo,
+            recording,
+        };
+        let round = play_replay_round(world, &mut play, planned, truth, profile, rng);
+        apply_round(platform, round);
     }
-
     // Replay sessions deliberately bypass `record_session` (which assumes
     // two live players): the campaign credits the lone human's play time
     // to its own ledger, and the seen-task set clears here.
-    let transcript = session.finish(now);
+    let transcript = play.finish();
     platform.tasks_clear_seen(player);
-    if hc_obs::active() {
-        hc_obs::span(
-            "games",
-            "esp.replay_session",
-            start.ticks(),
-            transcript.ended.ticks(),
-            &[
-                ("rounds", transcript.rounds().into()),
-                ("matched", transcript.matched_count().into()),
-            ],
-        );
-    }
+    trace_session("esp.replay_session", &transcript);
     transcript
+}
+
+/// Plays one live round: the seat whose next answer comes first types
+/// it, until the seats agree, both pass, both run out of guesses or the
+/// round times out. The left seat's answers are kept for replay bots.
+pub(crate) fn play_live_round<R: Rng + ?Sized>(
+    world: &EspWorld,
+    play: &mut SessionPlay,
+    planned: PlannedRound,
+    truth: &LabelDistribution,
+    mut profiles: [&mut PlayerProfile; 2],
+    rng: &mut R,
+) -> PlayedRound {
+    let PlannedRound { task, taboo, .. } = planned;
+    let (now, limit) = (play.now(), play.round_limit());
+    let deadline = now + limit;
+    let mut round =
+        OutputAgreementRound::with_guess_capacity(task, taboo, limit, MAX_GUESSES_PER_SEAT);
+    let mut cursors = [now, now];
+    let mut guesses_left = [MAX_GUESSES_PER_SEAT; 2];
+    let mut left_trace: Vec<(SimDuration, Label)> = Vec::new();
+    let mut matched_label: Option<Label> = None;
+    let mut end = deadline;
+
+    loop {
+        // The seat whose next action is earliest moves.
+        let seat_idx = if cursors[0] <= cursors[1] { 0 } else { 1 };
+        // hc-analyze: allow(P1): seat_idx is 0 or 1 by construction
+        if guesses_left[seat_idx] == 0 && guesses_left[1 - seat_idx] == 0 {
+            break;
+        }
+        if guesses_left[seat_idx] == 0 {
+            cursors[seat_idx] = SimTime::MAX; // seat exhausted; let other play
+            continue;
+        }
+        let profile = &mut profiles[seat_idx];
+        let answer = profile
+            .behavior
+            .next_answer(truth, world.vocabulary(), round.taboo(), rng);
+        cursors[seat_idx] += profile.response.sample(answer.as_text(), rng);
+        guesses_left[seat_idx] -= 1;
+        let at = cursors[seat_idx];
+        if at > deadline {
+            end = deadline;
+            break;
+        }
+        let seat = if seat_idx == 0 {
+            Seat::Left
+        } else {
+            Seat::Right
+        };
+        if seat == Seat::Left {
+            if let Answer::Text(l) = &answer {
+                left_trace.push((at.saturating_since(now), l.clone()));
+            }
+        }
+        match round.submit(seat, answer, at) {
+            SubmitOutcome::Matched(label) => {
+                matched_label = label;
+                end = at;
+                break;
+            }
+            SubmitOutcome::BothPassed => {
+                end = at;
+                break;
+            }
+            SubmitOutcome::RoundOver => {
+                end = deadline;
+                break;
+            }
+            _ => {}
+        }
+    }
+
+    let result = round.finish(end);
+    let matched = result.is_match();
+    let [left, right] = [profiles[0].id, profiles[1].id];
+    let agreements = matched_label
+        .or(result.agreed_label)
+        .map(|label| (label, left, right))
+        .into_iter()
+        .collect();
+    let recording = (!left_trace.is_empty()).then(|| RecordedRound::new(task, left, left_trace));
+    let duration = end.saturating_since(now);
+    play.record(
+        TemplateKind::OutputAgreement,
+        task,
+        matched,
+        u32::from(matched),
+        duration,
+        end + INTER_ROUND_GAP,
+    );
+    PlayedRound {
+        task,
+        agreements,
+        recording,
+    }
+}
+
+/// Plays one round of a human against a recorded partner: the recording's
+/// answers replay at their recorded offsets while the human types. Without
+/// a recording the round only seeds one (nothing can be verified).
+pub(crate) fn play_replay_round<R: Rng + ?Sized>(
+    world: &EspWorld,
+    play: &mut SessionPlay,
+    planned: PlannedRound,
+    truth: &LabelDistribution,
+    profile: &mut PlayerProfile,
+    rng: &mut R,
+) -> PlayedRound {
+    let PlannedRound {
+        task,
+        taboo,
+        recording,
+    } = planned;
+    let (now, limit) = (play.now(), play.round_limit());
+    let deadline = now + limit;
+    let player = profile.id;
+    let recorded_player = recording.as_ref().map(|r| r.recorded_player);
+    let mut round =
+        OutputAgreementRound::with_guess_capacity(task, taboo, limit, MAX_GUESSES_PER_SEAT);
+    // The recorded partner's answers as a schedule; pop() from the back
+    // is chronological order.
+    let mut bot_events: Vec<(SimTime, Label)> = recording
+        .map(|r| r.events.into_iter().map(|(d, l)| (now + d, l)).collect())
+        .unwrap_or_default();
+    bot_events.reverse();
+
+    let mut cursor = now;
+    let mut guesses_left = MAX_GUESSES_PER_SEAT;
+    let mut trace: Vec<(SimDuration, Label)> = Vec::new();
+    let mut matched_label: Option<Label> = None;
+    let mut end = deadline;
+
+    loop {
+        let next_bot = bot_events.last().map(|(t, _)| *t).unwrap_or(SimTime::MAX);
+        let human_turn = cursor <= next_bot && guesses_left > 0;
+        if !human_turn && next_bot == SimTime::MAX {
+            break; // both sides exhausted
+        }
+        let (seat, at, answer) = if human_turn {
+            let answer =
+                profile
+                    .behavior
+                    .next_answer(truth, world.vocabulary(), round.taboo(), rng);
+            cursor += profile.response.sample(answer.as_text(), rng);
+            guesses_left -= 1;
+            (Seat::Left, cursor, answer)
+        } else {
+            let (t, l) = bot_events.pop().expect("checked non-empty"); // hc-analyze: allow(P1): branch taken only when bot_events is non-empty
+            (Seat::Right, t, Answer::Text(l))
+        };
+        if at > deadline {
+            end = deadline;
+            break;
+        }
+        if seat == Seat::Left {
+            if let Answer::Text(l) = &answer {
+                trace.push((at.saturating_since(now), l.clone()));
+            }
+        }
+        match round.submit(seat, answer, at) {
+            SubmitOutcome::Matched(label) => {
+                matched_label = label;
+                end = at;
+                break;
+            }
+            SubmitOutcome::BothPassed => {
+                end = at;
+                break;
+            }
+            SubmitOutcome::RoundOver => {
+                end = deadline;
+                break;
+            }
+            _ => {}
+        }
+    }
+
+    let result = round.finish(end);
+    let matched = result.is_match();
+    let agreements = matched_label
+        .or(result.agreed_label)
+        .zip(recorded_player)
+        .map(|(label, partner)| (label, player, partner))
+        .into_iter()
+        .collect();
+    let recording = (!trace.is_empty()).then(|| RecordedRound::new(task, player, trace));
+    let duration = end.saturating_since(now);
+    play.record(
+        TemplateKind::OutputAgreement,
+        task,
+        matched,
+        u32::from(matched),
+        duration,
+        end + INTER_ROUND_GAP,
+    );
+    PlayedRound {
+        task,
+        agreements,
+        recording,
+    }
 }
 
 #[cfg(test)]

@@ -41,12 +41,17 @@
 //! The hub *plans* sessions (task selection, taboo lists, replay
 //! recordings — everything that reads platform state) and *applies*
 //! outcomes in session-id order; shards *play* them purely from the
-//! plan. Planning is optimistic: up to `max_rounds` rounds are planned
-//! and marked served even when the session ends early — a documented,
-//! deterministic deviation from the serial campaigns (see DESIGN.md,
-//! "Sharding & determinism"). Matching inside a skill tier and the
-//! arrival→bucket delivery hop (pairing lands one window after the
-//! arrival is emitted) are likewise documented deviations.
+//! plan. A shard plays each round with the game's one round function
+//! (`esp::play_live_round`, `esp::play_replay_round`,
+//! `verbosity::play_verbosity_round`) — the same function the serial
+//! session functions call — and the hub applies its effects through
+//! [`apply_round`], as the serial sessions do. Planning is optimistic:
+//! up to `max_rounds` rounds are planned and marked served even when the
+//! session ends early — a documented, deterministic deviation from the
+//! serial campaigns (see DESIGN.md, "Sharding & determinism"). Matching
+//! inside a skill tier and the arrival→bucket delivery hop (pairing
+//! lands one window after the arrival is emitted) are likewise
+//! documented deviations.
 //!
 //! Replay-fallback sweeps run on the owning shard at each bucket's own
 //! deadline windows ([`BucketPool::next_deadline`] feeds the shard
@@ -59,7 +64,9 @@
 //! `K`-invariant.
 
 use crate::campaign::CampaignReport;
+use crate::esp::{play_live_round, play_replay_round};
 use crate::params::SessionParams;
+use crate::verbosity::play_verbosity_round;
 use crate::world::{verified_precision, WorldConfig};
 use hc_collect::{DetMap, PlayerStore, SliceArena, Span};
 use hc_core::matchmaker::trace_pairing;
@@ -71,18 +78,6 @@ use hc_sim::shard::{
 };
 use hc_sim::{OnlineStats, RngFactory, SimRng, WheelQueue};
 use rand::Rng;
-
-/// Pause between rounds within a session (mirrors the serial drivers).
-const INTER_ROUND_GAP: SimDuration = SimDuration::from_secs(2);
-
-/// Maximum answers one seat may produce per round (ESP interface).
-const MAX_GUESSES_PER_SEAT: usize = 15;
-
-/// Maximum hints a Verbosity narrator sends per round.
-const MAX_HINTS: usize = 6;
-
-/// Verbosity guesses allowed per hint received.
-const GUESSES_PER_HINT: usize = 2;
 
 // Exchange-key tags (bits 120+). `Play`/`Done` use the raw session id
 // (tag 0); timestamped player messages get a tag so the keyspaces never
@@ -99,7 +94,9 @@ fn player_key(tag: u128, at: SimTime, player: PlayerId) -> u128 {
     tag | (u128::from(at.ticks()) << 64) | u128::from(player.raw())
 }
 
-/// One hub-planned round, shipped to the playing shard.
+/// One planned round: everything it reads from the platform. The hub
+/// ships these to the playing shard; a serial session plans one just
+/// before playing it.
 #[derive(Debug, Clone)]
 pub struct PlannedRound {
     /// Task to play.
@@ -127,7 +124,8 @@ pub struct SessionJob {
     pub rounds: Vec<PlannedRound>,
 }
 
-/// Platform effects of one played round, applied by the hub in order.
+/// Platform effects of one played round, applied in play order through
+/// [`apply_round`].
 #[derive(Debug)]
 pub struct PlayedRound {
     /// The round's task.
@@ -145,6 +143,140 @@ pub struct PlayedSession {
     pub transcript: SessionTranscript,
     /// Per-round platform effects, in play order.
     pub rounds: Vec<PlayedRound>,
+}
+
+/// Applies one played round's effects to the platform: its agreements in
+/// submission order, then its replay recording.
+pub fn apply_round(platform: &mut Platform, round: PlayedRound) {
+    for (label, a, b) in round.agreements {
+        let _ = platform.ingest_agreement(round.task, label, a, b);
+    }
+    if let Some(rec) = round.recording {
+        platform.replay_mut().record(rec);
+    }
+}
+
+/// A session being played round by round: the transcript so far, the
+/// clock, and the seats' win streak. Both seats of a live round score
+/// alike, so one streak serves both; a solo session seats its player
+/// twice and the replayed partner scores nothing.
+#[derive(Debug)]
+pub(crate) struct SessionPlay {
+    session: Session,
+    now: SimTime,
+    streak: u32,
+    rule: ScoreRule,
+}
+
+impl SessionPlay {
+    /// Starts a session; its first round starts at `params.start`.
+    pub(crate) fn begin(params: SessionParams, cfg: SessionConfig, rule: ScoreRule) -> Self {
+        let SessionParams {
+            seats,
+            session_id,
+            start,
+        } = params;
+        SessionPlay {
+            session: Session::new(session_id, seats, start, cfg),
+            now: start,
+            streak: 0,
+            rule,
+        }
+    }
+
+    /// When the next round starts.
+    pub(crate) fn now(&self) -> SimTime {
+        self.now
+    }
+
+    /// A round's time limit.
+    pub(crate) fn round_limit(&self) -> SimDuration {
+        self.session.config().round_time_limit
+    }
+
+    pub(crate) fn can_play_more(&self) -> bool {
+        self.session.can_play_more(self.now)
+    }
+
+    /// Scores and records one finished round; the next round starts at
+    /// `next`.
+    pub(crate) fn record(
+        &mut self,
+        template: TemplateKind,
+        task: TaskId,
+        matched: bool,
+        candidate_outputs: u32,
+        duration: SimDuration,
+        next: SimTime,
+    ) {
+        let score = self
+            .rule
+            .round_score(matched, duration.as_secs_f64(), self.streak);
+        let [left, right] = self.session.players();
+        self.streak = if matched { self.streak + 1 } else { 0 };
+        self.session.record_round(RoundRecord {
+            template,
+            task,
+            matched,
+            candidate_outputs,
+            duration,
+            points: [score, if left == right { 0 } else { score }],
+        });
+        self.now = next;
+    }
+
+    pub(crate) fn finish(self) -> SessionTranscript {
+        self.session.finish(self.now)
+    }
+}
+
+/// Emits a finished serial session's span when a trace is recording.
+pub(crate) fn trace_session(name: &str, transcript: &SessionTranscript) {
+    if hc_obs::active() {
+        hc_obs::span(
+            "games",
+            name,
+            transcript.started.ticks(),
+            transcript.ended.ticks(),
+            &[
+                ("rounds", transcript.rounds().into()),
+                ("matched", transcript.matched_count().into()),
+            ],
+        );
+    }
+}
+
+/// Plays a hub-planned session: `round` plays each planned round in turn
+/// against the job's profiles, until the session budget runs out or
+/// `round` returns `None` (a task the world does not know).
+fn play_planned(
+    job: &mut SessionJob,
+    seats: [PlayerId; 2],
+    cfg: SessionConfig,
+    rule: ScoreRule,
+    mut round: impl FnMut(&mut SessionPlay, PlannedRound, &mut [PlayerProfile]) -> Option<PlayedRound>,
+) -> PlayedSession {
+    let params = SessionParams {
+        seats,
+        session_id: job.sid,
+        start: job.start,
+    };
+    let mut play = SessionPlay::begin(params, cfg, rule);
+    let planned = std::mem::take(&mut job.rounds);
+    let mut rounds = Vec::with_capacity(planned.len());
+    for next in planned {
+        if !play.can_play_more() {
+            break;
+        }
+        let Some(played) = round(&mut play, next, &mut job.profiles) else {
+            break;
+        };
+        rounds.push(played);
+    }
+    PlayedSession {
+        transcript: play.finish(),
+        rounds,
+    }
 }
 
 /// Cross-shard campaign traffic.
@@ -599,15 +731,8 @@ impl<D: ShardGame> ShardedCampaign<D> {
         self.in_flight -= 1;
         let transcript = &outcome.transcript;
         self.platform.set_time(transcript.ended);
-        for round in &outcome.rounds {
-            for (label, a, b) in &round.agreements {
-                let _ = self
-                    .platform
-                    .ingest_agreement(round.task, label.clone(), *a, *b);
-            }
-            if let Some(rec) = &round.recording {
-                self.platform.replay_mut().record(rec.clone());
-            }
+        for round in outcome.rounds {
+            apply_round(&mut self.platform, round);
         }
         if solo {
             let player = transcript.players[0];
@@ -941,11 +1066,22 @@ impl ShardGame for EspShardGame {
         rule: ScoreRule,
         rng: &mut SimRng,
     ) -> PlayedSession {
-        if job.solo {
-            play_esp_solo_planned(&self.world, job, cfg, rule, rng)
-        } else {
-            play_esp_live_planned(&self.world, job, cfg, rule, rng)
-        }
+        let (world, seats) = (&self.world, job.seats);
+        play_planned(job, seats, cfg, rule, |play, planned, profiles| {
+            let truth = world.truth_for_task(planned.task)?;
+            match profiles {
+                [player] => Some(play_replay_round(world, play, planned, truth, player, rng)),
+                [left, right] => Some(play_live_round(
+                    world,
+                    play,
+                    planned,
+                    truth,
+                    [left, right],
+                    rng,
+                )),
+                _ => None,
+            }
+        })
     }
 
     fn precision(&self, platform: &Platform) -> (usize, usize) {
@@ -985,285 +1121,6 @@ fn plan_rounds(
         });
     }
     rounds
-}
-
-/// Pure planned version of [`crate::esp::play_esp_session`]: same round
-/// state machine, but tasks/taboos come from the plan and platform
-/// effects are collected instead of applied.
-fn play_esp_live_planned(
-    world: &crate::esp::EspWorld,
-    job: &mut SessionJob,
-    cfg: SessionConfig,
-    rule: ScoreRule,
-    rng: &mut SimRng,
-) -> PlayedSession {
-    let params = SessionParams::pair(job.seats[0], job.seats[1], job.sid, job.start);
-    let [left, right] = params.seats;
-    let mut session = Session::new(job.sid, [left, right], job.start, cfg);
-    let mut now = job.start;
-    let mut streaks = [0u32; 2];
-    // The hot loop: rounds are consumed by value so every taboo list
-    // moves straight into its round (no per-round clone), the output is
-    // pre-sized from the plan cardinality, and the recording trace is a
-    // reused scratch buffer.
-    let rounds = std::mem::take(&mut job.rounds);
-    let mut played = Vec::with_capacity(rounds.len());
-    let mut left_trace: Vec<(SimDuration, Label)> = Vec::new();
-    let (pa, rest) = job.profiles.split_at_mut(1);
-
-    for planned in rounds {
-        if !session.can_play_more(now) {
-            break;
-        }
-        let PlannedRound { task, taboo, .. } = planned;
-        let Some(truth) = world.truth_for_task(task) else {
-            break;
-        };
-        let mut round = OutputAgreementRound::with_guess_capacity(
-            task,
-            taboo,
-            cfg.round_time_limit,
-            MAX_GUESSES_PER_SEAT,
-        );
-        let deadline = now + cfg.round_time_limit;
-        let mut profiles = [&mut pa[0], &mut rest[0]];
-        let mut cursors = [now, now];
-        let mut guesses_left = [MAX_GUESSES_PER_SEAT; 2];
-        left_trace.clear();
-        let mut matched_label: Option<Label> = None;
-        let mut end = deadline;
-
-        loop {
-            let seat_idx = if cursors[0] <= cursors[1] { 0 } else { 1 };
-            // hc-analyze: allow(P1): seat_idx is 0 or 1 by construction
-            if guesses_left[seat_idx] == 0 && guesses_left[1 - seat_idx] == 0 {
-                break;
-            }
-            if guesses_left[seat_idx] == 0 {
-                cursors[seat_idx] = SimTime::MAX;
-                continue;
-            }
-            let profile = &mut profiles[seat_idx];
-            let answer =
-                profile
-                    .behavior
-                    .next_answer(truth, world.vocabulary(), round.taboo(), rng);
-            let latency = profile.response.sample(
-                match &answer {
-                    Answer::Text(l) => Some(l),
-                    _ => None,
-                },
-                rng,
-            );
-            cursors[seat_idx] += latency;
-            guesses_left[seat_idx] -= 1;
-            let at = cursors[seat_idx];
-            if at > deadline {
-                end = deadline;
-                break;
-            }
-            let seat = if seat_idx == 0 {
-                Seat::Left
-            } else {
-                Seat::Right
-            };
-            if seat == Seat::Left {
-                if let Answer::Text(l) = &answer {
-                    left_trace.push((at.saturating_since(now), l.clone()));
-                }
-            }
-            match round.submit(seat, answer, at) {
-                SubmitOutcome::Matched(label) => {
-                    matched_label = label;
-                    end = at;
-                    break;
-                }
-                SubmitOutcome::BothPassed => {
-                    end = at;
-                    break;
-                }
-                SubmitOutcome::RoundOver => {
-                    end = deadline;
-                    break;
-                }
-                _ => {}
-            }
-        }
-
-        let result = round.finish(end);
-        let matched = result.is_match();
-        let mut agreements = Vec::new();
-        if let Some(label) = matched_label.or(result.agreed_label) {
-            agreements.push((label, left, right));
-        }
-        let recording = (!left_trace.is_empty())
-            .then(|| RecordedRound::new(task, left, std::mem::take(&mut left_trace)));
-        let duration = end.saturating_since(now);
-        let points = [
-            rule.round_score(matched, duration.as_secs_f64(), streaks[0]),
-            rule.round_score(matched, duration.as_secs_f64(), streaks[1]),
-        ];
-        for s in &mut streaks {
-            *s = if matched { *s + 1 } else { 0 };
-        }
-        session.record_round(RoundRecord {
-            template: TemplateKind::OutputAgreement,
-            task,
-            matched,
-            candidate_outputs: u32::from(matched),
-            duration,
-            points,
-        });
-        played.push(PlayedRound {
-            task,
-            agreements,
-            recording,
-        });
-        now = end + INTER_ROUND_GAP;
-    }
-
-    PlayedSession {
-        transcript: session.finish(now),
-        rounds: played,
-    }
-}
-
-/// Pure planned version of [`crate::esp::play_esp_replay_session`].
-fn play_esp_solo_planned(
-    world: &crate::esp::EspWorld,
-    job: &mut SessionJob,
-    cfg: SessionConfig,
-    rule: ScoreRule,
-    rng: &mut SimRng,
-) -> PlayedSession {
-    let player = job.seats[0];
-    let mut session = Session::new(job.sid, [player, player], job.start, cfg);
-    let mut now = job.start;
-    let mut streak = 0u32;
-    // Consumed by value: the taboo list moves into the round and the
-    // seeded recording's labels move into the bot event feed — the
-    // only per-round label clones left are the human's own trace.
-    let rounds = std::mem::take(&mut job.rounds);
-    let mut played = Vec::with_capacity(rounds.len());
-    let mut trace: Vec<(SimDuration, Label)> = Vec::new();
-    let profile = &mut job.profiles[0];
-
-    for planned in rounds {
-        if !session.can_play_more(now) {
-            break;
-        }
-        let PlannedRound {
-            task,
-            taboo,
-            recording: seeded,
-        } = planned;
-        let Some(truth) = world.truth_for_task(task) else {
-            break;
-        };
-        let recorded_player = seeded.as_ref().map(|r| r.recorded_player);
-        let mut round = OutputAgreementRound::with_guess_capacity(
-            task,
-            taboo,
-            cfg.round_time_limit,
-            MAX_GUESSES_PER_SEAT,
-        );
-        let deadline = now + cfg.round_time_limit;
-        let mut bot_events: Vec<(SimTime, Label)> = seeded
-            .map(|r| r.events.into_iter().map(|(d, l)| (now + d, l)).collect())
-            .unwrap_or_default();
-        bot_events.reverse(); // pop() from the back = chronological order
-
-        let mut cursor = now;
-        let mut guesses_left = MAX_GUESSES_PER_SEAT;
-        trace.clear();
-        let mut matched_label: Option<Label> = None;
-        let mut end = deadline;
-
-        loop {
-            let next_bot = bot_events.last().map(|(t, _)| *t).unwrap_or(SimTime::MAX);
-            let human_turn = cursor <= next_bot && guesses_left > 0;
-            if !human_turn && next_bot == SimTime::MAX {
-                break;
-            }
-            let (seat, at, answer) = if human_turn {
-                let answer =
-                    profile
-                        .behavior
-                        .next_answer(truth, world.vocabulary(), round.taboo(), rng);
-                let latency = profile.response.sample(
-                    match &answer {
-                        Answer::Text(l) => Some(l),
-                        _ => None,
-                    },
-                    rng,
-                );
-                cursor += latency;
-                guesses_left -= 1;
-                (Seat::Left, cursor, answer)
-            } else {
-                let (t, l) = bot_events.pop().expect("checked non-empty"); // hc-analyze: allow(P1): branch taken only when bot_events is non-empty
-                (Seat::Right, t, Answer::Text(l))
-            };
-            if at > deadline {
-                end = deadline;
-                break;
-            }
-            if seat == Seat::Left {
-                if let Answer::Text(l) = &answer {
-                    trace.push((at.saturating_since(now), l.clone()));
-                }
-            }
-            match round.submit(seat, answer, at) {
-                SubmitOutcome::Matched(label) => {
-                    matched_label = label;
-                    end = at;
-                    break;
-                }
-                SubmitOutcome::BothPassed => {
-                    end = at;
-                    break;
-                }
-                SubmitOutcome::RoundOver => {
-                    end = deadline;
-                    break;
-                }
-                _ => {}
-            }
-        }
-
-        let result = round.finish(end);
-        let matched = result.is_match();
-        let mut agreements = Vec::new();
-        if let (Some(label), Some(rec_player)) =
-            (matched_label.or(result.agreed_label), recorded_player)
-        {
-            agreements.push((label, player, rec_player));
-        }
-        let recording = (!trace.is_empty())
-            .then(|| RecordedRound::new(task, player, std::mem::take(&mut trace)));
-        let duration = end.saturating_since(now);
-        let points = rule.round_score(matched, duration.as_secs_f64(), streak);
-        streak = if matched { streak + 1 } else { 0 };
-        session.record_round(RoundRecord {
-            template: TemplateKind::OutputAgreement,
-            task,
-            matched,
-            candidate_outputs: u32::from(matched),
-            duration,
-            points: [points, 0],
-        });
-        played.push(PlayedRound {
-            task,
-            agreements,
-            recording,
-        });
-        now = end + INTER_ROUND_GAP;
-    }
-
-    PlayedSession {
-        transcript: session.finish(now),
-        rounds: played,
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1318,7 +1175,31 @@ impl ShardGame for VerbosityShardGame {
         rule: ScoreRule,
         rng: &mut SimRng,
     ) -> PlayedSession {
-        play_verbosity_planned(&self.world, job, cfg, rule, rng)
+        // The narrator is the left seat in even sessions, the right in odd.
+        let left_narrates = job.sid.raw().is_multiple_of(2);
+        let [left, right] = job.seats;
+        let seats = if left_narrates {
+            [left, right]
+        } else {
+            [right, left]
+        };
+        let world = &self.world;
+        play_planned(job, seats, cfg, rule, |play, planned, profiles| {
+            let [left, right] = profiles else {
+                return None;
+            };
+            let roles = if left_narrates {
+                [left, right]
+            } else {
+                [right, left]
+            };
+            let task = planned.task;
+            let secret = world.secret_for_task(task)?.clone();
+            let facts = world.facts_for_task(task)?;
+            Some(play_verbosity_round(
+                world, play, task, secret, facts, roles, rng,
+            ))
+        })
     }
 
     fn precision(&self, platform: &Platform) -> (usize, usize) {
@@ -1327,150 +1208,6 @@ impl ShardGame for VerbosityShardGame {
 
     fn name(&self) -> &'static str {
         "verbosity"
-    }
-}
-
-/// Pure planned version of
-/// [`crate::verbosity::play_verbosity_session`]; roles alternate by
-/// session-id parity (the serial driver flips a global bool, which a
-/// sharded run cannot do order-independently).
-fn play_verbosity_planned(
-    world: &crate::verbosity::VerbosityWorld,
-    job: &mut SessionJob,
-    cfg: SessionConfig,
-    rule: ScoreRule,
-    rng: &mut SimRng,
-) -> PlayedSession {
-    let flip = job.sid.raw().is_multiple_of(2);
-    let (n_idx, g_idx) = if flip { (0, 1) } else { (1, 0) };
-    let (narrator, guesser) = (job.seats[n_idx], job.seats[g_idx]);
-    let mut session = Session::new(job.sid, [narrator, guesser], job.start, cfg);
-    let mut now = job.start;
-    let mut streaks = [0u32; 2];
-    let mut played = Vec::with_capacity(job.rounds.len());
-    let empty_taboo = TabooList::new();
-
-    for planned in &job.rounds {
-        if !session.can_play_more(now) {
-            break;
-        }
-        let task = planned.task;
-        let (Some(secret), Some(facts)) = (
-            world.secret_for_task(task).cloned(),
-            world.facts_for_task(task),
-        ) else {
-            break;
-        };
-        let mut round = InversionRound::new(task, secret, cfg.round_time_limit);
-        let deadline = now + cfg.round_time_limit;
-        let mut cursor = now;
-        let mut hints_sent = 0usize;
-        let mut end = deadline;
-        let mut matched = false;
-
-        'round: while hints_sent < MAX_HINTS {
-            let (front, back) = job.profiles.split_at_mut(1);
-            let (pn, pg) = if n_idx == 0 {
-                (&mut front[0], &mut back[0])
-            } else {
-                (&mut back[0], &mut front[0])
-            };
-            let hint = pn
-                .behavior
-                .next_answer(facts, world.vocabulary(), &empty_taboo, rng);
-            let latency = pn.response.sample(
-                match &hint {
-                    Answer::Text(l) => Some(l),
-                    _ => None,
-                },
-                rng,
-            );
-            cursor += latency;
-            if cursor > deadline {
-                break 'round;
-            }
-            match round.submit(Seat::Left, hint, cursor) {
-                SubmitOutcome::BothPassed => {
-                    end = cursor;
-                    break 'round;
-                }
-                SubmitOutcome::RoundOver => {
-                    break 'round;
-                }
-                _ => {}
-            }
-            hints_sent += 1;
-
-            let Some(candidates) = world.guess_candidates(task, hints_sent, 8) else {
-                break 'round;
-            };
-            for _ in 0..GUESSES_PER_HINT {
-                let guess = pg
-                    .behavior
-                    .guess(&candidates, world.vocabulary(), pg.skill, rng);
-                let latency = pg.response.sample(
-                    match &guess {
-                        Answer::Text(l) => Some(l),
-                        _ => None,
-                    },
-                    rng,
-                );
-                cursor += latency;
-                if cursor > deadline {
-                    break 'round;
-                }
-                match round.submit(Seat::Right, guess, cursor) {
-                    SubmitOutcome::Matched(_) => {
-                        matched = true;
-                        end = cursor;
-                        break 'round;
-                    }
-                    SubmitOutcome::BothPassed => {
-                        end = cursor;
-                        break 'round;
-                    }
-                    SubmitOutcome::RoundOver => {
-                        break 'round;
-                    }
-                    _ => {}
-                }
-            }
-        }
-
-        let result = round.finish(end.min(deadline));
-        let facts_out = result.validated_facts();
-        let n_facts = facts_out.len() as u32;
-        let agreements = facts_out
-            .into_iter()
-            .map(|(_, clue)| (clue, narrator, guesser))
-            .collect();
-        let duration = result.duration;
-        let points = [
-            rule.round_score(matched, duration.as_secs_f64(), streaks[0]),
-            rule.round_score(matched, duration.as_secs_f64(), streaks[1]),
-        ];
-        for s in &mut streaks {
-            *s = if matched { *s + 1 } else { 0 };
-        }
-        session.record_round(RoundRecord {
-            template: TemplateKind::InversionProblem,
-            task,
-            matched,
-            candidate_outputs: n_facts,
-            duration,
-            points,
-        });
-        played.push(PlayedRound {
-            task,
-            agreements,
-            recording: None,
-        });
-        now = end.min(deadline) + INTER_ROUND_GAP;
-    }
-
-    PlayedSession {
-        transcript: session.finish(now),
-        rounds: played,
     }
 }
 

@@ -7,10 +7,16 @@
 //! additional clue narrows the guesser's candidate space, so guess
 //! probability rises with hints seen — the dynamic this module models
 //! explicitly.
+//!
+//! One function, `play_verbosity_round`, plays a round. The serial
+//! [`play_verbosity_session`] and the sharded
+//! [`VerbosityShardGame`](crate::shard::VerbosityShardGame) both call it.
 
+use crate::params::SessionParams;
+use crate::shard::{apply_round, trace_session, PlayedRound, SessionPlay};
 use crate::world::{BaseWorld, WorldConfig};
 use hc_core::prelude::*;
-use hc_crowd::{LabelDistribution, Population};
+use hc_crowd::{LabelDistribution, PlayerProfile, Population};
 use rand::Rng;
 
 /// Pause between rounds.
@@ -219,9 +225,9 @@ impl VerbosityWorld {
     }
 }
 
-/// Drives one Verbosity session: the *left* player narrates, the *right*
-/// player guesses (callers alternate roles between sessions, as the
-/// deployed game alternates between rounds).
+/// Drives one Verbosity session: `narrator` sends the clues and `guesser`
+/// guesses (callers alternate roles between sessions, as the deployed
+/// game alternates between rounds).
 #[allow(clippy::too_many_arguments)]
 pub fn play_verbosity_session<R: Rng + ?Sized>(
     platform: &mut Platform,
@@ -234,49 +240,93 @@ pub fn play_verbosity_session<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> SessionTranscript {
     let cfg = platform.config().session;
-    let mut session = Session::new(session_id, [narrator, guesser], start, cfg);
-    let mut now = start;
-    let mut streaks = [0u32; 2];
-
-    while session.can_play_more(now) {
-        let Some(task) = platform.next_task_for(&[narrator, guesser], rng) else {
+    let params = SessionParams::pair(narrator, guesser, session_id, start);
+    let mut play = SessionPlay::begin(params, cfg, cfg.score_rule);
+    while play.can_play_more() {
+        let Some(task) = platform.next_task_for(&params.seats, rng) else {
             break;
         };
-        platform.record_served(task, &[narrator, guesser]);
+        platform.record_served(task, &params.seats);
         let (Some(secret), Some(facts)) = (
             world.secret_for_task(task).cloned(),
             world.facts_for_task(task),
         ) else {
             break;
         };
-        let mut round = InversionRound::new(task, secret.clone(), cfg.round_time_limit);
-        let deadline = now + cfg.round_time_limit;
         let (pn, pg) = population
             .get_pair_mut(narrator, guesser)
             .expect("players exist and are distinct"); // hc-analyze: allow(P1): callers pass two distinct registered ids
-        let empty_taboo = TabooList::new();
-        let mut cursor = now;
-        let mut hints_sent = 0usize;
-        let mut end = deadline;
-        let mut matched = false;
+        let round = play_verbosity_round(world, &mut play, task, secret, facts, [pn, pg], rng);
+        apply_round(platform, round);
+    }
+    let transcript = play.finish();
+    platform.record_session(&transcript);
+    trace_session("verbosity.session", &transcript);
+    transcript
+}
 
-        'round: while hints_sent < MAX_HINTS {
-            // Narrator sends one hint.
-            let hint = pn
+/// Plays one round: the narrator (`roles[0]`) sends up to [`MAX_HINTS`]
+/// true facts about `secret`, and after each one the guesser
+/// (`roles[1]`) makes [`GUESSES_PER_HINT`] guesses from candidates that
+/// sharpen with every hint. A correct guess validates every hint sent.
+pub(crate) fn play_verbosity_round<R: Rng + ?Sized>(
+    world: &VerbosityWorld,
+    play: &mut SessionPlay,
+    task: TaskId,
+    secret: Label,
+    facts: &LabelDistribution,
+    roles: [&mut PlayerProfile; 2],
+    rng: &mut R,
+) -> PlayedRound {
+    let [pn, pg] = roles;
+    let (now, limit) = (play.now(), play.round_limit());
+    let deadline = now + limit;
+    let mut round = InversionRound::new(task, secret, limit);
+    let empty_taboo = TabooList::new();
+    let mut cursor = now;
+    let mut hints_sent = 0usize;
+    let mut end = deadline;
+    let mut matched = false;
+
+    'round: while hints_sent < MAX_HINTS {
+        // Narrator sends one hint.
+        let hint = pn
+            .behavior
+            .next_answer(facts, world.vocabulary(), &empty_taboo, rng);
+        cursor += pn.response.sample(hint.as_text(), rng);
+        if cursor > deadline {
+            break 'round;
+        }
+        match round.submit(Seat::Left, hint, cursor) {
+            SubmitOutcome::BothPassed => {
+                end = cursor;
+                break 'round;
+            }
+            SubmitOutcome::RoundOver => {
+                break 'round;
+            }
+            _ => {}
+        }
+        hints_sent += 1;
+
+        // Guesser responds with a few attempts informed by the hints.
+        let Some(candidates) = world.guess_candidates(task, hints_sent, 8) else {
+            break 'round;
+        };
+        for _ in 0..GUESSES_PER_HINT {
+            let guess = pg
                 .behavior
-                .next_answer(facts, world.vocabulary(), &empty_taboo, rng);
-            let latency = pn.response.sample(
-                match &hint {
-                    Answer::Text(l) => Some(l),
-                    _ => None,
-                },
-                rng,
-            );
-            cursor += latency;
+                .guess(&candidates, world.vocabulary(), pg.skill, rng);
+            cursor += pg.response.sample(guess.as_text(), rng);
             if cursor > deadline {
                 break 'round;
             }
-            match round.submit(Seat::Left, hint, cursor) {
+            match round.submit(Seat::Right, guess, cursor) {
+                SubmitOutcome::Matched(_) => {
+                    matched = true;
+                    end = cursor;
+                    break 'round;
+                }
                 SubmitOutcome::BothPassed => {
                     end = cursor;
                     break 'round;
@@ -286,86 +336,30 @@ pub fn play_verbosity_session<R: Rng + ?Sized>(
                 }
                 _ => {}
             }
-            hints_sent += 1;
-
-            // Guesser responds with a few attempts informed by the hints.
-            let Some(candidates) = world.guess_candidates(task, hints_sent, 8) else {
-                break 'round;
-            };
-            for _ in 0..GUESSES_PER_HINT {
-                let guess = pg
-                    .behavior
-                    .guess(&candidates, world.vocabulary(), pg.skill, rng);
-                let latency = pg.response.sample(
-                    match &guess {
-                        Answer::Text(l) => Some(l),
-                        _ => None,
-                    },
-                    rng,
-                );
-                cursor += latency;
-                if cursor > deadline {
-                    break 'round;
-                }
-                match round.submit(Seat::Right, guess, cursor) {
-                    SubmitOutcome::Matched(_) => {
-                        matched = true;
-                        end = cursor;
-                        break 'round;
-                    }
-                    SubmitOutcome::BothPassed => {
-                        end = cursor;
-                        break 'round;
-                    }
-                    SubmitOutcome::RoundOver => {
-                        break 'round;
-                    }
-                    _ => {}
-                }
-            }
         }
-
-        let result = round.finish(end.min(deadline));
-        let facts_out = result.validated_facts();
-        let n_facts = facts_out.len() as u32;
-        for (_, clue) in facts_out {
-            let _ = platform.ingest_agreement(task, clue, narrator, guesser);
-        }
-        let duration = result.duration;
-        let rule = platform.score_rule();
-        let points = [
-            rule.round_score(matched, duration.as_secs_f64(), streaks[0]),
-            rule.round_score(matched, duration.as_secs_f64(), streaks[1]),
-        ];
-        for s in &mut streaks {
-            *s = if matched { *s + 1 } else { 0 };
-        }
-        session.record_round(RoundRecord {
-            template: TemplateKind::InversionProblem,
-            task,
-            matched,
-            candidate_outputs: n_facts,
-            duration,
-            points,
-        });
-        now = end.min(deadline) + INTER_ROUND_GAP;
     }
 
-    let transcript = session.finish(now);
-    platform.record_session(&transcript);
-    if hc_obs::active() {
-        hc_obs::span(
-            "games",
-            "verbosity.session",
-            start.ticks(),
-            transcript.ended.ticks(),
-            &[
-                ("rounds", transcript.rounds().into()),
-                ("matched", transcript.matched_count().into()),
-            ],
-        );
+    let end = end.min(deadline);
+    let result = round.finish(end);
+    let (narrator, guesser) = (pn.id, pg.id);
+    let agreements: Vec<_> = result
+        .validated_facts()
+        .into_iter()
+        .map(|(_, clue)| (clue, narrator, guesser))
+        .collect();
+    play.record(
+        TemplateKind::InversionProblem,
+        task,
+        matched,
+        agreements.len() as u32,
+        result.duration,
+        end + INTER_ROUND_GAP,
+    );
+    PlayedRound {
+        task,
+        agreements,
+        recording: None,
     }
-    transcript
 }
 
 #[cfg(test)]

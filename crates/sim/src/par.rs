@@ -65,8 +65,9 @@ impl fmt::Display for ReplicationError {
 
 impl std::error::Error for ReplicationError {}
 
-/// Renders a caught panic payload as a human-readable string.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// Renders a caught panic payload as a human-readable string (shared
+/// with the [`crate::shard`] engine).
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -43,6 +43,7 @@
 //! messages are pending and neither the shards nor the hub report a
 //! wake time (or the hub returns [`Control::Stop`]).
 
+use crate::par::panic_message;
 use crate::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -330,17 +331,6 @@ impl fmt::Display for ShardError {
 }
 
 impl std::error::Error for ShardError {}
-
-/// Renders a caught panic payload as a human-readable string.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
 
 /// Sorts an inbox into canonical `(key, src, seq)` order and
 /// (debug builds) asserts the key-uniqueness contract.

@@ -2,7 +2,9 @@
 //! of its seed. These tests pin that property across crate boundaries —
 //! the foundation every number in EXPERIMENTS.md rests on.
 
-use human_computation::games::{EspShardGame, ShardedCampaign, ShardedCampaignConfig};
+use human_computation::games::{
+    EspShardGame, ShardedCampaign, ShardedCampaignConfig, VerbosityDriver, VerbosityShardGame,
+};
 use human_computation::prelude::*;
 use rand::SeedableRng;
 
@@ -154,6 +156,72 @@ fn sharded_esp_campaign_matches_golden_fingerprints() {
         for (shards, threads) in [(1, 1), (2, 2)] {
             assert_eq!(
                 sharded_esp_fingerprint(seed, shards, threads),
+                want,
+                "seed={seed} layout={shards}x{threads}"
+            );
+        }
+    }
+}
+
+/// Runs one serial Verbosity campaign: 24 players over two hours on the
+/// small world. Verbosity has no solo mode, so timed-out waiters go home.
+fn verbosity_fingerprint(seed: u64) -> Fingerprint {
+    let mut config = CampaignConfig::small();
+    config.players = 24;
+    config.horizon = SimTime::from_secs(2 * 3600);
+    let driver = VerbosityDriver::generate(
+        &WorldConfig::small(),
+        &mut RngFactory::new(seed).stream("world"),
+    );
+    let mut campaign = Campaign::new(driver, config, seed);
+    let r = campaign.run();
+    fingerprint(&r, campaign.platform().verified_labels())
+}
+
+/// Runs one Verbosity campaign on the sharded engine: 48 players over two
+/// hours on the small world, at `shards` x `threads`.
+fn sharded_verbosity_fingerprint(seed: u64, shards: usize, threads: usize) -> Fingerprint {
+    let config = ShardedCampaignConfig {
+        players: 48,
+        horizon: SimTime::from_secs(2 * 3600),
+        shards,
+        threads,
+        ..ShardedCampaignConfig::small()
+    };
+    let game = VerbosityShardGame::generate(
+        &WorldConfig::small(),
+        &mut RngFactory::new(seed).stream("world"),
+    );
+    let mut campaign = ShardedCampaign::new(game, config, seed);
+    let r = campaign.run().expect("sharded campaign runs");
+    fingerprint(&r, campaign.platform().verified_labels())
+}
+
+/// Golden fingerprints of the serial and the sharded Verbosity campaign
+/// at seeds 1, 7 and 12, as `(seed, serial, sharded)`. Both were captured
+/// while each engine still carried its own copy of the hint/guess round,
+/// so they pin the narrator/guesser roles, the round rules and every RNG
+/// draw across the move to one shared round function.
+#[rustfmt::skip]
+const VERBOSITY_GOLDEN: [(u64, Fingerprint, Fingerprint); 3] = [
+    (1, Fingerprint { total_outputs: 94, live_sessions: 10, solo_sessions: 0, precision: (90, 94), live_pairs: 10, replay_pairs: 69, throughput_bits: 4637183122400162393, alp_bits: 4589972623558762251, mean_wait_bits: 4622829588691033754, verified_fnv: 8323876591790125442 }, Fingerprint { total_outputs: 98, live_sessions: 10, solo_sessions: 0, precision: (91, 98), live_pairs: 10, replay_pairs: 111, throughput_bits: 4637492888046294065, alp_bits: 4587246278956389015, mean_wait_bits: 4622852407338720955, verified_fnv: 1718472539861133979 }),
+    (7, Fingerprint { total_outputs: 88, live_sessions: 8, solo_sessions: 0, precision: (77, 88), live_pairs: 8, replay_pairs: 70, throughput_bits: 4638461991753500538, alp_bits: 4588648888166400608, mean_wait_bits: 4622715569386679535, verified_fnv: 2414902201364918728 }, Fingerprint { total_outputs: 138, live_sessions: 16, solo_sessions: 0, precision: (125, 138), live_pairs: 16, replay_pairs: 111, throughput_bits: 4636475232735557755, alp_bits: 4589142206009056698, mean_wait_bits: 4622534576877224152, verified_fnv: 11449343566267885939 }),
+    (12, Fingerprint { total_outputs: 94, live_sessions: 10, solo_sessions: 0, precision: (91, 94), live_pairs: 10, replay_pairs: 64, throughput_bits: 4637099079863018013, alp_bits: 4588750420362834995, mean_wait_bits: 4622901891870207374, verified_fnv: 17418350063897279134 }, Fingerprint { total_outputs: 170, live_sessions: 28, solo_sessions: 0, precision: (146, 170), live_pairs: 28, replay_pairs: 117, throughput_bits: 4634432732476699828, alp_bits: 4590356681677488140, mean_wait_bits: 4622471411217467399, verified_fnv: 5746113859293793165 }),
+];
+
+#[test]
+fn serial_verbosity_campaign_matches_golden_fingerprints() {
+    for (seed, want, _) in VERBOSITY_GOLDEN {
+        assert_eq!(verbosity_fingerprint(seed), want, "seed={seed}");
+    }
+}
+
+#[test]
+fn sharded_verbosity_campaign_matches_golden_fingerprints() {
+    for (seed, _, want) in VERBOSITY_GOLDEN {
+        for (shards, threads) in [(1, 1), (2, 2)] {
+            assert_eq!(
+                sharded_verbosity_fingerprint(seed, shards, threads),
                 want,
                 "seed={seed} layout={shards}x{threads}"
             );
