@@ -305,7 +305,7 @@ mod tests {
             hc_obs::counter("metrics.outputs", 3_600, 200);
             hc_obs::counter("metrics.play_us", 3_600, 7_200_000_000);
             hc_obs::counter("metrics.players", 3_600, 2);
-            hc_obs::machine_stat("par.steals", 5.0);
+            hc_obs::machine_stat("par.workers", 4.0);
         });
         trace
     }
@@ -349,7 +349,7 @@ mod tests {
             "metrics.outputs",
             "live GWAP metrics",
             "machine-dependent",
-            "par.steals",
+            "par.workers",
         ] {
             assert!(s.contains(needle), "summary missing `{needle}`:\n{s}");
         }

@@ -42,7 +42,7 @@ pub struct Trace {
     /// Human-readable track names (`rep-3`, `shard-1`, …), set via
     /// [`name_track`]. Deterministic: part of the comparable sections.
     pub track_names: BTreeMap<u32, String>,
-    /// Machine-dependent stats (worker/steal counts, …). Excluded from
+    /// Machine-dependent stats (worker counts, …). Excluded from
     /// determinism comparisons; values sum when traces merge.
     pub machine: BTreeMap<String, f64>,
 }
@@ -398,8 +398,8 @@ pub fn observe(name: &str, t_us: u64, value: f64) {
 }
 
 /// Adds to a machine-dependent stat (summing across merges). These live
-/// outside the deterministic sections — thread counts, steal counts and
-/// the like belong here, never in records or metrics.
+/// outside the deterministic sections — thread counts, window counts
+/// and the like belong here, never in records or metrics.
 pub fn machine_stat(name: &str, value: f64) {
     with_top(|top| {
         *top.trace.machine.entry(name.to_string()).or_insert(0.0) += value;

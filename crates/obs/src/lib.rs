@@ -20,7 +20,7 @@
 //!   merges the per-task traces back **in index order** via
 //!   [`merge_trace`], so the merged trace is byte-identical at any
 //!   `--threads` value.
-//! * Machine-dependent facts (worker counts, steal counts, wall time)
+//! * Machine-dependent facts (worker counts, wall time)
 //!   go through [`machine_stat`] into a separate section that
 //!   determinism comparisons exclude.
 //!

@@ -24,7 +24,7 @@
 //! | [`dist`] | Distributions not in `rand` core: exponential, log-normal, Zipf, geometric, discrete |
 //! | [`arrival`] | Poisson and diurnal arrival processes |
 //! | [`stats`] | Online statistics: Welford mean/variance, histograms, percentiles, confidence intervals |
-//! | [`par`] | Deterministic work-stealing replication pool: same bytes at any `--threads` |
+//! | [`par`] | Deterministic replication pool (the one worker pool of both engines): same bytes at any `--threads` |
 //! | [`shard`] | Deterministic sharded single-run engine: lock-stepped windows + message exchange, same bytes at any `--shards`/`--threads` |
 //! | [`timeseries`] | Windowed rate and gauge series for timeline experiments |
 //!

@@ -23,15 +23,16 @@
 //!
 //! ## Scheduling
 //!
-//! Replications are pre-distributed round-robin onto per-worker FIFO
-//! queues (the vendored `crossbeam::deque::Worker`); an idle worker
-//! steals from the back of its peers' queues (`Stealer`), so a few
-//! expensive cells cannot serialize the whole grid behind one thread.
+//! Replications are claimed one at a time from a single shared queue
+//! by up to `threads` scoped `std` threads ([`map_pool`], the one
+//! worker pool that [`crate::shard`] also steps its shards on): an
+//! idle worker takes the next unclaimed index, so a few expensive cells
+//! cannot serialize the whole grid behind one thread.
 
 use crate::rng::{RngFactory, SimRng};
-use crossbeam::deque::{Steal, Stealer, Worker};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
 
 /// Why a replication run failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,154 +78,79 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Machine-dependent facts about one pool run — how many workers ran
-/// and how many tasks moved between queues. Reported through
-/// [`hc_obs::machine_stat`] only, never in deterministic trace records.
-#[derive(Debug, Clone, Copy)]
-struct PoolStats {
-    workers: usize,
-    steals: u64,
+/// Maps `f` over `items` on up to `threads` scoped workers and returns
+/// the results **in item order**. Each idle worker takes the next
+/// unclaimed item from one shared queue. `threads <= 1` or a single
+/// item runs inline on the calling thread.
+///
+/// `f` should contain its own panics (both callers wrap their work in
+/// `catch_unwind`): the `Err` message reports a worker thread that died
+/// outside `f`'s containment.
+pub(crate) fn map_pool<I, T, F>(items: Vec<I>, threads: usize, f: F) -> Result<Vec<T>, String>
+where
+    I: Send,
+    T: Send,
+    F: Fn(I) -> T + Sync,
+{
+    let threads = threads.min(items.len());
+    if threads <= 1 {
+        return Ok(items.into_iter().map(f).collect());
+    }
+    let len = items.len();
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let (queue, f) = (&queue, &f);
+    let per_worker = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(move || {
+                    let mut done = Vec::new();
+                    // A poisoned queue ends this worker; the missing
+                    // results then surface as a pool error below.
+                    while let Some((i, item)) = queue.lock().ok().and_then(|mut q| q.next()) {
+                        done.push((i, f(item)));
+                    }
+                    done
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
+    });
+    let mut slots: Vec<Option<T>> = (0..len).map(|_| None).collect();
+    for worker in per_worker {
+        for (i, t) in worker.map_err(|p| panic_message(p.as_ref()))? {
+            if let Some(slot) = slots.get_mut(i) {
+                *slot = Some(t);
+            }
+        }
+    }
+    slots
+        .into_iter()
+        .collect::<Option<Vec<T>>>()
+        .ok_or_else(|| "an item produced no result".to_string())
 }
 
-/// The untraced pool: runs the jobs and returns results in index order
-/// plus the (machine-dependent) scheduling stats.
-fn run_raw<T, F>(
-    jobs: usize,
-    threads: usize,
-    job: F,
-) -> Result<(Vec<T>, PoolStats), ReplicationError>
+/// The untraced pool: runs the jobs and returns results in index order.
+fn run_raw<T, F>(jobs: usize, threads: usize, job: F) -> Result<Vec<T>, ReplicationError>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let threads = threads.clamp(1, jobs.max(1));
-    if threads <= 1 {
-        let mut out = Vec::with_capacity(jobs);
-        for index in 0..jobs {
-            match catch_unwind(AssertUnwindSafe(|| job(index))) {
-                Ok(t) => out.push(t),
-                Err(payload) => {
-                    return Err(ReplicationError::Panicked {
-                        index,
-                        message: panic_message(payload.as_ref()),
-                    })
-                }
-            }
-        }
-        return Ok((
-            out,
-            PoolStats {
-                workers: 1,
-                steals: 0,
-            },
-        ));
-    }
-
-    // Pre-distribute indices round-robin onto per-worker FIFO queues.
-    let workers: Vec<Worker<usize>> = (0..threads).map(|_| Worker::new_fifo()).collect();
-    let stealers: Vec<Stealer<usize>> = workers.iter().map(Worker::stealer).collect();
-    for index in 0..jobs {
-        workers[index % threads].push(index);
-    }
-
-    type JobOutcomes<T> = Vec<(usize, Result<T, String>)>;
-    let scope_result = crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (me, local) in workers.into_iter().enumerate() {
-            let stealers = &stealers;
-            let job = &job;
-            handles.push(scope.spawn(move |_| {
-                let mut outcomes: JobOutcomes<T> = Vec::new();
-                let mut steals = 0u64;
-                loop {
-                    let index = match local.pop() {
-                        Some(i) => i,
-                        None => match steal_any(stealers, me) {
-                            Some(i) => {
-                                steals += 1;
-                                i
-                            }
-                            None => break,
-                        },
-                    };
-                    let result = catch_unwind(AssertUnwindSafe(|| job(index)))
-                        .map_err(|p| panic_message(p.as_ref()));
-                    outcomes.push((index, result));
-                }
-                (outcomes, steals)
-            }));
-        }
-        let mut per_worker = Vec::new();
-        for handle in handles {
-            per_worker.push(handle.join());
-        }
-        per_worker
-    });
-
-    let per_worker = match scope_result {
-        Ok(v) => v,
-        Err(payload) => {
-            return Err(ReplicationError::Pool {
-                message: format!("worker scope panicked: {}", panic_message(payload.as_ref())),
-            })
-        }
-    };
-
-    // Merge back in index order; the lowest panicking index wins so the
-    // error matches what a serial run would report.
-    let mut slots: Vec<Option<T>> = (0..jobs).map(|_| None).collect();
-    let mut first_panic: Option<(usize, String)> = None;
-    let mut steals = 0u64;
-    for worker_result in per_worker {
-        let (outcomes, worker_steals) = match worker_result {
-            Ok(o) => o,
-            Err(payload) => {
-                return Err(ReplicationError::Pool {
-                    message: format!(
-                        "a worker thread died outside a job: {}",
-                        panic_message(payload.as_ref())
-                    ),
-                })
-            }
-        };
-        steals += worker_steals;
-        for (index, result) in outcomes {
-            match result {
-                Ok(t) => {
-                    if let Some(slot) = slots.get_mut(index) {
-                        *slot = Some(t);
-                    }
-                }
-                Err(message) => {
-                    let replace = first_panic.as_ref().is_none_or(|(i, _)| index < *i);
-                    if replace {
-                        first_panic = Some((index, message));
-                    }
-                }
-            }
-        }
-    }
-    if let Some((index, message)) = first_panic {
-        return Err(ReplicationError::Panicked { index, message });
-    }
+    let outcomes = map_pool((0..jobs).collect(), threads, |index| {
+        catch_unwind(AssertUnwindSafe(|| job(index))).map_err(|p| panic_message(p.as_ref()))
+    })
+    .map_err(|message| ReplicationError::Pool {
+        message: format!("a worker thread died outside a job: {message}"),
+    })?;
+    // The lowest panicking index wins, so the error matches what a
+    // serial run would report.
     let mut out = Vec::with_capacity(jobs);
-    for slot in slots {
-        match slot {
-            Some(t) => out.push(t),
-            None => {
-                return Err(ReplicationError::Pool {
-                    message: "a replication produced no result".to_string(),
-                })
-            }
+    for (index, outcome) in outcomes.into_iter().enumerate() {
+        match outcome {
+            Ok(t) => out.push(t),
+            Err(message) => return Err(ReplicationError::Panicked { index, message }),
         }
     }
-    Ok((
-        out,
-        PoolStats {
-            workers: threads,
-            steals,
-        },
-    ))
+    Ok(out)
 }
 
 /// Runs `jobs` independent replications of `job` across `threads`
@@ -241,9 +167,9 @@ where
 /// every task runs inside its own buffered scope (track `index + 1`)
 /// and the per-task traces are merged back into the caller **in index
 /// order** — so the merged trace, like the results, is byte-identical
-/// at any `--threads` value regardless of completion order. Worker and
-/// steal counts are genuinely machine-dependent and are reported
-/// separately via `machine_stat`, outside the deterministic sections.
+/// at any `--threads` value regardless of completion order. The worker
+/// count is machine-dependent and is reported separately via
+/// `machine_stat`, outside the deterministic sections.
 ///
 /// # Errors
 ///
@@ -260,10 +186,10 @@ where
     F: Fn(usize) -> T + Sync,
 {
     if !hc_obs::active() {
-        return run_raw(jobs, threads, job).map(|(out, _)| out);
+        return run_raw(jobs, threads, job);
     }
     let job = &job;
-    let (traced, stats) = run_raw(jobs, threads, |index: usize| {
+    let traced = run_raw(jobs, threads, |index: usize| {
         hc_obs::record_scope(index as u32 + 1, || {
             hc_obs::name_track(index as u32 + 1, &format!("rep-{index}"));
             // The task root scope: everything the job emits becomes a
@@ -281,8 +207,7 @@ where
         out.push(data);
     }
     hc_obs::counter_now("par.tasks", jobs as u64);
-    hc_obs::machine_stat("par.workers", stats.workers as f64);
-    hc_obs::machine_stat("par.steals", stats.steals as f64);
+    hc_obs::machine_stat("par.workers", threads.clamp(1, jobs.max(1)) as f64);
     Ok(out)
 }
 
@@ -310,26 +235,6 @@ where
     })
 }
 
-/// Steals one index from any peer's queue back-end, skipping our own.
-fn steal_any(stealers: &[Stealer<usize>], me: usize) -> Option<usize> {
-    loop {
-        let mut retry = false;
-        for (i, stealer) in stealers.iter().enumerate() {
-            if i == me {
-                continue;
-            }
-            match stealer.steal() {
-                Steal::Success(index) => return Some(index),
-                Steal::Retry => retry = true,
-                Steal::Empty => {}
-            }
-        }
-        if !retry {
-            return None;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,6 +250,22 @@ mod tests {
                 "threads={threads}"
             );
         }
+    }
+
+    #[test]
+    fn map_pool_keeps_item_order_and_reports_a_dead_worker() {
+        for threads in [0, 1, 2, 5] {
+            let out = map_pool((0..23).collect(), threads, |i: u64| i * 3).expect("no deaths");
+            assert_eq!(out, (0..23).map(|i| i * 3).collect::<Vec<_>>());
+        }
+        // An uncontained panic kills its worker: the pool reports it
+        // instead of returning a short result vector.
+        let err = map_pool((0..8).collect(), 3, |i: u32| {
+            assert_ne!(i, 5, "worker killed");
+            i
+        })
+        .expect_err("item 5 kills its worker");
+        assert!(err.contains("worker killed"), "message: {err}");
     }
 
     #[test]

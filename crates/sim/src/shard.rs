@@ -43,7 +43,7 @@
 //! messages are pending and neither the shards nor the hub report a
 //! wake time (or the hub returns [`Control::Stop`]).
 
-use crate::par::panic_message;
+use crate::par::{map_pool, panic_message};
 use crate::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -344,14 +344,6 @@ fn canonicalize<M>(inbox: &mut [Envelope<M>]) {
 }
 
 type StepOutput<M> = (Mailbox<M>, Option<SimTime>);
-/// A stepped shard's index paired with its outcome (or panic message).
-type StepResults<M> = Vec<(usize, Result<StepOutput<M>, String>)>;
-/// One active shard awaiting its step: `(index, state, inbox)`.
-type ActiveShard<'a, W> = (
-    usize,
-    &'a mut <W as ShardWorkload>::Shard,
-    Vec<(SimTime, <W as ShardWorkload>::Msg)>,
-);
 
 /// Runs one shard step under `catch_unwind`, mirroring the replication
 /// pool's panic containment.
@@ -377,9 +369,9 @@ fn guarded_step<W: ShardWorkload>(
 /// Runs `workload` over `shards` to quiescence.
 ///
 /// Shard states are stepped in parallel (up to `cfg.threads` workers,
-/// statically assigned round-robin) and the hub runs serially on the
-/// calling thread — so hub state needs no `Send`/`Sync` and the hub
-/// may freely talk to thread-local observability.
+/// each taking the next unstepped active shard) and the hub runs
+/// serially on the calling thread — so hub state needs no `Send`/`Sync`
+/// and the hub may freely talk to thread-local observability.
 ///
 /// # Errors
 ///
@@ -479,94 +471,36 @@ where
         }
 
         // Shard phase: step every active shard.
-        let mut outputs: StepResults<W::Msg> = Vec::new();
-        {
-            let workload_ref: &W = workload;
-            let mut active: Vec<ActiveShard<'_, W>> = Vec::new();
-            for (s, (state, inbox)) in shards.iter_mut().zip(shard_in.iter_mut()).enumerate() {
-                let due = wakes[s].is_some_and(|t| t < win.end);
-                if inbox.is_empty() && !due {
-                    continue;
-                }
-                canonicalize(inbox);
-                if traced {
-                    work[s] = inbox.len() as u64;
-                    stepped.push(s);
-                }
-                let inbox = std::mem::take(inbox)
-                    .into_iter()
-                    .map(|e| (e.at, e.msg))
-                    .collect();
-                active.push((s, state, inbox));
+        let workload_ref: &W = workload;
+        let mut active = Vec::new();
+        for (s, (state, inbox)) in shards.iter_mut().zip(shard_in.iter_mut()).enumerate() {
+            let due = wakes[s].is_some_and(|t| t < win.end);
+            if inbox.is_empty() && !due {
+                continue;
             }
-            stats.shard_steps += active.len() as u64;
-            let threads = cfg.threads.clamp(1, active.len().max(1));
-            if threads <= 1 {
-                for (s, state, inbox) in active {
-                    let out = guarded_step(workload_ref, s, state, &win, inbox, window_ticks);
-                    outputs.push((s, out));
-                }
-            } else {
-                // Static round-robin buckets; bucket t owns every
-                // active shard at position ≡ t (mod threads).
-                let mut buckets: Vec<Vec<ActiveShard<'_, W>>> =
-                    (0..threads).map(|_| Vec::new()).collect();
-                for (pos, item) in active.into_iter().enumerate() {
-                    buckets[pos % threads].push(item);
-                }
-                let scope_result = crossbeam::thread::scope(|scope| {
-                    let mut handles = Vec::new();
-                    for bucket in buckets {
-                        handles.push(scope.spawn(move |_| {
-                            bucket
-                                .into_iter()
-                                .map(|(s, state, inbox)| {
-                                    let out = guarded_step(
-                                        workload_ref,
-                                        s,
-                                        state,
-                                        &win,
-                                        inbox,
-                                        window_ticks,
-                                    );
-                                    (s, out)
-                                })
-                                .collect::<Vec<_>>()
-                        }));
-                    }
-                    let mut per_worker = Vec::new();
-                    for handle in handles {
-                        per_worker.push(handle.join());
-                    }
-                    per_worker
-                });
-                let per_worker = match scope_result {
-                    Ok(v) => v,
-                    Err(_) => {
-                        return Err(ShardError::Pool {
-                            message: "worker scope panicked".to_string(),
-                        })
-                    }
-                };
-                for worker_result in per_worker {
-                    match worker_result {
-                        Ok(mut outs) => outputs.append(&mut outs),
-                        Err(payload) => {
-                            return Err(ShardError::Pool {
-                                message: format!(
-                                    "a worker thread died outside a step: {}",
-                                    panic_message(payload.as_ref())
-                                ),
-                            })
-                        }
-                    }
-                }
+            canonicalize(inbox);
+            if traced {
+                work[s] = inbox.len() as u64;
+                stepped.push(s);
             }
+            let inbox = std::mem::take(inbox)
+                .into_iter()
+                .map(|e| (e.at, e.msg))
+                .collect();
+            active.push((s, state, inbox));
         }
+        stats.shard_steps += active.len() as u64;
+        let outputs = map_pool(active, cfg.threads, |(s, state, inbox)| {
+            let out = guarded_step(workload_ref, s, state, &win, inbox, window_ticks);
+            (s, out)
+        })
+        .map_err(|message| ShardError::Pool {
+            message: format!("a worker thread died outside a step: {message}"),
+        })?;
 
-        // Surface the lowest panicking shard (deterministic), then
-        // route every emitted message.
-        outputs.sort_by_key(|(s, _)| *s);
+        // Outputs come back in shard order: surface the lowest
+        // panicking shard (deterministic), then route every emitted
+        // message.
         for (s, out) in outputs {
             match out {
                 Err(message) => return Err(ShardError::Panicked { shard: s, message }),

@@ -188,7 +188,7 @@ proptest! {
             hc_obs::sink::jsonl::render_deterministic(&serial),
             hc_obs::sink::jsonl::render_deterministic(&parallel)
         );
-        // …while worker/steal counts land in the machine section, which
+        // …while worker counts land in the machine section, which
         // is allowed to differ.
         prop_assert_eq!(serial.machine.get("par.workers"), Some(&1.0));
         if jobs > 0 {

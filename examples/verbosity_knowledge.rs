@@ -89,7 +89,7 @@ fn main() {
     }
 
     // Relation mix of the harvested knowledge base.
-    let mut by_relation = std::collections::HashMap::new();
+    let mut by_relation = std::collections::BTreeMap::new();
     for v in facts {
         if let Some((r, _)) = human_computation::games::verbosity::parse_fact(&v.label) {
             *by_relation.entry(r.token()).or_insert(0usize) += 1;

@@ -249,3 +249,34 @@ fn generic_campaign_with_zero_players_is_empty() {
     assert_eq!(report.matchmaker, MatchmakerStats::default());
     assert_eq!(report.metrics.player_count, 0);
 }
+
+/// Known defect, pinned until replay rounds stop verifying a label by
+/// self-agreement (ROADMAP item 5): `ReplayStore::sample` ignores who is
+/// playing, solo rounds record the human's own trace, and
+/// `AgreementTracker::record` counts a `(p, p)` agreement as independent
+/// support. At the default `agreement_threshold` of 1, a lone player
+/// therefore promotes a label by agreeing with their own earlier
+/// recording. The setup is F5's 16-player cell (600 stimuli, 24 h
+/// horizon, 45 min arrival spread) at seed 8. When the defect is fixed,
+/// this test's assertion flips: no `promoted_by` pair names one player
+/// twice.
+#[test]
+fn a_replay_round_can_verify_a_label_by_self_agreement() {
+    let world = WorldConfig {
+        stimuli: 600,
+        ..WorldConfig::small()
+    };
+    let driver = EspDriver::generate(&world, &mut RngFactory::new(8).stream("world"));
+    let mut config = CampaignConfig::small();
+    config.players = 16;
+    config.horizon = SimTime::from_secs(24 * 3600);
+    config.arrival_spread = SimDuration::from_mins(45);
+    let mut campaign = Campaign::new(driver, config, 8);
+    campaign.run();
+    let verified = campaign.platform().verified_labels();
+    assert!(
+        verified.iter().any(|v| v.promoted_by.0 == v.promoted_by.1),
+        "no self-promoted label among {}",
+        verified.len()
+    );
+}
