@@ -10,7 +10,9 @@
 use hc_bench::{f3, seed_from_args, Table};
 use hc_core::prelude::*;
 use hc_crowd::{ArchetypeMix, PopulationBuilder, SkillDynamics, SkillState};
-use hc_games::{verbosity::play_verbosity_session, VerbosityWorld, WorldConfig};
+use hc_games::{
+    params::SessionParams, verbosity::play_verbosity_session, VerbosityWorld, WorldConfig,
+};
 use hc_sim::RngFactory;
 use serde::Serialize;
 
@@ -97,10 +99,7 @@ fn main() {
                 &mut platform,
                 &world,
                 &mut pop,
-                PlayerId::new(0),
-                PlayerId::new(1),
-                SessionId::new(s),
-                clock,
+                SessionParams::pair(PlayerId::new(0), PlayerId::new(1), SessionId::new(s), clock),
                 &mut rng,
             );
             clock = t.ended + SimDuration::from_secs(5);

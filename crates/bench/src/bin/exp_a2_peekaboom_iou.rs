@@ -10,7 +10,9 @@
 use hc_bench::{f1, f3, seed_from_args, Table};
 use hc_core::prelude::*;
 use hc_crowd::{ArchetypeMix, PopulationBuilder};
-use hc_games::{peekaboom::play_peekaboom_session, PeekaboomWorld, WorldConfig};
+use hc_games::{
+    params::SessionParams, peekaboom::play_peekaboom_session, PeekaboomWorld, WorldConfig,
+};
 use hc_sim::RngFactory;
 use serde::Serialize;
 
@@ -66,10 +68,12 @@ fn main() {
                 &mut platform,
                 &world,
                 &mut pop,
-                PlayerId::new(0),
-                PlayerId::new(1),
-                SessionId::new(s),
-                SimTime::from_secs(s * 1_000),
+                SessionParams::pair(
+                    PlayerId::new(0),
+                    PlayerId::new(1),
+                    SessionId::new(s),
+                    SimTime::from_secs(s * 1_000),
+                ),
                 &mut rng,
             );
             matched += t.matched_count();

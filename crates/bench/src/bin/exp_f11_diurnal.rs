@@ -14,10 +14,9 @@
 //! pool rebuild iterates the map, and hash iteration order would leak
 //! process-level nondeterminism into the pairing sequence.)
 
-use hc_bench::{f1, pct, run_grid, Cell, RunOpts, Table};
+use hc_bench::{f1, mean, pct, run_grid, Cell, RunOpts, Table};
 use hc_core::prelude::*;
 use hc_sim::prelude::*;
-use hc_sim::OnlineStats;
 use serde::Serialize;
 use std::collections::BTreeMap;
 
@@ -122,14 +121,6 @@ fn one_day(mut rng: SimRng) -> Vec<HourRep> {
             }
         })
         .collect()
-}
-
-fn mean(values: impl Iterator<Item = f64>) -> f64 {
-    let mut stats = OnlineStats::new();
-    for v in values {
-        stats.push(v);
-    }
-    stats.mean()
 }
 
 fn main() {

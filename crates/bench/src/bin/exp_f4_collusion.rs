@@ -16,12 +16,12 @@
 //! pool — each cell is an independent simulation, so `--threads N`
 //! changes wall time only, never a byte of output.
 
-use hc_bench::{f3, pct, run_grid, Cell, RunOpts, Table};
+use hc_bench::{f3, mean, pct, run_grid, Cell, RunOpts, Table};
 use hc_core::anticheat::CheatDetector;
 use hc_core::prelude::*;
 use hc_crowd::{ArchetypeMix, PopulationBuilder};
 use hc_games::{esp::play_esp_session, EspWorld, SessionParams, WorldConfig};
-use hc_sim::{OnlineStats, SimRng};
+use hc_sim::SimRng;
 use serde::Serialize;
 
 const PLAYERS: usize = 40;
@@ -137,14 +137,6 @@ fn run_cell(cfg: &CellCfg, rep: usize, mut rng: SimRng) -> RepRow {
         rejected_agreements: platform.rejected_agreements(),
         detector_recall: recall,
     }
-}
-
-fn mean(values: impl Iterator<Item = f64>) -> f64 {
-    let mut stats = OnlineStats::new();
-    for v in values {
-        stats.push(v);
-    }
-    stats.mean()
 }
 
 fn main() {

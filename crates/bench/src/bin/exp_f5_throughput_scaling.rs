@@ -14,9 +14,9 @@
 //! and `--threads 4` demonstrates the pool's wall-clock speedup while
 //! the determinism diff proves the bytes never moved.
 
-use hc_bench::{f1, f3, pct, run_grid, Cell, RunOpts, Table};
+use hc_bench::{f1, f3, mean, pct, run_grid, Cell, RunOpts, Table};
 use hc_games::{Campaign, CampaignConfig, EspDriver, WorldConfig};
-use hc_sim::{OnlineStats, RngFactory, SimDuration, SimTime};
+use hc_sim::{RngFactory, SimDuration, SimTime};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -41,14 +41,6 @@ struct CellRow {
     mean_wait_secs: f64,
     labels_per_hour_mean: f64,
     precision_mean: f64,
-}
-
-fn mean(values: impl Iterator<Item = f64>) -> f64 {
-    let mut stats = OnlineStats::new();
-    for v in values {
-        stats.push(v);
-    }
-    stats.mean()
 }
 
 fn main() {

@@ -11,12 +11,15 @@ use hc_bench::{f1, paper, seed_from_args, Table};
 use hc_core::prelude::*;
 use hc_crowd::{ArchetypeMix, EngagementModel, Population, PopulationBuilder};
 use hc_games::{
+    esp::play_esp_session,
     matchin::{play_matchin_session, BradleyTerryRanking},
     params::SessionParams,
     peekaboom::play_peekaboom_session,
+    squigl::play_squigl_session,
     tagatune::play_tagatune_session,
     verbosity::play_verbosity_session,
-    EspWorld, MatchinWorld, PeekaboomWorld, TagATuneWorld, VerbosityWorld, WorldConfig,
+    EspWorld, MatchinWorld, PeekaboomWorld, SquiglWorld, TagATuneWorld, VerbosityWorld,
+    WorldConfig,
 };
 use hc_sim::{RngFactory, SimRng};
 use serde::Serialize;
@@ -53,25 +56,12 @@ fn population(rng: &mut SimRng) -> Population {
         .build(rng)
 }
 
-/// Runs `SESSIONS` sessions of one game via the provided session driver;
-/// returns `(outputs, human_hours)`.
-fn run_game<F>(
+/// Runs `SESSIONS` sessions of one game; `play` plays one session and
+/// returns its output count. Returns `(outputs, human_hours)`.
+fn run_game(
     platform: &mut Platform,
-    pop: &mut Population,
-    rng: &mut SimRng,
-    mut drive: F,
-) -> (u64, f64)
-where
-    F: FnMut(
-        &mut Platform,
-        &mut Population,
-        PlayerId,
-        PlayerId,
-        SessionId,
-        SimTime,
-        &mut SimRng,
-    ) -> SessionTranscript,
-{
+    mut play: impl FnMut(&mut Platform, SessionParams) -> u64,
+) -> (u64, f64) {
     let mut outputs = 0u64;
     for s in 0..SESSIONS {
         let a = PlayerId::new((2 * s) % PLAYERS as u64);
@@ -80,8 +70,10 @@ where
             b = PlayerId::new((b.raw() + 1) % PLAYERS as u64);
         }
         let start = SimTime::from_secs(s * 1_000);
-        let t = drive(platform, pop, a, b, SessionId::new(s), start, rng);
-        outputs += t.candidate_outputs();
+        outputs += play(
+            platform,
+            SessionParams::pair(a, b, SessionId::new(s), start),
+        );
     }
     (outputs, platform.metrics().total_human_hours)
 }
@@ -116,20 +108,9 @@ fn main() {
         let mut platform = fresh_platform(PLAYERS);
         world.register_tasks(&mut platform);
         let mut pop = population(&mut rng);
-        let (outputs, hours) = run_game(
-            &mut platform,
-            &mut pop,
-            &mut rng,
-            |pf, pop, a, b, sid, t0, r| {
-                hc_games::esp::play_esp_session(
-                    pf,
-                    &world,
-                    pop,
-                    SessionParams::pair(a, b, sid, t0),
-                    r,
-                )
-            },
-        );
+        let (outputs, hours) = run_game(&mut platform, |pf, params| {
+            play_esp_session(pf, &world, &mut pop, params, &mut rng).candidate_outputs()
+        });
         emit(
             &mut table,
             "ESP Game",
@@ -147,14 +128,9 @@ fn main() {
         let mut platform = fresh_platform(PLAYERS);
         world.register_tasks(&mut platform);
         let mut pop = population(&mut rng);
-        let (outputs, hours) = run_game(
-            &mut platform,
-            &mut pop,
-            &mut rng,
-            |pf, pop, a, b, sid, t0, r| {
-                play_tagatune_session(pf, &world, pop, a, b, sid, t0, 0.5, r)
-            },
-        );
+        let (outputs, hours) = run_game(&mut platform, |pf, params| {
+            play_tagatune_session(pf, &world, &mut pop, params, 0.5, &mut rng).candidate_outputs()
+        });
         emit(
             &mut table,
             "TagATune",
@@ -172,12 +148,9 @@ fn main() {
         let mut platform = fresh_platform(PLAYERS);
         world.register_tasks(&mut platform);
         let mut pop = population(&mut rng);
-        let (outputs, hours) = run_game(
-            &mut platform,
-            &mut pop,
-            &mut rng,
-            |pf, pop, a, b, sid, t0, r| play_verbosity_session(pf, &world, pop, a, b, sid, t0, r),
-        );
+        let (outputs, hours) = run_game(&mut platform, |pf, params| {
+            play_verbosity_session(pf, &world, &mut pop, params, &mut rng).candidate_outputs()
+        });
         emit(
             &mut table,
             "Verbosity",
@@ -195,27 +168,10 @@ fn main() {
         let mut platform = fresh_platform(PLAYERS);
         world.register_tasks(&mut platform);
         let mut pop = population(&mut rng);
-        let mut outputs = 0u64;
-        for s in 0..SESSIONS {
-            let a = PlayerId::new((2 * s) % PLAYERS as u64);
-            let mut b = PlayerId::new((2 * s + 1 + s / PLAYERS as u64) % PLAYERS as u64);
-            if a == b {
-                b = PlayerId::new((b.raw() + 1) % PLAYERS as u64);
-            }
-            let (t, out) = play_peekaboom_session(
-                &mut platform,
-                &world,
-                &mut pop,
-                a,
-                b,
-                SessionId::new(s),
-                SimTime::from_secs(s * 1_000),
-                &mut rng,
-            );
-            let _ = t;
-            outputs += out.locations.len() as u64;
-        }
-        let hours = platform.metrics().total_human_hours;
+        let (outputs, hours) = run_game(&mut platform, |pf, params| {
+            let (_, out) = play_peekaboom_session(pf, &world, &mut pop, params, &mut rng);
+            out.locations.len() as u64
+        });
         emit(
             &mut table,
             "Peekaboom",
@@ -229,30 +185,14 @@ fn main() {
     // ---- Squigl ----
     {
         let mut rng = factory.stream("squigl");
-        let world = hc_games::SquiglWorld::generate(&cfg, &mut rng);
+        let world = SquiglWorld::generate(&cfg, &mut rng);
         let mut platform = fresh_platform(PLAYERS);
         world.register_tasks(&mut platform);
         let mut pop = population(&mut rng);
-        let mut outputs = 0u64;
-        for s in 0..SESSIONS {
-            let a = PlayerId::new((2 * s) % PLAYERS as u64);
-            let mut b = PlayerId::new((2 * s + 1 + s / PLAYERS as u64) % PLAYERS as u64);
-            if a == b {
-                b = PlayerId::new((b.raw() + 1) % PLAYERS as u64);
-            }
-            let (_, out) = hc_games::squigl::play_squigl_session(
-                &mut platform,
-                &world,
-                &mut pop,
-                a,
-                b,
-                SessionId::new(s),
-                SimTime::from_secs(s * 1_000),
-                &mut rng,
-            );
-            outputs += out.segmentations.len() as u64;
-        }
-        let hours = platform.metrics().total_human_hours;
+        let (outputs, hours) = run_game(&mut platform, |pf, params| {
+            let (_, out) = play_squigl_session(pf, &world, &mut pop, params, &mut rng);
+            out.segmentations.len() as u64
+        });
         emit(
             &mut table,
             "Squigl",
@@ -272,29 +212,10 @@ fn main() {
         let mut platform = fresh_platform(PLAYERS);
         let mut pop = population(&mut rng);
         let mut ranking = BradleyTerryRanking::new(world.len());
-        let (outputs, hours) = {
-            let mut outputs = 0u64;
-            for s in 0..SESSIONS {
-                let a = PlayerId::new((2 * s) % PLAYERS as u64);
-                let mut b = PlayerId::new((2 * s + 1 + s / PLAYERS as u64) % PLAYERS as u64);
-                if a == b {
-                    b = PlayerId::new((b.raw() + 1) % PLAYERS as u64);
-                }
-                let t = play_matchin_session(
-                    &mut platform,
-                    &world,
-                    &mut pop,
-                    a,
-                    b,
-                    SessionId::new(s),
-                    SimTime::from_secs(s * 1_000),
-                    &mut ranking,
-                    &mut rng,
-                );
-                outputs += t.candidate_outputs();
-            }
-            (outputs, platform.metrics().total_human_hours)
-        };
+        let (outputs, hours) = run_game(&mut platform, |pf, params| {
+            play_matchin_session(pf, &world, &mut pop, params, &mut ranking, &mut rng)
+                .candidate_outputs()
+        });
         emit(
             &mut table,
             "Matchin",

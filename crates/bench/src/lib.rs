@@ -34,6 +34,7 @@ pub mod trace;
 pub use cli::RunOpts;
 pub use grid::{run_grid, Cell, GridOutcome, TaskCtx};
 
+use hc_sim::OnlineStats;
 use serde::Serialize;
 
 /// Paper-reported reference values from the line of work the DAC 2009
@@ -146,6 +147,16 @@ impl Table {
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
+}
+
+/// Mean of `values` through [`OnlineStats`] (0 when empty).
+#[must_use]
+pub fn mean(values: impl Iterator<Item = f64>) -> f64 {
+    let mut stats = OnlineStats::new();
+    for v in values {
+        stats.push(v);
+    }
+    stats.mean()
 }
 
 /// Formats a float with 1 decimal.

@@ -466,10 +466,7 @@ impl SessionDriver for TagATuneDriver {
             platform,
             &self.world,
             population,
-            params.left(),
-            params.right(),
-            params.session_id,
-            params.start,
+            params,
             self.p_same,
             rng,
         )
@@ -510,24 +507,13 @@ impl SessionDriver for VerbosityDriver {
         &mut self,
         platform: &mut Platform,
         population: &mut Population,
-        params: SessionParams,
+        mut params: SessionParams,
         rng: &mut SimRng,
     ) -> SessionTranscript {
-        let (narrator, guesser) = if params.session_id.raw().is_multiple_of(2) {
-            (params.left(), params.right())
-        } else {
-            (params.right(), params.left())
-        };
-        crate::verbosity::play_verbosity_session(
-            platform,
-            &self.world,
-            population,
-            narrator,
-            guesser,
-            params.session_id,
-            params.start,
-            rng,
-        )
+        if !params.session_id.raw().is_multiple_of(2) {
+            params.seats.reverse();
+        }
+        crate::verbosity::play_verbosity_session(platform, &self.world, population, params, rng)
     }
 
     fn register(&mut self, platform: &mut Platform) {

@@ -14,7 +14,9 @@
 //! Each kind of round is played by one function, `play_live_round` or
 //! `play_replay_round`. The sharded campaign
 //! ([`EspShardGame`](crate::shard::EspShardGame)) plays its hub-planned
-//! rounds with the same two functions.
+//! rounds with the same two functions. Sessions keep their clock, score
+//! and streak in the session loop every game shares
+//! ([`params`](crate::params)).
 //!
 //! The full event-driven deployment — Poisson player sittings, random
 //! matching, replay-bot fallback, engagement-driven return visits, the
@@ -22,8 +24,8 @@
 //! [`Campaign`](crate::campaign::Campaign) running an
 //! [`EspDriver`](crate::campaign::EspDriver).
 
-use crate::params::SessionParams;
-use crate::shard::{apply_round, trace_session, PlannedRound, PlayedRound, SessionPlay};
+use crate::params::{trace_session, SessionParams, SessionPlay};
+use crate::shard::{apply_round, PlannedRound, PlayedRound};
 use crate::world::{BaseWorld, WorldConfig};
 use hc_core::prelude::*;
 use hc_crowd::{LabelDistribution, PlayerProfile, Population};

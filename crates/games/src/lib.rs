@@ -15,8 +15,9 @@
 //!
 //! [`world`] holds the synthetic ground truth each game plays over; every
 //! game module exposes a `play_*_session` function (drive one session
-//! between two seated players, feeding the [`Platform`](hc_core::Platform)
-//! pipeline). [`campaign`] runs any of them as a full event-driven
+//! between the seats of a [`SessionParams`],
+//! feeding the [`Platform`](hc_core::Platform) pipeline), and all of them
+//! play their rounds through the one session loop in [`params`]. [`campaign`] runs any of them as a full event-driven
 //! deployment with arrivals, matchmaking and (for ESP) replay-bot
 //! fallback — the machinery experiments T1 and F3–F6 run on — and
 //! [`shard`] runs the same dynamics across cores.

@@ -10,6 +10,7 @@
 //! recovered ranking is scored against the latent truth by Kendall tau
 //! (experiment T1's Matchin row).
 
+use crate::params::{SessionParams, SessionPlay};
 use crate::world::WorldConfig;
 use hc_core::prelude::*;
 use hc_crowd::Population;
@@ -160,24 +161,18 @@ impl BradleyTerryRanking {
 }
 
 /// Drives one Matchin session, feeding outcomes into `ranking`.
-#[allow(clippy::too_many_arguments)]
 pub fn play_matchin_session<R: Rng + ?Sized>(
     platform: &mut Platform,
     world: &MatchinWorld,
     population: &mut Population,
-    left: PlayerId,
-    right: PlayerId,
-    session_id: SessionId,
-    start: SimTime,
+    params: SessionParams,
     ranking: &mut BradleyTerryRanking,
     rng: &mut R,
 ) -> SessionTranscript {
+    let [left, right] = params.seats;
     let cfg = platform.config().session;
-    let mut session = Session::new(session_id, [left, right], start, cfg);
-    let mut now = start;
-    let mut streaks = [0u32; 2];
-
-    while session.can_play_more(now) && world.len() >= 2 {
+    let mut play = SessionPlay::begin(params, cfg, cfg.score_rule);
+    while play.can_play_more() && world.len() >= 2 {
         // Draw a random image pair.
         let a = rng.gen_range(0..world.len());
         let mut b = rng.gen_range(0..world.len());
@@ -205,27 +200,17 @@ pub fn play_matchin_session<R: Rng + ?Sized>(
             let loser = if winner == a { b } else { a };
             ranking.record(winner, loser);
         }
-        let end = now + duration;
-        let rule = platform.score_rule();
-        let points = [
-            rule.round_score(matched, duration.as_secs_f64(), streaks[0]),
-            rule.round_score(matched, duration.as_secs_f64(), streaks[1]),
-        ];
-        for s in &mut streaks {
-            *s = if matched { *s + 1 } else { 0 };
-        }
-        session.record_round(RoundRecord {
-            template: TemplateKind::OutputAgreement,
-            task: TaskId::new(a as u64),
+        let next = play.now() + duration + INTER_ROUND_GAP;
+        play.record(
+            TemplateKind::OutputAgreement,
+            TaskId::new(a as u64),
             matched,
-            candidate_outputs: u32::from(matched),
+            u32::from(matched),
             duration,
-            points,
-        });
-        now = end + INTER_ROUND_GAP;
+            next,
+        );
     }
-
-    let transcript = session.finish(now);
+    let transcript = play.finish();
     platform.record_session(&transcript);
     transcript
 }
@@ -277,10 +262,12 @@ mod tests {
             &mut platform,
             &world,
             &mut pop,
-            PlayerId::new(0),
-            PlayerId::new(1),
-            SessionId::new(0),
-            SimTime::ZERO,
+            SessionParams::pair(
+                PlayerId::new(0),
+                PlayerId::new(1),
+                SessionId::new(0),
+                SimTime::ZERO,
+            ),
             &mut ranking,
             &mut r,
         );

@@ -8,6 +8,7 @@
 //! is scored as intersection-over-union between the revealed union and
 //! the true object box.
 
+use crate::params::{SessionParams, SessionPlay};
 use crate::world::WorldConfig;
 use hc_core::prelude::*;
 use hc_crowd::{LabelDistribution, Population, Vocabulary};
@@ -153,28 +154,23 @@ impl PeekaboomOutputs {
 }
 
 /// Drives one Peekaboom session (left seat = Boom, right = Peek).
-#[allow(clippy::too_many_arguments)]
 pub fn play_peekaboom_session<R: Rng + ?Sized>(
     platform: &mut Platform,
     world: &PeekaboomWorld,
     population: &mut Population,
-    boom: PlayerId,
-    peek: PlayerId,
-    session_id: SessionId,
-    start: SimTime,
+    params: SessionParams,
     rng: &mut R,
 ) -> (SessionTranscript, PeekaboomOutputs) {
+    let [boom, peek] = params.seats;
     let cfg = platform.config().session;
-    let mut session = Session::new(session_id, [boom, peek], start, cfg);
+    let mut play = SessionPlay::begin(params, cfg, cfg.score_rule);
     let mut outputs = PeekaboomOutputs::default();
-    let mut now = start;
-    let mut streaks = [0u32; 2];
-
-    while session.can_play_more(now) {
-        let Some(task) = platform.next_task_for(&[boom, peek], rng) else {
+    while play.can_play_more() {
+        let now = play.now();
+        let Some(task) = platform.next_task_for(&params.seats, rng) else {
             break;
         };
-        platform.record_served(task, &[boom, peek]);
+        platform.record_served(task, &params.seats);
         let Some(object) = world.object_for_task(task).cloned() else {
             break;
         };
@@ -252,27 +248,16 @@ pub fn play_peekaboom_session<R: Rng + ?Sized>(
             // The localized word is a verified association for the image.
             let _ = platform.ingest_agreement(task, object.word.clone(), boom, peek);
         }
-        let duration = result.duration;
-        let rule = platform.score_rule();
-        let points = [
-            rule.round_score(matched, duration.as_secs_f64(), streaks[0]),
-            rule.round_score(matched, duration.as_secs_f64(), streaks[1]),
-        ];
-        for s in &mut streaks {
-            *s = if matched { *s + 1 } else { 0 };
-        }
-        session.record_round(RoundRecord {
-            template: TemplateKind::InversionProblem,
+        play.record(
+            TemplateKind::InversionProblem,
             task,
             matched,
-            candidate_outputs: u32::from(matched),
-            duration,
-            points,
-        });
-        now = end.min(deadline) + INTER_ROUND_GAP;
+            u32::from(matched),
+            result.duration,
+            end.min(deadline) + INTER_ROUND_GAP,
+        );
     }
-
-    let transcript = session.finish(now);
+    let transcript = play.finish();
     platform.record_session(&transcript);
     (transcript, outputs)
 }
@@ -308,10 +293,12 @@ mod tests {
             &mut platform,
             &world,
             &mut pop,
-            PlayerId::new(0),
-            PlayerId::new(1),
-            SessionId::new(0),
-            SimTime::ZERO,
+            SessionParams::pair(
+                PlayerId::new(0),
+                PlayerId::new(1),
+                SessionId::new(0),
+                SimTime::ZERO,
+            ),
             &mut r,
         );
         assert!(t.rounds() > 0);

@@ -44,7 +44,8 @@
 //! plan. A shard plays each round with the game's one round function
 //! (`esp::play_live_round`, `esp::play_replay_round`,
 //! `verbosity::play_verbosity_round`) — the same function the serial
-//! session functions call — and the hub applies its effects through
+//! session functions call — inside the same session loop
+//! ([`params`](crate::params)), and the hub applies its effects through
 //! [`apply_round`], as the serial sessions do. Planning is optimistic:
 //! up to `max_rounds` rounds are planned and marked served even when the
 //! session ends early — a documented, deterministic deviation from the
@@ -65,7 +66,7 @@
 
 use crate::campaign::CampaignReport;
 use crate::esp::{play_live_round, play_replay_round};
-use crate::params::SessionParams;
+use crate::params::{SessionParams, SessionPlay};
 use crate::verbosity::play_verbosity_round;
 use crate::world::{verified_precision, WorldConfig};
 use hc_collect::{DetMap, PlayerStore, SliceArena, Span};
@@ -153,96 +154,6 @@ pub fn apply_round(platform: &mut Platform, round: PlayedRound) {
     }
     if let Some(rec) = round.recording {
         platform.replay_mut().record(rec);
-    }
-}
-
-/// A session being played round by round: the transcript so far, the
-/// clock, and the seats' win streak. Both seats of a live round score
-/// alike, so one streak serves both; a solo session seats its player
-/// twice and the replayed partner scores nothing.
-#[derive(Debug)]
-pub(crate) struct SessionPlay {
-    session: Session,
-    now: SimTime,
-    streak: u32,
-    rule: ScoreRule,
-}
-
-impl SessionPlay {
-    /// Starts a session; its first round starts at `params.start`.
-    pub(crate) fn begin(params: SessionParams, cfg: SessionConfig, rule: ScoreRule) -> Self {
-        let SessionParams {
-            seats,
-            session_id,
-            start,
-        } = params;
-        SessionPlay {
-            session: Session::new(session_id, seats, start, cfg),
-            now: start,
-            streak: 0,
-            rule,
-        }
-    }
-
-    /// When the next round starts.
-    pub(crate) fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// A round's time limit.
-    pub(crate) fn round_limit(&self) -> SimDuration {
-        self.session.config().round_time_limit
-    }
-
-    pub(crate) fn can_play_more(&self) -> bool {
-        self.session.can_play_more(self.now)
-    }
-
-    /// Scores and records one finished round; the next round starts at
-    /// `next`.
-    pub(crate) fn record(
-        &mut self,
-        template: TemplateKind,
-        task: TaskId,
-        matched: bool,
-        candidate_outputs: u32,
-        duration: SimDuration,
-        next: SimTime,
-    ) {
-        let score = self
-            .rule
-            .round_score(matched, duration.as_secs_f64(), self.streak);
-        let [left, right] = self.session.players();
-        self.streak = if matched { self.streak + 1 } else { 0 };
-        self.session.record_round(RoundRecord {
-            template,
-            task,
-            matched,
-            candidate_outputs,
-            duration,
-            points: [score, if left == right { 0 } else { score }],
-        });
-        self.now = next;
-    }
-
-    pub(crate) fn finish(self) -> SessionTranscript {
-        self.session.finish(self.now)
-    }
-}
-
-/// Emits a finished serial session's span when a trace is recording.
-pub(crate) fn trace_session(name: &str, transcript: &SessionTranscript) {
-    if hc_obs::active() {
-        hc_obs::span(
-            "games",
-            name,
-            transcript.started.ticks(),
-            transcript.ended.ticks(),
-            &[
-                ("rounds", transcript.rounds().into()),
-                ("matched", transcript.matched_count().into()),
-            ],
-        );
     }
 }
 

@@ -13,6 +13,7 @@
 //! the two traces above a threshold; the verified output is their
 //! intersection.
 
+use crate::params::{SessionParams, SessionPlay};
 use crate::world::WorldConfig;
 use hc_core::prelude::*;
 use hc_crowd::{Population, Vocabulary};
@@ -154,28 +155,22 @@ impl SquiglOutputs {
 }
 
 /// Drives one Squigl session between two players.
-#[allow(clippy::too_many_arguments)]
 pub fn play_squigl_session<R: Rng + ?Sized>(
     platform: &mut Platform,
     world: &SquiglWorld,
     population: &mut Population,
-    left: PlayerId,
-    right: PlayerId,
-    session_id: SessionId,
-    start: SimTime,
+    params: SessionParams,
     rng: &mut R,
 ) -> (SessionTranscript, SquiglOutputs) {
+    let [left, right] = params.seats;
     let cfg = platform.config().session;
-    let mut session = Session::new(session_id, [left, right], start, cfg);
+    let mut play = SessionPlay::begin(params, cfg, cfg.score_rule);
     let mut outputs = SquiglOutputs::default();
-    let mut now = start;
-    let mut streaks = [0u32; 2];
-
-    while session.can_play_more(now) {
-        let Some(task) = platform.next_task_for(&[left, right], rng) else {
+    while play.can_play_more() {
+        let Some(task) = platform.next_task_for(&params.seats, rng) else {
             break;
         };
-        platform.record_served(task, &[left, right]);
+        platform.record_served(task, &params.seats);
         let Some(object) = world.object_for_task(task).cloned() else {
             break;
         };
@@ -200,28 +195,22 @@ pub fn play_squigl_session<R: Rng + ?Sized>(
                 let _ = platform.ingest_agreement(task, object.word.clone(), left, right);
             }
         }
-        let end = now + duration.min(cfg.round_time_limit);
-        let rule = platform.score_rule();
-        let dur_secs = duration.as_secs_f64();
-        let points = [
-            rule.round_score(matched, dur_secs, streaks[0]),
-            rule.round_score(matched, dur_secs, streaks[1]),
-        ];
-        for s in &mut streaks {
-            *s = if matched { *s + 1 } else { 0 };
-        }
-        session.record_round(RoundRecord {
-            template: TemplateKind::OutputAgreement,
+        // The round is scored on its clamped duration. The unclamped one
+        // earned the same points: a round that overruns the limit is slower
+        // than the fast-bonus threshold whenever `fast_threshold_secs`
+        // (20 s) is below `round_time_limit` (150 s).
+        let duration = duration.min(cfg.round_time_limit);
+        let next = play.now() + duration + INTER_ROUND_GAP;
+        play.record(
+            TemplateKind::OutputAgreement,
             task,
             matched,
-            candidate_outputs: u32::from(matched),
-            duration: duration.min(cfg.round_time_limit),
-            points,
-        });
-        now = end + INTER_ROUND_GAP;
+            u32::from(matched),
+            duration,
+            next,
+        );
     }
-
-    let transcript = session.finish(now);
+    let transcript = play.finish();
     platform.record_session(&transcript);
     (transcript, outputs)
 }
@@ -257,10 +246,12 @@ mod tests {
             &mut platform,
             &world,
             &mut pop,
-            PlayerId::new(0),
-            PlayerId::new(1),
-            SessionId::new(0),
-            SimTime::ZERO,
+            SessionParams::pair(
+                PlayerId::new(0),
+                PlayerId::new(1),
+                SessionId::new(0),
+                SimTime::ZERO,
+            ),
             &mut rng,
         );
         assert!(t.rounds() > 0);
@@ -284,10 +275,12 @@ mod tests {
                     &mut platform,
                     &world,
                     &mut pop,
-                    PlayerId::new(0),
-                    PlayerId::new(1),
-                    SessionId::new(s),
-                    SimTime::from_secs(s * 1_000),
+                    SessionParams::pair(
+                        PlayerId::new(0),
+                        PlayerId::new(1),
+                        SessionId::new(s),
+                        SimTime::from_secs(s * 1_000),
+                    ),
                     &mut rng,
                 );
                 matched += t.matched_count();

@@ -7,7 +7,12 @@
 //! accuracy (and thus tag yield) depends on how *confusable* the two
 //! clips are: clips with overlapping true-tag supports generate wrong
 //! "same" votes.
+//!
+//! Sessions run on the shared session loop ([`params`](crate::params)),
+//! and only on the serial campaign: a round validates tags on two clips,
+//! while the sharded campaign's `PlayedRound` carries one task.
 
+use crate::params::{trace_session, SessionParams, SessionPlay};
 use crate::world::{BaseWorld, WorldConfig};
 use hc_core::prelude::*;
 use hc_crowd::Population;
@@ -91,25 +96,20 @@ impl TagATuneWorld {
 
 /// Drives one TagATune session; on each round the pair gets the same clip
 /// with probability `p_same_round` (0.5 in the deployed game).
-#[allow(clippy::too_many_arguments)]
 pub fn play_tagatune_session<R: Rng + ?Sized>(
     platform: &mut Platform,
     world: &TagATuneWorld,
     population: &mut Population,
-    left: PlayerId,
-    right: PlayerId,
-    session_id: SessionId,
-    start: SimTime,
+    params: SessionParams,
     p_same_round: f64,
     rng: &mut R,
 ) -> SessionTranscript {
+    let [left, right] = params.seats;
     let cfg = platform.config().session;
-    let mut session = Session::new(session_id, [left, right], start, cfg);
-    let mut now = start;
-    let mut streaks = [0u32; 2];
-
-    while session.can_play_more(now) {
-        let Some(left_task) = platform.next_task_for(&[left, right], rng) else {
+    let mut play = SessionPlay::begin(params, cfg, cfg.score_rule);
+    while play.can_play_more() {
+        let now = play.now();
+        let Some(left_task) = platform.next_task_for(&params.seats, rng) else {
             break;
         };
         let same = rng.gen::<f64>() < p_same_round.clamp(0.0, 1.0);
@@ -123,7 +123,7 @@ pub fn play_tagatune_session<R: Rng + ?Sized>(
             }
             other
         };
-        platform.record_served(left_task, &[left, right]);
+        platform.record_served(left_task, &params.seats);
         let (Some(truth_l), Some(truth_r)) = (
             world.truth_for_task(left_task),
             world.truth_for_task(right_task),
@@ -200,40 +200,18 @@ pub fn play_tagatune_session<R: Rng + ?Sized>(
             // Validated tags flow through the same verification pipeline.
             let _ = platform.ingest_agreement(task, tag, left, right);
         }
-        let duration = end.saturating_since(now);
-        let rule = platform.score_rule();
-        let points = [
-            rule.round_score(matched, duration.as_secs_f64(), streaks[0]),
-            rule.round_score(matched, duration.as_secs_f64(), streaks[1]),
-        ];
-        for s in &mut streaks {
-            *s = if matched { *s + 1 } else { 0 };
-        }
-        session.record_round(RoundRecord {
-            template: TemplateKind::InputAgreement,
-            task: left_task,
+        play.record(
+            TemplateKind::InputAgreement,
+            left_task,
             matched,
-            candidate_outputs: n_tags,
-            duration,
-            points,
-        });
-        now = end + INTER_ROUND_GAP;
-    }
-
-    let transcript = session.finish(now);
-    platform.record_session(&transcript);
-    if hc_obs::active() {
-        hc_obs::span(
-            "games",
-            "tagatune.session",
-            start.ticks(),
-            transcript.ended.ticks(),
-            &[
-                ("rounds", transcript.rounds().into()),
-                ("matched", transcript.matched_count().into()),
-            ],
+            n_tags,
+            end.saturating_since(now),
+            end + INTER_ROUND_GAP,
         );
     }
+    let transcript = play.finish();
+    platform.record_session(&transcript);
+    trace_session("tagatune.session", &transcript);
     transcript
 }
 
@@ -271,10 +249,12 @@ mod tests {
                 &mut platform,
                 &world,
                 &mut pop,
-                PlayerId::new(0),
-                PlayerId::new(1),
-                SessionId::new(s),
-                SimTime::from_secs(s * 1000),
+                SessionParams::pair(
+                    PlayerId::new(0),
+                    PlayerId::new(1),
+                    SessionId::new(s),
+                    SimTime::from_secs(s * 1000),
+                ),
                 0.5,
                 &mut r,
             );
@@ -294,10 +274,12 @@ mod tests {
                 &mut platform,
                 &world,
                 &mut pop,
-                PlayerId::new(0),
-                PlayerId::new(1),
-                SessionId::new(s),
-                SimTime::from_secs(s * 1000),
+                SessionParams::pair(
+                    PlayerId::new(0),
+                    PlayerId::new(1),
+                    SessionId::new(s),
+                    SimTime::from_secs(s * 1000),
+                ),
                 0.5,
                 &mut r,
             );
@@ -337,10 +319,12 @@ mod tests {
             &mut platform,
             &world,
             &mut pop,
-            PlayerId::new(0),
-            PlayerId::new(1),
-            SessionId::new(0),
-            SimTime::ZERO,
+            SessionParams::pair(
+                PlayerId::new(0),
+                PlayerId::new(1),
+                SessionId::new(0),
+                SimTime::ZERO,
+            ),
             0.0,
             &mut r,
         );

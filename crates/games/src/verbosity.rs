@@ -10,10 +10,12 @@
 //!
 //! One function, `play_verbosity_round`, plays a round. The serial
 //! [`play_verbosity_session`] and the sharded
-//! [`VerbosityShardGame`](crate::shard::VerbosityShardGame) both call it.
+//! [`VerbosityShardGame`](crate::shard::VerbosityShardGame) both call it,
+//! and both keep the session's clock, score and streak in the shared
+//! session loop ([`params`](crate::params)).
 
-use crate::params::SessionParams;
-use crate::shard::{apply_round, trace_session, PlayedRound, SessionPlay};
+use crate::params::{trace_session, SessionParams, SessionPlay};
+use crate::shard::{apply_round, PlayedRound};
 use crate::world::{BaseWorld, WorldConfig};
 use hc_core::prelude::*;
 use hc_crowd::{LabelDistribution, PlayerProfile, Population};
@@ -225,22 +227,19 @@ impl VerbosityWorld {
     }
 }
 
-/// Drives one Verbosity session: `narrator` sends the clues and `guesser`
-/// guesses (callers alternate roles between sessions, as the deployed
-/// game alternates between rounds).
-#[allow(clippy::too_many_arguments)]
+/// Drives one Verbosity session on seats `[narrator, guesser]`: the
+/// narrator sends the clues and the guesser guesses (callers alternate
+/// roles between sessions, as the deployed game alternates between
+/// rounds).
 pub fn play_verbosity_session<R: Rng + ?Sized>(
     platform: &mut Platform,
     world: &VerbosityWorld,
     population: &mut Population,
-    narrator: PlayerId,
-    guesser: PlayerId,
-    session_id: SessionId,
-    start: SimTime,
+    params: SessionParams,
     rng: &mut R,
 ) -> SessionTranscript {
+    let [narrator, guesser] = params.seats;
     let cfg = platform.config().session;
-    let params = SessionParams::pair(narrator, guesser, session_id, start);
     let mut play = SessionPlay::begin(params, cfg, cfg.score_rule);
     while play.can_play_more() {
         let Some(task) = platform.next_task_for(&params.seats, rng) else {
@@ -393,10 +392,12 @@ mod tests {
             &mut platform,
             &world,
             &mut pop,
-            PlayerId::new(0),
-            PlayerId::new(1),
-            SessionId::new(0),
-            SimTime::ZERO,
+            SessionParams::pair(
+                PlayerId::new(0),
+                PlayerId::new(1),
+                SessionId::new(0),
+                SimTime::ZERO,
+            ),
             &mut r,
         );
         assert!(t.rounds() > 0);
@@ -422,10 +423,12 @@ mod tests {
                     &mut platform,
                     &world,
                     &mut pop,
-                    PlayerId::new(0),
-                    PlayerId::new(1),
-                    SessionId::new(s),
-                    SimTime::from_secs(s * 1000),
+                    SessionParams::pair(
+                        PlayerId::new(0),
+                        PlayerId::new(1),
+                        SessionId::new(s),
+                        SimTime::from_secs(s * 1000),
+                    ),
                     &mut r,
                 );
                 matched += t.matched_count();
@@ -459,10 +462,12 @@ mod tests {
                 &mut platform,
                 &world,
                 &mut pop,
-                PlayerId::new(0),
-                PlayerId::new(1),
-                SessionId::new(s),
-                SimTime::from_secs(s * 1000),
+                SessionParams::pair(
+                    PlayerId::new(0),
+                    PlayerId::new(1),
+                    SessionId::new(s),
+                    SimTime::from_secs(s * 1000),
+                ),
                 &mut r,
             );
         }
@@ -521,10 +526,12 @@ mod tests {
                 &mut platform,
                 &world,
                 &mut pop,
-                PlayerId::new(0),
-                PlayerId::new(1),
-                SessionId::new(s),
-                SimTime::from_secs(s * 1000),
+                SessionParams::pair(
+                    PlayerId::new(0),
+                    PlayerId::new(1),
+                    SessionId::new(s),
+                    SimTime::from_secs(s * 1000),
+                ),
                 &mut r,
             );
         }

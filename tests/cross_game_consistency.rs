@@ -1,4 +1,4 @@
-//! Cross-game consistency: all five games drive the same platform
+//! Cross-game consistency: all six games drive the same platform
 //! pipeline and the same metrics accounting, so invariants that hold for
 //! one template must hold for all.
 
@@ -38,8 +38,13 @@ fn check_transcript(t: &SessionTranscript, platform: &Platform) {
     assert!(t.rounds() <= platform.config().session.max_rounds as usize);
     assert!(t.ended >= t.started);
     assert_eq!(t.total_points.len(), 2);
+    let two_seats = t.players[0] != t.players[1];
     for r in &t.records {
         assert!(r.duration <= platform.config().session.round_time_limit);
+        if two_seats {
+            // Both seats score alike, which is why one streak serves both.
+            assert_eq!(r.points[0], r.points[1]);
+        }
         if !r.matched {
             // Participation-only points on unmatched rounds.
             assert_eq!(r.points[0], platform.score_rule().round_points);
@@ -84,10 +89,7 @@ fn tagatune_sessions_respect_shared_invariants() {
             &mut platform,
             &world,
             &mut pop,
-            a,
-            b,
-            SessionId::new(s),
-            SimTime::from_secs(s * 1_000),
+            SessionParams::pair(a, b, SessionId::new(s), SimTime::from_secs(s * 1_000)),
             0.5,
             &mut rng,
         );
@@ -106,10 +108,7 @@ fn verbosity_sessions_respect_shared_invariants() {
             &mut platform,
             &world,
             &mut pop,
-            a,
-            b,
-            SessionId::new(s),
-            SimTime::from_secs(s * 1_000),
+            SessionParams::pair(a, b, SessionId::new(s), SimTime::from_secs(s * 1_000)),
             &mut rng,
         );
         check_transcript(&t, &platform);
@@ -127,14 +126,34 @@ fn peekaboom_sessions_respect_shared_invariants() {
             &mut platform,
             &world,
             &mut pop,
-            a,
-            b,
-            SessionId::new(s),
-            SimTime::from_secs(s * 1_000),
+            SessionParams::pair(a, b, SessionId::new(s), SimTime::from_secs(s * 1_000)),
             &mut rng,
         );
         check_transcript(&t, &platform);
         for (_, region, iou) in &out.locations {
+            assert!(region.area() > 0);
+            assert!((0.0..=1.0).contains(iou));
+        }
+    }
+}
+
+#[test]
+fn squigl_sessions_respect_shared_invariants() {
+    let (mut platform, mut pop, mut rng) = fresh(7);
+    let world = SquiglWorld::generate(&WorldConfig::small(), &mut rng);
+    world.register_tasks(&mut platform);
+    for s in 0..5 {
+        let (a, b) = pair(s);
+        let (t, out) = play_squigl_session(
+            &mut platform,
+            &world,
+            &mut pop,
+            SessionParams::pair(a, b, SessionId::new(s), SimTime::from_secs(s * 1_000)),
+            &mut rng,
+        );
+        check_transcript(&t, &platform);
+        assert_eq!(out.segmentations.len(), t.matched_count());
+        for (_, region, iou) in &out.segmentations {
             assert!(region.area() > 0);
             assert!((0.0..=1.0).contains(iou));
         }
@@ -154,10 +173,7 @@ fn matchin_sessions_respect_shared_invariants() {
             &mut platform,
             &world,
             &mut pop,
-            a,
-            b,
-            SessionId::new(s),
-            SimTime::from_secs(s * 1_000),
+            SessionParams::pair(a, b, SessionId::new(s), SimTime::from_secs(s * 1_000)),
             &mut ranking,
             &mut rng,
         );
@@ -178,10 +194,7 @@ fn ledger_time_accounting_is_consistent_across_games() {
         &mut platform,
         &world,
         &mut pop,
-        a,
-        b,
-        SessionId::new(0),
-        SimTime::ZERO,
+        SessionParams::pair(a, b, SessionId::new(0), SimTime::ZERO),
         0.5,
         &mut rng,
     );

@@ -73,11 +73,6 @@ fn esp_fingerprint(players: usize, hours: u64, f5_cell: bool, seed: u64) -> Fing
 
 /// Fingerprints a finished campaign from its report and verified labels.
 fn fingerprint(r: &CampaignReport, labels: &[VerifiedLabel]) -> Fingerprint {
-    let verified_fnv = labels.iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
-        let h = fnv1a(h, v.task.raw().to_le_bytes());
-        let h = fnv1a(h, v.label.as_str().bytes().chain([0xff]));
-        fnv1a(h, v.at.ticks().to_le_bytes())
-    });
     Fingerprint {
         total_outputs: r.metrics.total_outputs,
         live_sessions: r.live_sessions,
@@ -88,8 +83,17 @@ fn fingerprint(r: &CampaignReport, labels: &[VerifiedLabel]) -> Fingerprint {
         throughput_bits: r.metrics.throughput_per_human_hour.to_bits(),
         alp_bits: r.metrics.alp_hours.to_bits(),
         mean_wait_bits: r.mean_wait_secs.to_bits(),
-        verified_fnv,
+        verified_fnv: verified_fnv(labels),
     }
+}
+
+/// Folds the verified `(task, label, at)` sequence into an FNV-1a hash.
+fn verified_fnv(labels: &[VerifiedLabel]) -> u64 {
+    labels.iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+        let h = fnv1a(h, v.task.raw().to_le_bytes());
+        let h = fnv1a(h, v.label.as_str().bytes().chain([0xff]));
+        fnv1a(h, v.at.ticks().to_le_bytes())
+    })
 }
 
 /// Golden fingerprints of the serial ESP campaign at seeds 1, 7 and 12:
@@ -226,6 +230,203 @@ fn sharded_verbosity_campaign_matches_golden_fingerprints() {
                 "seed={seed} layout={shards}x{threads}"
             );
         }
+    }
+}
+
+/// Runs one serial TagATune campaign: 24 players over two hours on the
+/// small world, half the rounds on the same clip.
+fn tagatune_fingerprint(seed: u64) -> Fingerprint {
+    let mut config = CampaignConfig::small();
+    config.players = 24;
+    config.horizon = SimTime::from_secs(2 * 3600);
+    let driver = TagATuneDriver::generate(
+        &WorldConfig::small(),
+        0.5,
+        &mut RngFactory::new(seed).stream("world"),
+    );
+    let mut campaign = Campaign::new(driver, config, seed);
+    let r = campaign.run();
+    fingerprint(&r, campaign.platform().verified_labels())
+}
+
+/// Golden fingerprints of the serial TagATune campaign at seeds 1, 7 and
+/// 12, captured while the TagATune session kept its own copy of the
+/// session bookkeeping (streaks, scoring, transcript).
+#[rustfmt::skip]
+const TAGATUNE_GOLDEN: [(u64, Fingerprint); 3] = [
+    (1, Fingerprint { total_outputs: 73, live_sessions: 5, solo_sessions: 0, precision: (69, 73), live_pairs: 5, replay_pairs: 63, throughput_bits: 4640026846854829645, alp_bits: 4589205093899792511, mean_wait_bits: 4622884686083076575, verified_fnv: 10437667972814047223 }),
+    (7, Fingerprint { total_outputs: 148, live_sessions: 13, solo_sessions: 0, precision: (138, 148), live_pairs: 13, replay_pairs: 70, throughput_bits: 4638325513891018596, alp_bits: 4590879250639027590, mean_wait_bits: 4622675955823312551, verified_fnv: 7068951068120889180 }),
+    (12, Fingerprint { total_outputs: 75, live_sessions: 6, solo_sessions: 0, precision: (72, 75), live_pairs: 6, replay_pairs: 54, throughput_bits: 4638778053804187316, alp_bits: 4589283427657530576, mean_wait_bits: 4622993121672541486, verified_fnv: 7169512773744226225 }),
+];
+
+#[test]
+fn serial_tagatune_campaign_matches_golden_fingerprints() {
+    for (seed, want) in TAGATUNE_GOLDEN {
+        assert_eq!(tagatune_fingerprint(seed), want, "seed={seed}");
+    }
+}
+
+/// What a run of standalone sessions leaves behind: every transcript
+/// (as JSON), every per-session output (as `Debug`) and every verified
+/// label, each folded into an FNV-1a hash, plus the ledger's hours.
+#[derive(Debug, PartialEq, Eq)]
+struct SessionsFingerprint {
+    rounds: usize,
+    outputs: u64,
+    human_hours_bits: u64,
+    transcripts_fnv: u64,
+    outputs_fnv: u64,
+    verified_fnv: u64,
+}
+
+const T1_PLAYERS: u64 = 30;
+const T1_SESSIONS: u64 = 150;
+
+/// Experiment T1's setup: 30 players of the realistic mix on the standard
+/// world, drawn from the game's own stream of `seed`, and no gold tasks.
+fn t1_setup(seed: u64, game: &str) -> (Platform, SimRng) {
+    let mut platform = Platform::new(PlatformConfig {
+        gold_injection_rate: 0.0,
+        ..PlatformConfig::default()
+    })
+    .expect("valid config");
+    for _ in 0..T1_PLAYERS {
+        platform.register_player();
+    }
+    (platform, RngFactory::new(seed).stream(game))
+}
+
+fn t1_population(rng: &mut SimRng) -> Population {
+    PopulationBuilder::new(T1_PLAYERS as usize)
+        .mix(ArchetypeMix::realistic())
+        .build(rng)
+}
+
+/// Plays T1's 150 sessions with its pairing and start times. `play` returns a
+/// session's transcript, its output count and its outputs' `Debug` text.
+fn t1_sessions(
+    platform: &mut Platform,
+    rng: &mut SimRng,
+    mut play: impl FnMut(&mut Platform, SessionParams, &mut SimRng) -> (SessionTranscript, u64, String),
+) -> SessionsFingerprint {
+    let mut fp = SessionsFingerprint {
+        rounds: 0,
+        outputs: 0,
+        human_hours_bits: 0,
+        transcripts_fnv: 0xcbf2_9ce4_8422_2325,
+        outputs_fnv: 0xcbf2_9ce4_8422_2325,
+        verified_fnv: 0,
+    };
+    for s in 0..T1_SESSIONS {
+        let a = PlayerId::new((2 * s) % T1_PLAYERS);
+        let mut b = PlayerId::new((2 * s + 1 + s / T1_PLAYERS) % T1_PLAYERS);
+        if a == b {
+            b = PlayerId::new((b.raw() + 1) % T1_PLAYERS);
+        }
+        let params = SessionParams::pair(a, b, SessionId::new(s), SimTime::from_secs(s * 1_000));
+        let (t, outputs, debug) = play(platform, params, rng);
+        let json = serde_json::to_string(&t).expect("serializable transcript");
+        fp.rounds += t.rounds();
+        fp.outputs += outputs;
+        fp.transcripts_fnv = fnv1a(fp.transcripts_fnv, json.bytes());
+        fp.outputs_fnv = fnv1a(fp.outputs_fnv, debug.bytes());
+    }
+    fp.human_hours_bits = platform.metrics().total_human_hours.to_bits();
+    fp.verified_fnv = verified_fnv(platform.verified_labels());
+    fp
+}
+
+fn tagatune_sessions(seed: u64) -> SessionsFingerprint {
+    let (mut platform, mut rng) = t1_setup(seed, "tagatune");
+    let world = TagATuneWorld::generate(&WorldConfig::standard(), &mut rng);
+    world.register_tasks(&mut platform);
+    let mut pop = t1_population(&mut rng);
+    t1_sessions(&mut platform, &mut rng, |pf, p, r| {
+        let t = play_tagatune_session(pf, &world, &mut pop, p, 0.5, r);
+        let outputs = t.candidate_outputs();
+        (t, outputs, String::new())
+    })
+}
+
+fn peekaboom_sessions(seed: u64) -> SessionsFingerprint {
+    let (mut platform, mut rng) = t1_setup(seed, "peekaboom");
+    let world = PeekaboomWorld::generate(&WorldConfig::standard(), &mut rng);
+    world.register_tasks(&mut platform);
+    let mut pop = t1_population(&mut rng);
+    t1_sessions(&mut platform, &mut rng, |pf, p, r| {
+        let (t, out) = play_peekaboom_session(pf, &world, &mut pop, p, r);
+        (t, out.locations.len() as u64, format!("{out:?}"))
+    })
+}
+
+fn squigl_sessions(seed: u64) -> SessionsFingerprint {
+    let (mut platform, mut rng) = t1_setup(seed, "squigl");
+    let world = SquiglWorld::generate(&WorldConfig::standard(), &mut rng);
+    world.register_tasks(&mut platform);
+    let mut pop = t1_population(&mut rng);
+    t1_sessions(&mut platform, &mut rng, |pf, p, r| {
+        let (t, out) = play_squigl_session(pf, &world, &mut pop, p, r);
+        (t, out.segmentations.len() as u64, format!("{out:?}"))
+    })
+}
+
+/// Matchin's output is the ranking every session feeds, so its `Debug`
+/// text is taken once, after the last session.
+fn matchin_sessions(seed: u64) -> SessionsFingerprint {
+    let (mut platform, mut rng) = t1_setup(seed, "matchin");
+    let world = MatchinWorld::generate(
+        &WorldConfig {
+            stimuli: 300,
+            ..WorldConfig::standard()
+        },
+        &mut rng,
+    );
+    let mut pop = t1_population(&mut rng);
+    let mut ranking = BradleyTerryRanking::new(world.len());
+    let mut fp = t1_sessions(&mut platform, &mut rng, |pf, p, r| {
+        let t = play_matchin_session(pf, &world, &mut pop, p, &mut ranking, r);
+        let outputs = t.candidate_outputs();
+        (t, outputs, String::new())
+    });
+    fp.outputs_fnv = fnv1a(fp.outputs_fnv, format!("{ranking:?}").bytes());
+    fp
+}
+
+/// Golden fingerprints of 150 standalone TagATune, Peekaboom, Squigl and
+/// Matchin sessions in T1's setup at seeds 1, 7 and 12, as
+/// `(seed, [tagatune, peekaboom, squigl, matchin])`. They were captured
+/// while each of these games kept its own copy of the session loop, so
+/// they pin every RNG draw, score, streak and duration across its move
+/// onto the shared one.
+#[rustfmt::skip]
+const SESSIONS_GOLDEN: [(u64, [SessionsFingerprint; 4]); 3] = [
+    (1, [
+        SessionsFingerprint { rounds: 860, outputs: 2436, human_hours_bits: 4623931050664022394, transcripts_fnv: 6398948835075067488, outputs_fnv: 14695981039346656037, verified_fnv: 11907645137519620673 },
+        SessionsFingerprint { rounds: 1099, outputs: 1097, human_hours_bits: 4623976191235130447, transcripts_fnv: 1625484863191927412, outputs_fnv: 2788061902479689265, verified_fnv: 6437696699995702255 },
+        SessionsFingerprint { rounds: 1273, outputs: 1015, human_hours_bits: 4623807476207447992, transcripts_fnv: 3709794331900591229, outputs_fnv: 2014188851485713036, verified_fnv: 6661137593572903173 },
+        SessionsFingerprint { rounds: 2250, outputs: 1787, human_hours_bits: 4621007263001905421, transcripts_fnv: 617320789895043499, outputs_fnv: 17582311131740203967, verified_fnv: 14695981039346656037 },
+    ]),
+    (7, [
+        SessionsFingerprint { rounds: 871, outputs: 2472, human_hours_bits: 4623981546143314879, transcripts_fnv: 3764966931117548461, outputs_fnv: 14695981039346656037, verified_fnv: 331245110125769228 },
+        SessionsFingerprint { rounds: 1133, outputs: 1127, human_hours_bits: 4623861155403602303, transcripts_fnv: 15529825695955498486, outputs_fnv: 453970390461591719, verified_fnv: 9926261121324193903 },
+        SessionsFingerprint { rounds: 1280, outputs: 985, human_hours_bits: 4623827380298221618, transcripts_fnv: 6728031112234924769, outputs_fnv: 2342491889723999864, verified_fnv: 2581854006039840124 },
+        SessionsFingerprint { rounds: 2250, outputs: 1693, human_hours_bits: 4621003503758162711, transcripts_fnv: 17649289024872872796, outputs_fnv: 3117843025368495153, verified_fnv: 14695981039346656037 },
+    ]),
+    (12, [
+        SessionsFingerprint { rounds: 877, outputs: 2646, human_hours_bits: 4623952046596543434, transcripts_fnv: 10678298792724691704, outputs_fnv: 14695981039346656037, verified_fnv: 8337376074345593181 },
+        SessionsFingerprint { rounds: 1104, outputs: 1099, human_hours_bits: 4623961411701551811, transcripts_fnv: 2127476464037572475, outputs_fnv: 12558242687203953898, verified_fnv: 5622434340629427376 },
+        SessionsFingerprint { rounds: 1288, outputs: 1026, human_hours_bits: 4623782823695428998, transcripts_fnv: 11266696573149950898, outputs_fnv: 15652078021394541792, verified_fnv: 12894861546239422057 },
+        SessionsFingerprint { rounds: 2250, outputs: 1680, human_hours_bits: 4621131492450437879, transcripts_fnv: 13499000004752645344, outputs_fnv: 1393434155808576858, verified_fnv: 14695981039346656037 },
+    ]),
+];
+
+#[test]
+fn standalone_sessions_match_golden_fingerprints() {
+    for (seed, [tagatune, peekaboom, squigl, matchin]) in SESSIONS_GOLDEN {
+        assert_eq!(tagatune_sessions(seed), tagatune, "tagatune seed={seed}");
+        assert_eq!(peekaboom_sessions(seed), peekaboom, "peekaboom seed={seed}");
+        assert_eq!(squigl_sessions(seed), squigl, "squigl seed={seed}");
+        assert_eq!(matchin_sessions(seed), matchin, "matchin seed={seed}");
     }
 }
 
