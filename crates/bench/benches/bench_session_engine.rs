@@ -1,6 +1,11 @@
 //! Micro-benchmark: one full ESP session through the round state machine,
 //! verification pipeline and platform bookkeeping — the unit of work the
 //! campaign simulator repeats hundreds of thousands of times.
+//!
+//! `esp/full_session` plays a fresh world. `esp/saturated_session` first
+//! promotes every truth label, so every label is taboo and each honest
+//! answer draws against a fully taboo support: the regime of a world near
+//! capacity, where most rounds end in passes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hc_core::prelude::*;
@@ -9,8 +14,8 @@ use hc_games::{esp::play_esp_session, EspWorld, SessionParams, WorldConfig};
 use rand::SeedableRng;
 use std::hint::black_box;
 
-fn bench_session(c: &mut Criterion) {
-    c.bench_function("esp/full_session", |b| {
+fn bench_esp_sessions(c: &mut Criterion, name: &str, saturated: bool) {
+    c.bench_function(name, |b| {
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         let world = EspWorld::generate(&WorldConfig::small(), &mut rng);
         let mut platform = Platform::new(PlatformConfig {
@@ -18,12 +23,25 @@ fn bench_session(c: &mut Criterion) {
             ..PlatformConfig::default()
         })
         .unwrap();
-        world.register_tasks(&mut platform);
+        let tasks = world.register_tasks(&mut platform);
         let mut pop = PopulationBuilder::new(2)
             .mix(ArchetypeMix::all_honest())
             .build(&mut rng);
-        platform.register_player();
-        platform.register_player();
+        let (left, right) = (platform.register_player(), platform.register_player());
+        if saturated {
+            for task in tasks {
+                let truth = world.truth_for_task(task).unwrap();
+                for label in truth.labels() {
+                    platform
+                        .ingest_agreement(task, label.clone(), left, right)
+                        .unwrap();
+                }
+                assert!(truth
+                    .labels()
+                    .iter()
+                    .all(|l| platform.taboo_for(task).contains(l)));
+            }
+        }
         let mut sid = 0u64;
         let mut t0 = 0u64;
         b.iter(|| {
@@ -33,16 +51,16 @@ fn bench_session(c: &mut Criterion) {
                 &mut platform,
                 &world,
                 &mut pop,
-                SessionParams::pair(
-                    PlayerId::new(0),
-                    PlayerId::new(1),
-                    SessionId::new(sid),
-                    SimTime::from_secs(t0),
-                ),
+                SessionParams::pair(left, right, SessionId::new(sid), SimTime::from_secs(t0)),
                 &mut rng,
             ))
         });
     });
+}
+
+fn bench_session(c: &mut Criterion) {
+    bench_esp_sessions(c, "esp/full_session", false);
+    bench_esp_sessions(c, "esp/saturated_session", true);
 }
 
 criterion_group!(benches, bench_session);

@@ -112,14 +112,7 @@ impl Behavior {
             }
             Behavior::Random => Answer::Text(vocab.sample_uniform(rng)),
             Behavior::Colluder { strategy_label } => Answer::Text(strategy_label.clone()),
-            Behavior::Spammer { labels, cursor } => {
-                if labels.is_empty() {
-                    return Answer::Pass;
-                }
-                let l = labels[*cursor % labels.len()].clone();
-                *cursor += 1;
-                Answer::Text(l)
-            }
+            Behavior::Spammer { labels, cursor } => spammer_answer(labels, cursor),
         }
     }
 
@@ -162,9 +155,7 @@ impl Behavior {
         match self {
             Behavior::Random => Answer::Text(vocab.sample_uniform(rng)),
             Behavior::Colluder { strategy_label } => Answer::Text(strategy_label.clone()),
-            Behavior::Spammer { .. } => {
-                self.next_answer(candidates, vocab, &hc_core::TabooList::new(), rng)
-            }
+            Behavior::Spammer { labels, cursor } => spammer_answer(labels, cursor),
             _ => {
                 if rng.gen::<f64>() < skill.clamp(0.0, 1.0) {
                     Answer::Text(candidates.sample(rng))
@@ -176,37 +167,52 @@ impl Behavior {
     }
 }
 
+/// The spam bot's next label in its cycle, or a pass when it has none.
+fn spammer_answer(labels: &[Label], cursor: &mut usize) -> Answer {
+    if labels.is_empty() {
+        return Answer::Pass;
+    }
+    let l = labels[*cursor % labels.len()].clone();
+    *cursor += 1;
+    Answer::Text(l)
+}
+
+/// Honest players see the taboo list and avoid it: up to 8 draws from the
+/// truth, keeping the first that is not taboo; after 8 rejections, the
+/// first non-taboo label in support order, or a pass when the whole
+/// support is taboo.
+///
+/// RNG contract: one `DiscreteDist::sample` per attempt, at most 8,
+/// stopping at the first non-taboo label, and no other draw. These are the
+/// draws of the plain rejection loop the tests keep as the oracle, so
+/// every stream after an answer (and every result byte) is what that loop
+/// left.
+///
+/// Exhausting the 8 draws is not a rare unlucky streak. Once a stimulus's
+/// labels are verified they are all taboo, and in a world near capacity
+/// most honest answers end that way. So each label's taboo status is
+/// looked up once per call, a draw only reads its flag, and only the
+/// returned label is cloned.
 fn honest_answer<R: Rng + ?Sized>(
     truth: &LabelDistribution,
     taboo: &hc_core::TabooList,
     rng: &mut R,
 ) -> Answer {
-    // Honest players visibly see the taboo list and avoid it; if the whole
-    // truth support is taboo they pass (nothing left to say).
-    for _ in 0..8 {
-        let l = truth.sample(rng);
-        if !taboo.contains(&l) {
-            return Answer::Text(l);
-        }
-    }
-    if truth.labels().iter().all(|l| taboo.contains(l)) {
-        Answer::Pass
-    } else {
-        // Rare unlucky streak: deterministically pick the first non-taboo.
-        truth
-            .labels()
-            .iter()
-            .find(|l| !taboo.contains(l))
-            .map(|l| Answer::Text(l.clone()))
-            .unwrap_or(Answer::Pass)
-    }
+    let labels = truth.labels();
+    let free: Vec<bool> = labels.iter().map(|l| !taboo.contains(l)).collect();
+    let pick = (0..8)
+        .map(|_| truth.sample_index(rng))
+        .find(|&i| free[i])
+        .or_else(|| free.iter().position(|&f| f));
+    pick.map_or(Answer::Pass, |i| Answer::Text(labels[i].clone()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hc_core::TabooList;
-    use rand::SeedableRng;
+    use proptest::prelude::*;
+    use rand::{RngCore, SeedableRng};
 
     fn rng() -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(21)
@@ -257,8 +263,128 @@ mod tests {
         let (t, v) = (truth(), vocab());
         let taboo =
             TabooList::from_labels([Label::new("dog"), Label::new("grass"), Label::new("ball")]);
-        let mut r = rng();
+        let (mut r, mut expected) = (rng(), rng());
         assert_eq!(b.next_answer(&t, &v, &taboo, &mut r), Answer::Pass);
+        // ... after exactly the 8 rejected draws.
+        for _ in 0..8 {
+            t.sample(&mut expected);
+        }
+        assert_eq!(r.next_u64(), expected.next_u64());
+    }
+
+    /// The rejection loop `honest_answer` replaced, kept as its oracle: it
+    /// clones and looks up every drawn label.
+    fn reference_honest_answer<R: Rng + ?Sized>(
+        truth: &LabelDistribution,
+        taboo: &TabooList,
+        rng: &mut R,
+    ) -> Answer {
+        for _ in 0..8 {
+            let l = truth.sample(rng);
+            if !taboo.contains(&l) {
+                return Answer::Text(l);
+            }
+        }
+        if truth.labels().iter().all(|l| taboo.contains(l)) {
+            Answer::Pass
+        } else {
+            truth
+                .labels()
+                .iter()
+                .find(|l| !taboo.contains(l))
+                .map(|l| Answer::Text(l.clone()))
+                .unwrap_or(Answer::Pass)
+        }
+    }
+
+    /// `Behavior::next_answer` for the honest family, over the oracle loop.
+    fn reference_next_answer<R: Rng + ?Sized>(
+        behavior: &Behavior,
+        truth: &LabelDistribution,
+        vocab: &Vocabulary,
+        taboo: &TabooList,
+        rng: &mut R,
+    ) -> Answer {
+        match behavior {
+            Behavior::Honest => reference_honest_answer(truth, taboo, rng),
+            Behavior::Noisy { error_rate } => {
+                if rng.gen::<f64>() < *error_rate {
+                    Answer::Text(vocab.sample(rng))
+                } else {
+                    reference_honest_answer(truth, taboo, rng)
+                }
+            }
+            Behavior::Lazy { pass_rate } => {
+                if rng.gen::<f64>() < *pass_rate {
+                    Answer::Pass
+                } else {
+                    reference_honest_answer(truth, taboo, rng)
+                }
+            }
+            other => panic!("not an honest-family behaviour: {other:?}"),
+        }
+    }
+
+    /// Support labels are drawn from the front of the pool; the rest are
+    /// taboo words outside every support.
+    const POOL: [&str; 12] = [
+        "dog", "grass", "ball", "sky", "tree", "car", "house", "cat", "river", "moon", "road",
+        "lamp",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn honest_family_matches_the_reference_loop(
+            raw_weights in prop::collection::vec(0.0f64..1.0, 1..=8),
+            taboo_kind in 0u8..4,
+            mask in any::<u16>(),
+            seed in any::<u64>(),
+            kind in 0u8..3,
+            rate in 0.0f64..1.0,
+        ) {
+            // Some zero weights: labels the draws never reach but the
+            // fallback can still return.
+            let weights: Vec<f64> = raw_weights
+                .iter()
+                .map(|&w| if w < 0.15 { 0.0 } else { w })
+                .collect();
+            prop_assume!(weights.iter().sum::<f64>() > 0.0);
+            let support: Vec<Label> = POOL[..weights.len()].iter().map(|w| Label::new(w)).collect();
+            let truth = LabelDistribution::new(
+                support.iter().cloned().zip(weights.iter().copied()).collect(),
+            )
+            .unwrap();
+            let outside = POOL[8..].iter().map(|w| Label::new(w));
+            let taboo = match taboo_kind {
+                0 => TabooList::new(),
+                1 => TabooList::from_labels(support.iter().cloned()),
+                2 => TabooList::from_labels(
+                    POOL.iter()
+                        .enumerate()
+                        .filter(|(i, _)| mask & (1 << i) != 0)
+                        .map(|(_, w)| Label::new(w)),
+                ),
+                _ => TabooList::from_labels(support.iter().cloned().chain(outside)),
+            };
+            let behavior = match kind {
+                0 => Behavior::Honest,
+                1 => Behavior::Noisy { error_rate: rate },
+                _ => Behavior::Lazy { pass_rate: rate },
+            };
+            let v = vocab();
+            let mut b = behavior.clone();
+            let (mut fast, mut slow) = (
+                rand::rngs::StdRng::seed_from_u64(seed),
+                rand::rngs::StdRng::seed_from_u64(seed),
+            );
+            for _ in 0..4 {
+                let got = b.next_answer(&truth, &v, &taboo, &mut fast);
+                let want = reference_next_answer(&behavior, &truth, &v, &taboo, &mut slow);
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(fast.next_u64(), slow.next_u64());
+            }
+        }
     }
 
     #[test]

@@ -193,7 +193,14 @@ impl LabelDistribution {
 
     /// Samples one truthful label.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Label {
-        self.labels[self.dist.sample(rng)].clone()
+        self.labels[self.sample_index(rng)].clone()
+    }
+
+    /// Draws the position in [`labels`](LabelDistribution::labels) of one
+    /// truthful label: the one draw [`sample`](LabelDistribution::sample)
+    /// makes, so both consume the same randomness, but nothing is cloned.
+    pub(crate) fn sample_index<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+        self.dist.sample(rng)
     }
 
     /// Jaccard-style overlap with another distribution's support — how
