@@ -5,7 +5,9 @@
 //! `esp/full_session` plays a fresh world. `esp/saturated_session` first
 //! promotes every truth label, so every label is taboo and each honest
 //! answer draws against a fully taboo support: the regime of a world near
-//! capacity, where most rounds end in passes.
+//! capacity, where most rounds end in passes. `esp/no_taboo_session` turns
+//! taboo words off, so honest players always type and rounds end in
+//! matches: the regime where every round grows its guess buffers.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hc_core::prelude::*;
@@ -14,12 +16,21 @@ use hc_games::{esp::play_esp_session, EspWorld, SessionParams, WorldConfig};
 use rand::SeedableRng;
 use std::hint::black_box;
 
-fn bench_esp_sessions(c: &mut Criterion, name: &str, saturated: bool) {
+/// The taboo state the timed sessions play against.
+#[derive(Clone, Copy, PartialEq)]
+enum Regime {
+    Fresh,
+    Saturated,
+    NoTaboo,
+}
+
+fn bench_esp_sessions(c: &mut Criterion, name: &str, regime: Regime) {
     c.bench_function(name, |b| {
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         let world = EspWorld::generate(&WorldConfig::small(), &mut rng);
         let mut platform = Platform::new(PlatformConfig {
             gold_injection_rate: 0.0,
+            taboo_words_enabled: regime != Regime::NoTaboo,
             ..PlatformConfig::default()
         })
         .unwrap();
@@ -28,7 +39,7 @@ fn bench_esp_sessions(c: &mut Criterion, name: &str, saturated: bool) {
             .mix(ArchetypeMix::all_honest())
             .build(&mut rng);
         let (left, right) = (platform.register_player(), platform.register_player());
-        if saturated {
+        if regime == Regime::Saturated {
             for task in tasks {
                 let truth = world.truth_for_task(task).unwrap();
                 for label in truth.labels() {
@@ -59,8 +70,9 @@ fn bench_esp_sessions(c: &mut Criterion, name: &str, saturated: bool) {
 }
 
 fn bench_session(c: &mut Criterion) {
-    bench_esp_sessions(c, "esp/full_session", false);
-    bench_esp_sessions(c, "esp/saturated_session", true);
+    bench_esp_sessions(c, "esp/full_session", Regime::Fresh);
+    bench_esp_sessions(c, "esp/saturated_session", Regime::Saturated);
+    bench_esp_sessions(c, "esp/no_taboo_session", Regime::NoTaboo);
 }
 
 criterion_group!(benches, bench_session);

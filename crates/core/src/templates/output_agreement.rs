@@ -89,33 +89,19 @@ pub struct OutputAgreementRound {
 
 impl OutputAgreementRound {
     /// Starts a round on `task` with the given taboo list and time limit.
-    /// The clock starts at the first submission.
+    /// The clock starts at the first submission. Nothing is allocated
+    /// until a seat's first text guess, so a round that ends in passes
+    /// (most rounds in a world near capacity) never allocates guesses.
     #[must_use]
     pub fn new(task: TaskId, taboo: TabooList, time_limit: SimDuration) -> Self {
-        Self::with_guess_capacity(task, taboo, time_limit, 0)
-    }
-
-    /// Like [`Self::new`], but pre-sizes the per-seat guess vectors and
-    /// membership sets for `per_seat` expected guesses, so a round played
-    /// inside a hot loop never reallocates mid-round.
-    #[must_use]
-    pub fn with_guess_capacity(
-        task: TaskId,
-        taboo: TabooList,
-        time_limit: SimDuration,
-        per_seat: usize,
-    ) -> Self {
         OutputAgreementRound {
             task,
             taboo,
             deadline: SimTime::MAX,
             started: SimTime::ZERO,
             started_set: false,
-            guesses: [Vec::with_capacity(per_seat), Vec::with_capacity(per_seat)],
-            guess_sets: [
-                DetSet::with_capacity(per_seat),
-                DetSet::with_capacity(per_seat),
-            ],
+            guesses: [Vec::new(), Vec::new()],
+            guess_sets: [DetSet::new(), DetSet::new()],
             passed: [false, false],
             taboo_rejections: 0,
             agreed: None,

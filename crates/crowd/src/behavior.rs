@@ -183,28 +183,34 @@ fn spammer_answer(labels: &[Label], cursor: &mut usize) -> Answer {
 /// support is taboo.
 ///
 /// RNG contract: one `DiscreteDist::sample` per attempt, at most 8,
-/// stopping at the first non-taboo label, and no other draw. These are the
-/// draws of the plain rejection loop the tests keep as the oracle, so
-/// every stream after an answer (and every result byte) is what that loop
-/// left.
+/// stopping at the first non-taboo label, and no other draw: the draws of
+/// the rejection loop the tests keep as the oracle, so every stream after
+/// an answer (and every result byte) is what that loop left.
 ///
-/// Exhausting the 8 draws is not a rare unlucky streak. Once a stimulus's
-/// labels are verified they are all taboo, and in a world near capacity
-/// most honest answers end that way. So each label's taboo status is
-/// looked up once per call, a draw only reads its flag, and only the
-/// returned label is cloned.
+/// In a world near capacity most answers find every truth label taboo.
+/// Then no draw can land and only their RNG use is owed: a `sample_index`
+/// is one `rng.gen::<f64>()` plus a CDF search, so 8 bare `f64` draws
+/// leave the stream where the loop's 8 rejected draws leave it. Otherwise
+/// each label's taboo status is looked up into a mask, a draw only reads
+/// its flag, and only the returned label is cloned.
 fn honest_answer<R: Rng + ?Sized>(
     truth: &LabelDistribution,
     taboo: &hc_core::TabooList,
     rng: &mut R,
 ) -> Answer {
     let labels = truth.labels();
+    let Some(first_free) = labels.iter().position(|l| !taboo.contains(l)) else {
+        for _ in 0..8 {
+            rng.gen::<f64>();
+        }
+        return Answer::Pass;
+    };
     let free: Vec<bool> = labels.iter().map(|l| !taboo.contains(l)).collect();
     let pick = (0..8)
         .map(|_| truth.sample_index(rng))
         .find(|&i| free[i])
-        .or_else(|| free.iter().position(|&f| f));
-    pick.map_or(Answer::Pass, |i| Answer::Text(labels[i].clone()))
+        .unwrap_or(first_free);
+    Answer::Text(labels[pick].clone())
 }
 
 #[cfg(test)]

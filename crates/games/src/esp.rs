@@ -216,8 +216,7 @@ pub(crate) fn play_live_round<R: Rng + ?Sized>(
     let PlannedRound { task, taboo, .. } = planned;
     let (now, limit) = (play.now(), play.round_limit());
     let deadline = now + limit;
-    let mut round =
-        OutputAgreementRound::with_guess_capacity(task, taboo, limit, MAX_GUESSES_PER_SEAT);
+    let mut round = OutputAgreementRound::new(task, taboo, limit);
     let mut cursors = [now, now];
     let mut guesses_left = [MAX_GUESSES_PER_SEAT; 2];
     let mut left_trace: Vec<(SimDuration, Label)> = Vec::new();
@@ -319,8 +318,7 @@ pub(crate) fn play_replay_round<R: Rng + ?Sized>(
     let deadline = now + limit;
     let player = profile.id;
     let recorded_player = recording.as_ref().map(|r| r.recorded_player);
-    let mut round =
-        OutputAgreementRound::with_guess_capacity(task, taboo, limit, MAX_GUESSES_PER_SEAT);
+    let mut round = OutputAgreementRound::new(task, taboo, limit);
     // The recorded partner's answers as a schedule; pop() from the back
     // is chronological order.
     let mut bot_events: Vec<(SimTime, Label)> = recording
