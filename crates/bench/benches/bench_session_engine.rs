@@ -8,21 +8,32 @@
 //! capacity, where most rounds end in passes. `esp/no_taboo_session` turns
 //! taboo words off, so honest players always type and rounds end in
 //! matches: the regime where every round grows its guess buffers.
+//! `esp/replay_session` seats a third player against the recordings that
+//! live sessions between the other two left: the replay half of the ESP
+//! round, where the right seat's answers come from a recording.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hc_core::prelude::*;
 use hc_crowd::{ArchetypeMix, PopulationBuilder};
-use hc_games::{esp::play_esp_session, EspWorld, SessionParams, WorldConfig};
+use hc_games::{
+    esp::{play_esp_replay_session, play_esp_session},
+    EspWorld, SessionParams, WorldConfig,
+};
 use rand::SeedableRng;
 use std::hint::black_box;
 
-/// The taboo state the timed sessions play against.
+/// What the timed sessions play against.
 #[derive(Clone, Copy, PartialEq)]
 enum Regime {
     Fresh,
     Saturated,
     NoTaboo,
+    Replay,
 }
+
+/// Live sessions between the two players that seed the replay store
+/// before `esp/replay_session` times anything.
+const SEEDING_SESSIONS: u64 = 8;
 
 fn bench_esp_sessions(c: &mut Criterion, name: &str, regime: Regime) {
     c.bench_function(name, |b| {
@@ -35,10 +46,11 @@ fn bench_esp_sessions(c: &mut Criterion, name: &str, regime: Regime) {
         })
         .unwrap();
         let tasks = world.register_tasks(&mut platform);
-        let mut pop = PopulationBuilder::new(2)
+        let mut pop = PopulationBuilder::new(3)
             .mix(ArchetypeMix::all_honest())
             .build(&mut rng);
         let (left, right) = (platform.register_player(), platform.register_player());
+        let third = platform.register_player();
         if regime == Regime::Saturated {
             for task in tasks {
                 let truth = world.truth_for_task(task).unwrap();
@@ -55,14 +67,30 @@ fn bench_esp_sessions(c: &mut Criterion, name: &str, regime: Regime) {
         }
         let mut sid = 0u64;
         let mut t0 = 0u64;
+        let mut live = |platform: &mut Platform, rng: &mut rand::rngs::StdRng| {
+            sid += 1;
+            t0 += 1_000;
+            let params =
+                SessionParams::pair(left, right, SessionId::new(sid), SimTime::from_secs(t0));
+            play_esp_session(platform, &world, &mut pop, params, rng)
+        };
+        if regime != Regime::Replay {
+            b.iter(|| black_box(live(&mut platform, &mut rng)));
+            return;
+        }
+        for _ in 0..SEEDING_SESSIONS {
+            live(&mut platform, &mut rng);
+        }
+        assert_eq!(platform.replay().covered_tasks(), world.len());
         b.iter(|| {
             sid += 1;
             t0 += 1_000;
-            black_box(play_esp_session(
+            let params = SessionParams::solo(third, SessionId::new(sid), SimTime::from_secs(t0));
+            black_box(play_esp_replay_session(
                 &mut platform,
                 &world,
                 &mut pop,
-                SessionParams::pair(left, right, SessionId::new(sid), SimTime::from_secs(t0)),
+                params,
                 &mut rng,
             ))
         });
@@ -73,6 +101,7 @@ fn bench_session(c: &mut Criterion) {
     bench_esp_sessions(c, "esp/full_session", Regime::Fresh);
     bench_esp_sessions(c, "esp/saturated_session", Regime::Saturated);
     bench_esp_sessions(c, "esp/no_taboo_session", Regime::NoTaboo);
+    bench_esp_sessions(c, "esp/replay_session", Regime::Replay);
 }
 
 criterion_group!(benches, bench_session);

@@ -7,15 +7,18 @@
 //! 1. [`EspWorld`] — the image world (stimulus truths + task registration).
 //! 2. [`play_esp_session`] / [`play_esp_replay_session`] — drive one
 //!    session between two live players (or one player and a recorded
-//!    partner): each round is planned from the platform, played answer
-//!    by answer through the `hc-core` round state machine, and its
-//!    agreements and recording applied to the verification pipeline.
+//!    partner): each round is planned from the platform by
+//!    `shard::plan_round`, played answer by answer through the `hc-core`
+//!    round state machine, and its agreements and recording applied to
+//!    the verification pipeline.
 //!
-//! Each kind of round is played by one function, `play_live_round` or
-//! `play_replay_round`. The sharded campaign
+//! One function, `play_esp_round`, plays every round. Its left seat is a
+//! live player; its right seat is either a second live player or the
+//! planned recording replaying at its recorded offsets (no recording
+//! seeds one). The sharded campaign
 //! ([`EspShardGame`](crate::shard::EspShardGame)) plays its hub-planned
-//! rounds with the same two functions. Sessions keep their clock, score
-//! and streak in the session loop every game shares
+//! rounds with the same function. Sessions keep their clock, score and
+//! streak in the session loop every game shares
 //! ([`params`](crate::params)).
 //!
 //! The full event-driven deployment — Poisson player sittings, random
@@ -25,7 +28,7 @@
 //! [`EspDriver`](crate::campaign::EspDriver).
 
 use crate::params::{trace_session, SessionParams, SessionPlay};
-use crate::shard::{apply_round, PlannedRound, PlayedRound};
+use crate::shard::{apply_round, plan_round, PlannedRound, PlayedRound};
 use crate::world::{BaseWorld, WorldConfig};
 use hc_core::prelude::*;
 use hc_crowd::{LabelDistribution, PlayerProfile, Population};
@@ -134,23 +137,16 @@ pub fn play_esp_session<R: Rng + ?Sized>(
     let cfg = platform.config().session;
     let mut play = SessionPlay::begin(params, cfg, cfg.score_rule);
     while play.can_play_more() {
-        let Some(task) = platform.next_task_for(&params.seats, rng) else {
+        let Some(planned) = plan_round(platform, &params.seats, rng) else {
             break;
         };
-        platform.record_served(task, &params.seats);
-        let taboo = platform.taboo_for(task);
-        let Some(truth) = world.truth_for_task(task) else {
+        let Some(truth) = world.truth_for_task(planned.task) else {
             break;
         };
         let (pa, pb) = population
             .get_pair_mut(left, right)
             .expect("both players exist and are distinct"); // hc-analyze: allow(P1): callers pass two distinct registered ids
-        let planned = PlannedRound {
-            task,
-            taboo,
-            recording: None,
-        };
-        let round = play_live_round(world, &mut play, planned, truth, [pa, pb], rng);
+        let round = play_esp_round(world, &mut play, planned, truth, pa, Some(pb), rng);
         apply_round(platform, round);
     }
     let transcript = play.finish();
@@ -175,22 +171,14 @@ pub fn play_esp_replay_session<R: Rng + ?Sized>(
     // player, and its recorded identity only enters pair accounting.
     let mut play = SessionPlay::begin(params, cfg, cfg.score_rule);
     while play.can_play_more() {
-        let Some(task) = platform.next_task_for(&[player], rng) else {
+        let Some(planned) = plan_round(platform, &[player], rng) else {
             break;
         };
-        platform.record_served(task, &[player]);
-        let taboo = platform.taboo_for(task);
-        let Some(truth) = world.truth_for_task(task) else {
+        let Some(truth) = world.truth_for_task(planned.task) else {
             break;
         };
-        let recording = platform.replay().sample(task, rng).cloned();
         let profile = population.get_mut(player).expect("player exists"); // hc-analyze: allow(P1): callers pass a registered id
-        let planned = PlannedRound {
-            task,
-            taboo,
-            recording,
-        };
-        let round = play_replay_round(world, &mut play, planned, truth, profile, rng);
+        let round = play_esp_round(world, &mut play, planned, truth, profile, None, rng);
         apply_round(platform, round);
     }
     // Replay sessions deliberately bypass `record_session` (which assumes
@@ -202,111 +190,87 @@ pub fn play_esp_replay_session<R: Rng + ?Sized>(
     transcript
 }
 
-/// Plays one live round: the seat whose next answer comes first types
-/// it, until the seats agree, both pass, both run out of guesses or the
-/// round times out. The left seat's answers are kept for replay bots.
-pub(crate) fn play_live_round<R: Rng + ?Sized>(
-    world: &EspWorld,
-    play: &mut SessionPlay,
-    planned: PlannedRound,
-    truth: &LabelDistribution,
-    mut profiles: [&mut PlayerProfile; 2],
-    rng: &mut R,
-) -> PlayedRound {
-    let PlannedRound { task, taboo, .. } = planned;
-    let (now, limit) = (play.now(), play.round_limit());
-    let deadline = now + limit;
-    let mut round = OutputAgreementRound::new(task, taboo, limit);
-    let mut cursors = [now, now];
-    let mut guesses_left = [MAX_GUESSES_PER_SEAT; 2];
-    let mut left_trace: Vec<(SimDuration, Label)> = Vec::new();
-    let mut matched_label: Option<Label> = None;
-    let mut end = deadline;
+/// One seat of an ESP round: a live player who draws each answer on its
+/// turn, or a recorded partner whose answers replay at fixed times.
+enum EspSeat<'p> {
+    Live {
+        profile: &'p mut PlayerProfile,
+        /// Time of the seat's last answer (the round start before any).
+        cursor: SimTime,
+        guesses_left: usize,
+    },
+    /// Recorded answers, latest first: `pop` is chronological.
+    Recorded(Vec<(SimTime, Label)>),
+}
 
-    loop {
-        // The seat whose next action is earliest moves.
-        let seat_idx = if cursors[0] <= cursors[1] { 0 } else { 1 };
-        // hc-analyze: allow(P1): seat_idx is 0 or 1 by construction
-        if guesses_left[seat_idx] == 0 && guesses_left[1 - seat_idx] == 0 {
-            break;
-        }
-        if guesses_left[seat_idx] == 0 {
-            cursors[seat_idx] = SimTime::MAX; // seat exhausted; let other play
-            continue;
-        }
-        let profile = &mut profiles[seat_idx];
-        let answer = profile
-            .behavior
-            .next_answer(truth, world.vocabulary(), round.taboo(), rng);
-        cursors[seat_idx] += profile.response.sample(answer.as_text(), rng);
-        guesses_left[seat_idx] -= 1;
-        let at = cursors[seat_idx];
-        if at > deadline {
-            end = deadline;
-            break;
-        }
-        let seat = if seat_idx == 0 {
-            Seat::Left
-        } else {
-            Seat::Right
-        };
-        if seat == Seat::Left {
-            if let Answer::Text(l) = &answer {
-                left_trace.push((at.saturating_since(now), l.clone()));
-            }
-        }
-        match round.submit(seat, answer, at) {
-            SubmitOutcome::Matched(label) => {
-                matched_label = label;
-                end = at;
-                break;
-            }
-            SubmitOutcome::BothPassed => {
-                end = at;
-                break;
-            }
-            SubmitOutcome::RoundOver => {
-                end = deadline;
-                break;
-            }
-            _ => {}
+impl EspSeat<'_> {
+    fn live(profile: &mut PlayerProfile, now: SimTime) -> EspSeat<'_> {
+        EspSeat::Live {
+            profile,
+            cursor: now,
+            guesses_left: MAX_GUESSES_PER_SEAT,
         }
     }
 
-    let result = round.finish(end);
-    let matched = result.is_match();
-    let [left, right] = [profiles[0].id, profiles[1].id];
-    let agreements = matched_label
-        .or(result.agreed_label)
-        .map(|label| (label, left, right))
-        .into_iter()
-        .collect();
-    let recording = (!left_trace.is_empty()).then(|| RecordedRound::new(task, left, left_trace));
-    let duration = end.saturating_since(now);
-    play.record(
-        TemplateKind::OutputAgreement,
-        task,
-        matched,
-        u32::from(matched),
-        duration,
-        end + INTER_ROUND_GAP,
-    );
-    PlayedRound {
-        task,
-        agreements,
-        recording,
+    /// When the seat moves next: a live seat's last answer time (its think
+    /// time is drawn on its turn), a recording's next answer time, or
+    /// `SimTime::MAX` once the seat has nothing left to say.
+    fn next_at(&self) -> SimTime {
+        match self {
+            EspSeat::Live {
+                cursor,
+                guesses_left: 1..,
+                ..
+            } => *cursor,
+            EspSeat::Live { .. } => SimTime::MAX,
+            EspSeat::Recorded(events) => events.last().map_or(SimTime::MAX, |(t, _)| *t),
+        }
+    }
+
+    /// The seat's next answer and when it lands. Call only while
+    /// [`next_at`](Self::next_at) is before `SimTime::MAX`.
+    fn answer<R: Rng + ?Sized>(
+        &mut self,
+        world: &EspWorld,
+        truth: &LabelDistribution,
+        taboo: &TabooList,
+        rng: &mut R,
+    ) -> (SimTime, Answer) {
+        match self {
+            EspSeat::Live {
+                profile,
+                cursor,
+                guesses_left,
+            } => {
+                let answer = profile
+                    .behavior
+                    .next_answer(truth, world.vocabulary(), taboo, rng);
+                *cursor += profile.response.sample(answer.as_text(), rng);
+                *guesses_left -= 1;
+                (*cursor, answer)
+            }
+            EspSeat::Recorded(events) => {
+                let (at, label) = events.pop().expect("a recorded answer is due"); // hc-analyze: allow(P1): called only while next_at found an event
+                (at, Answer::Text(label))
+            }
+        }
     }
 }
 
-/// Plays one round of a human against a recorded partner: the recording's
-/// answers replay at their recorded offsets while the human types. Without
-/// a recording the round only seeds one (nothing can be verified).
-pub(crate) fn play_replay_round<R: Rng + ?Sized>(
+/// Plays one ESP round: the seat whose next answer comes first types it
+/// (the left seat on ties), until the seats agree, both pass, both run out
+/// of answers or the round times out. The left seat is a live player. The
+/// right seat is the live `right` player, or without one the planned
+/// recording replaying at its recorded offsets; without a recording either
+/// the round only seeds one (nothing can be verified). The left seat's
+/// answers are kept for future replays.
+pub(crate) fn play_esp_round<R: Rng + ?Sized>(
     world: &EspWorld,
     play: &mut SessionPlay,
     planned: PlannedRound,
     truth: &LabelDistribution,
-    profile: &mut PlayerProfile,
+    left: &mut PlayerProfile,
+    right: Option<&mut PlayerProfile>,
     rng: &mut R,
 ) -> PlayedRound {
     let PlannedRound {
@@ -316,43 +280,37 @@ pub(crate) fn play_replay_round<R: Rng + ?Sized>(
     } = planned;
     let (now, limit) = (play.now(), play.round_limit());
     let deadline = now + limit;
-    let player = profile.id;
-    let recorded_player = recording.as_ref().map(|r| r.recorded_player);
+    let player = left.id;
+    let (partner, right) = match right {
+        Some(profile) => (Some(profile.id), EspSeat::live(profile, now)),
+        None => {
+            let partner = recording.as_ref().map(|r| r.recorded_player);
+            let mut events: Vec<(SimTime, Label)> = recording
+                .map(|r| r.events.into_iter().map(|(d, l)| (now + d, l)).collect())
+                .unwrap_or_default();
+            events.reverse();
+            (partner, EspSeat::Recorded(events))
+        }
+    };
+    let mut seats = [EspSeat::live(left, now), right];
     let mut round = OutputAgreementRound::new(task, taboo, limit);
-    // The recorded partner's answers as a schedule; pop() from the back
-    // is chronological order.
-    let mut bot_events: Vec<(SimTime, Label)> = recording
-        .map(|r| r.events.into_iter().map(|(d, l)| (now + d, l)).collect())
-        .unwrap_or_default();
-    bot_events.reverse();
-
-    let mut cursor = now;
-    let mut guesses_left = MAX_GUESSES_PER_SEAT;
     let mut trace: Vec<(SimDuration, Label)> = Vec::new();
     let mut matched_label: Option<Label> = None;
-    let mut end = deadline;
 
-    loop {
-        let next_bot = bot_events.last().map(|(t, _)| *t).unwrap_or(SimTime::MAX);
-        let human_turn = cursor <= next_bot && guesses_left > 0;
-        if !human_turn && next_bot == SimTime::MAX {
-            break; // both sides exhausted
+    // The loop's value is the time the round ends.
+    let end = loop {
+        let due = [seats[0].next_at(), seats[1].next_at()];
+        if due == [SimTime::MAX; 2] {
+            break deadline; // both seats are out of answers
         }
-        let (seat, at, answer) = if human_turn {
-            let answer =
-                profile
-                    .behavior
-                    .next_answer(truth, world.vocabulary(), round.taboo(), rng);
-            cursor += profile.response.sample(answer.as_text(), rng);
-            guesses_left -= 1;
-            (Seat::Left, cursor, answer)
+        let (idx, seat) = if due[0] <= due[1] {
+            (0, Seat::Left)
         } else {
-            let (t, l) = bot_events.pop().expect("checked non-empty"); // hc-analyze: allow(P1): branch taken only when bot_events is non-empty
-            (Seat::Right, t, Answer::Text(l))
+            (1, Seat::Right)
         };
+        let (at, answer) = seats[idx].answer(world, truth, round.taboo(), rng);
         if at > deadline {
-            end = deadline;
-            break;
+            break deadline;
         }
         if seat == Seat::Left {
             if let Answer::Text(l) = &answer {
@@ -362,26 +320,19 @@ pub(crate) fn play_replay_round<R: Rng + ?Sized>(
         match round.submit(seat, answer, at) {
             SubmitOutcome::Matched(label) => {
                 matched_label = label;
-                end = at;
-                break;
+                break at;
             }
-            SubmitOutcome::BothPassed => {
-                end = at;
-                break;
-            }
-            SubmitOutcome::RoundOver => {
-                end = deadline;
-                break;
-            }
+            SubmitOutcome::BothPassed => break at,
+            SubmitOutcome::RoundOver => break deadline,
             _ => {}
         }
-    }
+    };
 
     let result = round.finish(end);
     let matched = result.is_match();
     let agreements = matched_label
         .or(result.agreed_label)
-        .zip(recorded_player)
+        .zip(partner)
         .map(|(label, partner)| (label, player, partner))
         .into_iter()
         .collect();

@@ -9,6 +9,7 @@
 //! the true object box.
 
 use crate::params::{SessionParams, SessionPlay};
+use crate::shard::plan_round;
 use crate::world::WorldConfig;
 use hc_core::prelude::*;
 use hc_crowd::{LabelDistribution, Population, Vocabulary};
@@ -167,10 +168,9 @@ pub fn play_peekaboom_session<R: Rng + ?Sized>(
     let mut outputs = PeekaboomOutputs::default();
     while play.can_play_more() {
         let now = play.now();
-        let Some(task) = platform.next_task_for(&params.seats, rng) else {
+        let Some(task) = plan_round(platform, &params.seats, rng).map(|p| p.task) else {
             break;
         };
-        platform.record_served(task, &params.seats);
         let Some(object) = world.object_for_task(task).cloned() else {
             break;
         };

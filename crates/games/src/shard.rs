@@ -41,8 +41,9 @@
 //! The hub *plans* sessions (task selection, taboo lists, replay
 //! recordings — everything that reads platform state) and *applies*
 //! outcomes in session-id order; shards *play* them purely from the
-//! plan. A shard plays each round with the game's one round function
-//! (`esp::play_live_round`, `esp::play_replay_round`,
+//! plan. Every round, hub-planned or serial, is planned by one function,
+//! `plan_round`. A shard plays each round with the game's one round
+//! function (`esp::play_esp_round` for live and replayed partners alike,
 //! `verbosity::play_verbosity_round`) — the same function the serial
 //! session functions call — inside the same session loop
 //! ([`params`](crate::params)), and the hub applies its effects through
@@ -65,7 +66,7 @@
 //! `K`-invariant.
 
 use crate::campaign::CampaignReport;
-use crate::esp::{play_live_round, play_replay_round};
+use crate::esp::play_esp_round;
 use crate::params::{SessionParams, SessionPlay};
 use crate::verbosity::play_verbosity_round;
 use crate::world::{verified_precision, WorldConfig};
@@ -115,10 +116,8 @@ pub struct SessionJob {
     pub sid: SessionId,
     /// Simulated start time.
     pub start: SimTime,
-    /// Seated players (`[p, p]` for solo sessions).
+    /// Seated players; a solo (replay-rescue) session seats `[p, p]`.
     pub seats: [PlayerId; 2],
-    /// `true` for a replay/give-up-rescue solo session.
-    pub solo: bool,
     /// Owned profiles travelling with the job (2 live, 1 solo).
     pub profiles: Vec<PlayerProfile>,
     /// Hub-planned rounds, in play order.
@@ -155,6 +154,30 @@ pub fn apply_round(platform: &mut Platform, round: PlayedRound) {
     if let Some(rec) = round.recording {
         platform.replay_mut().record(rec);
     }
+}
+
+/// Plans one round for `seats`, reading everything it needs from the
+/// platform: the next task (marked served), its taboo list and, when one
+/// seat plays alone against replays, a recording of that task to play
+/// against (`None` seeds one). `None` when no task is servable. The hub
+/// plans a session's rounds up front with it; a serial session plans each
+/// round just before playing it.
+pub(crate) fn plan_round<R: Rng + ?Sized>(
+    platform: &mut Platform,
+    seats: &[PlayerId],
+    rng: &mut R,
+) -> Option<PlannedRound> {
+    let task = platform.next_task_for(seats, rng)?;
+    platform.record_served(task, seats);
+    let recording = match seats {
+        [_] => platform.replay().sample(task, rng).cloned(),
+        _ => None,
+    };
+    Some(PlannedRound {
+        task,
+        taboo: platform.taboo_for(task),
+        recording,
+    })
 }
 
 /// Plays a hub-planned session: `round` plays each planned round in turn
@@ -215,10 +238,9 @@ pub enum CampaignMsg {
     },
     /// A planned session to execute (hub → shard `sid % K`).
     Play(Box<SessionJob>),
-    /// A finished session's outcome (playing shard → hub).
+    /// A finished session's outcome (playing shard → hub); a solo
+    /// session's transcript seats the same player twice.
     Done {
-        /// Whether this was a solo (replay-rescue) session.
-        solo: bool,
         /// Transcript and effects.
         outcome: Box<PlayedSession>,
     },
@@ -617,7 +639,6 @@ impl<D: ShardGame> ShardedCampaign<D> {
                 sid,
                 start: at,
                 seats,
-                solo: false,
                 profiles: vec![waiter, arriver],
                 rounds,
             },
@@ -638,9 +659,10 @@ impl<D: ShardGame> ShardedCampaign<D> {
     }
 
     /// Hub-side: applies a finished session's effects in play order.
-    fn apply_done(&mut self, solo: bool, outcome: PlayedSession) {
+    fn apply_done(&mut self, outcome: PlayedSession) {
         self.in_flight -= 1;
         let transcript = &outcome.transcript;
+        let solo = transcript.players[0] == transcript.players[1];
         self.platform.set_time(transcript.ended);
         for round in outcome.rounds {
             apply_round(&mut self.platform, round);
@@ -699,7 +721,6 @@ impl<D: ShardGame> ShardedCampaign<D> {
                         sid,
                         start: at,
                         seats: [p, p],
-                        solo: true,
                         profiles: vec![profile],
                         rounds,
                     },
@@ -749,7 +770,6 @@ impl<D: ShardGame> ShardWorkload for ShardedCampaign<D> {
                         end,
                         u128::from(job.sid.raw()),
                         CampaignMsg::Done {
-                            solo: job.solo,
                             outcome: Box::new(outcome),
                         },
                     );
@@ -894,7 +914,7 @@ impl<D: ShardGame> ShardWorkload for ShardedCampaign<D> {
         let processed = inbox.len() as u64;
         for (at, msg) in inbox {
             match msg {
-                CampaignMsg::Done { solo, outcome } => self.apply_done(solo, *outcome),
+                CampaignMsg::Done { outcome } => self.apply_done(*outcome),
                 CampaignMsg::Paired {
                     waiter,
                     arriver,
@@ -958,7 +978,7 @@ impl ShardGame for EspShardGame {
         seats: [PlayerId; 2],
         rng: &mut SimRng,
     ) -> Vec<PlannedRound> {
-        plan_rounds(platform, &seats, rng, false)
+        plan_rounds(platform, &seats, rng)
     }
 
     fn plan_solo(
@@ -967,7 +987,7 @@ impl ShardGame for EspShardGame {
         player: PlayerId,
         rng: &mut SimRng,
     ) -> Option<Vec<PlannedRound>> {
-        Some(plan_rounds(platform, &[player], rng, true))
+        Some(plan_rounds(platform, &[player], rng))
     }
 
     fn play(
@@ -980,18 +1000,14 @@ impl ShardGame for EspShardGame {
         let (world, seats) = (&self.world, job.seats);
         play_planned(job, seats, cfg, rule, |play, planned, profiles| {
             let truth = world.truth_for_task(planned.task)?;
-            match profiles {
-                [player] => Some(play_replay_round(world, play, planned, truth, player, rng)),
-                [left, right] => Some(play_live_round(
-                    world,
-                    play,
-                    planned,
-                    truth,
-                    [left, right],
-                    rng,
-                )),
-                _ => None,
-            }
+            let (left, right) = match profiles {
+                [player] => (player, None),
+                [left, right] => (left, Some(right)),
+                _ => return None,
+            };
+            Some(play_esp_round(
+                world, play, planned, truth, left, right, rng,
+            ))
         })
     }
 
@@ -1007,31 +1023,11 @@ impl ShardGame for EspShardGame {
 /// Plans up to `max_rounds` rounds for `seats`, marking tasks served.
 /// Over-planning is deliberate: the shard stops early when the session
 /// budget runs out, and the extra served marks are deterministic.
-fn plan_rounds(
-    platform: &mut Platform,
-    seats: &[PlayerId],
-    rng: &mut SimRng,
-    with_recordings: bool,
-) -> Vec<PlannedRound> {
-    let max_rounds = platform.config().session.max_rounds as usize;
-    let mut rounds = Vec::with_capacity(max_rounds);
-    for _ in 0..max_rounds {
-        let Some(task) = platform.next_task_for(seats, rng) else {
-            break;
-        };
-        platform.record_served(task, seats);
-        let recording = if with_recordings {
-            platform.replay().sample(task, rng).cloned()
-        } else {
-            None
-        };
-        rounds.push(PlannedRound {
-            task,
-            taboo: platform.taboo_for(task),
-            recording,
-        });
-    }
-    rounds
+fn plan_rounds(platform: &mut Platform, seats: &[PlayerId], rng: &mut SimRng) -> Vec<PlannedRound> {
+    let max_rounds = platform.config().session.max_rounds;
+    (0..max_rounds)
+        .map_while(|_| plan_round(platform, seats, rng))
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -1067,7 +1063,7 @@ impl ShardGame for VerbosityShardGame {
         seats: [PlayerId; 2],
         rng: &mut SimRng,
     ) -> Vec<PlannedRound> {
-        plan_rounds(platform, &seats, rng, false)
+        plan_rounds(platform, &seats, rng)
     }
 
     fn plan_solo(

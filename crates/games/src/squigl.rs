@@ -14,6 +14,7 @@
 //! intersection.
 
 use crate::params::{SessionParams, SessionPlay};
+use crate::shard::plan_round;
 use crate::world::WorldConfig;
 use hc_core::prelude::*;
 use hc_crowd::{Population, Vocabulary};
@@ -167,10 +168,9 @@ pub fn play_squigl_session<R: Rng + ?Sized>(
     let mut play = SessionPlay::begin(params, cfg, cfg.score_rule);
     let mut outputs = SquiglOutputs::default();
     while play.can_play_more() {
-        let Some(task) = platform.next_task_for(&params.seats, rng) else {
+        let Some(task) = plan_round(platform, &params.seats, rng).map(|p| p.task) else {
             break;
         };
-        platform.record_served(task, &params.seats);
         let Some(object) = world.object_for_task(task).cloned() else {
             break;
         };

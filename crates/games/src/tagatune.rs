@@ -13,6 +13,7 @@
 //! while the sharded campaign's `PlayedRound` carries one task.
 
 use crate::params::{trace_session, SessionParams, SessionPlay};
+use crate::shard::plan_round;
 use crate::world::{BaseWorld, WorldConfig};
 use hc_core::prelude::*;
 use hc_crowd::Population;
@@ -109,7 +110,7 @@ pub fn play_tagatune_session<R: Rng + ?Sized>(
     let mut play = SessionPlay::begin(params, cfg, cfg.score_rule);
     while play.can_play_more() {
         let now = play.now();
-        let Some(left_task) = platform.next_task_for(&params.seats, rng) else {
+        let Some(left_task) = plan_round(platform, &params.seats, rng).map(|p| p.task) else {
             break;
         };
         let same = rng.gen::<f64>() < p_same_round.clamp(0.0, 1.0);
@@ -123,7 +124,6 @@ pub fn play_tagatune_session<R: Rng + ?Sized>(
             }
             other
         };
-        platform.record_served(left_task, &params.seats);
         let (Some(truth_l), Some(truth_r)) = (
             world.truth_for_task(left_task),
             world.truth_for_task(right_task),

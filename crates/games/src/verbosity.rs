@@ -8,14 +8,15 @@
 //! probability rises with hints seen — the dynamic this module models
 //! explicitly.
 //!
-//! One function, `play_verbosity_round`, plays a round. The serial
-//! [`play_verbosity_session`] and the sharded
-//! [`VerbosityShardGame`](crate::shard::VerbosityShardGame) both call it,
-//! and both keep the session's clock, score and streak in the shared
-//! session loop ([`params`](crate::params)).
+//! One function, `play_verbosity_round`, plays a round, and
+//! `shard::plan_round` plans it. The serial [`play_verbosity_session`]
+//! and the sharded
+//! [`VerbosityShardGame`](crate::shard::VerbosityShardGame) both call
+//! them, and both keep the session's clock, score and streak in the
+//! shared session loop ([`params`](crate::params)).
 
 use crate::params::{trace_session, SessionParams, SessionPlay};
-use crate::shard::{apply_round, PlayedRound};
+use crate::shard::{apply_round, plan_round, PlayedRound};
 use crate::world::{BaseWorld, WorldConfig};
 use hc_core::prelude::*;
 use hc_crowd::{LabelDistribution, PlayerProfile, Population};
@@ -242,10 +243,9 @@ pub fn play_verbosity_session<R: Rng + ?Sized>(
     let cfg = platform.config().session;
     let mut play = SessionPlay::begin(params, cfg, cfg.score_rule);
     while play.can_play_more() {
-        let Some(task) = platform.next_task_for(&params.seats, rng) else {
+        let Some(task) = plan_round(platform, &params.seats, rng).map(|p| p.task) else {
             break;
         };
-        platform.record_served(task, &params.seats);
         let (Some(secret), Some(facts)) = (
             world.secret_for_task(task).cloned(),
             world.facts_for_task(task),

@@ -392,6 +392,71 @@ fn matchin_sessions(seed: u64) -> SessionsFingerprint {
     fp
 }
 
+fn esp_sessions(seed: u64) -> SessionsFingerprint {
+    let (mut platform, mut rng) = t1_setup(seed, "esp");
+    let world = EspWorld::generate(&WorldConfig::standard(), &mut rng);
+    world.register_tasks(&mut platform);
+    let mut pop = t1_population(&mut rng);
+    t1_sessions(&mut platform, &mut rng, |pf, p, r| {
+        let t = play_esp_session(pf, &world, &mut pop, p, r);
+        let outputs = t.candidate_outputs();
+        (t, outputs, String::new())
+    })
+}
+
+fn verbosity_sessions(seed: u64) -> SessionsFingerprint {
+    let (mut platform, mut rng) = t1_setup(seed, "verbosity");
+    let world = VerbosityWorld::generate(&WorldConfig::standard(), &mut rng);
+    world.register_tasks(&mut platform);
+    let mut pop = t1_population(&mut rng);
+    t1_sessions(&mut platform, &mut rng, |pf, p, r| {
+        let t = play_verbosity_session(pf, &world, &mut pop, p, r);
+        let outputs = t.candidate_outputs();
+        (t, outputs, String::new())
+    })
+}
+
+/// T1's pairings on the small world, with every third session handed to its
+/// left player alone, against the recordings the live sessions before it
+/// left (the small world is covered within a few sessions). Each replay
+/// session's output text is its rounds' coverage at session start, so the
+/// fingerprint pins which rounds replayed a recording and which seeded one;
+/// both kinds must occur.
+fn esp_replay_sessions(seed: u64) -> SessionsFingerprint {
+    let (mut platform, mut rng) = t1_setup(seed, "esp_replay");
+    let world = EspWorld::generate(&WorldConfig::small(), &mut rng);
+    world.register_tasks(&mut platform);
+    let mut pop = t1_population(&mut rng);
+    let mut kinds = [0u32; 2];
+    let fp = t1_sessions(&mut platform, &mut rng, |pf, p, r| {
+        if p.session_id.raw() % 3 != 2 {
+            let t = play_esp_session(pf, &world, &mut pop, p, r);
+            let outputs = t.candidate_outputs();
+            return (t, outputs, String::new());
+        }
+        let covered: Vec<bool> = (0..world.len() as u64)
+            .map(|i| pf.replay().has_recording(TaskId::new(i)))
+            .collect();
+        let solo = SessionParams::solo(p.left(), p.session_id, p.start);
+        let t = play_esp_replay_session(pf, &world, &mut pop, solo, r);
+        let replayed: Vec<bool> = t
+            .records
+            .iter()
+            .map(|rec| covered[rec.task.raw() as usize])
+            .collect();
+        for &k in &replayed {
+            kinds[usize::from(k)] += 1;
+        }
+        let outputs = t.candidate_outputs();
+        (t, outputs, format!("{replayed:?}"))
+    });
+    assert!(
+        kinds[0] > 0 && kinds[1] > 0,
+        "seed={seed}: seeding and replayed rounds {kinds:?}"
+    );
+    fp
+}
+
 /// Golden fingerprints of 150 standalone TagATune, Peekaboom, Squigl and
 /// Matchin sessions in T1's setup at seeds 1, 7 and 12, as
 /// `(seed, [tagatune, peekaboom, squigl, matchin])`. They were captured
@@ -420,6 +485,31 @@ const SESSIONS_GOLDEN: [(u64, [SessionsFingerprint; 4]); 3] = [
     ]),
 ];
 
+/// Golden fingerprints of 150 standalone ESP, Verbosity and mixed ESP
+/// live/replay sessions in T1's setup at seeds 1, 7 and 12, as
+/// `(seed, [esp, verbosity, esp_replay])`. They were captured while the
+/// ESP live and replay rounds were two functions and every session planned
+/// its rounds by hand, so they pin every RNG draw across the move onto one
+/// round function and one round planner.
+#[rustfmt::skip]
+const ROUND_SESSIONS_GOLDEN: [(u64, [SessionsFingerprint; 3]); 3] = [
+    (1, [
+        SessionsFingerprint { rounds: 2103, outputs: 2097, human_hours_bits: 4622835041455339854, transcripts_fnv: 8323884815011550064, outputs_fnv: 14695981039346656037, verified_fnv: 14151529501732823605 },
+        SessionsFingerprint { rounds: 1253, outputs: 1719, human_hours_bits: 4623748429811409761, transcripts_fnv: 13381693645205139953, outputs_fnv: 14695981039346656037, verified_fnv: 2402270844157026147 },
+        SessionsFingerprint { rounds: 1554, outputs: 218, human_hours_bits: 4616867394091748460, transcripts_fnv: 12637062315718109692, outputs_fnv: 11717818072329734784, verified_fnv: 9722885396813900957 },
+    ]),
+    (7, [
+        SessionsFingerprint { rounds: 2016, outputs: 1993, human_hours_bits: 4622607860914030604, transcripts_fnv: 10593480539783512835, outputs_fnv: 14695981039346656037, verified_fnv: 1548693416651638860 },
+        SessionsFingerprint { rounds: 1339, outputs: 1865, human_hours_bits: 4623711018427757441, transcripts_fnv: 3155819330663126695, outputs_fnv: 14695981039346656037, verified_fnv: 9359948875994553360 },
+        SessionsFingerprint { rounds: 1552, outputs: 184, human_hours_bits: 4616831755878789678, transcripts_fnv: 2540891280052018876, outputs_fnv: 289177477589205544, verified_fnv: 10057091078029664339 },
+    ]),
+    (12, [
+        SessionsFingerprint { rounds: 2143, outputs: 2137, human_hours_bits: 4622412767981198166, transcripts_fnv: 10827499913986429584, outputs_fnv: 14695981039346656037, verified_fnv: 15327337884463420920 },
+        SessionsFingerprint { rounds: 1316, outputs: 1788, human_hours_bits: 4623722197881059199, transcripts_fnv: 5887792521202363446, outputs_fnv: 14695981039346656037, verified_fnv: 8406490303309709687 },
+        SessionsFingerprint { rounds: 1507, outputs: 223, human_hours_bits: 4617185582877993399, transcripts_fnv: 12740108126722581950, outputs_fnv: 4069598326689098900, verified_fnv: 15487875379386796099 },
+    ]),
+];
+
 #[test]
 fn standalone_sessions_match_golden_fingerprints() {
     for (seed, [tagatune, peekaboom, squigl, matchin]) in SESSIONS_GOLDEN {
@@ -427,6 +517,15 @@ fn standalone_sessions_match_golden_fingerprints() {
         assert_eq!(peekaboom_sessions(seed), peekaboom, "peekaboom seed={seed}");
         assert_eq!(squigl_sessions(seed), squigl, "squigl seed={seed}");
         assert_eq!(matchin_sessions(seed), matchin, "matchin seed={seed}");
+    }
+    for (seed, [esp, verbosity, esp_replay]) in ROUND_SESSIONS_GOLDEN {
+        assert_eq!(esp_sessions(seed), esp, "esp seed={seed}");
+        assert_eq!(verbosity_sessions(seed), verbosity, "verbosity seed={seed}");
+        assert_eq!(
+            esp_replay_sessions(seed),
+            esp_replay,
+            "esp_replay seed={seed}"
+        );
     }
 }
 
