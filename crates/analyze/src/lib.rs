@@ -4,13 +4,13 @@
 //!
 //! The pass has three layers (still no `syn`):
 //!
-//! 1. **Lexical** ([`lex`]): a character state machine splits every
+//! 1. **Lexical** (`lex`): a character state machine splits every
 //!    line into code and comment channels so rule text never matches
 //!    inside string or comment content.
 //! 2. **Item** ([`parse`]): a lightweight parser extracts functions
 //!    (with parameters, impl/trait context, and exact body ranges),
 //!    structs (with typed fields), and `use` imports.
-//! 3. **Semantic** ([`graph`] + [`rules`]): parsed items feed a
+//! 3. **Semantic** ([`graph`] + `rules`): parsed items feed a
 //!    workspace-wide symbol graph; name-resolved call edges give the
 //!    reachability sets that the flow-aware rules (R1, R2) run on.
 //!
@@ -747,7 +747,7 @@ pub fn analyze_source(source: &str, rel_path: &str, kind: FileKind, report: &mut
 // ---------------------------------------------------------------------------
 
 /// Recursively collects every `.rs` file under `root`, skipping
-/// [`SKIP_DIRS`] and nested workspaces, sorted for deterministic reports.
+/// `SKIP_DIRS` (vendored, build, VCS and fixture trees) and nested workspaces, sorted for deterministic reports.
 ///
 /// # Errors
 ///

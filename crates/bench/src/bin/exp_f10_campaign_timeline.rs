@@ -8,7 +8,7 @@
 //! together with cumulative world coverage, to regenerate that curve.
 
 use hc_bench::{f1, pct, seed_from_args, Table};
-use hc_games::{Campaign, CampaignConfig, EspDriver, WorldConfig};
+use hc_games::{Campaign, CampaignConfig, EspWorld, WorldConfig};
 use hc_sim::{RateSeries, RngFactory, SimDuration, SimTime};
 use serde::Serialize;
 use std::collections::HashSet;
@@ -31,7 +31,7 @@ fn main() {
         ..WorldConfig::small()
     };
     let world_size = world.stimuli;
-    let driver = EspDriver::generate(&world, &mut RngFactory::new(seed).stream("world"));
+    let driver = EspWorld::generate(&world, &mut RngFactory::new(seed).stream("world"));
     let mut config = CampaignConfig::small();
     config.players = 100;
     config.horizon = SimTime::from_secs(HORIZON_HOURS * 3600);

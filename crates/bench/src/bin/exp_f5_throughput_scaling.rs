@@ -15,7 +15,7 @@
 //! the determinism diff proves the bytes never moved.
 
 use hc_bench::{f1, f3, mean, pct, run_grid, Cell, RunOpts, Table};
-use hc_games::{Campaign, CampaignConfig, EspDriver, WorldConfig};
+use hc_games::{Campaign, CampaignConfig, EspWorld, WorldConfig};
 use hc_sim::{RngFactory, SimDuration, SimTime};
 use serde::Serialize;
 
@@ -69,8 +69,7 @@ fn main() {
                 stimuli: 600,
                 ..WorldConfig::small()
             };
-            let driver =
-                EspDriver::generate(&world, &mut RngFactory::new(ctx.seed).stream("world"));
+            let driver = EspWorld::generate(&world, &mut RngFactory::new(ctx.seed).stream("world"));
             let mut config = CampaignConfig::small();
             config.players = players;
             config.horizon = SimTime::from_secs(24 * 3600);

@@ -27,7 +27,8 @@
 //! matchmaker on every PR.
 
 use hc_bench::{f1, f3, run_grid, Cell, RunOpts, Table};
-use hc_games::shard::{EspShardGame, ShardedCampaign, ShardedCampaignConfig};
+use hc_games::esp::EspWorld;
+use hc_games::shard::{ShardedCampaign, ShardedCampaignConfig};
 use hc_games::world::WorldConfig;
 use hc_sim::{RngFactory, SimDuration, SimTime};
 use serde::Serialize;
@@ -89,7 +90,7 @@ fn main() {
         // Enough stimuli that a large population does not starve the
         // task queue (task selection skips fully-verified images).
         world_cfg.stimuli = (players / 10).clamp(600, 20_000);
-        let driver = EspShardGame::generate(&world_cfg, &mut world_rng);
+        let driver = EspWorld::generate(&world_cfg, &mut world_rng);
         let config = ShardedCampaignConfig {
             players,
             horizon,

@@ -438,7 +438,7 @@ struct ScenarioRun {
     wall_secs: f64,
 }
 
-/// Runs the load scenario [`MEASURE_REPS`] times and collects logs,
+/// Runs the load scenario `MEASURE_REPS` (3) times and collects logs,
 /// counters, and per-request minimum latencies.
 ///
 /// # Errors

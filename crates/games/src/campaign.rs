@@ -5,14 +5,16 @@
 //! one [`BucketPool`], and a sweep every [`SWEEP_INTERVAL`] that hands each
 //! timed-out waiter to the game's solo mode — the ESP Game's replay bot —
 //! or, for a game without one, sends them home to come back after a
-//! return gap. A [`SessionDriver`] plugs in the concrete game; ESP,
-//! TagATune and Verbosity ship ready-made drivers. This is the machinery
-//! experiments T1, F5 and F10 run on; [`crate::shard`] runs the same
-//! dynamics across cores.
+//! return gap. A [`SessionDriver`] plugs in the concrete game: the same
+//! type that drives it on the sharded engine ([`ShardGame`]), here playing
+//! whole sessions against the platform. [`EspWorld`](crate::esp::EspWorld),
+//! [`VerbosityWorld`](crate::verbosity::VerbosityWorld) and
+//! [`TagATuneDriver`](crate::tagatune::TagATuneDriver) are the three. This
+//! is the machinery experiments T1, F5 and F10 run on; [`crate::shard`]
+//! runs the same dynamics across cores.
 
-use crate::esp::{play_esp_replay_session, play_esp_session, EspWorld};
 use crate::params::SessionParams;
-use crate::world::{verified_precision, WorldConfig};
+use crate::shard::ShardGame;
 use hc_collect::DetMap;
 use hc_core::matchmaker::{trace_pairing, MatchmakerStats};
 use hc_core::prelude::*;
@@ -23,13 +25,14 @@ use hc_sim::{RngFactory, SimRng, WheelQueue};
 /// How often the campaign sweeps its wait pool for timed-out waiters.
 pub const SWEEP_INTERVAL: SimDuration = SimDuration::from_secs(5);
 
-/// Drives the sessions of one concrete game.
-pub trait SessionDriver {
+/// Plays a game's sessions on the serial [`Campaign`]. Registration,
+/// precision and the report name come from [`ShardGame`].
+pub trait SessionDriver: ShardGame {
     /// Plays one session between two live players, returning the
     /// transcript (already recorded into the platform by the game's
     /// session function).
-    fn play(
-        &mut self,
+    fn play_session(
+        &self,
         platform: &mut Platform,
         population: &mut Population,
         params: SessionParams,
@@ -39,8 +42,8 @@ pub trait SessionDriver {
     /// Plays a solo fallback session for a player who waited too long, or
     /// returns `None` — touching nothing — when the game has no solo mode
     /// (the player gives up instead). The default has none.
-    fn play_solo(
-        &mut self,
+    fn play_solo_session(
+        &self,
         _platform: &mut Platform,
         _population: &mut Population,
         _params: SessionParams,
@@ -48,16 +51,6 @@ pub trait SessionDriver {
     ) -> Option<SessionTranscript> {
         None
     }
-
-    /// Registers the game's tasks on a fresh platform.
-    fn register(&mut self, platform: &mut Platform);
-
-    /// `(correct, total)` of the platform's verified outputs against the
-    /// game's world truth.
-    fn precision(&self, platform: &Platform) -> (usize, usize);
-
-    /// A short name for reports and trace spans.
-    fn name(&self) -> &'static str;
 }
 
 /// Campaign configuration shared by every game.
@@ -169,7 +162,7 @@ impl<D: SessionDriver> Campaign<D> {
     /// # Panics
     ///
     /// Panics when the platform config is invalid.
-    pub fn new(mut driver: D, config: CampaignConfig, seed: u64) -> Self {
+    pub fn new(driver: D, config: CampaignConfig, seed: u64) -> Self {
         let factory = RngFactory::new(seed);
         let mut platform = Platform::new(config.platform).expect("valid platform config"); // hc-analyze: allow(P1): documented # Panics contract for invalid experiment configs
         driver.register(&mut platform);
@@ -301,7 +294,7 @@ impl<D: SessionDriver> Campaign<D> {
         {
             trace_pairing(now, player, Some(partner), waited);
             let sid = self.session_ids.next();
-            let t = self.driver.play(
+            let t = self.driver.play_session(
                 &mut self.platform,
                 &mut self.population,
                 SessionParams::pair(partner, player, sid, now),
@@ -323,7 +316,7 @@ impl<D: SessionDriver> Campaign<D> {
         for &(player, waited) in &timed_out {
             // The id is committed only when a solo session actually runs.
             let sid = SessionId::new(self.session_ids.allocated());
-            match self.driver.play_solo(
+            match self.driver.play_solo_session(
                 &mut self.platform,
                 &mut self.population,
                 SessionParams::solo(player, sid, now),
@@ -378,160 +371,13 @@ impl<D: SessionDriver> Campaign<D> {
     }
 }
 
-/// The ESP Game: live output-agreement sessions plus replay-bot solo
-/// sessions for waiters who time out.
-#[derive(Debug)]
-pub struct EspDriver {
-    /// The image world.
-    pub world: EspWorld,
-}
-
-impl EspDriver {
-    /// Generates a driver with a fresh world.
-    pub fn generate<R: rand::Rng + ?Sized>(config: &WorldConfig, rng: &mut R) -> Self {
-        EspDriver {
-            world: EspWorld::generate(config, rng),
-        }
-    }
-}
-
-impl SessionDriver for EspDriver {
-    fn play(
-        &mut self,
-        platform: &mut Platform,
-        population: &mut Population,
-        params: SessionParams,
-        rng: &mut SimRng,
-    ) -> SessionTranscript {
-        play_esp_session(platform, &self.world, population, params, rng)
-    }
-
-    fn play_solo(
-        &mut self,
-        platform: &mut Platform,
-        population: &mut Population,
-        params: SessionParams,
-        rng: &mut SimRng,
-    ) -> Option<SessionTranscript> {
-        Some(play_esp_replay_session(
-            platform,
-            &self.world,
-            population,
-            params,
-            rng,
-        ))
-    }
-
-    fn register(&mut self, platform: &mut Platform) {
-        self.world.register_tasks(platform);
-    }
-
-    fn precision(&self, platform: &Platform) -> (usize, usize) {
-        self.world.verified_precision(platform)
-    }
-
-    fn name(&self) -> &'static str {
-        "esp"
-    }
-}
-
-/// A ready-made driver for TagATune.
-#[derive(Debug)]
-pub struct TagATuneDriver {
-    /// The clip world.
-    pub world: crate::tagatune::TagATuneWorld,
-    /// Probability a round shows both seats the same clip.
-    pub p_same: f64,
-}
-
-impl TagATuneDriver {
-    /// Generates a driver with a fresh world.
-    pub fn generate<R: rand::Rng + ?Sized>(config: &WorldConfig, p_same: f64, rng: &mut R) -> Self {
-        TagATuneDriver {
-            world: crate::tagatune::TagATuneWorld::generate(config, rng),
-            p_same,
-        }
-    }
-}
-
-impl SessionDriver for TagATuneDriver {
-    fn play(
-        &mut self,
-        platform: &mut Platform,
-        population: &mut Population,
-        params: SessionParams,
-        rng: &mut SimRng,
-    ) -> SessionTranscript {
-        crate::tagatune::play_tagatune_session(
-            platform,
-            &self.world,
-            population,
-            params,
-            self.p_same,
-            rng,
-        )
-    }
-
-    fn register(&mut self, platform: &mut Platform) {
-        self.world.register_tasks(platform);
-    }
-
-    fn precision(&self, platform: &Platform) -> (usize, usize) {
-        verified_precision(platform, |task, label| self.world.is_correct(task, label))
-    }
-
-    fn name(&self) -> &'static str {
-        "tagatune"
-    }
-}
-
-/// A ready-made driver for Verbosity: the left seat narrates in
-/// even-numbered sessions, the right seat in odd ones.
-#[derive(Debug)]
-pub struct VerbosityDriver {
-    /// The secrets world.
-    pub world: crate::verbosity::VerbosityWorld,
-}
-
-impl VerbosityDriver {
-    /// Generates a driver with a fresh world.
-    pub fn generate<R: rand::Rng + ?Sized>(config: &WorldConfig, rng: &mut R) -> Self {
-        VerbosityDriver {
-            world: crate::verbosity::VerbosityWorld::generate(config, rng),
-        }
-    }
-}
-
-impl SessionDriver for VerbosityDriver {
-    fn play(
-        &mut self,
-        platform: &mut Platform,
-        population: &mut Population,
-        mut params: SessionParams,
-        rng: &mut SimRng,
-    ) -> SessionTranscript {
-        if !params.session_id.raw().is_multiple_of(2) {
-            params.seats.reverse();
-        }
-        crate::verbosity::play_verbosity_session(platform, &self.world, population, params, rng)
-    }
-
-    fn register(&mut self, platform: &mut Platform) {
-        self.world.register_tasks(platform);
-    }
-
-    fn precision(&self, platform: &Platform) -> (usize, usize) {
-        verified_precision(platform, |task, clue| self.world.is_true_fact(task, clue))
-    }
-
-    fn name(&self) -> &'static str {
-        "verbosity"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::esp::EspWorld;
+    use crate::tagatune::TagATuneDriver;
+    use crate::verbosity::VerbosityWorld;
+    use crate::world::WorldConfig;
 
     fn small(players: usize, hours: u64) -> CampaignConfig {
         let mut config = CampaignConfig::small();
@@ -546,7 +392,7 @@ mod tests {
 
     #[test]
     fn esp_campaign_runs_to_horizon_and_reports() {
-        let driver = EspDriver::generate(&WorldConfig::small(), &mut world_rng(7));
+        let driver = EspWorld::generate(&WorldConfig::small(), &mut world_rng(7));
         let report = Campaign::new(driver, small(40, 2), 7).run();
         assert_eq!(report.game, "esp");
         assert!(report.live_sessions > 0 && report.solo_sessions > 0);
@@ -572,7 +418,7 @@ mod tests {
 
     #[test]
     fn verbosity_campaign_collects_facts() {
-        let driver = VerbosityDriver::generate(&WorldConfig::small(), &mut world_rng(4));
+        let driver = VerbosityWorld::generate(&WorldConfig::small(), &mut world_rng(4));
         let report = Campaign::new(driver, small(24, 2), 4).run();
         assert_eq!(report.game, "verbosity");
         assert!(report.live_sessions > 0);
@@ -581,7 +427,7 @@ mod tests {
 
     #[test]
     fn lone_verbosity_player_gives_up_and_returns_at_a_later_sitting() {
-        let driver = VerbosityDriver::generate(&WorldConfig::small(), &mut world_rng(6));
+        let driver = VerbosityWorld::generate(&WorldConfig::small(), &mut world_rng(6));
         let mut config = small(1, 48);
         config.mean_return_gap = SimDuration::from_mins(5);
         let mut campaign = Campaign::new(driver, config, 6);

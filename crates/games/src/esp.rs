@@ -15,23 +15,28 @@
 //! One function, `play_esp_round`, plays every round. Its left seat is a
 //! live player; its right seat is either a second live player or the
 //! planned recording replaying at its recorded offsets (no recording
-//! seeds one). The sharded campaign
-//! ([`EspShardGame`](crate::shard::EspShardGame)) plays its hub-planned
-//! rounds with the same function. Sessions keep their clock, score and
-//! streak in the session loop every game shares
-//! ([`params`](crate::params)).
+//! seeds one). Sessions keep their clock, score and streak in the
+//! session loop every game shares ([`params`](crate::params)).
 //!
-//! The full event-driven deployment — Poisson player sittings, random
-//! matching, replay-bot fallback, engagement-driven return visits, the
-//! machinery behind experiments T1 and F3–F6 — is the serial
-//! [`Campaign`](crate::campaign::Campaign) running an
-//! [`EspDriver`](crate::campaign::EspDriver).
+//! The world is also the game on both campaign engines: [`EspWorld`]
+//! implements [`ShardGame`] (the sharded campaign plays its hub-planned
+//! rounds with `play_esp_round`, and rescues timed-out waiters with replay
+//! sessions) and [`SessionDriver`] (the serial
+//! [`Campaign`](crate::campaign::Campaign) plays whole sessions with the
+//! two functions above). That is the machinery behind experiments T1 and
+//! F3–F6: Poisson player sittings, random matching, replay-bot fallback
+//! and engagement-driven return visits.
 
+use crate::campaign::SessionDriver;
 use crate::params::{trace_session, SessionParams, SessionPlay};
-use crate::shard::{apply_round, plan_round, PlannedRound, PlayedRound};
+use crate::shard::{
+    apply_round, plan_round, plan_rounds, play_planned, PlannedRound, PlayedRound, PlayedSession,
+    SessionJob, ShardGame,
+};
 use crate::world::{BaseWorld, WorldConfig};
 use hc_core::prelude::*;
 use hc_crowd::{LabelDistribution, PlayerProfile, Population};
+use hc_sim::SimRng;
 use rand::Rng;
 
 /// Maximum answers one seat may produce in one round — the published ESP
@@ -121,6 +126,75 @@ impl EspWorld {
     #[must_use]
     pub fn verified_precision(&self, platform: &Platform) -> (usize, usize) {
         crate::world::verified_precision(platform, |task, label| self.is_correct(task, label))
+    }
+}
+
+/// Live output-agreement sessions plus replay-bot solo rescue, planned on
+/// the hub and played purely on the shards.
+impl ShardGame for EspWorld {
+    fn register(&self, platform: &mut Platform) {
+        self.register_tasks(platform);
+    }
+
+    fn plan_solo(
+        &self,
+        platform: &mut Platform,
+        player: PlayerId,
+        rng: &mut SimRng,
+    ) -> Option<Vec<PlannedRound>> {
+        Some(plan_rounds(platform, &[player], rng))
+    }
+
+    fn play(
+        &self,
+        job: &mut SessionJob,
+        cfg: SessionConfig,
+        rule: ScoreRule,
+        rng: &mut SimRng,
+    ) -> PlayedSession {
+        let seats = job.seats;
+        play_planned(job, seats, cfg, rule, |play, planned, profiles| {
+            let truth = self.truth_for_task(planned.task)?;
+            let (left, right) = match profiles {
+                [player] => (player, None),
+                [left, right] => (left, Some(right)),
+                _ => return None,
+            };
+            Some(play_esp_round(self, play, planned, truth, left, right, rng))
+        })
+    }
+
+    fn precision(&self, platform: &Platform) -> (usize, usize) {
+        self.verified_precision(platform)
+    }
+
+    fn name(&self) -> &'static str {
+        "esp"
+    }
+}
+
+/// Live sessions, and replay sessions for waiters who time out.
+impl SessionDriver for EspWorld {
+    fn play_session(
+        &self,
+        platform: &mut Platform,
+        population: &mut Population,
+        params: SessionParams,
+        rng: &mut SimRng,
+    ) -> SessionTranscript {
+        play_esp_session(platform, self, population, params, rng)
+    }
+
+    fn play_solo_session(
+        &self,
+        platform: &mut Platform,
+        population: &mut Population,
+        params: SessionParams,
+        rng: &mut SimRng,
+    ) -> Option<SessionTranscript> {
+        Some(play_esp_replay_session(
+            platform, self, population, params, rng,
+        ))
     }
 }
 
@@ -333,7 +407,7 @@ pub(crate) fn play_esp_round<R: Rng + ?Sized>(
     let agreements = matched_label
         .or(result.agreed_label)
         .zip(partner)
-        .map(|(label, partner)| (label, player, partner))
+        .map(|(label, partner)| (task, label, player, partner))
         .into_iter()
         .collect();
     let recording = (!trace.is_empty()).then(|| RecordedRound::new(task, player, trace));
@@ -347,7 +421,6 @@ pub(crate) fn play_esp_round<R: Rng + ?Sized>(
         end + INTER_ROUND_GAP,
     );
     PlayedRound {
-        task,
         agreements,
         recording,
     }

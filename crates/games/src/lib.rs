@@ -17,10 +17,14 @@
 //! game module exposes a `play_*_session` function (drive one session
 //! between the seats of a [`SessionParams`],
 //! feeding the [`Platform`](hc_core::Platform) pipeline), and all of them
-//! play their rounds through the one session loop in [`params`]. [`campaign`] runs any of them as a full event-driven
+//! play their rounds through the one session loop in [`params`].
+//! [`campaign`] runs ESP, TagATune or Verbosity as a full event-driven
 //! deployment with arrivals, matchmaking and (for ESP) replay-bot
 //! fallback — the machinery experiments T1 and F3–F6 run on — and
-//! [`shard`] runs the same dynamics across cores.
+//! [`shard`] runs the same dynamics across cores. One type per game
+//! drives both engines: [`EspWorld`], [`VerbosityWorld`] and
+//! [`TagATuneDriver`] (the clip world plus its same-clip probability)
+//! each implement [`ShardGame`] and [`SessionDriver`].
 //!
 //! ## Example: one ESP session end to end
 //!
@@ -64,19 +68,13 @@ pub mod tagatune;
 pub mod verbosity;
 pub mod world;
 
-pub use campaign::{
-    Campaign, CampaignConfig, CampaignReport, EspDriver, SessionDriver, TagATuneDriver,
-    VerbosityDriver,
-};
+pub use campaign::{Campaign, CampaignConfig, CampaignReport, SessionDriver};
 pub use esp::EspWorld;
 pub use matchin::{play_matchin_session, BradleyTerryRanking, MatchinWorld};
 pub use params::SessionParams;
 pub use peekaboom::{play_peekaboom_session, PeekaboomWorld};
-pub use shard::{
-    EspShardGame, ShardGame, ShardedCampaign, ShardedCampaignConfig, ShardedCampaignReport,
-    VerbosityShardGame,
-};
+pub use shard::{ShardGame, ShardedCampaign, ShardedCampaignConfig, ShardedCampaignReport};
 pub use squigl::{play_squigl_session, SquiglWorld};
-pub use tagatune::{play_tagatune_session, TagATuneWorld};
+pub use tagatune::{play_tagatune_session, TagATuneDriver, TagATuneWorld};
 pub use verbosity::{fact_label, parse_fact, play_verbosity_session, Relation, VerbosityWorld};
 pub use world::WorldConfig;

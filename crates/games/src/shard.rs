@@ -31,7 +31,7 @@
 //! ```text
 //! shard --Arrived{profile}--->  shard b % K    (arrival flies to its skill bucket)
 //! shard --Paired{w, a}------->  hub            (bucket pool matched two players)
-//! shard --TimedOut{profile}-->  hub            (bot-fallback deadline expired)
+//! shard --TimedOut{p, wait}-->  hub            (bot-fallback deadline expired)
 //! hub   --Play(SessionJob)--->  shard sid % K  (planned rounds + profiles)
 //! shard --Done{outcome}------>  hub            (transcript + per-round effects)
 //! shard --Return{profile}---->  shard p % K    (profile flies home)
@@ -44,10 +44,13 @@
 //! plan. Every round, hub-planned or serial, is planned by one function,
 //! `plan_round`. A shard plays each round with the game's one round
 //! function (`esp::play_esp_round` for live and replayed partners alike,
-//! `verbosity::play_verbosity_round`) — the same function the serial
-//! session functions call — inside the same session loop
-//! ([`params`](crate::params)), and the hub applies its effects through
-//! [`apply_round`], as the serial sessions do. Planning is optimistic:
+//! `tagatune::play_tagatune_round`, `verbosity::play_verbosity_round`) —
+//! the same function the serial session functions call — inside the
+//! same session loop ([`params`](crate::params)), and the hub applies its
+//! effects through [`apply_round`], as the serial sessions do. Each
+//! agreement names its own task, so a TagATune round credits the tags of
+//! both clips. The game is one [`ShardGame`] per GWAP, the same type the
+//! serial campaign drives. Planning is optimistic:
 //! up to `max_rounds` rounds are planned and marked served even when the
 //! session ends early — a documented, deterministic deviation from the
 //! serial campaigns (see DESIGN.md, "Sharding & determinism"). Matching
@@ -58,7 +61,9 @@
 //! Replay-fallback sweeps run on the owning shard at each bucket's own
 //! deadline windows ([`BucketPool::next_deadline`] feeds the shard
 //! wake), so timeout timing is a pure function of pool contents —
-//! never of which other work happens to share the shard.
+//! never of which other work happens to share the shard. A timeout
+//! carries its wait to the hub, which traces a replay rescue exactly as
+//! the serial campaign does (`trace_pairing` with no partner).
 //!
 //! Exchange keys are pure functions of simulation state (times, player
 //! ids, session ids), never of the shard layout, which is what makes
@@ -66,10 +71,7 @@
 //! `K`-invariant.
 
 use crate::campaign::CampaignReport;
-use crate::esp::play_esp_round;
 use crate::params::{SessionParams, SessionPlay};
-use crate::verbosity::play_verbosity_round;
-use crate::world::{verified_precision, WorldConfig};
 use hc_collect::{DetMap, PlayerStore, SliceArena, Span};
 use hc_core::matchmaker::trace_pairing;
 use hc_core::prelude::*;
@@ -128,10 +130,9 @@ pub struct SessionJob {
 /// [`apply_round`].
 #[derive(Debug)]
 pub struct PlayedRound {
-    /// The round's task.
-    pub task: TaskId,
-    /// Agreements to ingest, in submission order.
-    pub agreements: Vec<(Label, PlayerId, PlayerId)>,
+    /// Agreements to ingest, in submission order, each on its own task
+    /// (a TagATune round validates tags of two clips).
+    pub agreements: Vec<(TaskId, Label, PlayerId, PlayerId)>,
     /// Left-seat trace recorded for future replay bots.
     pub recording: Option<RecordedRound>,
 }
@@ -148,8 +149,8 @@ pub struct PlayedSession {
 /// Applies one played round's effects to the platform: its agreements in
 /// submission order, then its replay recording.
 pub fn apply_round(platform: &mut Platform, round: PlayedRound) {
-    for (label, a, b) in round.agreements {
-        let _ = platform.ingest_agreement(round.task, label, a, b);
+    for (task, label, a, b) in round.agreements {
+        let _ = platform.ingest_agreement(task, label, a, b);
     }
     if let Some(rec) = round.recording {
         platform.replay_mut().record(rec);
@@ -180,10 +181,24 @@ pub(crate) fn plan_round<R: Rng + ?Sized>(
     })
 }
 
+/// Plans up to `max_rounds` rounds for `seats`, marking tasks served.
+/// Over-planning is deliberate: the shard stops early when the session
+/// budget runs out, and the extra served marks are deterministic.
+pub(crate) fn plan_rounds(
+    platform: &mut Platform,
+    seats: &[PlayerId],
+    rng: &mut SimRng,
+) -> Vec<PlannedRound> {
+    let max_rounds = platform.config().session.max_rounds;
+    (0..max_rounds)
+        .map_while(|_| plan_round(platform, seats, rng))
+        .collect()
+}
+
 /// Plays a hub-planned session: `round` plays each planned round in turn
 /// against the job's profiles, until the session budget runs out or
 /// `round` returns `None` (a task the world does not know).
-fn play_planned(
+pub(crate) fn play_planned(
     job: &mut SessionJob,
     seats: [PlayerId; 2],
     cfg: SessionConfig,
@@ -235,6 +250,8 @@ pub enum CampaignMsg {
     TimedOut {
         /// The timed-out player's profile.
         profile: Box<PlayerProfile>,
+        /// How long the player waited.
+        waited: SimDuration,
     },
     /// A planned session to execute (hub → shard `sid % K`).
     Play(Box<SessionJob>),
@@ -255,28 +272,38 @@ pub enum CampaignMsg {
 }
 
 /// A concrete game exposed over the sharded API: the hub-side planner
-/// and the pure shard-side player.
+/// and the pure shard-side player. Each game's world implements it
+/// ([`EspWorld`](crate::esp::EspWorld),
+/// [`VerbosityWorld`](crate::verbosity::VerbosityWorld)); TagATune's
+/// [`TagATuneDriver`](crate::tagatune::TagATuneDriver) adds its
+/// same-clip probability to the world.
 pub trait ShardGame: Send + Sync + std::fmt::Debug {
     /// Registers the game's tasks on a fresh platform.
     fn register(&self, platform: &mut Platform);
 
     /// Plans a live session for `seats` (hub side; may mutate platform
-    /// scheduling state).
+    /// scheduling state). The default plans up to `max_rounds` rounds
+    /// with `plan_round`.
     fn plan_live(
         &self,
         platform: &mut Platform,
         seats: [PlayerId; 2],
         rng: &mut SimRng,
-    ) -> Vec<PlannedRound>;
+    ) -> Vec<PlannedRound> {
+        plan_rounds(platform, &seats, rng)
+    }
 
     /// Plans a solo fallback session for a timed-out waiter, or `None`
-    /// when the game has no solo mode (the player gives up instead).
+    /// when the game has no solo mode (the player gives up instead). The
+    /// default has none.
     fn plan_solo(
         &self,
-        platform: &mut Platform,
-        player: PlayerId,
-        rng: &mut SimRng,
-    ) -> Option<Vec<PlannedRound>>;
+        _platform: &mut Platform,
+        _player: PlayerId,
+        _rng: &mut SimRng,
+    ) -> Option<Vec<PlannedRound>> {
+        None
+    }
 
     /// Plays a planned session purely: no platform, all randomness from
     /// `rng` (the session's own indexed stream, identical wherever the
@@ -696,6 +723,7 @@ impl<D: ShardGame> ShardedCampaign<D> {
         &mut self,
         at: SimTime,
         profile: PlayerProfile,
+        waited: SimDuration,
         mail: &mut Mailbox<CampaignMsg>,
     ) {
         self.platform.set_time(at);
@@ -705,15 +733,7 @@ impl<D: ShardGame> ShardedCampaign<D> {
             .plan_solo(&mut self.platform, p, &mut self.plan_rng)
         {
             Some(rounds) => {
-                if hc_obs::active() {
-                    hc_obs::counter("core.pairs_replay", at.ticks(), 1);
-                    hc_obs::event(
-                        "core",
-                        "replay_fallback",
-                        at.ticks(),
-                        &[("player", u64::from(p).into())],
-                    );
-                }
+                trace_pairing(at, p, None, waited);
                 let sid = self.session_ids.next();
                 self.dispatch(
                     mail,
@@ -869,7 +889,7 @@ impl<D: ShardGame> ShardWorkload for ShardedCampaign<D> {
                 {
                     continue;
                 }
-                for &(p, _) in &state.sweep_scratch {
+                for &(p, waited) in &state.sweep_scratch {
                     let profile = mb.parked.remove(&p.raw()).expect("parked waiter"); // hc-analyze: allow(P1): queued players always park their profile
                     mail.send(
                         Addr::Hub,
@@ -877,6 +897,7 @@ impl<D: ShardGame> ShardWorkload for ShardedCampaign<D> {
                         player_key(TAG_TIMEOUT, sweep_at, p),
                         CampaignMsg::TimedOut {
                             profile: Box::new(profile),
+                            waited,
                         },
                     );
                 }
@@ -920,7 +941,9 @@ impl<D: ShardGame> ShardWorkload for ShardedCampaign<D> {
                     arriver,
                     waited,
                 } => self.on_paired(at, *waiter, *arriver, waited, mail),
-                CampaignMsg::TimedOut { profile } => self.on_timed_out(at, *profile, mail),
+                CampaignMsg::TimedOut { profile, waited } => {
+                    self.on_timed_out(at, *profile, waited, mail);
+                }
                 CampaignMsg::Play(_) | CampaignMsg::Return { .. } | CampaignMsg::Arrived { .. } => {
                     debug_assert!(false, "shard-bound message delivered to the hub");
                 }
@@ -946,191 +969,27 @@ impl<D: ShardGame> ShardWorkload for ShardedCampaign<D> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// ESP over the sharded API
-// ---------------------------------------------------------------------------
-
-/// The ESP Game as a [`ShardGame`]: live output-agreement sessions plus
-/// replay-bot solo rescue, planned on the hub and played purely.
-#[derive(Debug)]
-pub struct EspShardGame {
-    /// The image world (shared, read-only during the run).
-    pub world: crate::esp::EspWorld,
-}
-
-impl EspShardGame {
-    /// Generates the game's world.
-    pub fn generate<R: Rng + ?Sized>(config: &WorldConfig, rng: &mut R) -> Self {
-        EspShardGame {
-            world: crate::esp::EspWorld::generate(config, rng),
-        }
-    }
-}
-
-impl ShardGame for EspShardGame {
-    fn register(&self, platform: &mut Platform) {
-        self.world.register_tasks(platform);
-    }
-
-    fn plan_live(
-        &self,
-        platform: &mut Platform,
-        seats: [PlayerId; 2],
-        rng: &mut SimRng,
-    ) -> Vec<PlannedRound> {
-        plan_rounds(platform, &seats, rng)
-    }
-
-    fn plan_solo(
-        &self,
-        platform: &mut Platform,
-        player: PlayerId,
-        rng: &mut SimRng,
-    ) -> Option<Vec<PlannedRound>> {
-        Some(plan_rounds(platform, &[player], rng))
-    }
-
-    fn play(
-        &self,
-        job: &mut SessionJob,
-        cfg: SessionConfig,
-        rule: ScoreRule,
-        rng: &mut SimRng,
-    ) -> PlayedSession {
-        let (world, seats) = (&self.world, job.seats);
-        play_planned(job, seats, cfg, rule, |play, planned, profiles| {
-            let truth = world.truth_for_task(planned.task)?;
-            let (left, right) = match profiles {
-                [player] => (player, None),
-                [left, right] => (left, Some(right)),
-                _ => return None,
-            };
-            Some(play_esp_round(
-                world, play, planned, truth, left, right, rng,
-            ))
-        })
-    }
-
-    fn precision(&self, platform: &Platform) -> (usize, usize) {
-        self.world.verified_precision(platform)
-    }
-
-    fn name(&self) -> &'static str {
-        "esp"
-    }
-}
-
-/// Plans up to `max_rounds` rounds for `seats`, marking tasks served.
-/// Over-planning is deliberate: the shard stops early when the session
-/// budget runs out, and the extra served marks are deterministic.
-fn plan_rounds(platform: &mut Platform, seats: &[PlayerId], rng: &mut SimRng) -> Vec<PlannedRound> {
-    let max_rounds = platform.config().session.max_rounds;
-    (0..max_rounds)
-        .map_while(|_| plan_round(platform, seats, rng))
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Verbosity over the sharded API
-// ---------------------------------------------------------------------------
-
-/// Verbosity as a [`ShardGame`]: inversion-problem sessions with roles
-/// alternating by session-id parity; no solo mode (timed-out waiters
-/// give up and return at a later sitting).
-#[derive(Debug)]
-pub struct VerbosityShardGame {
-    /// The secrets world (shared, read-only during the run).
-    pub world: crate::verbosity::VerbosityWorld,
-}
-
-impl VerbosityShardGame {
-    /// Generates the game's world.
-    pub fn generate<R: Rng + ?Sized>(config: &WorldConfig, rng: &mut R) -> Self {
-        VerbosityShardGame {
-            world: crate::verbosity::VerbosityWorld::generate(config, rng),
-        }
-    }
-}
-
-impl ShardGame for VerbosityShardGame {
-    fn register(&self, platform: &mut Platform) {
-        self.world.register_tasks(platform);
-    }
-
-    fn plan_live(
-        &self,
-        platform: &mut Platform,
-        seats: [PlayerId; 2],
-        rng: &mut SimRng,
-    ) -> Vec<PlannedRound> {
-        plan_rounds(platform, &seats, rng)
-    }
-
-    fn plan_solo(
-        &self,
-        _platform: &mut Platform,
-        _player: PlayerId,
-        _rng: &mut SimRng,
-    ) -> Option<Vec<PlannedRound>> {
-        None // Verbosity has no replay-bot story
-    }
-
-    fn play(
-        &self,
-        job: &mut SessionJob,
-        cfg: SessionConfig,
-        rule: ScoreRule,
-        rng: &mut SimRng,
-    ) -> PlayedSession {
-        // The narrator is the left seat in even sessions, the right in odd.
-        let left_narrates = job.sid.raw().is_multiple_of(2);
-        let [left, right] = job.seats;
-        let seats = if left_narrates {
-            [left, right]
-        } else {
-            [right, left]
-        };
-        let world = &self.world;
-        play_planned(job, seats, cfg, rule, |play, planned, profiles| {
-            let [left, right] = profiles else {
-                return None;
-            };
-            let roles = if left_narrates {
-                [left, right]
-            } else {
-                [right, left]
-            };
-            let task = planned.task;
-            let secret = world.secret_for_task(task)?.clone();
-            let facts = world.facts_for_task(task)?;
-            Some(play_verbosity_round(
-                world, play, task, secret, facts, roles, rng,
-            ))
-        })
-    }
-
-    fn precision(&self, platform: &Platform) -> (usize, usize) {
-        verified_precision(platform, |task, clue| self.world.is_true_fact(task, clue))
-    }
-
-    fn name(&self) -> &'static str {
-        "verbosity"
-    }
-}
+/// The ESP Game on the sharded engine is its world. The alias keeps the
+/// name the benchmark crate (`perfbench/`) builds its campaigns with;
+/// that crate changes only together with the benchmark itself.
+pub type EspShardGame = crate::esp::EspWorld;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::esp::EspWorld;
+    use crate::verbosity::VerbosityWorld;
+    use crate::world::WorldConfig;
 
     fn esp_campaign(
         players: usize,
         shards: usize,
         threads: usize,
         seed: u64,
-    ) -> ShardedCampaign<EspShardGame> {
+    ) -> ShardedCampaign<EspWorld> {
         let factory = RngFactory::new(seed);
         let mut world_rng = factory.stream("world");
-        let driver = EspShardGame::generate(&WorldConfig::small(), &mut world_rng);
+        let driver = EspWorld::generate(&WorldConfig::small(), &mut world_rng);
         let mut config = ShardedCampaignConfig::small();
         config.players = players;
         config.horizon = SimTime::from_secs(2 * 3600);
@@ -1197,7 +1056,7 @@ mod tests {
             let mut world_rng = factory.stream("world");
             let mut world_cfg = WorldConfig::small();
             world_cfg.stimuli = 10_000;
-            let driver = EspShardGame::generate(&world_cfg, &mut world_rng);
+            let driver = EspWorld::generate(&world_cfg, &mut world_rng);
             let mut config = ShardedCampaignConfig::small();
             config.players = 100_000;
             config.horizon = SimTime::from_secs(2 * 3600);
@@ -1225,7 +1084,7 @@ mod tests {
     fn verbosity_campaign_collects_facts_with_giveups() {
         let factory = RngFactory::new(21);
         let mut world_rng = factory.stream("world");
-        let driver = VerbosityShardGame::generate(&WorldConfig::small(), &mut world_rng);
+        let driver = VerbosityWorld::generate(&WorldConfig::small(), &mut world_rng);
         let mut config = ShardedCampaignConfig::small();
         config.players = 30;
         config.horizon = SimTime::from_secs(2 * 3600);
@@ -1246,7 +1105,7 @@ mod tests {
         let run = |shards: usize, threads: usize| {
             let factory = RngFactory::new(23);
             let mut world_rng = factory.stream("world");
-            let driver = VerbosityShardGame::generate(&WorldConfig::small(), &mut world_rng);
+            let driver = VerbosityWorld::generate(&WorldConfig::small(), &mut world_rng);
             let mut config = ShardedCampaignConfig::small();
             config.players = 24;
             config.horizon = SimTime::from_secs(3600);
@@ -1259,6 +1118,46 @@ mod tests {
         let baseline = run(1, 1);
         assert_eq!(run(2, 1), baseline);
         assert_eq!(run(4, 4), baseline);
+    }
+
+    #[test]
+    fn apply_round_credits_each_agreement_to_its_own_task() {
+        let mut platform = Platform::new(PlatformConfig::default()).expect("valid config");
+        let left = platform.add_task(Stimulus::AudioClip(0));
+        let right = platform.add_task(Stimulus::AudioClip(1));
+        let (a, b) = (platform.register_player(), platform.register_player());
+        let (piano, drums) = (Label::new("piano"), Label::new("drums"));
+        apply_round(
+            &mut platform,
+            PlayedRound {
+                agreements: vec![(left, piano.clone(), a, b), (right, drums.clone(), a, b)],
+                recording: None,
+            },
+        );
+        let verified: Vec<(TaskId, &Label)> = platform
+            .verified_labels()
+            .iter()
+            .map(|v| (v.task, &v.label))
+            .collect();
+        assert_eq!(verified, [(left, &piano), (right, &drums)]);
+    }
+
+    #[test]
+    fn replay_rescues_trace_their_waits() {
+        let mut campaign = esp_campaign(40, 2, 1, 11);
+        let (report, trace) = hc_obs::record_scope(0, || campaign.run().expect("runs"));
+        let replays = trace.metrics.counter("core.pairs_replay");
+        assert!(replays > 0);
+        assert_eq!(replays, report.solo_sessions);
+        let waits = trace
+            .metrics
+            .histogram("core.pair_wait_secs")
+            .expect("pair waits observed");
+        let live = trace.metrics.counter("core.pairs_live");
+        assert_eq!(waits.count, live + replays);
+        // A rescued waiter waited out the bot-fallback deadline.
+        let fallback = campaign.platform().config().matchmaker.bot_fallback_wait;
+        assert!(waits.max >= fallback.as_secs_f64());
     }
 
     #[test]

@@ -8,19 +8,31 @@
 //! clips are: clips with overlapping true-tag supports generate wrong
 //! "same" votes.
 //!
-//! Sessions run on the shared session loop ([`params`](crate::params)),
-//! and only on the serial campaign: a round validates tags on two clips,
-//! while the sharded campaign's `PlayedRound` carries one task.
+//! One function, `play_tagatune_round`, plays a round on the shared
+//! session loop ([`params`](crate::params)); each validated tag carries
+//! its own clip, so a round's agreements reach the platform through
+//! `shard::apply_round` like every other game's. [`TagATuneDriver`] is the
+//! game on both campaign engines: the serial
+//! [`Campaign`](crate::campaign::Campaign) plays
+//! [`play_tagatune_session`], and the sharded campaign plays hub-planned
+//! rounds whose right clip the shard draws.
 
+use crate::campaign::SessionDriver;
 use crate::params::{trace_session, SessionParams, SessionPlay};
-use crate::shard::plan_round;
-use crate::world::{BaseWorld, WorldConfig};
+use crate::shard::{
+    apply_round, plan_round, play_planned, PlayedRound, PlayedSession, SessionJob, ShardGame,
+};
+use crate::world::{verified_precision, BaseWorld, WorldConfig};
 use hc_core::prelude::*;
-use hc_crowd::Population;
+use hc_crowd::{PlayerProfile, Population};
+use hc_sim::SimRng;
 use rand::Rng;
 
 /// Maximum descriptions per seat per round.
 const MAX_DESCRIPTIONS: usize = 3;
+
+/// The seats in index order.
+const SEATS: [Seat; 2] = [Seat::Left, Seat::Right];
 
 /// Pause between rounds.
 const INTER_ROUND_GAP: SimDuration = SimDuration::from_secs(2);
@@ -95,6 +107,78 @@ impl TagATuneWorld {
     }
 }
 
+/// TagATune as a game on both campaign engines: the clip world plus the
+/// probability that a round shows both seats the same clip. It has no
+/// solo mode (timed-out waiters give up and return at a later sitting).
+#[derive(Debug)]
+pub struct TagATuneDriver {
+    /// The clip world.
+    pub world: TagATuneWorld,
+    /// Probability a round shows both seats the same clip.
+    pub p_same: f64,
+}
+
+impl TagATuneDriver {
+    /// Generates a driver with a fresh world.
+    pub fn generate<R: Rng + ?Sized>(config: &WorldConfig, p_same: f64, rng: &mut R) -> Self {
+        TagATuneDriver {
+            world: TagATuneWorld::generate(config, rng),
+            p_same,
+        }
+    }
+}
+
+/// The hub plans each round's left clip; the shard draws same/different
+/// and the right clip from the session's own RNG stream.
+impl ShardGame for TagATuneDriver {
+    fn register(&self, platform: &mut Platform) {
+        self.world.register_tasks(platform);
+    }
+
+    fn play(
+        &self,
+        job: &mut SessionJob,
+        cfg: SessionConfig,
+        rule: ScoreRule,
+        rng: &mut SimRng,
+    ) -> PlayedSession {
+        let seats = job.seats;
+        play_planned(job, seats, cfg, rule, |play, planned, profiles| {
+            let [left, right] = profiles else {
+                return None;
+            };
+            play_tagatune_round(
+                &self.world,
+                play,
+                planned.task,
+                self.p_same,
+                [left, right],
+                rng,
+            )
+        })
+    }
+
+    fn precision(&self, platform: &Platform) -> (usize, usize) {
+        verified_precision(platform, |task, label| self.world.is_correct(task, label))
+    }
+
+    fn name(&self) -> &'static str {
+        "tagatune"
+    }
+}
+
+impl SessionDriver for TagATuneDriver {
+    fn play_session(
+        &self,
+        platform: &mut Platform,
+        population: &mut Population,
+        params: SessionParams,
+        rng: &mut SimRng,
+    ) -> SessionTranscript {
+        play_tagatune_session(platform, &self.world, population, params, self.p_same, rng)
+    }
+}
+
 /// Drives one TagATune session; on each round the pair gets the same clip
 /// with probability `p_same_round` (0.5 in the deployed game).
 pub fn play_tagatune_session<R: Rng + ?Sized>(
@@ -109,110 +193,110 @@ pub fn play_tagatune_session<R: Rng + ?Sized>(
     let cfg = platform.config().session;
     let mut play = SessionPlay::begin(params, cfg, cfg.score_rule);
     while play.can_play_more() {
-        let now = play.now();
-        let Some(left_task) = plan_round(platform, &params.seats, rng).map(|p| p.task) else {
+        let Some(planned) = plan_round(platform, &params.seats, rng) else {
             break;
         };
-        let same = rng.gen::<f64>() < p_same_round.clamp(0.0, 1.0);
-        let right_task = if same {
-            left_task
-        } else {
-            // Draw a distinct random clip for the right seat.
-            let mut other = TaskId::new(rng.gen_range(0..world.len() as u64));
-            if other == left_task {
-                other = TaskId::new((other.raw() + 1) % world.len() as u64);
-            }
-            other
-        };
-        let (Some(truth_l), Some(truth_r)) = (
-            world.truth_for_task(left_task),
-            world.truth_for_task(right_task),
-        ) else {
-            break;
-        };
-
-        let mut round = InputAgreementRound::new(left_task, right_task, cfg.round_time_limit);
-        let deadline = now + cfg.round_time_limit;
         let (pa, pb) = population
             .get_pair_mut(left, right)
             .expect("players exist and are distinct"); // hc-analyze: allow(P1): callers pass two distinct registered ids
-        let mut profiles = [pa, pb];
-        let truths = [truth_l, truth_r];
-        let mut cursor = now;
-        let empty_taboo = TabooList::new();
-
-        // Description phase: seats alternate up to MAX_DESCRIPTIONS each.
-        'desc: for turn in 0..(2 * MAX_DESCRIPTIONS) {
-            let seat_idx = turn % 2;
-            let profile = &mut profiles[seat_idx];
-            let answer = profile.behavior.next_answer(
-                truths[seat_idx],
-                &world.base.vocabulary,
-                &empty_taboo,
-                rng,
-            );
-            let latency = profile.response.sample(
-                match &answer {
-                    Answer::Text(l) => Some(l),
-                    _ => None,
-                },
-                rng,
-            );
-            cursor += latency;
-            if cursor > deadline {
-                break 'desc;
-            }
-            let seat = if seat_idx == 0 {
-                Seat::Left
-            } else {
-                Seat::Right
-            };
-            if round.submit(seat, answer, cursor).is_terminal() {
-                break 'desc;
-            }
-        }
-
-        // Verdict phase.
-        for seat_idx in 0..2 {
-            let seat = if seat_idx == 0 {
-                Seat::Left
-            } else {
-                Seat::Right
-            };
-            let evidence =
-                TagATuneWorld::same_evidence(truths[seat_idx], round.partner_descriptions(seat));
-            let profile = &mut profiles[seat_idx];
-            let verdict = profile.behavior.verdict(evidence, profile.skill, rng);
-            let latency = profile.response.sample(None, rng);
-            cursor += latency;
-            if cursor > deadline {
-                break;
-            }
-            round.submit(seat, verdict, cursor);
-        }
-
-        let end = cursor.min(deadline);
-        let result = round.finish(end);
-        let matched = result.succeeded;
-        let tags = result.validated_tags();
-        let n_tags = tags.len() as u32;
-        for (task, tag) in tags {
-            // Validated tags flow through the same verification pipeline.
-            let _ = platform.ingest_agreement(task, tag, left, right);
-        }
-        play.record(
-            TemplateKind::InputAgreement,
-            left_task,
-            matched,
-            n_tags,
-            end.saturating_since(now),
-            end + INTER_ROUND_GAP,
-        );
+        let Some(round) =
+            play_tagatune_round(world, &mut play, planned.task, p_same_round, [pa, pb], rng)
+        else {
+            break;
+        };
+        apply_round(platform, round);
     }
     let transcript = play.finish();
     platform.record_session(&transcript);
     trace_session("tagatune.session", &transcript);
     transcript
+}
+
+/// Plays one round on the left seat's clip `left_task`. The right seat
+/// hears the same clip with probability `p_same`, otherwise a distinct
+/// random one. The seats describe their clips in turn (up to
+/// [`MAX_DESCRIPTIONS`] each), then vote same/different; correct votes
+/// validate each seat's descriptions as tags of its own clip. `None`
+/// when the world does not know either clip.
+pub(crate) fn play_tagatune_round<R: Rng + ?Sized>(
+    world: &TagATuneWorld,
+    play: &mut SessionPlay,
+    left_task: TaskId,
+    p_same: f64,
+    mut profiles: [&mut PlayerProfile; 2],
+    rng: &mut R,
+) -> Option<PlayedRound> {
+    let same = rng.gen::<f64>() < p_same.clamp(0.0, 1.0);
+    let right_task = if same {
+        left_task
+    } else {
+        // Draw a distinct random clip for the right seat.
+        let mut other = TaskId::new(rng.gen_range(0..world.len() as u64));
+        if other == left_task {
+            other = TaskId::new((other.raw() + 1) % world.len() as u64);
+        }
+        other
+    };
+    let truths = [
+        world.truth_for_task(left_task)?,
+        world.truth_for_task(right_task)?,
+    ];
+    let (now, limit) = (play.now(), play.round_limit());
+    let mut round = InputAgreementRound::new(left_task, right_task, limit);
+    let deadline = now + limit;
+    let mut cursor = now;
+    let empty_taboo = TabooList::new();
+
+    // Description phase: seats alternate up to MAX_DESCRIPTIONS each.
+    for turn in 0..(2 * MAX_DESCRIPTIONS) {
+        let seat_idx = turn % 2;
+        let profile = &mut profiles[seat_idx];
+        let answer = profile.behavior.next_answer(
+            truths[seat_idx],
+            &world.base.vocabulary,
+            &empty_taboo,
+            rng,
+        );
+        cursor += profile.response.sample(answer.as_text(), rng);
+        if cursor > deadline || round.submit(SEATS[seat_idx], answer, cursor).is_terminal() {
+            break;
+        }
+    }
+
+    // Verdict phase.
+    for (seat_idx, seat) in SEATS.into_iter().enumerate() {
+        let evidence =
+            TagATuneWorld::same_evidence(truths[seat_idx], round.partner_descriptions(seat));
+        let profile = &mut profiles[seat_idx];
+        let verdict = profile.behavior.verdict(evidence, profile.skill, rng);
+        cursor += profile.response.sample(None, rng);
+        if cursor > deadline {
+            break;
+        }
+        round.submit(seat, verdict, cursor);
+    }
+
+    let end = cursor.min(deadline);
+    let result = round.finish(end);
+    let [left, right] = profiles.map(|p| p.id);
+    // Validated tags flow through the same verification pipeline.
+    let agreements: Vec<_> = result
+        .validated_tags()
+        .into_iter()
+        .map(|(task, tag)| (task, tag, left, right))
+        .collect();
+    play.record(
+        TemplateKind::InputAgreement,
+        left_task,
+        result.succeeded,
+        agreements.len() as u32,
+        end.saturating_since(now),
+        end + INTER_ROUND_GAP,
+    );
+    Some(PlayedRound {
+        agreements,
+        recording: None,
+    })
 }
 
 #[cfg(test)]

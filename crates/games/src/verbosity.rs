@@ -9,17 +9,21 @@
 //! explicitly.
 //!
 //! One function, `play_verbosity_round`, plays a round, and
-//! `shard::plan_round` plans it. The serial [`play_verbosity_session`]
-//! and the sharded
-//! [`VerbosityShardGame`](crate::shard::VerbosityShardGame) both call
-//! them, and both keep the session's clock, score and streak in the
-//! shared session loop ([`params`](crate::params)).
+//! `shard::plan_round` plans it. [`VerbosityWorld`] is the game on both
+//! campaign engines: as a [`ShardGame`] it plays hub-planned rounds, and
+//! as a [`SessionDriver`] the serial [`play_verbosity_session`]. Both keep
+//! the session's clock, score and streak in the shared session loop
+//! ([`params`](crate::params)) and seat the narrator by session-id parity.
 
+use crate::campaign::SessionDriver;
 use crate::params::{trace_session, SessionParams, SessionPlay};
-use crate::shard::{apply_round, plan_round, PlayedRound};
-use crate::world::{BaseWorld, WorldConfig};
+use crate::shard::{
+    apply_round, plan_round, play_planned, PlayedRound, PlayedSession, SessionJob, ShardGame,
+};
+use crate::world::{verified_precision, BaseWorld, WorldConfig};
 use hc_core::prelude::*;
 use hc_crowd::{LabelDistribution, PlayerProfile, Population};
+use hc_sim::SimRng;
 use rand::Rng;
 
 /// Pause between rounds.
@@ -228,6 +232,68 @@ impl VerbosityWorld {
     }
 }
 
+/// Puts a session's seats in role order `[narrator, guesser]`: the left
+/// seat narrates in even-numbered sessions, the right seat in odd ones.
+fn narrator_first<T>(session: SessionId, [left, right]: [T; 2]) -> [T; 2] {
+    if session.raw().is_multiple_of(2) {
+        [left, right]
+    } else {
+        [right, left]
+    }
+}
+
+/// Inversion-problem sessions with no solo mode: timed-out waiters give
+/// up and return at a later sitting.
+impl ShardGame for VerbosityWorld {
+    fn register(&self, platform: &mut Platform) {
+        self.register_tasks(platform);
+    }
+
+    fn play(
+        &self,
+        job: &mut SessionJob,
+        cfg: SessionConfig,
+        rule: ScoreRule,
+        rng: &mut SimRng,
+    ) -> PlayedSession {
+        let sid = job.sid;
+        let seats = narrator_first(sid, job.seats);
+        play_planned(job, seats, cfg, rule, |play, planned, profiles| {
+            let [left, right] = profiles else {
+                return None;
+            };
+            let task = planned.task;
+            let secret = self.secret_for_task(task)?.clone();
+            let facts = self.facts_for_task(task)?;
+            let roles = narrator_first(sid, [left, right]);
+            Some(play_verbosity_round(
+                self, play, task, secret, facts, roles, rng,
+            ))
+        })
+    }
+
+    fn precision(&self, platform: &Platform) -> (usize, usize) {
+        verified_precision(platform, |task, clue| self.is_true_fact(task, clue))
+    }
+
+    fn name(&self) -> &'static str {
+        "verbosity"
+    }
+}
+
+impl SessionDriver for VerbosityWorld {
+    fn play_session(
+        &self,
+        platform: &mut Platform,
+        population: &mut Population,
+        mut params: SessionParams,
+        rng: &mut SimRng,
+    ) -> SessionTranscript {
+        params.seats = narrator_first(params.session_id, params.seats);
+        play_verbosity_session(platform, self, population, params, rng)
+    }
+}
+
 /// Drives one Verbosity session on seats `[narrator, guesser]`: the
 /// narrator sends the clues and the guesser guesses (callers alternate
 /// roles between sessions, as the deployed game alternates between
@@ -344,7 +410,7 @@ pub(crate) fn play_verbosity_round<R: Rng + ?Sized>(
     let agreements: Vec<_> = result
         .validated_facts()
         .into_iter()
-        .map(|(_, clue)| (clue, narrator, guesser))
+        .map(|(_, clue)| (task, clue, narrator, guesser))
         .collect();
     play.record(
         TemplateKind::InversionProblem,
@@ -355,7 +421,6 @@ pub(crate) fn play_verbosity_round<R: Rng + ?Sized>(
         end + INTER_ROUND_GAP,
     );
     PlayedRound {
-        task,
         agreements,
         recording: None,
     }

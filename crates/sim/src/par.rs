@@ -24,7 +24,7 @@
 //! ## Scheduling
 //!
 //! Replications are claimed one at a time from a single shared queue
-//! by up to `threads` scoped `std` threads ([`map_pool`], the one
+//! by up to `threads` scoped `std` threads (`map_pool`, the one
 //! worker pool that [`crate::shard`] also steps its shards on): an
 //! idle worker takes the next unclaimed index, so a few expensive cells
 //! cannot serialize the whole grid behind one thread.

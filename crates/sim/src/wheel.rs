@@ -9,7 +9,7 @@
 //!
 //! # Design
 //!
-//! The wheel has [`LEVELS`] levels of [`SLOTS`] slots each ([`BITS`] bits of
+//! The wheel has `LEVELS` levels of `SLOTS` slots each (`BITS` bits of
 //! the tick count per level, covering the full `u64` tick range). A cursor
 //! `now` tracks the earliest tick the wheel may still contain. An entry at
 //! tick `t >= now` lives at the level of the highest 6-bit digit in which `t`

@@ -23,7 +23,7 @@ fn main() {
         "running a 24h ESP campaign: {} players, {} images...",
         config.players, world.stimuli
     );
-    let driver = EspDriver::generate(&world, &mut RngFactory::new(seed).stream("world"));
+    let driver = EspWorld::generate(&world, &mut RngFactory::new(seed).stream("world"));
     let mut campaign = Campaign::new(driver, config, seed);
     let report = campaign.run();
 

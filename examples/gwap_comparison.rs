@@ -24,7 +24,7 @@ fn main() {
         stimuli: 2_000,
         ..WorldConfig::small()
     };
-    let esp_driver = EspDriver::generate(&esp_world, &mut RngFactory::new(seed).stream("world"));
+    let esp_driver = EspWorld::generate(&esp_world, &mut RngFactory::new(seed).stream("world"));
     let esp = Campaign::new(esp_driver, config.clone(), seed).run();
 
     // ---- TagATune / Verbosity (timed-out waiters give up) ----
@@ -40,7 +40,7 @@ fn main() {
     )
     .run();
     let verbosity = Campaign::new(
-        VerbosityDriver::generate(&world_cfg, &mut world_rng),
+        VerbosityWorld::generate(&world_cfg, &mut world_rng),
         config,
         seed,
     )

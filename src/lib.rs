@@ -121,9 +121,9 @@ pub mod prelude {
         squigl::play_squigl_session,
         tagatune::play_tagatune_session,
         verbosity::play_verbosity_session,
-        BradleyTerryRanking, Campaign, CampaignConfig, CampaignReport, EspDriver, EspWorld,
-        MatchinWorld, PeekaboomWorld, SessionDriver, SquiglWorld, TagATuneDriver, TagATuneWorld,
-        VerbosityDriver, VerbosityWorld, WorldConfig,
+        BradleyTerryRanking, Campaign, CampaignConfig, CampaignReport, EspWorld, MatchinWorld,
+        PeekaboomWorld, SessionDriver, SquiglWorld, TagATuneDriver, TagATuneWorld, VerbosityWorld,
+        WorldConfig,
     };
     pub use hc_sim::prelude::*;
 }

@@ -2,9 +2,7 @@
 //! of its seed. These tests pin that property across crate boundaries —
 //! the foundation every number in EXPERIMENTS.md rests on.
 
-use human_computation::games::{
-    EspShardGame, ShardedCampaign, ShardedCampaignConfig, VerbosityDriver, VerbosityShardGame,
-};
+use human_computation::games::{ShardedCampaign, ShardedCampaignConfig};
 use human_computation::prelude::*;
 use rand::SeedableRng;
 
@@ -14,7 +12,7 @@ fn esp_campaigns_are_bit_identical_per_seed() {
         let mut config = CampaignConfig::small();
         config.players = 24;
         config.horizon = SimTime::from_secs(3_600);
-        let driver = EspDriver::generate(
+        let driver = EspWorld::generate(
             &WorldConfig::small(),
             &mut RngFactory::new(seed).stream("world"),
         );
@@ -65,7 +63,7 @@ fn esp_fingerprint(players: usize, hours: u64, f5_cell: bool, seed: u64) -> Fing
         world.stimuli = 600;
         config.arrival_spread = SimDuration::from_mins(45);
     }
-    let driver = EspDriver::generate(&world, &mut RngFactory::new(seed).stream("world"));
+    let driver = EspWorld::generate(&world, &mut RngFactory::new(seed).stream("world"));
     let mut campaign = Campaign::new(driver, config, seed);
     let r = campaign.run();
     fingerprint(&r, campaign.platform().verified_labels())
@@ -133,7 +131,7 @@ fn sharded_esp_fingerprint(seed: u64, shards: usize, threads: usize) -> Fingerpr
         threads,
         ..ShardedCampaignConfig::small()
     };
-    let game = EspShardGame::generate(
+    let game = EspWorld::generate(
         &WorldConfig::small(),
         &mut RngFactory::new(seed).stream("world"),
     );
@@ -173,7 +171,7 @@ fn verbosity_fingerprint(seed: u64) -> Fingerprint {
     let mut config = CampaignConfig::small();
     config.players = 24;
     config.horizon = SimTime::from_secs(2 * 3600);
-    let driver = VerbosityDriver::generate(
+    let driver = VerbosityWorld::generate(
         &WorldConfig::small(),
         &mut RngFactory::new(seed).stream("world"),
     );
@@ -192,7 +190,7 @@ fn sharded_verbosity_fingerprint(seed: u64, shards: usize, threads: usize) -> Fi
         threads,
         ..ShardedCampaignConfig::small()
     };
-    let game = VerbosityShardGame::generate(
+    let game = VerbosityWorld::generate(
         &WorldConfig::small(),
         &mut RngFactory::new(seed).stream("world"),
     );
@@ -263,6 +261,53 @@ const TAGATUNE_GOLDEN: [(u64, Fingerprint); 3] = [
 fn serial_tagatune_campaign_matches_golden_fingerprints() {
     for (seed, want) in TAGATUNE_GOLDEN {
         assert_eq!(tagatune_fingerprint(seed), want, "seed={seed}");
+    }
+}
+
+/// Runs one TagATune campaign on the sharded engine: 48 players over two
+/// hours on the small world, half the rounds on the same clip, at
+/// `shards` x `threads`.
+fn sharded_tagatune_fingerprint(seed: u64, shards: usize, threads: usize) -> Fingerprint {
+    let config = ShardedCampaignConfig {
+        players: 48,
+        horizon: SimTime::from_secs(2 * 3600),
+        shards,
+        threads,
+        ..ShardedCampaignConfig::small()
+    };
+    let game = TagATuneDriver::generate(
+        &WorldConfig::small(),
+        0.5,
+        &mut RngFactory::new(seed).stream("world"),
+    );
+    let mut campaign = ShardedCampaign::new(game, config, seed);
+    let r = campaign.run().expect("sharded campaign runs");
+    fingerprint(&r, campaign.platform().verified_labels())
+}
+
+/// Golden fingerprints of the sharded TagATune campaign at seeds 1, 7 and
+/// 12, as `(seed, fingerprint)`; 1x1, 2x2 and 3x2 layouts all reported
+/// these. The hub plans each round's left clip, and the shard draws
+/// same/different and the right clip from the session's own stream, so
+/// both the two-clip agreements and that split of the RNG draws feed
+/// every field.
+#[rustfmt::skip]
+const SHARDED_TAGATUNE_GOLDEN: [(u64, Fingerprint); 3] = [
+    (1, Fingerprint { total_outputs: 145, live_sessions: 13, solo_sessions: 0, precision: (141, 145), live_pairs: 13, replay_pairs: 108, throughput_bits: 4638287373316334851, alp_bits: 4588315352337652344, mean_wait_bits: 4622755565254203954, verified_fnv: 327332280875810934 }),
+    (7, Fingerprint { total_outputs: 124, live_sessions: 12, solo_sessions: 0, precision: (117, 124), live_pairs: 12, replay_pairs: 113, throughput_bits: 4637745868326159656, alp_bits: 4587603709804213909, mean_wait_bits: 4622608483329513507, verified_fnv: 889792001655691265 }),
+    (12, Fingerprint { total_outputs: 198, live_sessions: 24, solo_sessions: 0, precision: (176, 198), live_pairs: 24, replay_pairs: 121, throughput_bits: 4636007940120564868, alp_bits: 4590786409657904366, mean_wait_bits: 4622385611110464120, verified_fnv: 9461956593063101092 }),
+];
+
+#[test]
+fn sharded_tagatune_campaign_matches_golden_fingerprints() {
+    for (seed, want) in SHARDED_TAGATUNE_GOLDEN {
+        for (shards, threads) in [(1, 1), (2, 2)] {
+            assert_eq!(
+                sharded_tagatune_fingerprint(seed, shards, threads),
+                want,
+                "seed={seed} layout={shards}x{threads}"
+            );
+        }
     }
 }
 

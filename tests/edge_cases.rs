@@ -4,8 +4,8 @@
 use human_computation::prelude::*;
 use rand::SeedableRng;
 
-fn esp_campaign(config: CampaignConfig, seed: u64) -> Campaign<EspDriver> {
-    let driver = EspDriver::generate(
+fn esp_campaign(config: CampaignConfig, seed: u64) -> Campaign<EspWorld> {
+    let driver = EspWorld::generate(
         &WorldConfig::small(),
         &mut RngFactory::new(seed).stream("world"),
     );
@@ -268,7 +268,7 @@ fn a_replay_round_can_verify_a_label_by_self_agreement() {
         stimuli: 600,
         ..WorldConfig::small()
     };
-    let driver = EspDriver::generate(&world, &mut RngFactory::new(8).stream("world"));
+    let driver = EspWorld::generate(&world, &mut RngFactory::new(8).stream("world"));
     let mut config = CampaignConfig::small();
     config.players = 16;
     config.horizon = SimTime::from_secs(24 * 3600);
