@@ -121,6 +121,10 @@ pub fn parse_items(lexed: &[LexedLine]) -> ParsedFile {
     // Braces inside a `use a::{b, c};` group belong to the path text,
     // not to item structure.
     let mut use_brace: i32 = 0;
+    // Paren/bracket depth of the header text: a `;` inside `[T; 2]` or
+    // `(…)` belongs to a type or an expression, and must not end the
+    // header mid-signature.
+    let mut nest: i32 = 0;
 
     for (idx, line) in lexed.iter().enumerate() {
         let lineno = idx + 1;
@@ -144,6 +148,7 @@ pub fn parse_items(lexed: &[LexedLine]) -> ParsedFile {
                     header.clear();
                     field_buf.clear();
                     angle = 0;
+                    nest = 0;
                 }
                 '}' => {
                     depth = depth.saturating_sub(1);
@@ -168,7 +173,9 @@ pub fn parse_items(lexed: &[LexedLine]) -> ParsedFile {
                     header.clear();
                     field_buf.clear();
                     angle = 0;
+                    nest = 0;
                 }
+                ';' if nest > 0 => header.push(c),
                 ';' => {
                     finish_semicolon(&header, &stack, header_line, &mut out);
                     header.clear();
@@ -186,10 +193,12 @@ pub fn parse_items(lexed: &[LexedLine]) -> ParsedFile {
                     header.push(c);
                 }
                 _ => {
-                    if c == '<' {
-                        angle += 1;
-                    } else if c == '>' {
-                        angle = (angle - 1).max(0);
+                    match c {
+                        '<' => angle += 1,
+                        '>' => angle = (angle - 1).max(0),
+                        '(' | '[' => nest += 1,
+                        ')' | ']' => nest = (nest - 1).max(0),
+                        _ => {}
                     }
                     if let Some((entry, Ctx::Struct { .. })) = stack.last() {
                         if depth == entry + 1 {
@@ -639,6 +648,22 @@ impl Widget {
                 .collect::<Vec<_>>(),
             vec![("count", "u64"), ("label", "String")]
         );
+    }
+
+    #[test]
+    fn array_types_do_not_end_a_signature() {
+        let src = "\
+fn seat(profiles: [&mut PlayerProfile; 2], rng: &mut SimRng) -> u32 {
+    let pair: [u8; 2] = [0; 2];
+    0
+}
+";
+        let p = parse(src);
+        assert_eq!(p.fns.len(), 1);
+        assert_eq!(p.fns[0].name, "seat");
+        assert_eq!(p.fns[0].params.len(), 2);
+        assert_eq!(p.fns[0].params[0].ty, "[&mut PlayerProfile; 2]");
+        assert_eq!(p.fns[0].body, Some((1, 4)));
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! **R1 (RNG discipline, error)** — inside code reachable from the
 //! shard/task entry points (`hc-sim::par`, `hc-sim::shard`, and every
-//! `ShardWorkload::shard_step` / `ShardGame::play` implementation),
+//! `ShardWorkload::shard_step` / `ShardWorkload::run_job` /
+//! `ShardGame::play` implementation),
 //! every RNG must be derived through `indexed_stream`/`indexed_child`.
 //! Un-indexed sources (`.stream(`, `.child(`, raw seeding), cloned
 //! RNGs, and struct-stored RNG state are flagged. The serial hub
@@ -44,7 +45,11 @@ const HUB_BARRIERS: [&str; 1] = ["hub_step"];
 
 /// `(trait, method)` pairs whose implementations run per-shard or
 /// per-task and therefore root R1 reachability.
-const R1_ROOT_METHODS: [(&str, &str); 2] = [("ShardWorkload", "shard_step"), ("ShardGame", "play")];
+const R1_ROOT_METHODS: [(&str, &str); 3] = [
+    ("ShardWorkload", "shard_step"),
+    ("ShardWorkload", "run_job"),
+    ("ShardGame", "play"),
+];
 
 /// Tokens that create an RNG from an un-indexed source. `.stream(` and
 /// `.child(` cannot false-match their indexed variants: the preceding

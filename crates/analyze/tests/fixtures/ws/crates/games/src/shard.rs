@@ -95,3 +95,30 @@ impl ShardWorkload for BucketCampaign {
         self.buckets.iter().map(|mb| mb.draws).sum()
     }
 }
+
+/// Engine jobs: `run_job` runs on any worker, so it roots R1 like
+/// `shard_step`; a helper taking an array of profiles is reached too.
+pub struct JobCampaign {
+    factory: RngFactory,
+}
+
+impl ShardWorkload for JobCampaign {
+    fn run_job(&self, sid: u32) -> u64 {
+        let mut rng = self.factory.stream("session");
+        spin(&mut rng) + seat_pair(sid)
+    }
+
+    fn hub_step(&mut self) -> u64 {
+        0
+    }
+}
+
+fn seat_pair(sid: u32) -> u64 {
+    u64::from(sid) + pair_bonus([&mut PlayerProfile::default(), &mut PlayerProfile::default()])
+}
+
+fn pair_bonus(profiles: [&mut PlayerProfile; 2]) -> u64 {
+    let mut rng = RngFactory::new(1).stream("probe");
+    let _ = profiles;
+    spin(&mut rng)
+}

@@ -40,6 +40,8 @@ fn planted_violations_fire_exactly() {
         ("R1", "crates/games/src/shard.rs", 25),
         ("R1", "crates/games/src/shard.rs", 72),
         ("R1", "crates/games/src/shard.rs", 73),
+        ("R1", "crates/games/src/shard.rs", 107),
+        ("R1", "crates/games/src/shard.rs", 121),
         ("R2", "crates/obs/src/agg.rs", 13),
         ("R2", "crates/obs/src/agg.rs", 38),
         ("O1", "crates/obs/src/analyze.rs", 6),
@@ -217,7 +219,7 @@ fn r1_spares_the_hub_barrier_and_indexed_streams() {
         .filter(|d| d.rule == "R1" && d.path.contains("games/"))
         .map(|d| d.line)
         .collect();
-    assert_eq!(games_r1, vec![12, 13, 25, 72, 73]);
+    assert_eq!(games_r1, vec![12, 13, 25, 72, 73, 107, 121]);
     assert!(!games_r1.contains(&18), "hub barrier leaked into R1");
     assert!(!games_r1.contains(&35), "indexed_stream misflagged");
     let serve_r1: Vec<usize> = report
@@ -243,7 +245,9 @@ fn bucket_matchmaker_is_shard_reachable_under_r1() {
     let bucket_r1: Vec<usize> = report
         .diagnostics
         .iter()
-        .filter(|d| d.rule == "R1" && d.path.contains("games/src/shard.rs") && d.line > 55)
+        .filter(|d| {
+            d.rule == "R1" && d.path.contains("games/src/shard.rs") && (56..98).contains(&d.line)
+        })
         .map(|d| d.line)
         .collect();
     assert_eq!(bucket_r1, vec![72, 73], "bucket pairing escaped R1");
@@ -325,5 +329,23 @@ fn nested_workspaces_are_not_walked() {
         .iter()
         .filter(|d| d.rule == "R1" && d.path.starts_with("crates/"))
         .count();
-    assert_eq!(member_r1, 6, "member-crate R1 plants stopped firing");
+    assert_eq!(member_r1, 8, "member-crate R1 plants stopped firing");
+}
+
+#[test]
+fn r1_roots_engine_jobs_and_sees_through_array_parameters() {
+    // fixtures/ws/crates/games/src/shard.rs: `JobCampaign::run_job` is
+    // an R1 root like `shard_step`, so its un-indexed draw (line 107)
+    // fires. It reaches `pair_bonus`, whose `[&mut PlayerProfile; 2]`
+    // parameter holds a `;` inside the signature; the parser must still
+    // see the function, so the planted `RngFactory::new(1).stream(`
+    // (line 121) fires too.
+    let report = analyze_workspace(&fixture_root()).expect("fixture walk");
+    let job_r1: Vec<usize> = report
+        .diagnostics
+        .iter()
+        .filter(|d| d.rule == "R1" && d.path.contains("games/src/shard.rs") && d.line > 98)
+        .map(|d| d.line)
+        .collect();
+    assert_eq!(job_r1, vec![107, 121]);
 }

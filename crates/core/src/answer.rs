@@ -11,12 +11,15 @@ use serde::read::Reader;
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::borrow::Borrow;
 use std::fmt;
+use std::sync::Arc;
 
 /// A normalized free-text label.
 ///
 /// Construction always normalizes (see [`crate::text::normalize_label`]),
 /// decoding included, so two `Label`s compare equal exactly when the
-/// platform considers the underlying strings to agree.
+/// platform considers the underlying strings to agree. The text is
+/// shared: cloning a label (taboo lists, agreement tallies, replay
+/// recordings all hold copies) bumps a count instead of copying bytes.
 ///
 /// # Examples
 ///
@@ -25,8 +28,18 @@ use std::fmt;
 /// assert_eq!(Label::new("  Dogs! "), Label::new("dog"));
 /// assert_eq!(Label::new("Hot Dog").as_str(), "hot dog");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
-pub struct Label(String);
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Label(Arc<str>);
+
+/// Encodes as the bare JSON string, as a `String` newtype would.
+impl Serialize for Label {
+    fn serialize_value(&self) -> Value {
+        self.as_str().serialize_value()
+    }
+    fn write_json(&self, out: &mut String) {
+        self.as_str().write_json(out);
+    }
+}
 
 /// Decodes from any JSON string through [`Label::new`]: wire text is
 /// client input, and the taboo and empty-label checks compare normal
@@ -47,7 +60,7 @@ impl Label {
     /// Builds a label, normalizing `raw`.
     #[must_use]
     pub fn new(raw: &str) -> Self {
-        Label(normalize_label(raw))
+        Label(normalize_label(raw).into())
     }
 
     /// The normalized text.
@@ -237,6 +250,17 @@ impl Answer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn label_debug_and_json_text_are_the_bare_string() {
+        let label = Label::new("Hot \"Dogs\"");
+        assert_eq!(format!("{label:?}"), "Label(\"hot dog\")");
+        assert_eq!(serde_json::to_string(&label).unwrap(), "\"hot dog\"");
+        assert_eq!(
+            serde_json::to_value(&label).unwrap(),
+            serde_json::Value::String("hot dog".to_string())
+        );
+    }
 
     #[test]
     fn labels_normalize_on_construction() {

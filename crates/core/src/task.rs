@@ -10,9 +10,9 @@
 use crate::answer::Label;
 use crate::id::{PlayerId, TaskId};
 use crate::verify::TabooList;
-use hc_collect::{DetMap, DetSet, PlayerStore};
+use hc_collect::{DetMap, PlayerStore};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 
 /// What a task presents to the player — an abstract stimulus reference.
 ///
@@ -118,26 +118,28 @@ impl Task {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct TaskQueue {
-    // Both maps are on the serving hot path (every `next_for` /
+    // Both stores are on the serving hot path (every `next_for` /
     // `record_served`). `tasks` is iterated only for order-free counts
     // and the explicitly order-unspecified `iter()`; `seen` is
     // membership-only. Scheduling order comes from `live`.
     tasks: DetMap<TaskId, Task>,
-    /// Every task that is neither completed nor retired, keyed by its
-    /// current `(verified_outputs, times_served, id)`, so iteration order
-    /// is serving priority. Every count or state change moves the key.
-    live: BTreeSet<(u32, u32, TaskId)>,
-    seen: PlayerStore<DetSet<TaskId>>,
+    /// Every task that is neither completed nor retired, by its current
+    /// level `(verified_outputs, times_served)`; each level's ids stay
+    /// ascending, so walking the levels in order and each level's ids in
+    /// turn is serving priority. Every count or state change moves the
+    /// task to another level.
+    live: BTreeMap<(u32, u32), Vec<TaskId>>,
+    /// The tasks each player was served since their seen marks were last
+    /// cleared, without repeats. Sessions clear them when they end, so a
+    /// list holds at most one session's rounds and a scan beats hashing.
+    seen: PlayerStore<Vec<TaskId>>,
 }
 
-/// A task's key in [`TaskQueue::live`]; `None` once it can never be
+/// A task's level in [`TaskQueue::live`]; `None` once it can never be
 /// served again.
-fn priority(task: &Task) -> Option<(u32, u32, TaskId)> {
-    (!matches!(task.state, TaskState::Completed | TaskState::Retired)).then_some((
-        task.verified_outputs,
-        task.times_served,
-        task.id,
-    ))
+fn level(task: &Task) -> Option<(u32, u32)> {
+    (!matches!(task.state, TaskState::Completed | TaskState::Retired))
+        .then_some((task.verified_outputs, task.times_served))
 }
 
 impl TaskQueue {
@@ -149,28 +151,25 @@ impl TaskQueue {
 
     /// Adds a task to the store, replacing any task with the same id.
     pub fn insert(&mut self, task: Task) {
-        let key = priority(&task);
-        if let Some(old) = self.tasks.insert(task.id, task) {
-            if let Some(old_key) = priority(&old) {
-                self.live.remove(&old_key);
-            }
+        let (id, new) = (task.id, level(&task));
+        if let Some(old) = self.tasks.insert(id, task) {
+            unlink(&mut self.live, level(&old), id);
         }
-        if let Some(key) = key {
-            self.live.insert(key);
-        }
+        link(&mut self.live, new, id);
     }
 
-    /// Applies `change` to a stored task and re-keys it in `live`.
+    /// Applies `change` to a stored task and moves it to its new level
+    /// in `live`.
     fn update(&mut self, id: TaskId, change: impl FnOnce(&mut Task)) {
         let Some(task) = self.tasks.get_mut(&id) else {
             return;
         };
-        if let Some(key) = priority(task) {
-            self.live.remove(&key);
-        }
+        let old = level(task);
         change(task);
-        if let Some(key) = priority(task) {
-            self.live.insert(key);
+        let new = level(task);
+        if old != new {
+            unlink(&mut self.live, old, id);
+            link(&mut self.live, new, id);
         }
     }
 
@@ -209,8 +208,9 @@ impl TaskQueue {
     pub fn next_for(&self, players: &[PlayerId]) -> Option<TaskId> {
         let seen = players.iter().filter_map(|p| self.seen.get(p.raw()));
         self.live
-            .iter()
-            .map(|&(_, _, id)| id)
+            .values()
+            .flatten()
+            .copied()
             .find(|id| !seen.clone().any(|s| s.contains(id)))
     }
 
@@ -224,9 +224,10 @@ impl TaskQueue {
             }
         });
         for p in players {
-            self.seen
-                .get_or_insert_with(p.raw(), DetSet::new)
-                .insert(task);
+            let seen = self.seen.get_or_insert_with(p.raw(), Vec::new);
+            if !seen.contains(&task) {
+                seen.push(task);
+            }
         }
     }
 
@@ -263,6 +264,30 @@ impl TaskQueue {
     /// Iterates over all tasks in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = &Task> {
         self.tasks.values()
+    }
+}
+
+/// Removes `id` from `level` (a binary search), dropping the level once
+/// it is empty.
+fn unlink(live: &mut BTreeMap<(u32, u32), Vec<TaskId>>, level: Option<(u32, u32)>, id: TaskId) {
+    let Some(level) = level else { return };
+    if let Some(ids) = live.get_mut(&level) {
+        if let Ok(at) = ids.binary_search(&id) {
+            ids.remove(at);
+        }
+        if ids.is_empty() {
+            live.remove(&level);
+        }
+    }
+}
+
+/// Adds `id` to `level`, keeping its ids ascending; usually an append,
+/// since tasks move up one level at a time in id order.
+fn link(live: &mut BTreeMap<(u32, u32), Vec<TaskId>>, level: Option<(u32, u32)>, id: TaskId) {
+    let Some(level) = level else { return };
+    let ids = live.entry(level).or_default();
+    if let Err(at) = ids.binary_search(&id) {
+        ids.insert(at, id);
     }
 }
 

@@ -37,11 +37,14 @@ pub fn normalize_label(raw: &str) -> String {
             cleaned.push(' ');
         }
     }
-    cleaned
-        .split_whitespace()
-        .map(singularize)
-        .collect::<Vec<_>>()
-        .join(" ")
+    let mut label = String::with_capacity(cleaned.len());
+    for (i, word) in cleaned.split_whitespace().enumerate() {
+        if i > 0 {
+            label.push(' ');
+        }
+        push_singular(&mut label, word);
+    }
+    label
 }
 
 /// Reduces a trivial English plural. Deliberately conservative: only the
@@ -49,24 +52,30 @@ pub fn normalize_label(raw: &str) -> String {
 /// trailing `-s` (not `-ss`, not `-us`, not `-is`) → drop `s`.
 #[must_use]
 pub fn singularize(word: &str) -> String {
-    let w = word;
+    let mut singular = String::with_capacity(word.len());
+    push_singular(&mut singular, word);
+    singular
+}
+
+/// Appends [`singularize`]`(w)` to `out` without allocating a word.
+fn push_singular(out: &mut String, w: &str) {
     if w.len() > 3 && w.ends_with("ies") {
-        return format!("{}y", &w[..w.len() - 3]); // hc-analyze: allow(P1): ends_with("ies") guarantees an ASCII suffix at least 3 bytes long
-    }
-    if w.len() > 3
+        out.push_str(&w[..w.len() - 3]); // hc-analyze: allow(P1): ends_with("ies") guarantees an ASCII suffix at least 3 bytes long
+        out.push('y');
+    } else if w.len() > 3
         && (w.ends_with("xes") || w.ends_with("ses") || w.ends_with("shes") || w.ends_with("ches"))
     {
-        return w[..w.len() - 2].to_string(); // hc-analyze: allow(P1): ends_with guarantees an ASCII suffix at least 2 bytes long
-    }
-    if w.len() > 2
+        out.push_str(&w[..w.len() - 2]); // hc-analyze: allow(P1): ends_with guarantees an ASCII suffix at least 2 bytes long
+    } else if w.len() > 2
         && w.ends_with('s')
         && !w.ends_with("ss")
         && !w.ends_with("us")
         && !w.ends_with("is")
     {
-        return w[..w.len() - 1].to_string(); // hc-analyze: allow(P1): trailing ASCII s checked; len > 2
+        out.push_str(&w[..w.len() - 1]); // hc-analyze: allow(P1): trailing ASCII s checked; len > 2
+    } else {
+        out.push_str(w);
     }
-    w.to_string()
 }
 
 /// Classic dynamic-programming Levenshtein edit distance (two-row variant,
@@ -175,6 +184,37 @@ mod tests {
         for s in ["Dogs!!", "hot  DOGS", "churches", "a-b-c", "", "ﬁsh"] {
             let once = normalize_label(s);
             assert_eq!(normalize_label(&once), once, "not idempotent on {s:?}");
+        }
+    }
+
+    #[test]
+    fn normalization_singularizes_each_word_in_place() {
+        // The one-buffer normalizer equals the word-by-word definition.
+        for raw in [
+            "Dogs!!",
+            "hot  DOGS",
+            "churches",
+            "a-b-c",
+            "",
+            "   ",
+            "ﬁsh",
+            "Boxes of FLIES",
+            "is us ss",
+            "İstanbul bus",
+            "cats,dogs;mice",
+            "x",
+            "glasses and dishes",
+        ] {
+            let words: Vec<String> = raw
+                .chars()
+                .map(|c| if c.is_alphanumeric() { c } else { ' ' })
+                .flat_map(char::to_lowercase)
+                .filter(|c| c.is_alphanumeric() || *c == ' ')
+                .collect::<String>()
+                .split_whitespace()
+                .map(singularize)
+                .collect();
+            assert_eq!(normalize_label(raw), words.join(" "), "raw={raw:?}");
         }
     }
 

@@ -11,20 +11,21 @@
 //!
 //! * **Shards** (`player_id % K`) own idle player profiles
 //!   ([`PlayerStore`]), sitting plans (arena-allocated in a
-//!   [`SliceArena`]), arrival calendars, and — the hot path — *session
-//!   play*: every planned session is executed entirely on a worker
-//!   thread from its own per-session RNG stream. **Matchmaking is
-//!   sharded too**: the wait pool is partitioned into deterministic
-//!   skill tiers ([`BucketLayout`]); bucket `b` lives on shard `b % K`
-//!   as a [`BucketPool`] and pairing runs inside the shard window, with
-//!   each arrival drawing from the bucket's own counter-indexed RNG
-//!   stream.
+//!   [`SliceArena`]) and arrival calendars. **Matchmaking is sharded
+//!   too**: the wait pool is partitioned into deterministic skill tiers
+//!   ([`BucketLayout`]); bucket `b` lives on shard `b % K` as a
+//!   [`BucketPool`] and pairing runs inside the shard window, with each
+//!   arrival drawing from the bucket's own counter-indexed RNG stream.
+//! * **Jobs** carry the hot path, *session play*: every planned session
+//!   is an engine job ([`Addr::Job`]) that whichever worker claims it
+//!   plays entirely from the job and the session's own RNG stream, so
+//!   sessions balance across workers one by one.
 //! * **The hub** owns everything semantically global: the
 //!   [`Platform`] (task queues, verification, scoring, anti-cheat,
-//!   replay store) and session-id allocation. It plans sessions and
-//!   applies outcomes — its per-window work is proportional to the
-//!   sessions starting and finishing, never to raw arrival traffic, so
-//!   it falls off the critical path of large runs.
+//!   replay store) and session-id allocation, in `CampaignHub`, which
+//!   only the calling thread touches. It plans sessions and applies
+//!   outcomes — its per-window work is proportional to the sessions
+//!   starting and finishing, never to raw arrival traffic.
 //!
 //! ## The session protocol
 //!
@@ -32,17 +33,17 @@
 //! shard --Arrived{profile}--->  shard b % K    (arrival flies to its skill bucket)
 //! shard --Paired{w, a}------->  hub            (bucket pool matched two players)
 //! shard --TimedOut{p, wait}-->  hub            (bot-fallback deadline expired)
-//! hub   --Play(SessionJob)--->  shard sid % K  (planned rounds + profiles)
-//! shard --Done{outcome}------>  hub            (transcript + per-round effects)
-//! shard --Return{profile}---->  shard p % K    (profile flies home)
+//! hub   --Play(SessionJob)--->  any worker     (a job: planned rounds + profiles)
+//! job   --Done{outcome}------>  hub            (transcript + per-round effects)
+//! job   --Return{profile}---->  shard p % K    (profile flies home)
 //! hub   --Return{profile}---->  shard p % K    (give-up: no solo mode)
 //! ```
 //!
 //! The hub *plans* sessions (task selection, taboo lists, replay
 //! recordings — everything that reads platform state) and *applies*
-//! outcomes in session-id order; shards *play* them purely from the
-//! plan. Every round, hub-planned or serial, is planned by one function,
-//! `plan_round`. A shard plays each round with the game's one round
+//! outcomes in session-id order; jobs *play* them purely from the plan.
+//! Every round, hub-planned or serial, is planned by one function,
+//! `plan_round`. A job plays each round with the game's one round
 //! function (`esp::play_esp_round` for live and replayed partners alike,
 //! `tagatune::play_tagatune_round`, `verbosity::play_verbosity_round`) —
 //! the same function the serial session functions call — inside the
@@ -99,7 +100,7 @@ fn player_key(tag: u128, at: SimTime, player: PlayerId) -> u128 {
 }
 
 /// One planned round: everything it reads from the platform. The hub
-/// ships these to the playing shard; a serial session plans one just
+/// ships these to the session's job; a serial session plans one just
 /// before playing it.
 #[derive(Debug, Clone)]
 pub struct PlannedRound {
@@ -111,7 +112,7 @@ pub struct PlannedRound {
     pub recording: Option<RecordedRound>,
 }
 
-/// Everything a shard needs to play one session without the platform.
+/// Everything a job needs to play one session without the platform.
 #[derive(Debug)]
 pub struct SessionJob {
     /// Allocated session id (also the exchange key and RNG index).
@@ -182,7 +183,7 @@ pub(crate) fn plan_round<R: Rng + ?Sized>(
 }
 
 /// Plans up to `max_rounds` rounds for `seats`, marking tasks served.
-/// Over-planning is deliberate: the shard stops early when the session
+/// Over-planning is deliberate: the job stops early when the session
 /// budget runs out, and the extra served marks are deterministic.
 pub(crate) fn plan_rounds(
     platform: &mut Platform,
@@ -253,9 +254,9 @@ pub enum CampaignMsg {
         /// How long the player waited.
         waited: SimDuration,
     },
-    /// A planned session to execute (hub → shard `sid % K`).
+    /// A planned session to play (hub → a job on any worker).
     Play(Box<SessionJob>),
-    /// A finished session's outcome (playing shard → hub); a solo
+    /// A finished session's outcome (the session's job → hub); a solo
     /// session's transcript seats the same player twice.
     Done {
         /// Transcript and effects.
@@ -272,7 +273,7 @@ pub enum CampaignMsg {
 }
 
 /// A concrete game exposed over the sharded API: the hub-side planner
-/// and the pure shard-side player. Each game's world implements it
+/// and the pure job-side player. Each game's world implements it
 /// ([`EspWorld`](crate::esp::EspWorld),
 /// [`VerbosityWorld`](crate::verbosity::VerbosityWorld)); TagATune's
 /// [`TagATuneDriver`](crate::tagatune::TagATuneDriver) adds its
@@ -343,7 +344,8 @@ pub struct ShardedCampaignConfig {
     pub arrival_spread: SimDuration,
     /// Shard count `K` (players are keyed `id % K`).
     pub shards: usize,
-    /// Worker threads for the shard phase.
+    /// Threads that work the engine's pool phase, counting the calling
+    /// thread.
     pub threads: usize,
     /// Lock-step window length (also the matchmaker sweep cadence).
     pub window: SimDuration,
@@ -420,17 +422,31 @@ pub struct GameShard {
     sweep_scratch: Vec<(PlayerId, SimDuration)>,
 }
 
-/// The sharded deployment: implements [`ShardWorkload`] with shard-side
-/// play and hub-side planning/application.
+/// The sharded deployment: its [`ShardWorkload`] (shard-side
+/// matchmaking, job-side play, hub-side planning and application), the
+/// hub's state and the shards' states.
 #[derive(Debug)]
 pub struct ShardedCampaign<D: ShardGame> {
+    deployment: Deployment<D>,
+    hub: CampaignHub,
+    shards: Option<Vec<GameShard>>,
+}
+
+/// What every worker reads during a run: the game and the fixed
+/// parameters. Implements [`ShardWorkload`].
+#[derive(Debug)]
+struct Deployment<D: ShardGame> {
     driver: D,
     config: ShardedCampaignConfig,
     factory: RngFactory,
     session_cfg: SessionConfig,
     rule: ScoreRule,
     layout: BucketLayout,
-    // Hub state (stepped serially on the calling thread).
+}
+
+/// The hub's state, stepped serially on the calling thread.
+#[derive(Debug)]
+struct CampaignHub {
     platform: Platform,
     session_ids: hc_core::id::IdAllocator<SessionId>,
     plan_rng: SimRng,
@@ -442,7 +458,6 @@ pub struct ShardedCampaign<D: ShardGame> {
     // so the floating-point reduction is layout-invariant.
     match_stats: hc_core::matchmaker::MatchmakerStats,
     wait_stats: OnlineStats,
-    shards: Option<Vec<GameShard>>,
 }
 
 impl<D: ShardGame> ShardedCampaign<D> {
@@ -521,21 +536,25 @@ impl<D: ShardGame> ShardedCampaign<D> {
         let rule = platform.score_rule();
         let plan_rng = factory.stream("shard.plan");
         ShardedCampaign {
-            driver,
-            config,
-            factory,
-            session_cfg,
-            rule,
-            layout,
-            platform,
-            session_ids: hc_core::id::IdAllocator::new(),
-            plan_rng,
-            in_flight: 0,
-            live_sessions: 0,
-            solo_sessions: 0,
-            solo_play: ContributionLedger::new(),
-            match_stats: hc_core::matchmaker::MatchmakerStats::default(),
-            wait_stats: OnlineStats::new(),
+            deployment: Deployment {
+                driver,
+                config,
+                factory,
+                session_cfg,
+                rule,
+                layout,
+            },
+            hub: CampaignHub {
+                platform,
+                session_ids: hc_core::id::IdAllocator::new(),
+                plan_rng,
+                in_flight: 0,
+                live_sessions: 0,
+                solo_sessions: 0,
+                solo_play: ContributionLedger::new(),
+                match_stats: hc_core::matchmaker::MatchmakerStats::default(),
+                wait_stats: OnlineStats::new(),
+            },
             shards: Some(shards),
         }
     }
@@ -550,24 +569,26 @@ impl<D: ShardGame> ShardedCampaign<D> {
         let mut shards = self.shards.take().ok_or_else(|| ShardError::Config {
             message: "run() may only be called once".to_string(),
         })?;
-        let cfg = ShardConfig::new(self.config.threads, self.config.window);
+        let config = &self.deployment.config;
+        let cfg = ShardConfig::new(config.threads, config.window);
         // Scope span: the engine's run/window spans and every session
         // span nest under the campaign. Closed at the sim-time
         // high-water mark so the last window stays inside it.
         let campaign = hc_obs::enter("games", "shard.campaign", 0);
-        hc_sim::shard::run(&cfg, self, &mut shards)?;
+        hc_sim::shard::run(&cfg, &self.deployment, &mut self.hub, &mut shards)?;
+        let hub = &mut self.hub;
         // Reduce per-bucket matchmaking statistics in ascending bucket
         // order — a fixed reduction order keeps the floating-point sums
         // byte-identical at any shard layout.
         let mut tiers: Vec<&MatchBucket> = shards.iter().flat_map(|s| s.buckets.iter()).collect();
         tiers.sort_by_key(|mb| mb.bucket);
         for mb in tiers {
-            self.match_stats.merge(&mb.pool.stats());
-            self.wait_stats.merge(mb.pool.wait_stats());
+            hub.match_stats.merge(&mb.pool.stats());
+            hub.wait_stats.merge(mb.pool.wait_stats());
         }
         campaign.close(&[
-            ("live_sessions", self.live_sessions.into()),
-            ("solo_sessions", self.solo_sessions.into()),
+            ("live_sessions", hub.live_sessions.into()),
+            ("solo_sessions", hub.solo_sessions.into()),
         ]);
         Ok(self.report())
     }
@@ -575,21 +596,24 @@ impl<D: ShardGame> ShardedCampaign<D> {
     /// The platform, for post-run inspection.
     #[must_use]
     pub fn platform(&self) -> &Platform {
-        &self.platform
+        &self.hub.platform
     }
 
     fn report(&self) -> ShardedCampaignReport {
+        let (driver, hub) = (&self.deployment.driver, &self.hub);
         ShardedCampaignReport {
-            game: self.driver.name(),
-            metrics: GwapMetrics::with_solo_play(&self.platform.metrics(), &self.solo_play),
-            precision: self.driver.precision(&self.platform),
-            matchmaker: self.match_stats,
-            live_sessions: self.live_sessions,
-            solo_sessions: self.solo_sessions,
-            mean_wait_secs: self.wait_stats.mean(),
+            game: driver.name(),
+            metrics: GwapMetrics::with_solo_play(&hub.platform.metrics(), &hub.solo_play),
+            precision: driver.precision(&hub.platform),
+            matchmaker: hub.match_stats,
+            live_sessions: hub.live_sessions,
+            solo_sessions: hub.solo_sessions,
+            mean_wait_secs: hub.wait_stats.mean(),
         }
     }
+}
 
+impl<D: ShardGame> Deployment<D> {
     fn home(&self, player: PlayerId) -> usize {
         (player.raw() % self.config.shards as u64) as usize
     }
@@ -646,21 +670,22 @@ impl<D: ShardGame> ShardedCampaign<D> {
     /// the session. The hub also owns the pairing telemetry — bucket
     /// pools are shard-reachable and must stay silent.
     fn on_paired(
-        &mut self,
+        &self,
+        hub: &mut CampaignHub,
         at: SimTime,
         waiter: PlayerProfile,
         arriver: PlayerProfile,
         waited: SimDuration,
         mail: &mut Mailbox<CampaignMsg>,
     ) {
-        self.platform.set_time(at);
+        hub.platform.set_time(at);
         let seats = [waiter.id, arriver.id];
         trace_pairing(at, arriver.id, Some(waiter.id), waited);
-        let sid = self.session_ids.next();
+        let sid = hub.session_ids.next();
         let rounds = self
             .driver
-            .plan_live(&mut self.platform, seats, &mut self.plan_rng);
-        self.dispatch(
+            .plan_live(&mut hub.platform, seats, &mut hub.plan_rng);
+        hub.dispatch(
             mail,
             SessionJob {
                 sid,
@@ -672,20 +697,60 @@ impl<D: ShardGame> ShardedCampaign<D> {
         );
     }
 
-    /// Hub-side: sends a planned session to the shard keyed by its id.
+    /// Hub-side: rescue one timed-out waiter (solo session or give-up).
+    fn on_timed_out(
+        &self,
+        hub: &mut CampaignHub,
+        at: SimTime,
+        profile: PlayerProfile,
+        waited: SimDuration,
+        mail: &mut Mailbox<CampaignMsg>,
+    ) {
+        hub.platform.set_time(at);
+        let p = profile.id;
+        match self
+            .driver
+            .plan_solo(&mut hub.platform, p, &mut hub.plan_rng)
+        {
+            Some(rounds) => {
+                trace_pairing(at, p, None, waited);
+                let sid = hub.session_ids.next();
+                hub.dispatch(
+                    mail,
+                    SessionJob {
+                        sid,
+                        start: at,
+                        seats: [p, p],
+                        profiles: vec![profile],
+                        rounds,
+                    },
+                );
+            }
+            None => {
+                // No solo mode: give up and return at a later sitting.
+                mail.send(
+                    Addr::Shard(self.home(p)),
+                    at,
+                    player_key(TAG_RETURN, at, p),
+                    CampaignMsg::Return {
+                        profile: Box::new(profile),
+                        played: None,
+                    },
+                );
+            }
+        }
+    }
+}
+
+impl CampaignHub {
+    /// Sends a planned session to be played as a job, keyed by its id.
     fn dispatch(&mut self, mail: &mut Mailbox<CampaignMsg>, job: SessionJob) {
         self.in_flight += 1;
-        let dest = (job.sid.raw() % self.config.shards as u64) as usize;
         let key = u128::from(job.sid.raw());
-        mail.send(
-            Addr::Shard(dest),
-            job.start,
-            key,
-            CampaignMsg::Play(Box::new(job)),
-        );
+        mail.send(Addr::Job, job.start, key, CampaignMsg::Play(Box::new(job)));
     }
 
-    /// Hub-side: applies a finished session's effects in play order.
+    /// Applies a finished session's effects in play order.
     fn apply_done(&mut self, outcome: PlayedSession) {
         self.in_flight -= 1;
         let transcript = &outcome.transcript;
@@ -717,54 +782,12 @@ impl<D: ShardGame> ShardedCampaign<D> {
             );
         }
     }
-
-    /// Hub-side: rescue one timed-out waiter (solo session or give-up).
-    fn on_timed_out(
-        &mut self,
-        at: SimTime,
-        profile: PlayerProfile,
-        waited: SimDuration,
-        mail: &mut Mailbox<CampaignMsg>,
-    ) {
-        self.platform.set_time(at);
-        let p = profile.id;
-        match self
-            .driver
-            .plan_solo(&mut self.platform, p, &mut self.plan_rng)
-        {
-            Some(rounds) => {
-                trace_pairing(at, p, None, waited);
-                let sid = self.session_ids.next();
-                self.dispatch(
-                    mail,
-                    SessionJob {
-                        sid,
-                        start: at,
-                        seats: [p, p],
-                        profiles: vec![profile],
-                        rounds,
-                    },
-                );
-            }
-            None => {
-                // No solo mode: give up and return at a later sitting.
-                mail.send(
-                    Addr::Shard(self.home(p)),
-                    at,
-                    player_key(TAG_RETURN, at, p),
-                    CampaignMsg::Return {
-                        profile: Box::new(profile),
-                        played: None,
-                    },
-                );
-            }
-        }
-    }
 }
 
-impl<D: ShardGame> ShardWorkload for ShardedCampaign<D> {
+impl<D: ShardGame> ShardWorkload for Deployment<D> {
     type Shard = GameShard;
     type Msg = CampaignMsg;
+    type Hub = CampaignHub;
 
     fn shard_step(
         &self,
@@ -777,36 +800,6 @@ impl<D: ShardGame> ShardWorkload for ShardedCampaign<D> {
         let k = self.config.shards;
         for (at, msg) in inbox {
             match msg {
-                CampaignMsg::Play(job) => {
-                    let mut job = *job;
-                    let mut rng = self.factory.indexed_stream("shard.session", job.sid.raw());
-                    let outcome = self
-                        .driver
-                        .play(&mut job, self.session_cfg, self.rule, &mut rng);
-                    let end = outcome.transcript.ended;
-                    let played = outcome.transcript.duration();
-                    mail.send(
-                        Addr::Hub,
-                        end,
-                        u128::from(job.sid.raw()),
-                        CampaignMsg::Done {
-                            outcome: Box::new(outcome),
-                        },
-                    );
-                    for profile in job.profiles {
-                        let home = self.home(profile.id);
-                        let key = player_key(TAG_RETURN, end, profile.id);
-                        mail.send(
-                            Addr::Shard(home),
-                            end,
-                            key,
-                            CampaignMsg::Return {
-                                profile: Box::new(profile),
-                                played: Some(played),
-                            },
-                        );
-                    }
-                }
                 CampaignMsg::Return { profile, played } => {
                     self.receive_return(state, at, *profile, played);
                 }
@@ -842,8 +835,9 @@ impl<D: ShardGame> ShardWorkload for ShardedCampaign<D> {
                 }
                 CampaignMsg::Paired { .. }
                 | CampaignMsg::TimedOut { .. }
-                | CampaignMsg::Done { .. } => {
-                    debug_assert!(false, "hub-bound message delivered to a shard");
+                | CampaignMsg::Done { .. }
+                | CampaignMsg::Play(_) => {
+                    debug_assert!(false, "a hub or job message delivered to a shard");
                 }
             }
         }
@@ -921,8 +915,46 @@ impl<D: ShardGame> ShardWorkload for ShardedCampaign<D> {
         wake
     }
 
+    /// Plays one session, sends its outcome to the hub and its players'
+    /// profiles home.
+    fn run_job(&self, _at: SimTime, msg: CampaignMsg, mail: &mut Mailbox<CampaignMsg>) {
+        let CampaignMsg::Play(job) = msg else {
+            debug_assert!(false, "a job that is not a session");
+            return;
+        };
+        let mut job = *job;
+        let mut rng = self.factory.indexed_stream("shard.session", job.sid.raw());
+        let outcome = self
+            .driver
+            .play(&mut job, self.session_cfg, self.rule, &mut rng);
+        let end = outcome.transcript.ended;
+        let played = outcome.transcript.duration();
+        mail.send(
+            Addr::Hub,
+            end,
+            u128::from(job.sid.raw()),
+            CampaignMsg::Done {
+                outcome: Box::new(outcome),
+            },
+        );
+        for profile in job.profiles {
+            let home = self.home(profile.id);
+            let key = player_key(TAG_RETURN, end, profile.id);
+            mail.send(
+                Addr::Shard(home),
+                end,
+                key,
+                CampaignMsg::Return {
+                    profile: Box::new(profile),
+                    played: Some(played),
+                },
+            );
+        }
+    }
+
     fn hub_step(
-        &mut self,
+        &self,
+        hub: &mut CampaignHub,
         win: &WindowInfo,
         inbox: Vec<(SimTime, CampaignMsg)>,
         mail: &mut Mailbox<CampaignMsg>,
@@ -935,17 +967,17 @@ impl<D: ShardGame> ShardWorkload for ShardedCampaign<D> {
         let processed = inbox.len() as u64;
         for (at, msg) in inbox {
             match msg {
-                CampaignMsg::Done { outcome } => self.apply_done(*outcome),
+                CampaignMsg::Done { outcome } => hub.apply_done(*outcome),
                 CampaignMsg::Paired {
                     waiter,
                     arriver,
                     waited,
-                } => self.on_paired(at, *waiter, *arriver, waited, mail),
+                } => self.on_paired(hub, at, *waiter, *arriver, waited, mail),
                 CampaignMsg::TimedOut { profile, waited } => {
-                    self.on_timed_out(at, *profile, waited, mail);
+                    self.on_timed_out(hub, at, *profile, waited, mail);
                 }
                 CampaignMsg::Play(_) | CampaignMsg::Return { .. } | CampaignMsg::Arrived { .. } => {
-                    debug_assert!(false, "shard-bound message delivered to the hub");
+                    debug_assert!(false, "a shard or job message delivered to the hub");
                 }
             }
         }

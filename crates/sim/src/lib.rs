@@ -24,8 +24,8 @@
 //! | [`dist`] | Distributions not in `rand` core: exponential, log-normal, Zipf, geometric, discrete |
 //! | [`arrival`] | Poisson and diurnal arrival processes |
 //! | [`stats`] | Online statistics: Welford mean/variance, histograms, percentiles, confidence intervals |
-//! | [`par`] | Deterministic replication pool (the one worker pool of both engines): same bytes at any `--threads` |
-//! | [`shard`] | Deterministic sharded single-run engine: lock-stepped windows + message exchange, same bytes at any `--shards`/`--threads` |
+//! | [`par`] | Deterministic replication grids on the one run-long worker pool of both engines: same bytes at any `--threads` |
+//! | [`shard`] | Deterministic sharded single-run engine: lock-stepped windows, shard steps and jobs on the worker pool, a message exchange; same bytes at any `--shards`/`--threads` |
 //! | [`timeseries`] | Windowed rate and gauge series for timeline experiments |
 //!
 //! ## Example

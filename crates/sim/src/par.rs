@@ -24,15 +24,16 @@
 //! ## Scheduling
 //!
 //! Replications are claimed one at a time from a single shared queue
-//! by up to `threads` scoped `std` threads (`map_pool`, the one
-//! worker pool that [`crate::shard`] also steps its shards on): an
-//! idle worker takes the next unclaimed index, so a few expensive cells
-//! cannot serialize the whole grid behind one thread.
+//! by the calling thread and up to `threads - 1` helper threads (the
+//! one worker pool, `with_pool`, that [`crate::shard`] also runs its
+//! windows on): an idle thread takes the next unclaimed index, so a few
+//! expensive cells cannot serialize the whole grid behind one thread.
 
 use crate::rng::{RngFactory, SimRng};
+use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Why a replication run failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,55 +79,176 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Maps `f` over `items` on up to `threads` scoped workers and returns
-/// the results **in item order**. Each idle worker takes the next
-/// unclaimed item from one shared queue. `threads <= 1` or a single
-/// item runs inline on the calling thread.
+/// One batch of pool items and what has come back from it.
+struct Batch<I, T> {
+    /// Unclaimed items, in claim order.
+    queue: VecDeque<I>,
+    /// Items claimed so far; the next claim gets this index.
+    claimed: usize,
+    /// Per-item outcomes, in item order (`Err` holds a panic message).
+    results: Vec<Option<Result<T, String>>>,
+    /// Items not yet finished (claimed or not).
+    unfinished: usize,
+    /// Set once, when the pool shuts down: helpers return.
+    closed: bool,
+}
+
+impl<I, T> Batch<I, T> {
+    fn claim(&mut self) -> Option<(usize, I)> {
+        let item = self.queue.pop_front()?;
+        self.claimed += 1;
+        Some((self.claimed - 1, item))
+    }
+}
+
+/// The state a pool's threads share: one batch behind one lock.
+struct Shared<I, T> {
+    batch: Mutex<Batch<I, T>>,
+    /// Helpers sleep here between batches.
+    ready: Condvar,
+    /// The calling thread sleeps here until a batch finishes.
+    finished: Condvar,
+}
+
+impl<I, T> Shared<I, T> {
+    /// Locks the batch. Nothing panics while holding the lock, so a
+    /// poisoned lock still guards a whole batch and is safe to keep
+    /// using.
+    fn lock(&self) -> MutexGuard<'_, Batch<I, T>> {
+        self.batch.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Closes the pool when dropped — also while unwinding from a panic on
+/// the calling thread, so the helpers return and the scope can join
+/// them instead of hanging.
+struct CloseOnDrop<'a, I, T>(&'a Shared<I, T>);
+
+impl<I, T> Drop for CloseOnDrop<'_, I, T> {
+    fn drop(&mut self) {
+        self.0.lock().closed = true;
+        self.0.ready.notify_all();
+    }
+}
+
+/// A run-long worker pool: `threads - 1` helper threads plus the
+/// calling thread apply one `work` function to the items of each batch
+/// handed to [`Pool::map`]. Built by [`with_pool`]; this is the one
+/// worker pool in `hc-sim` — [`run_replications`] runs a grid on it and
+/// [`crate::shard`] runs every window of a sharded run on it.
+pub(crate) struct Pool<'a, I, T, F> {
+    shared: &'a Shared<I, T>,
+    work: &'a F,
+}
+
+impl<I, T, F> Pool<'_, I, T, F>
+where
+    F: Fn(I) -> T,
+{
+    /// Applies `work` to every item and returns the outcomes **in item
+    /// order**; a panicking item yields `Err` with its panic message
+    /// and the rest of the batch still runs. Idle threads claim items
+    /// in list order, and the calling thread works items too until the
+    /// batch is done.
+    pub(crate) fn map(&self, items: Vec<I>) -> Vec<Result<T, String>> {
+        let len = items.len();
+        {
+            let mut batch = self.shared.lock();
+            batch.queue.extend(items);
+            batch.claimed = 0;
+            batch.results.resize_with(len, || None);
+            batch.unfinished = len;
+        }
+        if len > 1 {
+            self.shared.ready.notify_all();
+        }
+        self.work_until(&self.shared.finished, |batch| batch.unfinished == 0);
+        self.shared
+            .lock()
+            .results
+            .drain(..)
+            .map(|r| r.unwrap_or_else(|| Err("an item produced no result".to_string())))
+            .collect()
+    }
+
+    /// Claims and works items until `done` holds, sleeping on `wake`
+    /// while there is nothing to claim. Finishing an item and claiming
+    /// the next take one lock.
+    fn work_until(&self, wake: &Condvar, done: impl Fn(&Batch<I, T>) -> bool) {
+        let mut batch = self.shared.lock();
+        loop {
+            if let Some((index, item)) = batch.claim() {
+                drop(batch);
+                let out = catch_unwind(AssertUnwindSafe(|| (self.work)(item)))
+                    .map_err(|p| panic_message(p.as_ref()));
+                batch = self.shared.lock();
+                if let Some(slot) = batch.results.get_mut(index) {
+                    *slot = Some(out);
+                }
+                batch.unfinished -= 1;
+                if batch.unfinished == 0 {
+                    self.shared.finished.notify_one();
+                }
+            } else if done(&batch) {
+                return;
+            } else {
+                batch = wake.wait(batch).unwrap_or_else(PoisonError::into_inner);
+            }
+        }
+    }
+}
+
+/// Runs `body` on the calling thread with a [`Pool`] whose helpers
+/// apply `work`: `threads - 1` helper threads (none for `threads <= 1`)
+/// that live until `body` returns, inside one `std::thread::scope`.
 ///
-/// `f` should contain its own panics (both callers wrap their work in
-/// `catch_unwind`): the `Err` message reports a worker thread that died
-/// outside `f`'s containment.
-pub(crate) fn map_pool<I, T, F>(items: Vec<I>, threads: usize, f: F) -> Result<Vec<T>, String>
+/// # Errors
+///
+/// The panic message of a helper thread that died outside an item (a
+/// bug in the pool itself; items contain their own panics).
+pub(crate) fn with_pool<I, T, F, R>(
+    threads: usize,
+    work: F,
+    body: impl FnOnce(&Pool<'_, I, T, F>) -> R,
+) -> Result<R, String>
 where
     I: Send,
     T: Send,
     F: Fn(I) -> T + Sync,
 {
-    let threads = threads.min(items.len());
-    if threads <= 1 {
-        return Ok(items.into_iter().map(f).collect());
+    let shared = Shared {
+        batch: Mutex::new(Batch {
+            queue: VecDeque::new(),
+            claimed: 0,
+            results: Vec::new(),
+            unfinished: 0,
+            closed: false,
+        }),
+        ready: Condvar::new(),
+        finished: Condvar::new(),
+    };
+    let pool = Pool {
+        shared: &shared,
+        work: &work,
+    };
+    let helpers = threads.saturating_sub(1);
+    if helpers == 0 {
+        return Ok(body(&pool));
     }
-    let len = items.len();
-    let queue = Mutex::new(items.into_iter().enumerate());
-    let (queue, f) = (&queue, &f);
-    let per_worker = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut done = Vec::new();
-                    // A poisoned queue ends this worker; the missing
-                    // results then surface as a pool error below.
-                    while let Some((i, item)) = queue.lock().ok().and_then(|mut q| q.next()) {
-                        done.push((i, f(item)));
-                    }
-                    done
-                })
-            })
+    let pool = &pool;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..helpers)
+            .map(|_| scope.spawn(move || pool.work_until(&pool.shared.ready, |b| b.closed)))
             .collect();
-        handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
-    });
-    let mut slots: Vec<Option<T>> = (0..len).map(|_| None).collect();
-    for worker in per_worker {
-        for (i, t) in worker.map_err(|p| panic_message(p.as_ref()))? {
-            if let Some(slot) = slots.get_mut(i) {
-                *slot = Some(t);
-            }
+        let out = {
+            let _close = CloseOnDrop(&shared);
+            body(pool)
+        };
+        for handle in handles {
+            handle.join().map_err(|p| panic_message(p.as_ref()))?;
         }
-    }
-    slots
-        .into_iter()
-        .collect::<Option<Vec<T>>>()
-        .ok_or_else(|| "an item produced no result".to_string())
+        Ok(out)
+    })
 }
 
 /// The untraced pool: runs the jobs and returns results in index order.
@@ -135,12 +257,10 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let outcomes = map_pool((0..jobs).collect(), threads, |index| {
-        catch_unwind(AssertUnwindSafe(|| job(index))).map_err(|p| panic_message(p.as_ref()))
-    })
-    .map_err(|message| ReplicationError::Pool {
-        message: format!("a worker thread died outside a job: {message}"),
-    })?;
+    let outcomes = with_pool(threads.min(jobs), job, |pool| pool.map((0..jobs).collect()))
+        .map_err(|message| ReplicationError::Pool {
+            message: format!("a worker thread died outside a job: {message}"),
+        })?;
     // The lowest panicking index wins, so the error matches what a
     // serial run would report.
     let mut out = Vec::with_capacity(jobs);
@@ -253,19 +373,59 @@ mod tests {
     }
 
     #[test]
-    fn map_pool_keeps_item_order_and_reports_a_dead_worker() {
+    fn pool_batches_keep_item_order_and_contain_panics() {
         for threads in [0, 1, 2, 5] {
-            let out = map_pool((0..23).collect(), threads, |i: u64| i * 3).expect("no deaths");
-            assert_eq!(out, (0..23).map(|i| i * 3).collect::<Vec<_>>());
+            let out = with_pool(
+                threads,
+                |i: u64| i * 3,
+                |pool| {
+                    // Several batches on the same helpers, of every size.
+                    (0..6u64)
+                        .map(|n| pool.map((0..n * 5).collect()))
+                        .collect::<Vec<_>>()
+                },
+            )
+            .expect("no helper dies");
+            for (n, batch) in (0..6u64).zip(out) {
+                let want: Vec<Result<u64, String>> = (0..n * 5).map(|i| Ok(i * 3)).collect();
+                assert_eq!(batch, want, "threads={threads} batch={n}");
+            }
         }
-        // An uncontained panic kills its worker: the pool reports it
-        // instead of returning a short result vector.
-        let err = map_pool((0..8).collect(), 3, |i: u32| {
-            assert_ne!(i, 5, "worker killed");
-            i
-        })
-        .expect_err("item 5 kills its worker");
-        assert!(err.contains("worker killed"), "message: {err}");
+        // A panicking item fails alone; the rest of its batch still runs.
+        let out = with_pool(
+            3,
+            |i: u32| {
+                assert_ne!(i, 5, "item 5 exploded");
+                i
+            },
+            |pool| pool.map((0..8).collect()),
+        )
+        .expect("no helper dies");
+        for (i, outcome) in (0..8).zip(out) {
+            match outcome {
+                Ok(v) => assert_eq!(v, i),
+                Err(message) => {
+                    assert_eq!(i, 5);
+                    assert!(message.contains("exploded"), "message: {message}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_body_closes_the_pool_instead_of_hanging() {
+        let caught = catch_unwind(|| {
+            with_pool(
+                3,
+                |i: u32| i,
+                |pool| {
+                    assert_eq!(pool.map(vec![1, 2, 3]).len(), 3);
+                    panic!("the calling thread failed between batches");
+                },
+            )
+        });
+        let payload = caught.expect_err("the body panicked");
+        assert!(panic_message(payload.as_ref()).contains("between batches"));
     }
 
     #[test]

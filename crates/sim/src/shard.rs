@@ -6,10 +6,11 @@
 //! that owns whatever state is semantically global (matchmaking pools,
 //! verification, ledgers). Time advances in lock-stepped **windows** of
 //! fixed [`SimDuration`]; within a window every shard steps
-//! independently on a worker thread, and all cross-shard traffic flows
-//! through a message **exchange** that delivers each window's inbox in
-//! a canonical order — so the run is byte-identical at any
-//! `--shards` × `--threads` combination.
+//! independently on a worker thread, stateless **jobs** (messages sent
+//! to [`Addr::Job`]) run on whichever worker claims them, and all
+//! cross-shard traffic flows through a message **exchange** that
+//! delivers each window's inbox in a canonical order — so the run is
+//! byte-identical at any `--shards` × `--threads` combination.
 //!
 //! ## Determinism contract
 //!
@@ -22,40 +23,50 @@
 //!    exist under a different shard count, which is exactly what makes
 //!    the merge `K`-invariant (debug builds assert key uniqueness).
 //! 2. Shard steps may depend only on their own state, the shared
-//!    workload (`&self`), and their inbox. All RNG must come from
-//!    per-entity [`RngFactory`](crate::rng::RngFactory) streams, never
-//!    from per-shard streams.
-//! 3. Messages emitted by a shard **to the hub** are delivered in the
-//!    *same* window (the hub phase runs after the shard phase); all
-//!    other routes deliver in `max(window_of(at), current + 1)`.
+//!    workload (`&self`), and their inbox; a job only on `&self` and its
+//!    message. All RNG must come from per-entity
+//!    [`RngFactory`](crate::rng::RngFactory) streams, never from
+//!    per-shard or per-thread streams.
+//! 3. Messages emitted by a shard or a job **to the hub** are delivered
+//!    in the *same* window (the hub phase runs after the pool phase);
+//!    all other routes deliver in `max(window_of(at), current + 1)`.
 //!
 //! ## Window cycle
 //!
 //! ```text
-//! window w:  [shard phase: all active shards step in parallel]
-//!            [exchange: merge shard→hub messages by (key, src, seq)]
+//! window w:  [pool phase: active shards step, then jobs run in key
+//!             order, on the calling thread and threads - 1 helpers]
+//!            [exchange: merge shard→hub and job→hub messages by
+//!             (key, src, seq)]
 //!            [hub phase: hub steps serially on the calling thread]
-//!            [route hub + shard messages into future windows]
+//!            [route hub, shard and job messages into future windows]
 //! ```
+//!
+//! The helper threads live for the whole run (one
+//! [`par`](crate::par) pool); no window spawns a thread. Which thread
+//! steps a shard or runs a job never shows in the results: outputs are
+//! routed in item order, and inboxes are merged by key.
 //!
 //! A shard is *active* in a window when its inbox is non-empty or its
 //! reported wake time falls inside the window. The run ends when no
 //! messages are pending and neither the shards nor the hub report a
 //! wake time (or the hub returns [`Control::Stop`]).
 
-use crate::par::{map_pool, panic_message};
+use crate::par::{with_pool, Pool};
 use crate::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Where a message is headed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Addr {
-    /// The serial hub that runs after every shard phase.
+    /// The serial hub that runs after every pool phase.
     Hub,
     /// Shard `i` (0-based).
     Shard(usize),
+    /// A job: runs through [`ShardWorkload::run_job`] in its delivery
+    /// window, on whichever worker claims it.
+    Job,
 }
 
 /// One lock-stepped time window `[start, end)`.
@@ -84,8 +95,12 @@ impl WindowInfo {
 }
 
 /// Source tag used in the exchange's merge order; the hub sorts after
-/// every shard.
+/// every shard and every job.
 const SRC_HUB: u32 = u32::MAX;
+
+/// Source tag of job mail. Keys are unique per (window, destination), so
+/// the tag never decides the merge order.
+const SRC_JOB: u32 = u32::MAX - 1;
 
 /// First trace track used for per-shard `layout.` lanes (shard `s`
 /// records on track `SHARD_TRACK_BASE + s`), high enough to clear the
@@ -102,9 +117,9 @@ struct Envelope<M> {
     msg: M,
 }
 
-/// Outgoing messages of one step. The engine assigns delivery windows:
-/// shard→hub lands in the current window, everything else in
-/// `max(window_of(at), current + 1)`.
+/// Outgoing messages of one step or job. The engine assigns delivery
+/// windows: shard→hub and job→hub land in the current window, everything
+/// else in `max(window_of(at), current + 1)`.
 #[derive(Debug)]
 pub struct Mailbox<M> {
     origin: u32,
@@ -157,27 +172,15 @@ impl<M> Mailbox<M> {
         self.out.is_empty()
     }
 
-    /// Consumes the mailbox, tagging every envelope with its delivery
-    /// window: shard→hub stays in the sending window, all other routes
-    /// land in `max(window_of(at), sending_window + 1)`.
-    fn into_routed(self) -> Vec<(u64, Envelope<M>)> {
-        let Mailbox {
-            origin,
-            window,
-            window_ticks,
-            out,
-            ..
-        } = self;
-        out.into_iter()
-            .map(|env| {
-                let dw = if origin != SRC_HUB && env.to == Addr::Hub {
-                    window
-                } else {
-                    (env.at.ticks() / window_ticks).max(window + 1)
-                };
-                (dw, env)
-            })
-            .collect()
+    /// The window `env` is delivered in: shard→hub and job→hub mail
+    /// stays in the sending window, all other routes land in
+    /// `max(window_of(at), sending_window + 1)`.
+    fn delivery_window(&self, env: &Envelope<M>) -> u64 {
+        if self.origin != SRC_HUB && env.to == Addr::Hub {
+            self.window
+        } else {
+            (env.at.ticks() / self.window_ticks).max(self.window + 1)
+        }
     }
 }
 
@@ -220,13 +223,20 @@ impl HubDecision {
     }
 }
 
-/// A sharded simulation: `K` shard states stepped in parallel plus a
-/// serial hub, exchanging messages of one type.
+/// A sharded simulation: `K` shard states stepped and jobs run in
+/// parallel, plus a serial hub, exchanging messages of one type.
+///
+/// Workers share `&self` for the whole run. Hub state lives apart, in
+/// [`ShardWorkload::Hub`], which only the calling thread touches — so it
+/// needs neither `Send` nor `Sync`, and the hub may freely talk to
+/// thread-local observability.
 pub trait ShardWorkload {
     /// Per-shard state; moved across worker threads between windows.
     type Shard: Send;
     /// The cross-shard message type.
     type Msg: Send;
+    /// Hub state, stepped serially on the calling thread.
+    type Hub;
 
     /// Steps shard `shard` through `win`, consuming its inbox (already
     /// in canonical `(key, src, seq)` order). Returns the shard's next
@@ -240,10 +250,16 @@ pub trait ShardWorkload {
         mail: &mut Mailbox<Self::Msg>,
     ) -> Option<SimTime>;
 
-    /// Steps the hub through `win` after all shards, consuming the
-    /// merged shard→hub inbox (canonical order).
+    /// Runs one job: a message sent to [`Addr::Job`] and timestamped
+    /// `at`, in its delivery window, on whichever worker claims it. Its
+    /// mail is routed like a shard step's.
+    fn run_job(&self, at: SimTime, msg: Self::Msg, mail: &mut Mailbox<Self::Msg>);
+
+    /// Steps the hub through `win` after the pool phase, consuming the
+    /// merged shard→hub and job→hub inbox (canonical order).
     fn hub_step(
-        &mut self,
+        &self,
+        hub: &mut Self::Hub,
         win: &WindowInfo,
         inbox: Vec<(SimTime, Self::Msg)>,
         mail: &mut Mailbox<Self::Msg>,
@@ -253,7 +269,9 @@ pub trait ShardWorkload {
 /// Engine parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardConfig {
-    /// Worker threads for the shard phase (`<= 1` runs inline).
+    /// Threads that work the pool phase, counting the calling thread:
+    /// `threads - 1` helpers live for the whole run (`<= 1` runs
+    /// everything on the calling thread).
     pub threads: usize,
     /// Window length; every shard sees the same lock-stepped grid.
     pub window: SimDuration,
@@ -281,7 +299,7 @@ impl ShardConfig {
 pub struct ShardRunStats {
     /// Windows processed.
     pub windows: u64,
-    /// Total shard steps across all windows.
+    /// Total shard steps across all windows (jobs are not steps).
     pub shard_steps: u64,
     /// Total messages routed through the exchange.
     pub messages: u64,
@@ -295,6 +313,14 @@ pub enum ShardError {
     Panicked {
         /// Shard whose step panicked.
         shard: usize,
+        /// Rendered panic payload.
+        message: String,
+    },
+    /// A job panicked; `key` is the lowest panicking job key of the
+    /// window (jobs run in key order), whichever thread ran it.
+    JobPanicked {
+        /// Exchange key of the job's message.
+        key: u128,
         /// Rendered panic payload.
         message: String,
     },
@@ -321,6 +347,9 @@ impl fmt::Display for ShardError {
             ShardError::Panicked { shard, message } => {
                 write!(f, "shard {shard} panicked: {message}")
             }
+            ShardError::JobPanicked { key, message } => {
+                write!(f, "job {key} panicked: {message}")
+            }
             ShardError::Pool { message } => write!(f, "shard pool: {message}"),
             ShardError::Config { message } => write!(f, "shard config: {message}"),
             ShardError::WindowCap { windows } => {
@@ -343,46 +372,124 @@ fn canonicalize<M>(inbox: &mut [Envelope<M>]) {
     );
 }
 
-type StepOutput<M> = (Mailbox<M>, Option<SimTime>);
-
-/// Runs one shard step under `catch_unwind`, mirroring the replication
-/// pool's panic containment.
-fn guarded_step<W: ShardWorkload>(
-    workload: &W,
-    shard: usize,
-    state: &mut W::Shard,
-    win: &WindowInfo,
-    inbox: Vec<(SimTime, W::Msg)>,
-    window_ticks: u64,
-) -> Result<StepOutput<W::Msg>, String> {
-    #[allow(clippy::cast_possible_truncation)] // shard counts are small
-    // Steps mostly answer their inbox one-for-one (plus a bounded fan
-    // of returns), so twice the inbox is a good steady-state fit.
-    let mut mail = Mailbox::new(shard as u32, win.index, window_ticks, inbox.len() * 2);
-    catch_unwind(AssertUnwindSafe(|| {
-        workload.shard_step(shard, state, win, inbox, &mut mail)
-    }))
-    .map(|wake| (mail, wake))
-    .map_err(|p| panic_message(p.as_ref()))
+/// One pool item of a window.
+enum Work<'s, W: ShardWorkload> {
+    /// Shard `shard` steps through `win` on its canonical inbox.
+    Step {
+        win: WindowInfo,
+        shard: usize,
+        state: &'s mut W::Shard,
+        inbox: Vec<(SimTime, W::Msg)>,
+    },
+    /// A job delivered in `win` runs.
+    Job {
+        win: WindowInfo,
+        at: SimTime,
+        msg: W::Msg,
+    },
 }
 
-/// Runs `workload` over `shards` to quiescence.
+/// Who made a pool item: names the failure when the item panics.
+#[derive(Clone, Copy)]
+enum Origin {
+    Shard(usize),
+    Job(u128),
+}
+
+/// What a pool item hands back: its mail and, for a shard step, the
+/// shard's state (back to its slot) and next wake.
+struct Output<'s, W: ShardWorkload> {
+    mail: Mailbox<W::Msg>,
+    step: Option<(&'s mut W::Shard, Option<SimTime>)>,
+}
+
+/// The pool's one work function: steps a shard or runs a job.
+fn perform<'s, W: ShardWorkload>(
+    workload: &W,
+    window_ticks: u64,
+    item: Work<'s, W>,
+) -> Output<'s, W> {
+    match item {
+        Work::Step {
+            win,
+            shard,
+            state,
+            inbox,
+        } => {
+            #[allow(clippy::cast_possible_truncation)] // shard counts are small
+            // Steps mostly answer their inbox one-for-one (plus a bounded
+            // fan of returns), so twice the inbox is a good steady-state fit.
+            let mut mail = Mailbox::new(shard as u32, win.index, window_ticks, inbox.len() * 2);
+            let wake = workload.shard_step(shard, state, &win, inbox, &mut mail);
+            Output {
+                mail,
+                step: Some((state, wake)),
+            }
+        }
+        Work::Job { win, at, msg } => {
+            // A job typically answers with a handful of messages.
+            let mut mail = Mailbox::new(SRC_JOB, win.index, window_ticks, 4);
+            workload.run_job(at, msg, &mut mail);
+            Output { mail, step: None }
+        }
+    }
+}
+
+/// Files each envelope of `mail` under its delivery window: hub-bound
+/// mail of window `win` joins `hub_in`, everything else waits in
+/// `pending`. Returns how many envelopes were deferred past `win`; a
+/// traced run also observes each one's wait.
+fn file_mail<M>(
+    mut mail: Mailbox<M>,
+    win: &WindowInfo,
+    traced: bool,
+    hub_in: &mut Vec<Envelope<M>>,
+    pending: &mut BTreeMap<u64, Vec<Envelope<M>>>,
+) -> u64 {
+    let window_ticks = mail.window_ticks;
+    let mut deferred = 0;
+    for env in std::mem::take(&mut mail.out) {
+        let dw = mail.delivery_window(&env);
+        if dw > win.index {
+            deferred += 1;
+            if traced {
+                #[allow(clippy::cast_precision_loss)] // diagnostics only
+                hc_obs::observe(
+                    "shard.exchange.wait_us",
+                    win.end.ticks(),
+                    (dw * window_ticks).saturating_sub(env.at.ticks()) as f64,
+                );
+            }
+        }
+        if dw == win.index && env.to == Addr::Hub {
+            hub_in.push(env);
+        } else {
+            pending.entry(dw).or_default().push(env);
+        }
+    }
+    deferred
+}
+
+/// Runs `workload` over `shards` to quiescence, with `hub` as the hub's
+/// state.
 ///
-/// Shard states are stepped in parallel (up to `cfg.threads` workers,
-/// each taking the next unstepped active shard) and the hub runs
-/// serially on the calling thread — so hub state needs no `Send`/`Sync`
-/// and the hub may freely talk to thread-local observability.
+/// One pool serves the whole run: `cfg.threads - 1` helper threads plus
+/// the calling thread. In each window they step every active shard
+/// (each thread taking the next unclaimed item), then run every job in
+/// key order. The hub then runs serially on the calling thread.
 ///
 /// # Errors
 ///
 /// [`ShardError::Panicked`] when a shard step panics (lowest shard
 /// index of the window wins, so the error is deterministic),
-/// [`ShardError::Pool`] on worker-pool failure, [`ShardError::Config`]
-/// for invalid configs, and [`ShardError::WindowCap`] when
-/// `cfg.max_windows` is exhausted.
+/// [`ShardError::JobPanicked`] when a job panics and no shard step of
+/// the window did (lowest job key wins), [`ShardError::Pool`] on
+/// worker-pool failure, [`ShardError::Config`] for invalid configs, and
+/// [`ShardError::WindowCap`] when `cfg.max_windows` is exhausted.
 pub fn run<W>(
     cfg: &ShardConfig,
-    workload: &mut W,
+    workload: &W,
+    hub: &mut W::Hub,
     shards: &mut [W::Shard],
 ) -> Result<ShardRunStats, ShardError>
 where
@@ -399,17 +506,40 @@ where
         });
     }
     let window_ticks = cfg.window.ticks();
+    let work = |item| perform(workload, window_ticks, item);
+    with_pool(cfg.threads, work, |pool| {
+        run_windows(cfg, workload, hub, shards, pool)
+    })
+    .map_err(|message| ShardError::Pool {
+        message: format!("a worker thread died outside a step: {message}"),
+    })?
+}
+
+/// The window loop of [`run`], on the calling thread.
+fn run_windows<'s, W, F>(
+    cfg: &ShardConfig,
+    workload: &W,
+    hub: &mut W::Hub,
+    shards: &'s mut [W::Shard],
+    pool: &Pool<'_, Work<'s, W>, Output<'s, W>, F>,
+) -> Result<ShardRunStats, ShardError>
+where
+    W: ShardWorkload,
+    F: Fn(Work<'s, W>) -> Output<'s, W>,
+{
+    let window_ticks = cfg.window.ticks();
     let window_of = |t: SimTime| t.ticks() / window_ticks;
     let k = shards.len();
 
     // Tracing is observed-never-consulted: everything below that touches
     // hc-obs is emission-only and guarded on `traced`, so untraced runs
     // take the exact same path as before. All emission happens on the
-    // calling thread (worker threads carry no collector), which keeps
-    // the recorded trace byte-identical at any `cfg.threads`. Records
-    // under the `layout.` prefix (per-shard lanes, the skew gauge) are
-    // the only shard-count-dependent ones; derived-metrics summaries
-    // exclude that prefix so they stay byte-identical across layouts.
+    // calling thread outside pool items (shard steps and jobs emit
+    // nothing), which keeps the recorded trace byte-identical at any
+    // `cfg.threads`. Records under the `layout.` prefix (per-shard lanes,
+    // the skew gauge) are the only shard-count-dependent ones;
+    // derived-metrics summaries exclude that prefix so they stay
+    // byte-identical across layouts.
     let traced = hc_obs::active();
     let run_scope = traced.then(|| {
         #[allow(clippy::cast_possible_truncation)] // shard counts are small
@@ -419,6 +549,9 @@ where
         hc_obs::enter("sim.shard", "run", 0)
     });
 
+    // A shard's state sits in its slot between windows and travels with
+    // its step item during the pool phase.
+    let mut slots: Vec<Option<&'s mut W::Shard>> = shards.iter_mut().map(Some).collect();
     let mut pending: BTreeMap<u64, Vec<Envelope<W::Msg>>> = BTreeMap::new();
     // Every shard and the hub get an initial step in window 0 so they
     // can seed their calendars before any messages exist.
@@ -463,21 +596,29 @@ where
         let delivered = arrivals.len() as u64;
         let mut shard_in: Vec<Vec<Envelope<W::Msg>>> = (0..k).map(|_| Vec::new()).collect();
         let mut hub_in: Vec<Envelope<W::Msg>> = Vec::new();
+        let mut job_in: Vec<Envelope<W::Msg>> = Vec::new();
         for env in arrivals {
             match env.to {
                 Addr::Shard(s) => shard_in[s].push(env),
                 Addr::Hub => hub_in.push(env),
+                Addr::Job => job_in.push(env),
             }
         }
 
-        // Shard phase: step every active shard.
-        let workload_ref: &W = workload;
-        let mut active = Vec::new();
-        for (s, (state, inbox)) in shards.iter_mut().zip(shard_in.iter_mut()).enumerate() {
+        // Pool phase: every active shard steps, then every job runs in
+        // key order. Steps are claimed first because they are the
+        // longest items.
+        let mut items = Vec::new();
+        let mut origins = Vec::new();
+        for (s, inbox) in shard_in.iter_mut().enumerate() {
             let due = wakes[s].is_some_and(|t| t < win.end);
             if inbox.is_empty() && !due {
                 continue;
             }
+            // Every state is back in its slot after each pool phase.
+            let Some(state) = slots[s].take() else {
+                continue;
+            };
             canonicalize(inbox);
             if traced {
                 work[s] = inbox.len() as u64;
@@ -487,73 +628,59 @@ where
                 .into_iter()
                 .map(|e| (e.at, e.msg))
                 .collect();
-            active.push((s, state, inbox));
+            items.push(Work::Step {
+                win,
+                shard: s,
+                state,
+                inbox,
+            });
+            origins.push(Origin::Shard(s));
         }
-        stats.shard_steps += active.len() as u64;
-        let outputs = map_pool(active, cfg.threads, |(s, state, inbox)| {
-            let out = guarded_step(workload_ref, s, state, &win, inbox, window_ticks);
-            (s, out)
-        })
-        .map_err(|message| ShardError::Pool {
-            message: format!("a worker thread died outside a step: {message}"),
-        })?;
+        stats.shard_steps += items.len() as u64;
+        canonicalize(&mut job_in);
+        for env in job_in {
+            items.push(Work::Job {
+                win,
+                at: env.at,
+                msg: env.msg,
+            });
+            origins.push(Origin::Job(env.key));
+        }
 
-        // Outputs come back in shard order: surface the lowest
-        // panicking shard (deterministic), then route every emitted
-        // message.
-        for (s, out) in outputs {
-            match out {
-                Err(message) => return Err(ShardError::Panicked { shard: s, message }),
-                Ok((mail, wake)) => {
-                    wakes[s] = wake;
-                    let sent = mail.len() as u64;
-                    stats.messages += sent;
-                    if traced {
-                        work[s] += sent;
-                        exchange_sent += sent;
-                    }
-                    for (dw, env) in mail.into_routed() {
-                        if traced && dw > wi {
-                            exchange_deferred += 1;
-                            #[allow(clippy::cast_precision_loss)] // diagnostics only
-                            hc_obs::observe(
-                                "shard.exchange.wait_us",
-                                win.end.ticks(),
-                                (dw * window_ticks).saturating_sub(env.at.ticks()) as f64,
-                            );
-                        }
-                        if dw == wi && env.to == Addr::Hub {
-                            hub_in.push(env);
-                        } else {
-                            pending.entry(dw).or_default().push(env);
-                        }
-                    }
+        // Outputs come back in item order: surface the lowest panicking
+        // shard, else the lowest panicking job (deterministic), then
+        // route every emitted message.
+        for (origin, out) in origins.into_iter().zip(pool.map(items)) {
+            let out = out.map_err(|message| match origin {
+                Origin::Shard(shard) => ShardError::Panicked { shard, message },
+                Origin::Job(key) => ShardError::JobPanicked { key, message },
+            })?;
+            let sent = out.mail.len() as u64;
+            stats.messages += sent;
+            exchange_sent += sent;
+            if let (Origin::Shard(s), Some((state, wake))) = (origin, out.step) {
+                slots[s] = Some(state);
+                wakes[s] = wake;
+                if traced {
+                    work[s] += sent;
                 }
             }
+            exchange_deferred += file_mail(out.mail, &win, traced, &mut hub_in, &mut pending);
         }
 
         // Hub phase (serial, calling thread).
         canonicalize(&mut hub_in);
-        let hub_inbox: Vec<(SimTime, W::Msg)> = hub_in.into_iter().map(|e| (e.at, e.msg)).collect();
+        let hub_inbox: Vec<(SimTime, W::Msg)> = std::mem::take(&mut hub_in)
+            .into_iter()
+            .map(|e| (e.at, e.msg))
+            .collect();
         let mut hub_mail = Mailbox::new(SRC_HUB, wi, window_ticks, hub_inbox.len());
-        let decision = workload.hub_step(&win, hub_inbox, &mut hub_mail);
+        let decision = workload.hub_step(hub, &win, hub_inbox, &mut hub_mail);
         let hub_sent = hub_mail.len() as u64;
         stats.messages += hub_sent;
-        if traced {
-            exchange_sent += hub_sent;
-        }
-        for (dw, env) in hub_mail.into_routed() {
-            if traced && dw > wi {
-                exchange_deferred += 1;
-                #[allow(clippy::cast_precision_loss)] // diagnostics only
-                hc_obs::observe(
-                    "shard.exchange.wait_us",
-                    win.end.ticks(),
-                    (dw * window_ticks).saturating_sub(env.at.ticks()) as f64,
-                );
-            }
-            pending.entry(dw).or_default().push(env);
-        }
+        exchange_sent += hub_sent;
+        // Hub mail never lands in its own window, so `hub_in` stays empty.
+        exchange_deferred += file_mail(hub_mail, &win, traced, &mut hub_in, &mut pending);
 
         if let Some(scope) = win_scope {
             // Per-shard lanes and the skew gauge are the shard-layout-
@@ -636,7 +763,12 @@ mod tests {
     /// hub, which forwards it to entity `(i * 31 + 17) % n`.
     struct Toy {
         n: u64,
+        k: u64,
         horizon: u64,
+    }
+
+    /// The toy hub's tallies: tokens received per shard, and forwarded.
+    struct ToyHub {
         received: Vec<u64>,
         forwarded: u64,
     }
@@ -655,6 +787,7 @@ mod tests {
     impl ShardWorkload for Toy {
         type Shard = ToyShard;
         type Msg = ToyMsg;
+        type Hub = ToyHub;
 
         fn shard_step(
             &self,
@@ -685,18 +818,21 @@ mod tests {
             (win.index + 1 < self.horizon).then_some(win.end)
         }
 
+        fn run_job(&self, _: SimTime, _: ToyMsg, _: &mut Mailbox<ToyMsg>) {}
+
         fn hub_step(
-            &mut self,
+            &self,
+            hub: &mut ToyHub,
             win: &WindowInfo,
             inbox: Vec<(SimTime, ToyMsg)>,
             mail: &mut Mailbox<ToyMsg>,
         ) -> HubDecision {
-            let k = self.received.len() as u64; // shard count via closure state
+            let k = self.k;
             for (at, msg) in inbox {
                 if let ToyMsg::ToHub { from } = msg {
                     let to = (from * 31 + 17) % self.n;
-                    self.received[(from % k) as usize] += 1;
-                    self.forwarded += 1;
+                    hub.received[(from % k) as usize] += 1;
+                    hub.forwarded += 1;
                     // Key carries (to, from): two sources may target the
                     // same entity in one window, and keys must be unique.
                     mail.send(
@@ -719,15 +855,18 @@ mod tests {
                 ToyShard { ids, tokens }
             })
             .collect();
-        let mut toy = Toy {
+        let toy = Toy {
             n,
+            k: k as u64,
             horizon,
+        };
+        let mut hub = ToyHub {
             received: vec![0; k],
             forwarded: 0,
         };
         let cfg = ShardConfig::new(threads, SimDuration::from_secs(10));
-        let stats = run(&cfg, &mut toy, &mut shards).expect("toy runs");
-        (toy.received, toy.forwarded, stats)
+        let stats = run(&cfg, &toy, &mut hub, &mut shards).expect("toy runs");
+        (hub.received, hub.forwarded, stats)
     }
 
     #[test]
@@ -758,6 +897,7 @@ mod tests {
         impl ShardWorkload for Nop {
             type Shard = ();
             type Msg = ();
+            type Hub = ();
             fn shard_step(
                 &self,
                 _: usize,
@@ -768,8 +908,10 @@ mod tests {
             ) -> Option<SimTime> {
                 None
             }
+            fn run_job(&self, _: SimTime, (): (), _: &mut Mailbox<()>) {}
             fn hub_step(
-                &mut self,
+                &self,
+                (): &mut (),
                 _: &WindowInfo,
                 _: Vec<(SimTime, ())>,
                 _: &mut Mailbox<()>,
@@ -779,7 +921,8 @@ mod tests {
         }
         let err = run(
             &ShardConfig::new(1, SimDuration::from_secs(1)),
-            &mut Nop,
+            &Nop,
+            &mut (),
             &mut [],
         )
         .expect_err("no shards");
@@ -792,6 +935,7 @@ mod tests {
         impl ShardWorkload for Spin {
             type Shard = ();
             type Msg = ();
+            type Hub = ();
             fn shard_step(
                 &self,
                 _: usize,
@@ -802,8 +946,10 @@ mod tests {
             ) -> Option<SimTime> {
                 Some(win.end)
             }
+            fn run_job(&self, _: SimTime, (): (), _: &mut Mailbox<()>) {}
             fn hub_step(
-                &mut self,
+                &self,
+                (): &mut (),
                 _: &WindowInfo,
                 _: Vec<(SimTime, ())>,
                 _: &mut Mailbox<()>,
@@ -813,18 +959,17 @@ mod tests {
         }
         let mut cfg = ShardConfig::new(1, SimDuration::from_secs(1));
         cfg.max_windows = 10;
-        let err = run(&cfg, &mut Spin, &mut [()]).expect_err("spins");
+        let err = run(&cfg, &Spin, &mut (), &mut [()]).expect_err("spins");
         assert_eq!(err, ShardError::WindowCap { windows: 10 });
     }
 
     #[test]
     fn hub_stop_ends_the_run() {
-        struct Stopper {
-            windows_seen: u64,
-        }
+        struct Stopper;
         impl ShardWorkload for Stopper {
             type Shard = ();
             type Msg = ();
+            type Hub = u64;
             fn shard_step(
                 &self,
                 _: usize,
@@ -835,13 +980,15 @@ mod tests {
             ) -> Option<SimTime> {
                 Some(win.end)
             }
+            fn run_job(&self, _: SimTime, (): (), _: &mut Mailbox<()>) {}
             fn hub_step(
-                &mut self,
+                &self,
+                windows_seen: &mut u64,
                 win: &WindowInfo,
                 _: Vec<(SimTime, ())>,
                 _: &mut Mailbox<()>,
             ) -> HubDecision {
-                self.windows_seen += 1;
+                *windows_seen += 1;
                 if win.index >= 3 {
                     HubDecision::stop()
                 } else {
@@ -849,14 +996,15 @@ mod tests {
                 }
             }
         }
-        let mut w = Stopper { windows_seen: 0 };
+        let mut windows_seen = 0;
         let stats = run(
             &ShardConfig::new(1, SimDuration::from_secs(1)),
-            &mut w,
+            &Stopper,
+            &mut windows_seen,
             &mut [()],
         )
         .expect("runs");
-        assert_eq!(w.windows_seen, 4);
+        assert_eq!(windows_seen, 4);
         assert_eq!(stats.windows, 4);
     }
 
@@ -866,6 +1014,7 @@ mod tests {
         impl ShardWorkload for Boom {
             type Shard = usize;
             type Msg = ();
+            type Hub = ();
             fn shard_step(
                 &self,
                 shard: usize,
@@ -879,8 +1028,10 @@ mod tests {
                 }
                 None
             }
+            fn run_job(&self, _: SimTime, (): (), _: &mut Mailbox<()>) {}
             fn hub_step(
-                &mut self,
+                &self,
+                (): &mut (),
                 _: &WindowInfo,
                 _: Vec<(SimTime, ())>,
                 _: &mut Mailbox<()>,
@@ -891,7 +1042,8 @@ mod tests {
         for threads in [1, 4] {
             let err = run(
                 &ShardConfig::new(threads, SimDuration::from_secs(1)),
-                &mut Boom,
+                &Boom,
+                &mut (),
                 &mut [0, 1, 2, 3],
             )
             .expect_err("panics");
@@ -915,6 +1067,7 @@ mod tests {
         impl ShardWorkload for Jump {
             type Shard = bool;
             type Msg = Ping;
+            type Hub = ();
             fn shard_step(
                 &self,
                 _: usize,
@@ -935,8 +1088,10 @@ mod tests {
                 let _ = inbox;
                 None
             }
+            fn run_job(&self, _: SimTime, _: Ping, _: &mut Mailbox<Ping>) {}
             fn hub_step(
-                &mut self,
+                &self,
+                (): &mut (),
                 _: &WindowInfo,
                 _: Vec<(SimTime, Ping)>,
                 _: &mut Mailbox<Ping>,
@@ -946,11 +1101,161 @@ mod tests {
         }
         let stats = run(
             &ShardConfig::new(1, SimDuration::from_secs(1)),
-            &mut Jump,
+            &Jump,
+            &mut (),
             &mut [false],
         )
         .expect("runs");
         assert_eq!(stats.windows, 2, "must jump over ~100k empty windows");
+    }
+
+    /// Job traffic: shard 0 sends one job per key in window 0; job `key`
+    /// mails the hub (same window), shard 0 at its own time (next
+    /// window) and shard 0 at tick 55 (window 5), and panics when `key`
+    /// is odd and at least 5. Shard 0 and the hub log `(window, key)` of
+    /// what they receive.
+    struct Courier {
+        jobs: Vec<u128>,
+        hub_panics_in: Option<u64>,
+    }
+
+    #[derive(Debug)]
+    enum Parcel {
+        Job(u128),
+        Note(u128),
+    }
+
+    type Log = Vec<(u64, u128)>;
+
+    fn note_key(job: u128, n: u128) -> u128 {
+        job * 16 + n
+    }
+
+    impl ShardWorkload for Courier {
+        type Shard = Log;
+        type Msg = Parcel;
+        type Hub = Log;
+        fn shard_step(
+            &self,
+            shard: usize,
+            log: &mut Log,
+            win: &WindowInfo,
+            inbox: Vec<(SimTime, Parcel)>,
+            mail: &mut Mailbox<Parcel>,
+        ) -> Option<SimTime> {
+            for (_, parcel) in inbox {
+                if let Parcel::Note(key) = parcel {
+                    log.push((win.index, key));
+                }
+            }
+            if shard == 0 && win.index == 0 {
+                for &key in &self.jobs {
+                    mail.send(Addr::Job, SimTime::from_ticks(3), key, Parcel::Job(key));
+                }
+            }
+            None
+        }
+        fn run_job(&self, at: SimTime, parcel: Parcel, mail: &mut Mailbox<Parcel>) {
+            let Parcel::Job(key) = parcel else { return };
+            assert!(key % 2 == 0 || key < 5, "job {key} exploded");
+            let far = SimTime::from_ticks(55);
+            mail.send(
+                Addr::Hub,
+                at,
+                note_key(key, 0),
+                Parcel::Note(note_key(key, 0)),
+            );
+            mail.send(
+                Addr::Shard(0),
+                at,
+                note_key(key, 1),
+                Parcel::Note(note_key(key, 1)),
+            );
+            mail.send(
+                Addr::Shard(0),
+                far,
+                note_key(key, 2),
+                Parcel::Note(note_key(key, 2)),
+            );
+        }
+        fn hub_step(
+            &self,
+            log: &mut Log,
+            win: &WindowInfo,
+            inbox: Vec<(SimTime, Parcel)>,
+            _: &mut Mailbox<Parcel>,
+        ) -> HubDecision {
+            assert_ne!(Some(win.index), self.hub_panics_in, "the hub exploded");
+            for (_, parcel) in inbox {
+                if let Parcel::Note(key) = parcel {
+                    log.push((win.index, key));
+                }
+            }
+            HubDecision::running(None)
+        }
+    }
+
+    fn run_courier(
+        courier: &Courier,
+        shards: usize,
+        threads: usize,
+    ) -> Result<(Log, Log, ShardRunStats), ShardError> {
+        let mut states: Vec<Log> = vec![Vec::new(); shards];
+        let mut hub = Vec::new();
+        let cfg = ShardConfig::new(threads, SimDuration::from_ticks(10));
+        let stats = run(&cfg, courier, &mut hub, &mut states)?;
+        Ok((states.swap_remove(0), hub, stats))
+    }
+
+    #[test]
+    fn job_mail_lands_like_shard_mail() {
+        let courier = Courier {
+            jobs: vec![2],
+            hub_panics_in: None,
+        };
+        for threads in [1, 2, 4] {
+            let (shard0, hub, stats) = run_courier(&courier, 2, threads).expect("runs");
+            // Sent from window 0 at tick 3, the job is due in window 1.
+            // Its hub mail lands in that window; its shard mail at
+            // `max(window_of(at), 2)`: window 2 for tick 3, window 5
+            // for tick 55.
+            assert_eq!(hub, [(1, note_key(2, 0))], "threads={threads}");
+            assert_eq!(shard0, [(2, note_key(2, 1)), (5, note_key(2, 2))]);
+            assert_eq!(stats.windows, 4, "windows 0, 1, 2 and 5");
+            // Shard steps: both shards in window 0, shard 0 in 2 and 5.
+            assert_eq!(stats.shard_steps, 4);
+        }
+    }
+
+    #[test]
+    fn the_lowest_panicking_job_key_is_reported() {
+        let courier = Courier {
+            jobs: vec![9, 3, 7, 5, 4, 11],
+            hub_panics_in: None,
+        };
+        for threads in [1, 2, 4] {
+            match run_courier(&courier, 2, threads) {
+                Err(ShardError::JobPanicked { key, message }) => {
+                    assert_eq!(key, 5, "threads={threads}");
+                    assert!(message.contains("job 5 exploded"), "message: {message}");
+                }
+                other => panic!("wrong outcome: {:?}", other.map(|r| r.2)),
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_hub_step_propagates_instead_of_hanging() {
+        let courier = Courier {
+            jobs: vec![2, 4],
+            hub_panics_in: Some(1),
+        };
+        for threads in [1, 4] {
+            let caught = std::panic::catch_unwind(|| run_courier(&courier, 2, threads));
+            let payload = caught.expect_err("the hub panics in window 1");
+            let message = crate::par::panic_message(payload.as_ref());
+            assert!(message.contains("the hub exploded"), "message: {message}");
+        }
     }
 
     #[test]
@@ -966,6 +1271,14 @@ mod tests {
         assert_eq!(
             ShardError::WindowCap { windows: 9 }.to_string(),
             "window cap reached after 9 windows"
+        );
+        assert_eq!(
+            ShardError::JobPanicked {
+                key: 7,
+                message: "kaput".to_string()
+            }
+            .to_string(),
+            "job 7 panicked: kaput"
         );
     }
 }

@@ -74,6 +74,7 @@ struct ToyShard {
 impl ShardWorkload for Toy {
     type Shard = ToyShard;
     type Msg = ToyMsg;
+    type Hub = ();
 
     fn shard_step(
         &self,
@@ -104,8 +105,11 @@ impl ShardWorkload for Toy {
         (win.index + 1 < self.horizon).then_some(win.end)
     }
 
+    fn run_job(&self, _: SimTime, _: ToyMsg, _: &mut Mailbox<ToyMsg>) {}
+
     fn hub_step(
-        &mut self,
+        &self,
+        (): &mut (),
         win: &WindowInfo,
         inbox: Vec<(SimTime, ToyMsg)>,
         mail: &mut Mailbox<ToyMsg>,
@@ -136,10 +140,10 @@ fn toy_derived_summary(n: u64, k: usize, threads: usize, horizon: u64) -> String
             ToyShard { ids, tokens }
         })
         .collect();
-    let mut toy = Toy { n, k, horizon };
+    let toy = Toy { n, k, horizon };
     let cfg = ShardConfig::new(threads, SimDuration::from_secs(10));
     let ((), trace) = hc_obs::record_scope(0, || {
-        run_shards(&cfg, &mut toy, &mut shards).expect("toy runs");
+        run_shards(&cfg, &toy, &mut (), &mut shards).expect("toy runs");
     });
     let mut acc = DeriveAcc::new();
     for r in &trace.records {

@@ -53,6 +53,32 @@ proptest! {
         let expected: Vec<usize> = (0..jobs).map(|i| i.wrapping_mul(2_654_435_761)).collect();
         prop_assert_eq!(out, expected);
     }
+
+    #[test]
+    fn the_lowest_panicking_index_wins_at_any_thread_count(
+        jobs in 1usize..40,
+        threads in 1usize..10,
+        salt in 0usize..1_000,
+        every in 2usize..9,
+    ) {
+        // A pseudo-random set of replications panics; the pool must name
+        // the lowest of them, exactly as a serial loop would.
+        let rigged = |i: usize| (i.wrapping_mul(2_654_435_761) ^ salt).is_multiple_of(every);
+        let outcome = run_replications(jobs, threads, |i| {
+            assert!(!rigged(i), "replication {i} is rigged to fail");
+            i
+        });
+        match (0..jobs).find(|&i| rigged(i)) {
+            Some(lowest) => match outcome {
+                Err(ReplicationError::Panicked { index, message }) => {
+                    prop_assert_eq!(index, lowest);
+                    prop_assert_eq!(message, format!("replication {lowest} is rigged to fail"));
+                }
+                other => prop_assert!(false, "expected a panic at {}, got {:?}", lowest, other),
+            },
+            None => prop_assert_eq!(outcome, Ok((0..jobs).collect::<Vec<_>>())),
+        }
+    }
 }
 
 #[test]

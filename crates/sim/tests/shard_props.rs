@@ -12,7 +12,10 @@
 //!   and reports each firing to the hub (shard → hub, same window);
 //! * the hub logs the firing and sends an `Ack` back to the agent's
 //!   home shard at `t + delta` (hub → shard, next window at the
-//!   earliest);
+//!   earliest) — or, for an agent with an odd `delta`, hands the ack to
+//!   a **job** (hub → job, next window), which runs on any worker,
+//!   reports a `Note` (job → hub, same window) and sends the `Ack`
+//!   itself (job → shard, next window at the earliest);
 //! * the shard answers each `Ack` with a `Done` at the ack time
 //!   (shard → hub again), which the hub also logs.
 //!
@@ -25,6 +28,7 @@ use proptest::prelude::*;
 
 const TAG_FIRE: u128 = 1 << 120;
 const TAG_DONE: u128 = 2 << 120;
+const TAG_NOTE: u128 = 3 << 120;
 
 fn key(tag: u128, t: SimTime, agent: u64) -> u128 {
     tag | (u128::from(t.ticks()) << 64) | u128::from(agent)
@@ -42,9 +46,22 @@ struct Agent {
 
 #[derive(Debug)]
 enum Msg {
-    Fire { agent: u64 },
-    Ack { agent: u64 },
-    Done { agent: u64 },
+    Fire {
+        agent: u64,
+    },
+    Ack {
+        agent: u64,
+    },
+    Done {
+        agent: u64,
+    },
+    /// A job: acks `agent`'s firing.
+    Relay {
+        agent: u64,
+    },
+    Note {
+        agent: u64,
+    },
 }
 
 struct RelayShard {
@@ -54,14 +71,29 @@ struct RelayShard {
 struct Relay {
     agents: Vec<Agent>,
     shards: usize,
-    /// `(ticks, agent, kind)` in hub processing order; kind 0 = fire,
-    /// 1 = done.
-    log: Vec<(u64, u64, u8)>,
+}
+
+/// The hub's log: `(ticks, agent, kind)` in hub processing order; kind
+/// 0 = fire, 1 = done, 2 = a job's note.
+type Log = Vec<(u64, u64, u8)>;
+
+impl Relay {
+    /// Sends the `Ack` of `agent`'s firing at `at` to its home shard.
+    fn ack(&self, at: SimTime, agent: u64, mail: &mut Mailbox<Msg>) {
+        let ack_at = at + SimDuration::from_ticks(self.agents[agent as usize].delta);
+        mail.send(
+            Addr::Shard((agent as usize) % self.shards),
+            ack_at,
+            key(TAG_FIRE, ack_at, agent),
+            Msg::Ack { agent },
+        );
+    }
 }
 
 impl ShardWorkload for Relay {
     type Shard = RelayShard;
     type Msg = Msg;
+    type Hub = Log;
 
     fn shard_step(
         &self,
@@ -76,7 +108,7 @@ impl ShardWorkload for Relay {
                 Msg::Ack { agent } => {
                     mail.send(Addr::Hub, at, key(TAG_DONE, at, agent), Msg::Done { agent });
                 }
-                Msg::Fire { .. } | Msg::Done { .. } => panic!("hub-bound message on a shard"),
+                _ => panic!("a message for the hub or a job reached a shard"),
             }
         }
         while let Some((t, agent)) = state.calendar.pop_before(win.last_tick()) {
@@ -85,8 +117,17 @@ impl ShardWorkload for Relay {
         state.calendar.peek_time()
     }
 
+    fn run_job(&self, at: SimTime, msg: Msg, mail: &mut Mailbox<Msg>) {
+        let Msg::Relay { agent } = msg else {
+            panic!("a job ran a message that is not a relay");
+        };
+        mail.send(Addr::Hub, at, key(TAG_NOTE, at, agent), Msg::Note { agent });
+        self.ack(at, agent, mail);
+    }
+
     fn hub_step(
-        &mut self,
+        &self,
+        log: &mut Log,
         _win: &WindowInfo,
         inbox: Vec<(SimTime, Msg)>,
         mail: &mut Mailbox<Msg>,
@@ -94,19 +135,19 @@ impl ShardWorkload for Relay {
         for (at, msg) in inbox {
             match msg {
                 Msg::Fire { agent } => {
-                    self.log.push((at.ticks(), agent, 0));
-                    let delta = self.agents[agent as usize].delta;
-                    let ack_at = at + SimDuration::from_ticks(delta);
-                    let home = (agent as usize) % self.shards;
-                    mail.send(
-                        Addr::Shard(home),
-                        ack_at,
-                        key(TAG_FIRE, ack_at, agent),
-                        Msg::Ack { agent },
-                    );
+                    log.push((at.ticks(), agent, 0));
+                    if self.agents[agent as usize].delta % 2 == 1 {
+                        let relay = Msg::Relay { agent };
+                        mail.send(Addr::Job, at, key(TAG_FIRE, at, agent), relay);
+                    } else {
+                        self.ack(at, agent, mail);
+                    }
                 }
-                Msg::Done { agent } => self.log.push((at.ticks(), agent, 1)),
-                Msg::Ack { .. } => panic!("shard-bound message on the hub"),
+                Msg::Done { agent } => log.push((at.ticks(), agent, 1)),
+                Msg::Note { agent } => log.push((at.ticks(), agent, 2)),
+                Msg::Ack { .. } | Msg::Relay { .. } => {
+                    panic!("a message for a shard or a job reached the hub")
+                }
             }
         }
         HubDecision::running(None)
@@ -132,14 +173,14 @@ fn engine_log(
                 .push(SimTime::from_ticks(a.base + r * a.step), i as u64);
         }
     }
-    let mut relay = Relay {
+    let relay = Relay {
         agents: agents.to_vec(),
         shards,
-        log: Vec::new(),
     };
+    let mut log = Vec::new();
     let cfg = ShardConfig::new(threads, SimDuration::from_ticks(window_ticks));
-    run(&cfg, &mut relay, &mut states).expect("relay runs");
-    relay.log
+    run(&cfg, &relay, &mut log, &mut states).expect("relay runs");
+    log
 }
 
 /// Hand-derived reference: re-implements the routing contract directly.
@@ -149,10 +190,13 @@ fn engine_log(
 ///   shard → hub delivery stays in the sending window).
 /// * Its ack is processed by the shard — and therefore its `Done`
 ///   reaches the hub — in `max(window_of(t + delta), window_of(t) + 1)`.
+/// * For an odd `delta` the ack's job runs in `window_of(t) + 1`; its
+///   `Note` reaches the hub in that window, and the `Done` in
+///   `max(window_of(t + delta), window_of(t) + 2)`.
 /// * Within one hub window, messages arrive in `(key, src, seq)` order;
 ///   the key's tag bits put every `Fire` (tag 1) before every `Done`
-///   (tag 2), then time, then agent id. Key order subsumes src/seq here
-///   because keys are unique per window.
+///   (tag 2) and every `Note` (tag 3), then time, then agent id. Key
+///   order subsumes src/seq here because keys are unique per window.
 fn reference_log(agents: &[Agent], window_ticks: u64) -> Vec<(u64, u64, u8)> {
     // (window, key) -> entry
     let mut entries: Vec<(u64, u128, (u64, u64, u8))> = Vec::new();
@@ -165,8 +209,18 @@ fn reference_log(agents: &[Agent], window_ticks: u64) -> Vec<(u64, u64, u8)> {
                 key(TAG_FIRE, SimTime::from_ticks(t), i as u64),
                 (t, i as u64, 0),
             ));
+            // The window the ack is sent from: the hub's, or its job's.
+            let mut ack_win = fire_win;
+            if a.delta % 2 == 1 {
+                ack_win += 1;
+                entries.push((
+                    ack_win,
+                    key(TAG_NOTE, SimTime::from_ticks(t), i as u64),
+                    (t, i as u64, 2),
+                ));
+            }
             let done_t = t + a.delta;
-            let done_win = (done_t / window_ticks).max(fire_win + 1);
+            let done_win = (done_t / window_ticks).max(ack_win + 1);
             entries.push((
                 done_win,
                 key(TAG_DONE, SimTime::from_ticks(done_t), i as u64),
@@ -225,8 +279,8 @@ proptest! {
     ) {
         let agents = agents_of(&raw);
         let serial = engine_log(&agents, 1, 1, window_ticks);
-        for shards in [2usize, 3, 5] {
-            for threads in [1usize, 4] {
+        for shards in [1usize, 2, 3, 5] {
+            for threads in [1usize, 2, 4] {
                 let log = engine_log(&agents, shards, threads, window_ticks);
                 prop_assert_eq!(
                     &log,
