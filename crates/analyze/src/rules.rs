@@ -45,10 +45,11 @@ const HUB_BARRIERS: [&str; 1] = ["hub_step"];
 
 /// `(trait, method)` pairs whose implementations run per-shard or
 /// per-task and therefore root R1 reachability.
-const R1_ROOT_METHODS: [(&str, &str); 3] = [
+const R1_ROOT_METHODS: [(&str, &str); 4] = [
     ("ShardWorkload", "shard_step"),
     ("ShardWorkload", "run_job"),
     ("ShardGame", "play"),
+    ("SessionDriver", "play_round"),
 ];
 
 /// Tokens that create an RNG from an un-indexed source. `.stream(` and

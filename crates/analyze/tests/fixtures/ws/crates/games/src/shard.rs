@@ -122,3 +122,14 @@ fn pair_bonus(profiles: [&mut PlayerProfile; 2]) -> u64 {
     let _ = profiles;
     spin(&mut rng)
 }
+
+/// A game's round runs inside engine jobs however the engine reaches
+/// it, so `SessionDriver::play_round` roots R1 on its own.
+pub struct RoundGame;
+
+impl SessionDriver for RoundGame {
+    fn play_round(&self, round: u32) -> u64 {
+        let mut rng = RngFactory::new(1).stream("probe");
+        spin(&mut rng) + u64::from(round)
+    }
+}

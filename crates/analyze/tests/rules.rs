@@ -42,6 +42,7 @@ fn planted_violations_fire_exactly() {
         ("R1", "crates/games/src/shard.rs", 73),
         ("R1", "crates/games/src/shard.rs", 107),
         ("R1", "crates/games/src/shard.rs", 121),
+        ("R1", "crates/games/src/shard.rs", 132),
         ("R2", "crates/obs/src/agg.rs", 13),
         ("R2", "crates/obs/src/agg.rs", 38),
         ("O1", "crates/obs/src/analyze.rs", 6),
@@ -219,7 +220,7 @@ fn r1_spares_the_hub_barrier_and_indexed_streams() {
         .filter(|d| d.rule == "R1" && d.path.contains("games/"))
         .map(|d| d.line)
         .collect();
-    assert_eq!(games_r1, vec![12, 13, 25, 72, 73, 107, 121]);
+    assert_eq!(games_r1, vec![12, 13, 25, 72, 73, 107, 121, 132]);
     assert!(!games_r1.contains(&18), "hub barrier leaked into R1");
     assert!(!games_r1.contains(&35), "indexed_stream misflagged");
     let serve_r1: Vec<usize> = report
@@ -329,7 +330,7 @@ fn nested_workspaces_are_not_walked() {
         .iter()
         .filter(|d| d.rule == "R1" && d.path.starts_with("crates/"))
         .count();
-    assert_eq!(member_r1, 8, "member-crate R1 plants stopped firing");
+    assert_eq!(member_r1, 9, "member-crate R1 plants stopped firing");
 }
 
 #[test]
@@ -344,8 +345,25 @@ fn r1_roots_engine_jobs_and_sees_through_array_parameters() {
     let job_r1: Vec<usize> = report
         .diagnostics
         .iter()
-        .filter(|d| d.rule == "R1" && d.path.contains("games/src/shard.rs") && d.line > 98)
+        .filter(|d| {
+            d.rule == "R1" && d.path.contains("games/src/shard.rs") && (99..125).contains(&d.line)
+        })
         .map(|d| d.line)
         .collect();
     assert_eq!(job_r1, vec![107, 121]);
+}
+
+#[test]
+fn r1_roots_the_game_round_method() {
+    // fixtures/ws/crates/games/src/shard.rs: nothing calls
+    // `RoundGame::play_round`, but `SessionDriver::play_round` is an R1
+    // root of its own, so its un-indexed draw (line 132) fires.
+    let report = analyze_workspace(&fixture_root()).expect("fixture walk");
+    let round_r1: Vec<usize> = report
+        .diagnostics
+        .iter()
+        .filter(|d| d.rule == "R1" && d.path.contains("games/src/shard.rs") && d.line >= 125)
+        .map(|d| d.line)
+        .collect();
+    assert_eq!(round_r1, vec![132]);
 }

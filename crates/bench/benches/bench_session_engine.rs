@@ -15,10 +15,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use hc_core::prelude::*;
 use hc_crowd::{ArchetypeMix, PopulationBuilder};
-use hc_games::{
-    esp::{play_esp_replay_session, play_esp_session},
-    EspWorld, SessionParams, WorldConfig,
-};
+use hc_games::{play_session, EspWorld, SessionParams, WorldConfig};
 use rand::SeedableRng;
 use std::hint::black_box;
 
@@ -72,7 +69,7 @@ fn bench_esp_sessions(c: &mut Criterion, name: &str, regime: Regime) {
             t0 += 1_000;
             let params =
                 SessionParams::pair(left, right, SessionId::new(sid), SimTime::from_secs(t0));
-            play_esp_session(platform, &world, &mut pop, params, rng)
+            play_session(platform, &world, &mut pop, params, rng)
         };
         if regime != Regime::Replay {
             b.iter(|| black_box(live(&mut platform, &mut rng)));
@@ -86,7 +83,7 @@ fn bench_esp_sessions(c: &mut Criterion, name: &str, regime: Regime) {
             sid += 1;
             t0 += 1_000;
             let params = SessionParams::solo(third, SessionId::new(sid), SimTime::from_secs(t0));
-            black_box(play_esp_replay_session(
+            black_box(play_session(
                 &mut platform,
                 &world,
                 &mut pop,

@@ -10,9 +10,7 @@
 use hc_bench::{f3, seed_from_args, Table};
 use hc_core::prelude::*;
 use hc_crowd::{ArchetypeMix, PopulationBuilder, SkillDynamics, SkillState};
-use hc_games::{
-    params::SessionParams, verbosity::play_verbosity_session, VerbosityWorld, WorldConfig,
-};
+use hc_games::{play_session, SessionParams, VerbosityWorld, WorldConfig};
 use hc_sim::RngFactory;
 use serde::Serialize;
 
@@ -95,7 +93,7 @@ fn main() {
             let effective =
                 dynamics.effective_skill(BASE_SKILL, state.lifetime_rounds, state.sitting_minutes);
             pop.get_mut(PlayerId::new(1)).expect("guesser exists").skill = effective;
-            let t = play_verbosity_session(
+            let t = play_session(
                 &mut platform,
                 &world,
                 &mut pop,

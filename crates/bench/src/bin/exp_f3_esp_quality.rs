@@ -12,7 +12,7 @@
 use hc_bench::{f1, f3, paper, seed_from_args, Table};
 use hc_core::prelude::*;
 use hc_crowd::{ArchetypeMix, Behavior, PopulationBuilder};
-use hc_games::{esp::play_esp_session, EspWorld, SessionParams, WorldConfig};
+use hc_games::{play_session, EspWorld, SessionParams, WorldConfig};
 use hc_sim::RngFactory;
 use serde::Serialize;
 
@@ -78,7 +78,7 @@ fn main() {
                 if a == b {
                     b = PlayerId::new((b.raw() + 1) % PLAYERS as u64);
                 }
-                play_esp_session(
+                play_session(
                     &mut platform,
                     &world,
                     &mut pop,

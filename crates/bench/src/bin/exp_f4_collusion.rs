@@ -20,7 +20,7 @@ use hc_bench::{f3, mean, pct, run_grid, Cell, RunOpts, Table};
 use hc_core::anticheat::CheatDetector;
 use hc_core::prelude::*;
 use hc_crowd::{ArchetypeMix, PopulationBuilder};
-use hc_games::{esp::play_esp_session, EspWorld, SessionParams, WorldConfig};
+use hc_games::{play_session, EspWorld, SessionParams, WorldConfig};
 use hc_sim::SimRng;
 use serde::Serialize;
 
@@ -92,7 +92,7 @@ fn run_cell(cfg: &CellCfg, rep: usize, mut rng: SimRng) -> RepRow {
         if a == b {
             b = PlayerId::new((b.raw() + 1) % PLAYERS as u64);
         }
-        play_esp_session(
+        play_session(
             &mut platform,
             &world,
             &mut pop,

@@ -11,9 +11,7 @@
 use hc_bench::{f1, f3, seed_from_args, Table};
 use hc_core::prelude::*;
 use hc_crowd::{ArchetypeMix, PopulationBuilder};
-use hc_games::{
-    params::SessionParams, tagatune::play_tagatune_session, TagATuneWorld, WorldConfig,
-};
+use hc_games::{play_session, SessionParams, TagATuneDriver, WorldConfig};
 use hc_sim::RngFactory;
 use serde::Serialize;
 
@@ -48,7 +46,8 @@ fn main() {
         let mut cfg = WorldConfig::standard();
         cfg.stimuli = 300;
         cfg.vocabulary = vocab;
-        let world = TagATuneWorld::generate(&cfg, &mut rng);
+        let driver = TagATuneDriver::generate(&cfg, 0.5, &mut rng);
+        let world = &driver.world;
 
         // Mean pairwise support overlap over a sample of clip pairs.
         let mean_overlap = {
@@ -85,12 +84,11 @@ fn main() {
             if a == b {
                 b = PlayerId::new((b.raw() + 1) % PLAYERS as u64);
             }
-            let t = play_tagatune_session(
+            let t = play_session(
                 &mut platform,
-                &world,
+                &driver,
                 &mut pop,
                 SessionParams::pair(a, b, SessionId::new(s), SimTime::from_secs(s * 1_000)),
-                0.5,
                 &mut rng,
             );
             matched += t.matched_count();

@@ -12,7 +12,7 @@
 use hc_bench::{f3, pct, seed_from_args, Table};
 use hc_core::prelude::*;
 use hc_crowd::{ArchetypeMix, Behavior, PopulationBuilder};
-use hc_games::{esp::play_esp_session, EspWorld, SessionParams, WorldConfig};
+use hc_games::{play_session, EspWorld, SessionParams, WorldConfig};
 use hc_sim::RngFactory;
 use serde::Serialize;
 
@@ -107,7 +107,7 @@ fn main() {
                     if both_colluders {
                         colluder_pairs += 1;
                     }
-                    play_esp_session(
+                    play_session(
                         &mut platform,
                         &world,
                         &mut pop,

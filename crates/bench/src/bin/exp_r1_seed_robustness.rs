@@ -20,7 +20,7 @@ use hc_captcha::{
 use hc_core::prelude::*;
 use hc_core::text::normalize_label;
 use hc_crowd::{ArchetypeMix, PopulationBuilder};
-use hc_games::{esp::play_esp_session, EspWorld, SessionParams, WorldConfig};
+use hc_games::{play_session, EspWorld, SessionParams, WorldConfig};
 use hc_sim::{ConfidenceInterval, OnlineStats, RngFactory};
 use serde::Serialize;
 
@@ -87,7 +87,7 @@ fn one_seed(rep: usize, seed: u64) -> Sample {
         if a == b {
             b = PlayerId::new((b.raw() + 1) % PLAYERS as u64);
         }
-        play_esp_session(
+        play_session(
             &mut platform,
             &world,
             &mut pop,

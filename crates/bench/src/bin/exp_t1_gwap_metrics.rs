@@ -11,15 +11,12 @@ use hc_bench::{f1, paper, seed_from_args, Table};
 use hc_core::prelude::*;
 use hc_crowd::{ArchetypeMix, EngagementModel, Population, PopulationBuilder};
 use hc_games::{
-    esp::play_esp_session,
     matchin::{play_matchin_session, BradleyTerryRanking},
-    params::SessionParams,
     peekaboom::play_peekaboom_session,
+    play_session,
     squigl::play_squigl_session,
-    tagatune::play_tagatune_session,
-    verbosity::play_verbosity_session,
-    EspWorld, MatchinWorld, PeekaboomWorld, SquiglWorld, TagATuneWorld, VerbosityWorld,
-    WorldConfig,
+    EspWorld, MatchinWorld, PeekaboomWorld, SessionParams, SquiglWorld, TagATuneDriver,
+    VerbosityWorld, WorldConfig,
 };
 use hc_sim::{RngFactory, SimRng};
 use serde::Serialize;
@@ -109,7 +106,7 @@ fn main() {
         world.register_tasks(&mut platform);
         let mut pop = population(&mut rng);
         let (outputs, hours) = run_game(&mut platform, |pf, params| {
-            play_esp_session(pf, &world, &mut pop, params, &mut rng).candidate_outputs()
+            play_session(pf, &world, &mut pop, params, &mut rng).candidate_outputs()
         });
         emit(
             &mut table,
@@ -124,12 +121,12 @@ fn main() {
     // ---- TagATune ----
     {
         let mut rng = factory.stream("tagatune");
-        let world = TagATuneWorld::generate(&cfg, &mut rng);
+        let driver = TagATuneDriver::generate(&cfg, 0.5, &mut rng);
         let mut platform = fresh_platform(PLAYERS);
-        world.register_tasks(&mut platform);
+        driver.world.register_tasks(&mut platform);
         let mut pop = population(&mut rng);
         let (outputs, hours) = run_game(&mut platform, |pf, params| {
-            play_tagatune_session(pf, &world, &mut pop, params, 0.5, &mut rng).candidate_outputs()
+            play_session(pf, &driver, &mut pop, params, &mut rng).candidate_outputs()
         });
         emit(
             &mut table,
@@ -149,7 +146,7 @@ fn main() {
         world.register_tasks(&mut platform);
         let mut pop = population(&mut rng);
         let (outputs, hours) = run_game(&mut platform, |pf, params| {
-            play_verbosity_session(pf, &world, &mut pop, params, &mut rng).candidate_outputs()
+            play_session(pf, &world, &mut pop, params, &mut rng).candidate_outputs()
         });
         emit(
             &mut table,

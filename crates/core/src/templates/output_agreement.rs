@@ -75,10 +75,9 @@ pub struct OutputAgreementRound {
     deadline: SimTime,
     started: SimTime,
     started_set: bool,
-    guesses: [Vec<Label>; 2],
-    // Per-round guess membership: insert + cross-seat `contains` on every
-    // guess, never iterated.
-    guess_sets: [DetSet<Label>; 2],
+    // Each seat's distinct guesses in first-guess order: insert +
+    // cross-seat `contains` on every guess, iterated once by `finish`.
+    guesses: [DetSet<Label>; 2],
     passed: [bool; 2],
     taboo_rejections: u32,
     agreed: Option<Label>,
@@ -100,8 +99,7 @@ impl OutputAgreementRound {
             deadline: SimTime::MAX,
             started: SimTime::ZERO,
             started_set: false,
-            guesses: [Vec::new(), Vec::new()],
-            guess_sets: [DetSet::new(), DetSet::new()],
+            guesses: [DetSet::new(), DetSet::new()],
             passed: [false, false],
             taboo_rejections: 0,
             agreed: None,
@@ -168,17 +166,15 @@ impl OutputAgreementRound {
                 // A new guess un-passes the seat (players may pass then
                 // reconsider, as in the deployed game).
                 self.passed[seat.index()] = false;
-                let idx = seat.index();
-                if self.guess_sets[idx].insert(label.clone()) {
-                    self.guesses[idx].push(label.clone());
-                }
-                let partner = seat.other().index();
-                if self.guess_sets[partner].contains(&label) {
+                let own = seat.index();
+                if self.guesses[seat.other().index()].contains(&label) {
+                    self.guesses[own].insert(label.clone());
                     self.agreed = Some(label.clone());
                     self.over = true;
                     self.ended_at = at;
                     SubmitOutcome::Matched(Some(label))
                 } else {
+                    self.guesses[own].insert(label);
                     SubmitOutcome::Accepted
                 }
             }
@@ -188,7 +184,8 @@ impl OutputAgreementRound {
 
     /// Closes the round at `now` (applying the timeout if it already
     /// passed) and returns its result. Idempotent on the recorded end time:
-    /// finishing an already-terminated round keeps its original end.
+    /// finishing an already-terminated round keeps its original end. The
+    /// guesses move into the result, so a second `finish` reports none.
     pub fn finish(&mut self, now: SimTime) -> OutputAgreementResult {
         if !self.over {
             self.over = true;
@@ -203,7 +200,7 @@ impl OutputAgreementRound {
         OutputAgreementResult {
             task: self.task,
             agreed_label: self.agreed.clone(),
-            guesses: self.guesses.clone(),
+            guesses: std::mem::take(&mut self.guesses).map(|seat| seat.into_iter().collect()),
             taboo_rejections: self.taboo_rejections,
             both_passed: self.passed[0] && self.passed[1],
             timed_out,

@@ -6,15 +6,16 @@
 //! timed-out waiter to the game's solo mode — the ESP Game's replay bot —
 //! or, for a game without one, sends them home to come back after a
 //! return gap. A [`SessionDriver`] plugs in the concrete game: the same
-//! type that drives it on the sharded engine ([`ShardGame`]), here playing
-//! whole sessions against the platform. [`EspWorld`](crate::esp::EspWorld),
+//! type that drives it on the sharded engine
+//! ([`ShardGame`](crate::shard::ShardGame)), here
+//! playing whole sessions against the platform with
+//! [`play_session`]. [`EspWorld`](crate::esp::EspWorld),
 //! [`VerbosityWorld`](crate::verbosity::VerbosityWorld) and
 //! [`TagATuneDriver`](crate::tagatune::TagATuneDriver) are the three. This
 //! is the machinery experiments T1, F5 and F10 run on; [`crate::shard`]
 //! runs the same dynamics across cores.
 
-use crate::params::SessionParams;
-use crate::shard::ShardGame;
+use crate::params::{play_session, SessionDriver, SessionParams};
 use hc_collect::DetMap;
 use hc_core::matchmaker::{trace_pairing, MatchmakerStats};
 use hc_core::prelude::*;
@@ -24,34 +25,6 @@ use hc_sim::{RngFactory, SimRng, WheelQueue};
 
 /// How often the campaign sweeps its wait pool for timed-out waiters.
 pub const SWEEP_INTERVAL: SimDuration = SimDuration::from_secs(5);
-
-/// Plays a game's sessions on the serial [`Campaign`]. Registration,
-/// precision and the report name come from [`ShardGame`].
-pub trait SessionDriver: ShardGame {
-    /// Plays one session between two live players, returning the
-    /// transcript (already recorded into the platform by the game's
-    /// session function).
-    fn play_session(
-        &self,
-        platform: &mut Platform,
-        population: &mut Population,
-        params: SessionParams,
-        rng: &mut SimRng,
-    ) -> SessionTranscript;
-
-    /// Plays a solo fallback session for a player who waited too long, or
-    /// returns `None` — touching nothing — when the game has no solo mode
-    /// (the player gives up instead). The default has none.
-    fn play_solo_session(
-        &self,
-        _platform: &mut Platform,
-        _population: &mut Population,
-        _params: SessionParams,
-        _rng: &mut SimRng,
-    ) -> Option<SessionTranscript> {
-        None
-    }
-}
 
 /// Campaign configuration shared by every game.
 #[derive(Debug, Clone)]
@@ -294,10 +267,12 @@ impl<D: SessionDriver> Campaign<D> {
         {
             trace_pairing(now, player, Some(partner), waited);
             let sid = self.session_ids.next();
-            let t = self.driver.play_session(
+            let [left, right] = D::campaign_seats(sid, [partner, player]);
+            let t = play_session(
                 &mut self.platform,
+                &self.driver,
                 &mut self.population,
-                SessionParams::pair(partner, player, sid, now),
+                SessionParams::pair(left, right, sid, now),
                 &mut self.rng,
             );
             self.live_sessions += 1;
@@ -314,26 +289,23 @@ impl<D: SessionDriver> Campaign<D> {
         timed_out.clear();
         self.pool.take_timed_out_into(now, &mut timed_out);
         for &(player, waited) in &timed_out {
-            // The id is committed only when a solo session actually runs.
-            let sid = SessionId::new(self.session_ids.allocated());
-            match self.driver.play_solo_session(
+            if !D::SOLO_MODE {
+                let gap = self.return_gap();
+                queue.push(now + gap, Ev::Arrival(player));
+                continue;
+            }
+            let sid = self.session_ids.next();
+            let t = play_session(
                 &mut self.platform,
+                &self.driver,
                 &mut self.population,
                 SessionParams::solo(player, sid, now),
                 &mut self.rng,
-            ) {
-                Some(t) => {
-                    self.session_ids.next();
-                    trace_pairing(now, player, None, waited);
-                    self.solo_sessions += 1;
-                    self.solo_play.record_play(player, t.duration());
-                    self.schedule_next(queue, t.ended, player, t.duration());
-                }
-                None => {
-                    let gap = self.return_gap();
-                    queue.push(now + gap, Ev::Arrival(player));
-                }
-            }
+            );
+            trace_pairing(now, player, None, waited);
+            self.solo_sessions += 1;
+            self.solo_play.record_play(player, t.duration());
+            self.schedule_next(queue, t.ended, player, t.duration());
         }
         self.timed_out = timed_out;
     }
@@ -375,9 +347,17 @@ impl<D: SessionDriver> Campaign<D> {
 mod tests {
     use super::*;
     use crate::esp::EspWorld;
+    use crate::params::SessionPlay;
+    use crate::shard::{
+        play_planned, PlannedRound, PlayedRound, PlayedSession, SessionJob, ShardGame,
+        ShardedCampaign, ShardedCampaignConfig,
+    };
     use crate::tagatune::TagATuneDriver;
     use crate::verbosity::VerbosityWorld;
     use crate::world::WorldConfig;
+    use hc_crowd::PlayerProfile;
+    use rand::Rng;
+    use std::sync::{Arc, Mutex, PoisonError};
 
     fn small(players: usize, hours: u64) -> CampaignConfig {
         let mut config = CampaignConfig::small();
@@ -464,5 +444,161 @@ mod tests {
             (r.live_sessions, r.precision, r.metrics.total_outputs)
         };
         assert_eq!(run(5), run(5));
+    }
+
+    type SeatRecord = (SessionId, PlayerId, PlayerId);
+
+    /// Verbosity that logs every round's `(session, left, right)` seats.
+    /// `NARRATOR_RULE` says whether campaign sessions seat the narrator
+    /// by Verbosity's rule or keep the seats as paired.
+    #[derive(Debug)]
+    struct SeatLog<const NARRATOR_RULE: bool> {
+        world: VerbosityWorld,
+        rounds: Arc<Mutex<Vec<SeatRecord>>>,
+    }
+
+    impl<const NARRATOR_RULE: bool> SeatLog<NARRATOR_RULE> {
+        fn generate(seed: u64) -> Self {
+            SeatLog {
+                world: VerbosityWorld::generate(&WorldConfig::small(), &mut world_rng(seed)),
+                rounds: Arc::default(),
+            }
+        }
+    }
+
+    fn logged(rounds: &Mutex<Vec<SeatRecord>>) -> Vec<SeatRecord> {
+        rounds
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
+    }
+
+    impl<const NARRATOR_RULE: bool> ShardGame for SeatLog<NARRATOR_RULE> {
+        fn register(&self, platform: &mut Platform) {
+            self.world.register(platform);
+        }
+
+        fn play(
+            &self,
+            job: &mut SessionJob,
+            cfg: SessionConfig,
+            rule: ScoreRule,
+            rng: &mut SimRng,
+        ) -> PlayedSession {
+            play_planned(self, job, cfg, rule, rng)
+        }
+
+        fn precision(&self, platform: &Platform) -> (usize, usize) {
+            self.world.precision(platform)
+        }
+
+        fn name(&self) -> &'static str {
+            "verbosity"
+        }
+    }
+
+    impl<const NARRATOR_RULE: bool> SessionDriver for SeatLog<NARRATOR_RULE> {
+        fn campaign_seats<T>(session: SessionId, seats: [T; 2]) -> [T; 2] {
+            if NARRATOR_RULE {
+                VerbosityWorld::campaign_seats(session, seats)
+            } else {
+                seats
+            }
+        }
+
+        fn play_round<R: Rng + ?Sized>(
+            &self,
+            play: &mut SessionPlay,
+            planned: PlannedRound,
+            left: &mut PlayerProfile,
+            right: Option<&mut PlayerProfile>,
+            rng: &mut R,
+        ) -> Option<PlayedRound> {
+            let seats = (play.session_id(), left.id, right.as_ref()?.id);
+            self.rounds
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(seats);
+            self.world.play_round(play, planned, left, right, rng)
+        }
+    }
+
+    /// The seats of every round a serial and a sharded Verbosity campaign
+    /// played, in that order.
+    fn campaign_seat_logs<const NARRATOR_RULE: bool>(seed: u64) -> [Vec<SeatRecord>; 2] {
+        let mut serial =
+            Campaign::new(SeatLog::<NARRATOR_RULE>::generate(seed), small(24, 1), seed);
+        serial.run();
+        let game = SeatLog::<NARRATOR_RULE>::generate(seed);
+        let rounds = Arc::clone(&game.rounds);
+        let mut config = ShardedCampaignConfig::small();
+        config.players = 24;
+        config.horizon = SimTime::from_secs(3600);
+        ShardedCampaign::new(game, config, seed)
+            .run()
+            .expect("runs");
+        [logged(&serial.driver.rounds), logged(&rounds)]
+    }
+
+    #[test]
+    fn campaign_sessions_seat_the_verbosity_narrator_by_session_parity_on_both_engines() {
+        let ruled = campaign_seat_logs::<true>(8);
+        let paired = campaign_seat_logs::<false>(8);
+        for (engine, (ruled, paired)) in ["serial", "sharded"].iter().zip(ruled.iter().zip(&paired))
+        {
+            // Both runs play alike until the first odd session, whose
+            // first round the narrator rule plays with the arriver (the
+            // right seat as paired) narrating.
+            let odd = paired
+                .iter()
+                .position(|(sid, ..)| sid.raw() % 2 == 1)
+                .expect("an odd session played");
+            assert!(odd > 0, "{engine}: no even session played first");
+            assert_eq!(ruled[..odd], paired[..odd], "{engine}");
+            let (sid, waiter, arriver) = paired[odd];
+            assert_eq!(ruled[odd], (sid, arriver, waiter), "{engine}");
+        }
+    }
+
+    #[test]
+    fn a_direct_verbosity_session_keeps_its_seats_at_an_odd_session_id() {
+        let game = SeatLog::<true>::generate(9);
+        let mut platform = Platform::new(PlatformConfig::default()).expect("valid config");
+        game.register(&mut platform);
+        let mut rng = world_rng(9);
+        let mut population = PopulationBuilder::new(2).build(&mut rng);
+        let (a, b) = (PlayerId::new(1), PlayerId::new(0));
+        let sid = SessionId::new(1);
+        let transcript = play_session(
+            &mut platform,
+            &game,
+            &mut population,
+            SessionParams::pair(a, b, sid, SimTime::ZERO),
+            &mut rng,
+        );
+        assert_eq!(transcript.players, [a, b]);
+        let rounds = logged(&game.rounds);
+        assert!(!rounds.is_empty());
+        assert!(
+            rounds.iter().all(|&seats| seats == (sid, a, b)),
+            "{rounds:?}"
+        );
+    }
+
+    #[test]
+    fn a_timed_out_waiter_without_a_solo_mode_touches_no_task_and_no_session_id() {
+        let driver = TagATuneDriver::generate(&WorldConfig::small(), 0.5, &mut world_rng(2));
+        let mut campaign = Campaign::new(driver, small(1, 6), 2);
+        let report = campaign.run();
+        assert!(report.matchmaker.replay_pairs > 0, "nobody timed out");
+        assert_eq!(campaign.session_ids.allocated(), 0);
+        let served: Vec<u32> = campaign
+            .platform()
+            .tasks()
+            .iter()
+            .map(|t| t.times_served)
+            .collect();
+        assert!(!served.is_empty());
+        assert!(served.iter().all(|&n| n == 0), "served counts {served:?}");
     }
 }

@@ -5,37 +5,27 @@
 //! provides two layers:
 //!
 //! 1. [`EspWorld`] — the image world (stimulus truths + task registration).
-//! 2. [`play_esp_session`] / [`play_esp_replay_session`] — drive one
-//!    session between two live players (or one player and a recorded
-//!    partner): each round is planned from the platform by
-//!    `shard::plan_round`, played answer by answer through the `hc-core`
-//!    round state machine, and its agreements and recording applied to
-//!    the verification pipeline.
+//! 2. Its [`SessionDriver`] round: the left seat is a live player; the
+//!    right seat is either a second live player or the planned recording
+//!    replaying at its recorded offsets (no recording seeds one). Play a
+//!    whole session with [`play_session`](crate::params::play_session):
+//!    a pair of seats plays live, equal seats play against replays.
 //!
-//! One function, `play_esp_round`, plays every round. Its left seat is a
-//! live player; its right seat is either a second live player or the
-//! planned recording replaying at its recorded offsets (no recording
-//! seeds one). Sessions keep their clock, score and streak in the
-//! session loop every game shares ([`params`](crate::params)).
-//!
-//! The world is also the game on both campaign engines: [`EspWorld`]
-//! implements [`ShardGame`] (the sharded campaign plays its hub-planned
-//! rounds with `play_esp_round`, and rescues timed-out waiters with replay
-//! sessions) and [`SessionDriver`] (the serial
-//! [`Campaign`](crate::campaign::Campaign) plays whole sessions with the
-//! two functions above). That is the machinery behind experiments T1 and
+//! The world is also the game on both campaign engines: the serial
+//! [`Campaign`](crate::campaign::Campaign) plays its sessions with
+//! `play_session` and rescues timed-out waiters with replay sessions,
+//! and the sharded campaign plays hub-planned rounds with the same round
+//! ([`ShardGame`]). That is the machinery behind experiments T1 and
 //! F3–F6: Poisson player sittings, random matching, replay-bot fallback
 //! and engagement-driven return visits.
 
-use crate::campaign::SessionDriver;
-use crate::params::{trace_session, SessionParams, SessionPlay};
+use crate::params::{SessionDriver, SessionPlay};
 use crate::shard::{
-    apply_round, plan_round, plan_rounds, play_planned, PlannedRound, PlayedRound, PlayedSession,
-    SessionJob, ShardGame,
+    plan_rounds, play_planned, PlannedRound, PlayedRound, PlayedSession, SessionJob, ShardGame,
 };
 use crate::world::{BaseWorld, WorldConfig};
 use hc_core::prelude::*;
-use hc_crowd::{LabelDistribution, PlayerProfile, Population};
+use hc_crowd::{LabelDistribution, PlayerProfile};
 use hc_sim::SimRng;
 use rand::Rng;
 
@@ -152,16 +142,7 @@ impl ShardGame for EspWorld {
         rule: ScoreRule,
         rng: &mut SimRng,
     ) -> PlayedSession {
-        let seats = job.seats;
-        play_planned(job, seats, cfg, rule, |play, planned, profiles| {
-            let truth = self.truth_for_task(planned.task)?;
-            let (left, right) = match profiles {
-                [player] => (player, None),
-                [left, right] => (left, Some(right)),
-                _ => return None,
-            };
-            Some(play_esp_round(self, play, planned, truth, left, right, rng))
-        })
+        play_planned(self, job, cfg, rule, rng)
     }
 
     fn precision(&self, platform: &Platform) -> (usize, usize) {
@@ -171,97 +152,6 @@ impl ShardGame for EspWorld {
     fn name(&self) -> &'static str {
         "esp"
     }
-}
-
-/// Live sessions, and replay sessions for waiters who time out.
-impl SessionDriver for EspWorld {
-    fn play_session(
-        &self,
-        platform: &mut Platform,
-        population: &mut Population,
-        params: SessionParams,
-        rng: &mut SimRng,
-    ) -> SessionTranscript {
-        play_esp_session(platform, self, population, params, rng)
-    }
-
-    fn play_solo_session(
-        &self,
-        platform: &mut Platform,
-        population: &mut Population,
-        params: SessionParams,
-        rng: &mut SimRng,
-    ) -> Option<SessionTranscript> {
-        Some(play_esp_replay_session(
-            platform, self, population, params, rng,
-        ))
-    }
-}
-
-/// Drives one live two-player session; returns the transcript (already
-/// recorded into the platform).
-pub fn play_esp_session<R: Rng + ?Sized>(
-    platform: &mut Platform,
-    world: &EspWorld,
-    population: &mut Population,
-    params: SessionParams,
-    rng: &mut R,
-) -> SessionTranscript {
-    let [left, right] = params.seats;
-    let cfg = platform.config().session;
-    let mut play = SessionPlay::begin(params, cfg, cfg.score_rule);
-    while play.can_play_more() {
-        let Some(planned) = plan_round(platform, &params.seats, rng) else {
-            break;
-        };
-        let Some(truth) = world.truth_for_task(planned.task) else {
-            break;
-        };
-        let (pa, pb) = population
-            .get_pair_mut(left, right)
-            .expect("both players exist and are distinct"); // hc-analyze: allow(P1): callers pass two distinct registered ids
-        let round = play_esp_round(world, &mut play, planned, truth, pa, Some(pb), rng);
-        apply_round(platform, round);
-    }
-    let transcript = play.finish();
-    platform.record_session(&transcript);
-    trace_session("esp.session", &transcript);
-    transcript
-}
-
-/// Drives one session of `player` against replayed recordings. Tasks
-/// without a recording are played "seeding": the player's guesses are
-/// recorded for future replays but cannot verify anything.
-pub fn play_esp_replay_session<R: Rng + ?Sized>(
-    platform: &mut Platform,
-    world: &EspWorld,
-    population: &mut Population,
-    params: SessionParams,
-    rng: &mut R,
-) -> SessionTranscript {
-    let player = params.left();
-    let cfg = platform.config().session;
-    // Both seats hold the human: the replayed partner is no session
-    // player, and its recorded identity only enters pair accounting.
-    let mut play = SessionPlay::begin(params, cfg, cfg.score_rule);
-    while play.can_play_more() {
-        let Some(planned) = plan_round(platform, &[player], rng) else {
-            break;
-        };
-        let Some(truth) = world.truth_for_task(planned.task) else {
-            break;
-        };
-        let profile = population.get_mut(player).expect("player exists"); // hc-analyze: allow(P1): callers pass a registered id
-        let round = play_esp_round(world, &mut play, planned, truth, profile, None, rng);
-        apply_round(platform, round);
-    }
-    // Replay sessions deliberately bypass `record_session` (which assumes
-    // two live players): the campaign credits the lone human's play time
-    // to its own ledger, and the seen-task set clears here.
-    let transcript = play.finish();
-    platform.tasks_clear_seen(player);
-    trace_session("esp.replay_session", &transcript);
-    transcript
 }
 
 /// One seat of an ESP round: a live player who draws each answer on its
@@ -331,105 +221,111 @@ impl EspSeat<'_> {
     }
 }
 
-/// Plays one ESP round: the seat whose next answer comes first types it
-/// (the left seat on ties), until the seats agree, both pass, both run out
-/// of answers or the round times out. The left seat is a live player. The
-/// right seat is the live `right` player, or without one the planned
-/// recording replaying at its recorded offsets; without a recording either
-/// the round only seeds one (nothing can be verified). The left seat's
-/// answers are kept for future replays.
-pub(crate) fn play_esp_round<R: Rng + ?Sized>(
-    world: &EspWorld,
-    play: &mut SessionPlay,
-    planned: PlannedRound,
-    truth: &LabelDistribution,
-    left: &mut PlayerProfile,
-    right: Option<&mut PlayerProfile>,
-    rng: &mut R,
-) -> PlayedRound {
-    let PlannedRound {
-        task,
-        taboo,
-        recording,
-    } = planned;
-    let (now, limit) = (play.now(), play.round_limit());
-    let deadline = now + limit;
-    let player = left.id;
-    let (partner, right) = match right {
-        Some(profile) => (Some(profile.id), EspSeat::live(profile, now)),
-        None => {
-            let partner = recording.as_ref().map(|r| r.recorded_player);
-            let mut events: Vec<(SimTime, Label)> = recording
-                .map(|r| r.events.into_iter().map(|(d, l)| (now + d, l)).collect())
-                .unwrap_or_default();
-            events.reverse();
-            (partner, EspSeat::Recorded(events))
-        }
-    };
-    let mut seats = [EspSeat::live(left, now), right];
-    let mut round = OutputAgreementRound::new(task, taboo, limit);
-    let mut trace: Vec<(SimDuration, Label)> = Vec::new();
-    let mut matched_label: Option<Label> = None;
+/// Live sessions, and replay sessions for waiters who time out.
+impl SessionDriver for EspWorld {
+    const SOLO_MODE: bool = true;
 
-    // The loop's value is the time the round ends.
-    let end = loop {
-        let due = [seats[0].next_at(), seats[1].next_at()];
-        if due == [SimTime::MAX; 2] {
-            break deadline; // both seats are out of answers
-        }
-        let (idx, seat) = if due[0] <= due[1] {
-            (0, Seat::Left)
-        } else {
-            (1, Seat::Right)
+    /// Plays one ESP round: the seat whose next answer comes first types
+    /// it (the left seat on ties), until the seats agree, both pass, both
+    /// run out of answers or the round times out. The left seat is a live
+    /// player. The right seat is the live `right` player, or without one
+    /// the planned recording replaying at its recorded offsets; without a
+    /// recording either the round only seeds one (nothing can be
+    /// verified). The left seat's answers are kept for future replays.
+    fn play_round<R: Rng + ?Sized>(
+        &self,
+        play: &mut SessionPlay,
+        planned: PlannedRound,
+        left: &mut PlayerProfile,
+        right: Option<&mut PlayerProfile>,
+        rng: &mut R,
+    ) -> Option<PlayedRound> {
+        let truth = self.truth_for_task(planned.task)?;
+        let PlannedRound {
+            task,
+            taboo,
+            recording,
+        } = planned;
+        let (now, limit) = (play.now(), play.round_limit());
+        let deadline = now + limit;
+        let player = left.id;
+        let (partner, right) = match right {
+            Some(profile) => (Some(profile.id), EspSeat::live(profile, now)),
+            None => {
+                let partner = recording.as_ref().map(|r| r.recorded_player);
+                let mut events: Vec<(SimTime, Label)> = recording
+                    .map(|r| r.events.into_iter().map(|(d, l)| (now + d, l)).collect())
+                    .unwrap_or_default();
+                events.reverse();
+                (partner, EspSeat::Recorded(events))
+            }
         };
-        let (at, answer) = seats[idx].answer(world, truth, round.taboo(), rng);
-        if at > deadline {
-            break deadline;
-        }
-        if seat == Seat::Left {
-            if let Answer::Text(l) = &answer {
-                trace.push((at.saturating_since(now), l.clone()));
-            }
-        }
-        match round.submit(seat, answer, at) {
-            SubmitOutcome::Matched(label) => {
-                matched_label = label;
-                break at;
-            }
-            SubmitOutcome::BothPassed => break at,
-            SubmitOutcome::RoundOver => break deadline,
-            _ => {}
-        }
-    };
+        let mut seats = [EspSeat::live(left, now), right];
+        let mut round = OutputAgreementRound::new(task, taboo, limit);
+        let mut trace: Vec<(SimDuration, Label)> = Vec::new();
+        let mut matched_label: Option<Label> = None;
 
-    let result = round.finish(end);
-    let matched = result.is_match();
-    let agreements = matched_label
-        .or(result.agreed_label)
-        .zip(partner)
-        .map(|(label, partner)| (task, label, player, partner))
-        .into_iter()
-        .collect();
-    let recording = (!trace.is_empty()).then(|| RecordedRound::new(task, player, trace));
-    let duration = end.saturating_since(now);
-    play.record(
-        TemplateKind::OutputAgreement,
-        task,
-        matched,
-        u32::from(matched),
-        duration,
-        end + INTER_ROUND_GAP,
-    );
-    PlayedRound {
-        agreements,
-        recording,
+        // The loop's value is the time the round ends.
+        let end = loop {
+            let due = [seats[0].next_at(), seats[1].next_at()];
+            if due == [SimTime::MAX; 2] {
+                break deadline; // both seats are out of answers
+            }
+            let (idx, seat) = if due[0] <= due[1] {
+                (0, Seat::Left)
+            } else {
+                (1, Seat::Right)
+            };
+            let (at, answer) = seats[idx].answer(self, truth, round.taboo(), rng);
+            if at > deadline {
+                break deadline;
+            }
+            if seat == Seat::Left {
+                if let Answer::Text(l) = &answer {
+                    trace.push((at.saturating_since(now), l.clone()));
+                }
+            }
+            match round.submit(seat, answer, at) {
+                SubmitOutcome::Matched(label) => {
+                    matched_label = label;
+                    break at;
+                }
+                SubmitOutcome::BothPassed => break at,
+                SubmitOutcome::RoundOver => break deadline,
+                _ => {}
+            }
+        };
+
+        let result = round.finish(end);
+        let matched = result.is_match();
+        let agreements = matched_label
+            .or(result.agreed_label)
+            .zip(partner)
+            .map(|(label, partner)| (task, label, player, partner))
+            .into_iter()
+            .collect();
+        let recording = (!trace.is_empty()).then(|| RecordedRound::new(task, player, trace));
+        let duration = end.saturating_since(now);
+        play.record(
+            TemplateKind::OutputAgreement,
+            task,
+            matched,
+            u32::from(matched),
+            duration,
+            end + INTER_ROUND_GAP,
+        );
+        Some(PlayedRound {
+            agreements,
+            recording,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hc_crowd::{ArchetypeMix, PopulationBuilder};
+    use crate::params::{play_session, SessionParams};
+    use hc_crowd::{ArchetypeMix, Population, PopulationBuilder};
     use hc_sim::SimRng;
     use rand::SeedableRng;
 
@@ -456,7 +352,7 @@ mod tests {
     #[test]
     fn honest_pairs_match_and_verify() {
         let (mut platform, world, mut pop, mut r) = setup(2, ArchetypeMix::all_honest());
-        let t = play_esp_session(
+        let t = play_session(
             &mut platform,
             &world,
             &mut pop,
@@ -498,7 +394,7 @@ mod tests {
         let mut matched = 0;
         let mut rounds = 0;
         for s in 0..6 {
-            let t = play_esp_session(
+            let t = play_session(
                 &mut platform,
                 &world,
                 &mut pop,
@@ -520,7 +416,7 @@ mod tests {
     #[test]
     fn session_respects_budgets() {
         let (mut platform, world, mut pop, mut r) = setup(2, ArchetypeMix::all_honest());
-        let t = play_esp_session(
+        let t = play_session(
             &mut platform,
             &world,
             &mut pop,
@@ -540,7 +436,7 @@ mod tests {
     #[test]
     fn sessions_record_replay_traces() {
         let (mut platform, world, mut pop, mut r) = setup(2, ArchetypeMix::all_honest());
-        play_esp_session(
+        play_session(
             &mut platform,
             &world,
             &mut pop,
@@ -559,7 +455,7 @@ mod tests {
     fn replay_session_verifies_against_recordings() {
         let (mut platform, world, mut pop, mut r) = setup(3, ArchetypeMix::all_honest());
         // Seed recordings with a live session between 0 and 1.
-        play_esp_session(
+        play_session(
             &mut platform,
             &world,
             &mut pop,
@@ -572,7 +468,7 @@ mod tests {
             &mut r,
         );
         let before = platform.verified_labels().len();
-        let t = play_esp_replay_session(
+        let t = play_session(
             &mut platform,
             &world,
             &mut pop,

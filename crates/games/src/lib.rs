@@ -13,26 +13,27 @@
 //! | [`squigl`] (Squigl) | output-agreement | object segmentations |
 //! | [`matchin`] (Matchin) | two-player preference | image ranking |
 //!
-//! [`world`] holds the synthetic ground truth each game plays over; every
-//! game module exposes a `play_*_session` function (drive one session
-//! between the seats of a [`SessionParams`],
-//! feeding the [`Platform`](hc_core::Platform) pipeline), and all of them
-//! play their rounds through the one session loop in [`params`].
+//! [`world`] holds the synthetic ground truth each game plays over. The
+//! three campaign games — [`EspWorld`], [`VerbosityWorld`] and
+//! [`TagATuneDriver`] (the clip world plus its same-clip probability) —
+//! each implement [`SessionDriver`], whose one required method plays a
+//! round: [`play_session`] drives one session between the seats of a
+//! [`SessionParams`] round by round against the
+//! [`Platform`](hc_core::Platform) pipeline. Peekaboom, Squigl and
+//! Matchin have their own `play_*_session` functions, and every game
+//! keeps its clock and score in the one session loop in [`params`].
 //! [`campaign`] runs ESP, TagATune or Verbosity as a full event-driven
 //! deployment with arrivals, matchmaking and (for ESP) replay-bot
 //! fallback — the machinery experiments T1 and F3–F6 run on — and
-//! [`shard`] runs the same dynamics across cores. One type per game
-//! drives both engines: [`EspWorld`], [`VerbosityWorld`] and
-//! [`TagATuneDriver`] (the clip world plus its same-clip probability)
-//! each implement [`ShardGame`] and [`SessionDriver`].
+//! [`shard`] runs the same dynamics across cores, playing hub-planned
+//! rounds with the same round method ([`ShardGame`]).
 //!
 //! ## Example: one ESP session end to end
 //!
 //! ```
 //! use hc_core::prelude::*;
 //! use hc_crowd::{ArchetypeMix, PopulationBuilder};
-//! use hc_games::esp::{play_esp_session, EspWorld};
-//! use hc_games::params::SessionParams;
+//! use hc_games::{play_session, EspWorld, SessionParams};
 //! use hc_games::world::WorldConfig;
 //! use rand::SeedableRng;
 //!
@@ -45,7 +46,7 @@
 //!     .mix(ArchetypeMix::all_honest())
 //!     .build(&mut rng);
 //! let (a, b) = (PlayerId::new(0), PlayerId::new(1));
-//! let transcript = play_esp_session(
+//! let transcript = play_session(
 //!     &mut platform, &world, &mut pop,
 //!     SessionParams::pair(a, b, SessionId::new(0), SimTime::ZERO),
 //!     &mut rng,
@@ -68,13 +69,13 @@ pub mod tagatune;
 pub mod verbosity;
 pub mod world;
 
-pub use campaign::{Campaign, CampaignConfig, CampaignReport, SessionDriver};
+pub use campaign::{Campaign, CampaignConfig, CampaignReport};
 pub use esp::EspWorld;
 pub use matchin::{play_matchin_session, BradleyTerryRanking, MatchinWorld};
-pub use params::SessionParams;
+pub use params::{play_session, SessionDriver, SessionParams};
 pub use peekaboom::{play_peekaboom_session, PeekaboomWorld};
 pub use shard::{ShardGame, ShardedCampaign, ShardedCampaignConfig, ShardedCampaignReport};
 pub use squigl::{play_squigl_session, SquiglWorld};
-pub use tagatune::{play_tagatune_session, TagATuneDriver, TagATuneWorld};
-pub use verbosity::{fact_label, parse_fact, play_verbosity_session, Relation, VerbosityWorld};
+pub use tagatune::{TagATuneDriver, TagATuneWorld};
+pub use verbosity::{fact_label, parse_fact, Relation, VerbosityWorld};
 pub use world::WorldConfig;

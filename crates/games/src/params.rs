@@ -1,13 +1,121 @@
 //! The session loop every game plays through.
 //!
-//! Every `play_*_session` function takes a [`SessionParams`] (who plays
-//! and when; the platform, world, population and RNG stay separate
-//! because they are borrowed, not copied). All seven of them, and the
-//! sharded campaign's players, keep their timed rounds, points and
-//! streak in one `SessionPlay`: ask `can_play_more` and `now`, play the
-//! round, then `record` it.
+//! Every session takes a [`SessionParams`] (who plays and when; the
+//! platform, world, population and RNG stay separate because they are
+//! borrowed, not copied) and keeps its timed rounds, points and streak
+//! in one [`SessionPlay`]: ask `can_play_more` and [`SessionPlay::now`],
+//! play the round, then [`SessionPlay::record`] it.
+//!
+//! The three campaign games (ESP, TagATune and Verbosity) implement
+//! [`SessionDriver`], whose one required method plays a round. Two loops
+//! drive it: [`play_session`] plans each round from the platform just
+//! before playing it, and the sharded campaign plays the rounds its hub
+//! planned ([`crate::shard`]). Peekaboom, Squigl and Matchin keep their
+//! own `play_*_session` functions on the same `SessionPlay`.
 
+use crate::shard::{apply_round, plan_round, PlannedRound, PlayedRound, ShardGame};
 use hc_core::prelude::*;
+use hc_crowd::{PlayerProfile, Population};
+use rand::Rng;
+
+/// A campaign game's round, played by both the serial [`play_session`]
+/// and the sharded campaign's jobs. Registration, precision and the
+/// report name come from [`ShardGame`].
+pub trait SessionDriver: ShardGame {
+    /// Whether a waiter who times out plays a solo session against
+    /// replays (the ESP Game's replay bot). A game without one sends the
+    /// waiter home to return at a later sitting.
+    const SOLO_MODE: bool = false;
+
+    /// Puts a campaign session's seats, `[waiter, arriver]`, in the order
+    /// the game plays them. Both campaign engines apply it; a direct
+    /// [`play_session`] call keeps the seats it is given. The default
+    /// keeps the order.
+    fn campaign_seats<T>(_session: SessionId, seats: [T; 2]) -> [T; 2] {
+        seats
+    }
+
+    /// Plays one planned round on the seated profiles and records it in
+    /// `play`. `right` is `None` when `left` plays alone against the
+    /// planned recording. Returns the round's platform effects, or `None`
+    /// when the world cannot play the planned task or the game cannot
+    /// seat a lone player; the session then ends.
+    fn play_round<R: Rng + ?Sized>(
+        &self,
+        play: &mut SessionPlay,
+        planned: PlannedRound,
+        left: &mut PlayerProfile,
+        right: Option<&mut PlayerProfile>,
+        rng: &mut R,
+    ) -> Option<PlayedRound>;
+}
+
+/// Plays one session of `game` against the platform and returns its
+/// transcript: each round is planned just before it is played, then
+/// played with [`SessionDriver::play_round`] and applied to the platform.
+/// A session whose seats are equal is solo: its player plays against
+/// replays, and the session clears the player's seen tasks instead of
+/// being recorded (a campaign credits the play time to its own ledger).
+///
+/// # Panics
+///
+/// Panics when a seat is not in `population`.
+pub fn play_session<D: SessionDriver, R: Rng + ?Sized>(
+    platform: &mut Platform,
+    game: &D,
+    population: &mut Population,
+    params: SessionParams,
+    rng: &mut R,
+) -> SessionTranscript {
+    let [left, right] = params.seats;
+    let solo = left == right;
+    let seats = if solo {
+        &params.seats[..1]
+    } else {
+        &params.seats[..]
+    };
+    let (left_profile, mut right_profile) = if solo {
+        let profile = population.get_mut(left).expect("player exists"); // hc-analyze: allow(P1): documented # Panics contract for unregistered seats
+        (profile, None)
+    } else {
+        let (l, r) = population
+            .get_pair_mut(left, right)
+            .expect("both players exist"); // hc-analyze: allow(P1): documented # Panics contract for unregistered seats
+        (l, Some(r))
+    };
+    let cfg = platform.config().session;
+    let mut play = SessionPlay::begin(params, cfg, cfg.score_rule);
+    while play.can_play_more() {
+        let Some(planned) = plan_round(platform, seats, rng) else {
+            break;
+        };
+        let right = right_profile.as_deref_mut();
+        let Some(round) = game.play_round(&mut play, planned, left_profile, right, rng) else {
+            break;
+        };
+        apply_round(platform, round);
+    }
+    let transcript = play.finish();
+    if solo {
+        platform.tasks_clear_seen(left);
+    } else {
+        platform.record_session(&transcript);
+    }
+    if hc_obs::active() {
+        let kind = if solo { "replay_session" } else { "session" };
+        hc_obs::span(
+            "games",
+            &format!("{}.{kind}", game.name()),
+            transcript.started.ticks(),
+            transcript.ended.ticks(),
+            &[
+                ("rounds", transcript.rounds().into()),
+                ("matched", transcript.matched_count().into()),
+            ],
+        );
+    }
+    transcript
+}
 
 /// Who plays a session and when it starts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,9 +166,11 @@ impl SessionParams {
 /// A session being played round by round: the transcript so far, the
 /// clock, and the seats' win streak. Both seats of a live round score
 /// alike, so one streak serves both; a solo session seats its player
-/// twice and the replayed partner scores nothing.
+/// twice and the replayed partner scores nothing. A
+/// [`SessionDriver::play_round`] reads the round's start and limit here
+/// and records the played round.
 #[derive(Debug)]
-pub(crate) struct SessionPlay {
+pub struct SessionPlay {
     session: Session,
     now: SimTime,
     streak: u32,
@@ -83,13 +193,21 @@ impl SessionPlay {
         }
     }
 
+    /// The session's id.
+    #[must_use]
+    pub fn session_id(&self) -> SessionId {
+        self.session.id()
+    }
+
     /// When the next round starts.
-    pub(crate) fn now(&self) -> SimTime {
+    #[must_use]
+    pub fn now(&self) -> SimTime {
         self.now
     }
 
     /// A round's time limit.
-    pub(crate) fn round_limit(&self) -> SimDuration {
+    #[must_use]
+    pub fn round_limit(&self) -> SimDuration {
         self.session.config().round_time_limit
     }
 
@@ -99,7 +217,7 @@ impl SessionPlay {
 
     /// Scores and records one finished round; the next round starts at
     /// `next`.
-    pub(crate) fn record(
+    pub fn record(
         &mut self,
         template: TemplateKind,
         task: TaskId,
@@ -126,22 +244,6 @@ impl SessionPlay {
 
     pub(crate) fn finish(self) -> SessionTranscript {
         self.session.finish(self.now)
-    }
-}
-
-/// Emits a finished serial session's span when a trace is recording.
-pub(crate) fn trace_session(name: &str, transcript: &SessionTranscript) {
-    if hc_obs::active() {
-        hc_obs::span(
-            "games",
-            name,
-            transcript.started.ticks(),
-            transcript.ended.ticks(),
-            &[
-                ("rounds", transcript.rounds().into()),
-                ("matched", transcript.matched_count().into()),
-            ],
-        );
     }
 }
 

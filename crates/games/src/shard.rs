@@ -43,12 +43,11 @@
 //! recordings — everything that reads platform state) and *applies*
 //! outcomes in session-id order; jobs *play* them purely from the plan.
 //! Every round, hub-planned or serial, is planned by one function,
-//! `plan_round`. A job plays each round with the game's one round
-//! function (`esp::play_esp_round` for live and replayed partners alike,
-//! `tagatune::play_tagatune_round`, `verbosity::play_verbosity_round`) —
-//! the same function the serial session functions call — inside the
-//! same session loop ([`params`](crate::params)), and the hub applies its
-//! effects through [`apply_round`], as the serial sessions do. Each
+//! `plan_round`. A job plays each round with the game's one round method,
+//! [`SessionDriver::play_round`] — the method the serial
+//! [`play_session`](crate::params::play_session) calls — inside the same
+//! session loop ([`params`](crate::params)), and the hub applies its
+//! effects through [`apply_round`], as the serial loop does. Each
 //! agreement names its own task, so a TagATune round credits the tags of
 //! both clips. The game is one [`ShardGame`] per GWAP, the same type the
 //! serial campaign drives. Planning is optimistic:
@@ -72,7 +71,7 @@
 //! `K`-invariant.
 
 use crate::campaign::CampaignReport;
-use crate::params::{SessionParams, SessionPlay};
+use crate::params::{SessionDriver, SessionParams, SessionPlay};
 use hc_collect::{DetMap, PlayerStore, SliceArena, Span};
 use hc_core::matchmaker::trace_pairing;
 use hc_core::prelude::*;
@@ -196,29 +195,45 @@ pub(crate) fn plan_rounds(
         .collect()
 }
 
-/// Plays a hub-planned session: `round` plays each planned round in turn
-/// against the job's profiles, until the session budget runs out or
-/// `round` returns `None` (a task the world does not know).
-pub(crate) fn play_planned(
+/// Plays a hub-planned session: the game's [`SessionDriver::play_round`]
+/// plays each planned round in turn on the job's profiles, seated by
+/// [`SessionDriver::campaign_seats`], until the session budget runs out
+/// or a round cannot be played. Each game's [`ShardGame::play`] is this
+/// call.
+pub(crate) fn play_planned<D: SessionDriver>(
+    game: &D,
     job: &mut SessionJob,
-    seats: [PlayerId; 2],
     cfg: SessionConfig,
     rule: ScoreRule,
-    mut round: impl FnMut(&mut SessionPlay, PlannedRound, &mut [PlayerProfile]) -> Option<PlayedRound>,
+    rng: &mut SimRng,
 ) -> PlayedSession {
+    let sid = job.sid;
     let params = SessionParams {
-        seats,
-        session_id: job.sid,
+        seats: D::campaign_seats(sid, job.seats),
+        session_id: sid,
         start: job.start,
     };
     let mut play = SessionPlay::begin(params, cfg, rule);
     let planned = std::mem::take(&mut job.rounds);
     let mut rounds = Vec::with_capacity(planned.len());
+    let (left, mut right) = match job.profiles.as_mut_slice() {
+        [player] => (player, None),
+        [waiter, arriver] => {
+            let [left, right] = D::campaign_seats(sid, [waiter, arriver]);
+            (left, Some(right))
+        }
+        _ => {
+            return PlayedSession {
+                transcript: play.finish(),
+                rounds,
+            }
+        }
+    };
     for next in planned {
         if !play.can_play_more() {
             break;
         }
-        let Some(played) = round(&mut play, next, &mut job.profiles) else {
+        let Some(played) = game.play_round(&mut play, next, left, right.as_deref_mut(), rng) else {
             break;
         };
         rounds.push(played);

@@ -8,23 +8,20 @@
 //! clips are: clips with overlapping true-tag supports generate wrong
 //! "same" votes.
 //!
-//! One function, `play_tagatune_round`, plays a round on the shared
-//! session loop ([`params`](crate::params)); each validated tag carries
-//! its own clip, so a round's agreements reach the platform through
-//! `shard::apply_round` like every other game's. [`TagATuneDriver`] is the
-//! game on both campaign engines: the serial
-//! [`Campaign`](crate::campaign::Campaign) plays
-//! [`play_tagatune_session`], and the sharded campaign plays hub-planned
-//! rounds whose right clip the shard draws.
+//! [`TagATuneDriver`] (the clip world plus its same-clip probability) is
+//! the game on both campaign engines. Its [`SessionDriver`] round plays on
+//! the shared session loop ([`params`](crate::params)): the serial
+//! [`play_session`](crate::params::play_session) plans each round's left
+//! clip just before it, the sharded campaign's hub plans them up front,
+//! and the round draws the right clip. Each validated tag carries its
+//! own clip, so a round's agreements reach the platform through
+//! `shard::apply_round` like every other game's.
 
-use crate::campaign::SessionDriver;
-use crate::params::{trace_session, SessionParams, SessionPlay};
-use crate::shard::{
-    apply_round, plan_round, play_planned, PlayedRound, PlayedSession, SessionJob, ShardGame,
-};
+use crate::params::{SessionDriver, SessionPlay};
+use crate::shard::{play_planned, PlannedRound, PlayedRound, PlayedSession, SessionJob, ShardGame};
 use crate::world::{verified_precision, BaseWorld, WorldConfig};
 use hc_core::prelude::*;
-use hc_crowd::{PlayerProfile, Population};
+use hc_crowd::PlayerProfile;
 use hc_sim::SimRng;
 use rand::Rng;
 
@@ -142,20 +139,7 @@ impl ShardGame for TagATuneDriver {
         rule: ScoreRule,
         rng: &mut SimRng,
     ) -> PlayedSession {
-        let seats = job.seats;
-        play_planned(job, seats, cfg, rule, |play, planned, profiles| {
-            let [left, right] = profiles else {
-                return None;
-            };
-            play_tagatune_round(
-                &self.world,
-                play,
-                planned.task,
-                self.p_same,
-                [left, right],
-                rng,
-            )
-        })
+        play_planned(self, job, cfg, rule, rng)
     }
 
     fn precision(&self, platform: &Platform) -> (usize, usize) {
@@ -167,145 +151,106 @@ impl ShardGame for TagATuneDriver {
     }
 }
 
+/// Rounds on two live seats; there is no solo mode.
 impl SessionDriver for TagATuneDriver {
-    fn play_session(
+    /// Plays one round on the left seat's planned clip. The right seat
+    /// hears the same clip with probability `p_same`, otherwise a distinct
+    /// random one. The seats describe their clips in turn (up to
+    /// `MAX_DESCRIPTIONS` each), then vote same/different; correct votes
+    /// validate each seat's descriptions as tags of its own clip. `None`
+    /// without a right seat or when the world does not know either clip.
+    fn play_round<R: Rng + ?Sized>(
         &self,
-        platform: &mut Platform,
-        population: &mut Population,
-        params: SessionParams,
-        rng: &mut SimRng,
-    ) -> SessionTranscript {
-        play_tagatune_session(platform, &self.world, population, params, self.p_same, rng)
-    }
-}
-
-/// Drives one TagATune session; on each round the pair gets the same clip
-/// with probability `p_same_round` (0.5 in the deployed game).
-pub fn play_tagatune_session<R: Rng + ?Sized>(
-    platform: &mut Platform,
-    world: &TagATuneWorld,
-    population: &mut Population,
-    params: SessionParams,
-    p_same_round: f64,
-    rng: &mut R,
-) -> SessionTranscript {
-    let [left, right] = params.seats;
-    let cfg = platform.config().session;
-    let mut play = SessionPlay::begin(params, cfg, cfg.score_rule);
-    while play.can_play_more() {
-        let Some(planned) = plan_round(platform, &params.seats, rng) else {
-            break;
+        play: &mut SessionPlay,
+        planned: PlannedRound,
+        left: &mut PlayerProfile,
+        right: Option<&mut PlayerProfile>,
+        rng: &mut R,
+    ) -> Option<PlayedRound> {
+        let mut profiles = [left, right?];
+        let (world, left_task) = (&self.world, planned.task);
+        let same = rng.gen::<f64>() < self.p_same.clamp(0.0, 1.0);
+        let right_task = if same {
+            left_task
+        } else {
+            // Draw a distinct random clip for the right seat.
+            let mut other = TaskId::new(rng.gen_range(0..world.len() as u64));
+            if other == left_task {
+                other = TaskId::new((other.raw() + 1) % world.len() as u64);
+            }
+            other
         };
-        let (pa, pb) = population
-            .get_pair_mut(left, right)
-            .expect("players exist and are distinct"); // hc-analyze: allow(P1): callers pass two distinct registered ids
-        let Some(round) =
-            play_tagatune_round(world, &mut play, planned.task, p_same_round, [pa, pb], rng)
-        else {
-            break;
-        };
-        apply_round(platform, round);
-    }
-    let transcript = play.finish();
-    platform.record_session(&transcript);
-    trace_session("tagatune.session", &transcript);
-    transcript
-}
+        let truths = [
+            world.truth_for_task(left_task)?,
+            world.truth_for_task(right_task)?,
+        ];
+        let (now, limit) = (play.now(), play.round_limit());
+        let mut round = InputAgreementRound::new(left_task, right_task, limit);
+        let deadline = now + limit;
+        let mut cursor = now;
+        let empty_taboo = TabooList::new();
 
-/// Plays one round on the left seat's clip `left_task`. The right seat
-/// hears the same clip with probability `p_same`, otherwise a distinct
-/// random one. The seats describe their clips in turn (up to
-/// [`MAX_DESCRIPTIONS`] each), then vote same/different; correct votes
-/// validate each seat's descriptions as tags of its own clip. `None`
-/// when the world does not know either clip.
-pub(crate) fn play_tagatune_round<R: Rng + ?Sized>(
-    world: &TagATuneWorld,
-    play: &mut SessionPlay,
-    left_task: TaskId,
-    p_same: f64,
-    mut profiles: [&mut PlayerProfile; 2],
-    rng: &mut R,
-) -> Option<PlayedRound> {
-    let same = rng.gen::<f64>() < p_same.clamp(0.0, 1.0);
-    let right_task = if same {
-        left_task
-    } else {
-        // Draw a distinct random clip for the right seat.
-        let mut other = TaskId::new(rng.gen_range(0..world.len() as u64));
-        if other == left_task {
-            other = TaskId::new((other.raw() + 1) % world.len() as u64);
+        // Description phase: seats alternate up to MAX_DESCRIPTIONS each.
+        for turn in 0..(2 * MAX_DESCRIPTIONS) {
+            let seat_idx = turn % 2;
+            let profile = &mut profiles[seat_idx];
+            let answer = profile.behavior.next_answer(
+                truths[seat_idx],
+                &world.base.vocabulary,
+                &empty_taboo,
+                rng,
+            );
+            cursor += profile.response.sample(answer.as_text(), rng);
+            if cursor > deadline || round.submit(SEATS[seat_idx], answer, cursor).is_terminal() {
+                break;
+            }
         }
-        other
-    };
-    let truths = [
-        world.truth_for_task(left_task)?,
-        world.truth_for_task(right_task)?,
-    ];
-    let (now, limit) = (play.now(), play.round_limit());
-    let mut round = InputAgreementRound::new(left_task, right_task, limit);
-    let deadline = now + limit;
-    let mut cursor = now;
-    let empty_taboo = TabooList::new();
 
-    // Description phase: seats alternate up to MAX_DESCRIPTIONS each.
-    for turn in 0..(2 * MAX_DESCRIPTIONS) {
-        let seat_idx = turn % 2;
-        let profile = &mut profiles[seat_idx];
-        let answer = profile.behavior.next_answer(
-            truths[seat_idx],
-            &world.base.vocabulary,
-            &empty_taboo,
-            rng,
+        // Verdict phase.
+        for (seat_idx, seat) in SEATS.into_iter().enumerate() {
+            let evidence =
+                TagATuneWorld::same_evidence(truths[seat_idx], round.partner_descriptions(seat));
+            let profile = &mut profiles[seat_idx];
+            let verdict = profile.behavior.verdict(evidence, profile.skill, rng);
+            cursor += profile.response.sample(None, rng);
+            if cursor > deadline {
+                break;
+            }
+            round.submit(seat, verdict, cursor);
+        }
+
+        let end = cursor.min(deadline);
+        let result = round.finish(end);
+        let [left, right] = profiles.map(|p| p.id);
+        // Validated tags flow through the same verification pipeline.
+        let agreements: Vec<_> = result
+            .validated_tags()
+            .into_iter()
+            .map(|(task, tag)| (task, tag, left, right))
+            .collect();
+        play.record(
+            TemplateKind::InputAgreement,
+            left_task,
+            result.succeeded,
+            agreements.len() as u32,
+            end.saturating_since(now),
+            end + INTER_ROUND_GAP,
         );
-        cursor += profile.response.sample(answer.as_text(), rng);
-        if cursor > deadline || round.submit(SEATS[seat_idx], answer, cursor).is_terminal() {
-            break;
-        }
+        Some(PlayedRound {
+            agreements,
+            recording: None,
+        })
     }
-
-    // Verdict phase.
-    for (seat_idx, seat) in SEATS.into_iter().enumerate() {
-        let evidence =
-            TagATuneWorld::same_evidence(truths[seat_idx], round.partner_descriptions(seat));
-        let profile = &mut profiles[seat_idx];
-        let verdict = profile.behavior.verdict(evidence, profile.skill, rng);
-        cursor += profile.response.sample(None, rng);
-        if cursor > deadline {
-            break;
-        }
-        round.submit(seat, verdict, cursor);
-    }
-
-    let end = cursor.min(deadline);
-    let result = round.finish(end);
-    let [left, right] = profiles.map(|p| p.id);
-    // Validated tags flow through the same verification pipeline.
-    let agreements: Vec<_> = result
-        .validated_tags()
-        .into_iter()
-        .map(|(task, tag)| (task, tag, left, right))
-        .collect();
-    play.record(
-        TemplateKind::InputAgreement,
-        left_task,
-        result.succeeded,
-        agreements.len() as u32,
-        end.saturating_since(now),
-        end + INTER_ROUND_GAP,
-    );
-    Some(PlayedRound {
-        agreements,
-        recording: None,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hc_crowd::{ArchetypeMix, PopulationBuilder};
+    use crate::params::{play_session, SessionParams};
+    use hc_crowd::{ArchetypeMix, Population, PopulationBuilder};
     use rand::SeedableRng;
 
-    fn setup() -> (Platform, TagATuneWorld, Population, rand::rngs::StdRng) {
+    fn setup(p_same: f64) -> (Platform, TagATuneDriver, Population, rand::rngs::StdRng) {
         let mut r = rand::rngs::StdRng::seed_from_u64(606);
         let world = TagATuneWorld::generate(&WorldConfig::small(), &mut r);
         let mut platform = Platform::new(PlatformConfig {
@@ -320,18 +265,18 @@ mod tests {
             .build(&mut r);
         platform.register_player();
         platform.register_player();
-        (platform, world, pop, r)
+        (platform, TagATuneDriver { world, p_same }, pop, r)
     }
 
     #[test]
     fn honest_skilled_pairs_mostly_vote_correctly() {
-        let (mut platform, world, mut pop, mut r) = setup();
+        let (mut platform, driver, mut pop, mut r) = setup(0.5);
         let mut matched = 0;
         let mut rounds = 0;
         for s in 0..8 {
-            let t = play_tagatune_session(
+            let t = play_session(
                 &mut platform,
-                &world,
+                &driver,
                 &mut pop,
                 SessionParams::pair(
                     PlayerId::new(0),
@@ -339,7 +284,6 @@ mod tests {
                     SessionId::new(s),
                     SimTime::from_secs(s * 1000),
                 ),
-                0.5,
                 &mut r,
             );
             matched += t.matched_count();
@@ -352,11 +296,11 @@ mod tests {
 
     #[test]
     fn validated_tags_are_true_of_their_clips() {
-        let (mut platform, world, mut pop, mut r) = setup();
+        let (mut platform, driver, mut pop, mut r) = setup(0.5);
         for s in 0..5 {
-            play_tagatune_session(
+            play_session(
                 &mut platform,
-                &world,
+                &driver,
                 &mut pop,
                 SessionParams::pair(
                     PlayerId::new(0),
@@ -364,7 +308,6 @@ mod tests {
                     SessionId::new(s),
                     SimTime::from_secs(s * 1000),
                 ),
-                0.5,
                 &mut r,
             );
         }
@@ -372,7 +315,7 @@ mod tests {
         assert!(!verified.is_empty(), "no tags were validated");
         let correct = verified
             .iter()
-            .filter(|v| world.is_correct(v.task, &v.label))
+            .filter(|v| driver.world.is_correct(v.task, &v.label))
             .count();
         // Honest players only describe truthfully; every validated tag is
         // correct.
@@ -397,11 +340,11 @@ mod tests {
 
     #[test]
     fn different_rounds_use_distinct_tasks() {
-        let (mut platform, world, mut pop, mut r) = setup();
-        // p_same_round = 0: every round is a "different" round.
-        let t = play_tagatune_session(
+        // p_same = 0: every round is a "different" round.
+        let (mut platform, driver, mut pop, mut r) = setup(0.0);
+        let t = play_session(
             &mut platform,
-            &world,
+            &driver,
             &mut pop,
             SessionParams::pair(
                 PlayerId::new(0),
@@ -409,7 +352,6 @@ mod tests {
                 SessionId::new(0),
                 SimTime::ZERO,
             ),
-            0.0,
             &mut r,
         );
         assert!(t.rounds() > 0);

@@ -8,21 +8,18 @@
 //! probability rises with hints seen — the dynamic this module models
 //! explicitly.
 //!
-//! One function, `play_verbosity_round`, plays a round, and
-//! `shard::plan_round` plans it. [`VerbosityWorld`] is the game on both
-//! campaign engines: as a [`ShardGame`] it plays hub-planned rounds, and
-//! as a [`SessionDriver`] the serial [`play_verbosity_session`]. Both keep
-//! the session's clock, score and streak in the shared session loop
-//! ([`params`](crate::params)) and seat the narrator by session-id parity.
+//! [`VerbosityWorld`] is the game on both campaign engines. Its
+//! [`SessionDriver`] round is played by
+//! [`play_session`](crate::params::play_session) on seats
+//! `[narrator, guesser]`, and by the sharded campaign on hub-planned
+//! rounds. In campaign sessions, on either engine, the narrator is seated
+//! by session-id parity (`narrator_first`).
 
-use crate::campaign::SessionDriver;
-use crate::params::{trace_session, SessionParams, SessionPlay};
-use crate::shard::{
-    apply_round, plan_round, play_planned, PlayedRound, PlayedSession, SessionJob, ShardGame,
-};
+use crate::params::{SessionDriver, SessionPlay};
+use crate::shard::{play_planned, PlannedRound, PlayedRound, PlayedSession, SessionJob, ShardGame};
 use crate::world::{verified_precision, BaseWorld, WorldConfig};
 use hc_core::prelude::*;
-use hc_crowd::{LabelDistribution, PlayerProfile, Population};
+use hc_crowd::{LabelDistribution, PlayerProfile};
 use hc_sim::SimRng;
 use rand::Rng;
 
@@ -256,20 +253,7 @@ impl ShardGame for VerbosityWorld {
         rule: ScoreRule,
         rng: &mut SimRng,
     ) -> PlayedSession {
-        let sid = job.sid;
-        let seats = narrator_first(sid, job.seats);
-        play_planned(job, seats, cfg, rule, |play, planned, profiles| {
-            let [left, right] = profiles else {
-                return None;
-            };
-            let task = planned.task;
-            let secret = self.secret_for_task(task)?.clone();
-            let facts = self.facts_for_task(task)?;
-            let roles = narrator_first(sid, [left, right]);
-            Some(play_verbosity_round(
-                self, play, task, secret, facts, roles, rng,
-            ))
-        })
+        play_planned(self, job, cfg, rule, rng)
     }
 
     fn precision(&self, platform: &Platform) -> (usize, usize) {
@@ -281,117 +265,50 @@ impl ShardGame for VerbosityWorld {
     }
 }
 
+/// Rounds on seats `[narrator, guesser]`; campaign sessions alternate
+/// the narrator by session-id parity.
 impl SessionDriver for VerbosityWorld {
-    fn play_session(
+    fn campaign_seats<T>(session: SessionId, seats: [T; 2]) -> [T; 2] {
+        narrator_first(session, seats)
+    }
+
+    /// Plays one round: the narrator (the left seat) sends up to
+    /// `MAX_HINTS` true facts about the task's secret, and after each one
+    /// the guesser (the right seat) makes `GUESSES_PER_HINT` guesses from
+    /// candidates that sharpen with every hint. A correct guess validates
+    /// every hint sent. `None` without a guesser or when the world does
+    /// not know the task.
+    fn play_round<R: Rng + ?Sized>(
         &self,
-        platform: &mut Platform,
-        population: &mut Population,
-        mut params: SessionParams,
-        rng: &mut SimRng,
-    ) -> SessionTranscript {
-        params.seats = narrator_first(params.session_id, params.seats);
-        play_verbosity_session(platform, self, population, params, rng)
-    }
-}
+        play: &mut SessionPlay,
+        planned: PlannedRound,
+        pn: &mut PlayerProfile,
+        pg: Option<&mut PlayerProfile>,
+        rng: &mut R,
+    ) -> Option<PlayedRound> {
+        let pg = pg?;
+        let task = planned.task;
+        let secret = self.secret_for_task(task)?.clone();
+        let facts = self.facts_for_task(task)?;
+        let (now, limit) = (play.now(), play.round_limit());
+        let deadline = now + limit;
+        let mut round = InversionRound::new(task, secret, limit);
+        let empty_taboo = TabooList::new();
+        let mut cursor = now;
+        let mut hints_sent = 0usize;
+        let mut end = deadline;
+        let mut matched = false;
 
-/// Drives one Verbosity session on seats `[narrator, guesser]`: the
-/// narrator sends the clues and the guesser guesses (callers alternate
-/// roles between sessions, as the deployed game alternates between
-/// rounds).
-pub fn play_verbosity_session<R: Rng + ?Sized>(
-    platform: &mut Platform,
-    world: &VerbosityWorld,
-    population: &mut Population,
-    params: SessionParams,
-    rng: &mut R,
-) -> SessionTranscript {
-    let [narrator, guesser] = params.seats;
-    let cfg = platform.config().session;
-    let mut play = SessionPlay::begin(params, cfg, cfg.score_rule);
-    while play.can_play_more() {
-        let Some(task) = plan_round(platform, &params.seats, rng).map(|p| p.task) else {
-            break;
-        };
-        let (Some(secret), Some(facts)) = (
-            world.secret_for_task(task).cloned(),
-            world.facts_for_task(task),
-        ) else {
-            break;
-        };
-        let (pn, pg) = population
-            .get_pair_mut(narrator, guesser)
-            .expect("players exist and are distinct"); // hc-analyze: allow(P1): callers pass two distinct registered ids
-        let round = play_verbosity_round(world, &mut play, task, secret, facts, [pn, pg], rng);
-        apply_round(platform, round);
-    }
-    let transcript = play.finish();
-    platform.record_session(&transcript);
-    trace_session("verbosity.session", &transcript);
-    transcript
-}
-
-/// Plays one round: the narrator (`roles[0]`) sends up to [`MAX_HINTS`]
-/// true facts about `secret`, and after each one the guesser
-/// (`roles[1]`) makes [`GUESSES_PER_HINT`] guesses from candidates that
-/// sharpen with every hint. A correct guess validates every hint sent.
-pub(crate) fn play_verbosity_round<R: Rng + ?Sized>(
-    world: &VerbosityWorld,
-    play: &mut SessionPlay,
-    task: TaskId,
-    secret: Label,
-    facts: &LabelDistribution,
-    roles: [&mut PlayerProfile; 2],
-    rng: &mut R,
-) -> PlayedRound {
-    let [pn, pg] = roles;
-    let (now, limit) = (play.now(), play.round_limit());
-    let deadline = now + limit;
-    let mut round = InversionRound::new(task, secret, limit);
-    let empty_taboo = TabooList::new();
-    let mut cursor = now;
-    let mut hints_sent = 0usize;
-    let mut end = deadline;
-    let mut matched = false;
-
-    'round: while hints_sent < MAX_HINTS {
-        // Narrator sends one hint.
-        let hint = pn
-            .behavior
-            .next_answer(facts, world.vocabulary(), &empty_taboo, rng);
-        cursor += pn.response.sample(hint.as_text(), rng);
-        if cursor > deadline {
-            break 'round;
-        }
-        match round.submit(Seat::Left, hint, cursor) {
-            SubmitOutcome::BothPassed => {
-                end = cursor;
-                break 'round;
-            }
-            SubmitOutcome::RoundOver => {
-                break 'round;
-            }
-            _ => {}
-        }
-        hints_sent += 1;
-
-        // Guesser responds with a few attempts informed by the hints.
-        let Some(candidates) = world.guess_candidates(task, hints_sent, 8) else {
-            break 'round;
-        };
-        for _ in 0..GUESSES_PER_HINT {
-            let guess = pg
+        'round: while hints_sent < MAX_HINTS {
+            // Narrator sends one hint.
+            let hint = pn
                 .behavior
-                .guess(&candidates, world.vocabulary(), pg.skill, rng);
-            cursor += pg.response.sample(guess.as_text(), rng);
+                .next_answer(facts, self.vocabulary(), &empty_taboo, rng);
+            cursor += pn.response.sample(hint.as_text(), rng);
             if cursor > deadline {
                 break 'round;
             }
-            match round.submit(Seat::Right, guess, cursor) {
-                SubmitOutcome::Matched(_) => {
-                    matched = true;
-                    end = cursor;
-                    break 'round;
-                }
+            match round.submit(Seat::Left, hint, cursor) {
                 SubmitOutcome::BothPassed => {
                     end = cursor;
                     break 'round;
@@ -401,35 +318,66 @@ pub(crate) fn play_verbosity_round<R: Rng + ?Sized>(
                 }
                 _ => {}
             }
-        }
-    }
+            hints_sent += 1;
 
-    let end = end.min(deadline);
-    let result = round.finish(end);
-    let (narrator, guesser) = (pn.id, pg.id);
-    let agreements: Vec<_> = result
-        .validated_facts()
-        .into_iter()
-        .map(|(_, clue)| (task, clue, narrator, guesser))
-        .collect();
-    play.record(
-        TemplateKind::InversionProblem,
-        task,
-        matched,
-        agreements.len() as u32,
-        result.duration,
-        end + INTER_ROUND_GAP,
-    );
-    PlayedRound {
-        agreements,
-        recording: None,
+            // Guesser responds with a few attempts informed by the hints.
+            let Some(candidates) = self.guess_candidates(task, hints_sent, 8) else {
+                break 'round;
+            };
+            for _ in 0..GUESSES_PER_HINT {
+                let guess = pg
+                    .behavior
+                    .guess(&candidates, self.vocabulary(), pg.skill, rng);
+                cursor += pg.response.sample(guess.as_text(), rng);
+                if cursor > deadline {
+                    break 'round;
+                }
+                match round.submit(Seat::Right, guess, cursor) {
+                    SubmitOutcome::Matched(_) => {
+                        matched = true;
+                        end = cursor;
+                        break 'round;
+                    }
+                    SubmitOutcome::BothPassed => {
+                        end = cursor;
+                        break 'round;
+                    }
+                    SubmitOutcome::RoundOver => {
+                        break 'round;
+                    }
+                    _ => {}
+                }
+            }
+        }
+
+        let end = end.min(deadline);
+        let result = round.finish(end);
+        let (narrator, guesser) = (pn.id, pg.id);
+        let agreements: Vec<_> = result
+            .validated_facts()
+            .into_iter()
+            .map(|(_, clue)| (task, clue, narrator, guesser))
+            .collect();
+        play.record(
+            TemplateKind::InversionProblem,
+            task,
+            matched,
+            agreements.len() as u32,
+            result.duration,
+            end + INTER_ROUND_GAP,
+        );
+        Some(PlayedRound {
+            agreements,
+            recording: None,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hc_crowd::{ArchetypeMix, PopulationBuilder};
+    use crate::params::{play_session, SessionParams};
+    use hc_crowd::{ArchetypeMix, Population, PopulationBuilder};
     use rand::SeedableRng;
 
     fn setup(skill: f64) -> (Platform, VerbosityWorld, Population, rand::rngs::StdRng) {
@@ -453,7 +401,7 @@ mod tests {
     #[test]
     fn skilled_guessers_recover_secrets_and_validate_facts() {
         let (mut platform, world, mut pop, mut r) = setup(0.85);
-        let t = play_verbosity_session(
+        let t = play_session(
             &mut platform,
             &world,
             &mut pop,
@@ -484,7 +432,7 @@ mod tests {
             let mut matched = 0;
             let mut rounds = 0;
             for s in 0..6 {
-                let t = play_verbosity_session(
+                let t = play_session(
                     &mut platform,
                     &world,
                     &mut pop,
@@ -523,7 +471,7 @@ mod tests {
     fn secrets_never_leak_into_validated_facts() {
         let (mut platform, world, mut pop, mut r) = setup(0.9);
         for s in 0..4 {
-            play_verbosity_session(
+            play_session(
                 &mut platform,
                 &world,
                 &mut pop,
@@ -587,7 +535,7 @@ mod tests {
     fn validated_facts_stay_typed_through_the_pipeline() {
         let (mut platform, world, mut pop, mut r) = setup(0.9);
         for s in 0..4 {
-            play_verbosity_session(
+            play_session(
                 &mut platform,
                 &world,
                 &mut pop,

@@ -70,7 +70,7 @@ pub mod wheel;
 
 pub use arrival::{ArrivalProcess, DiurnalProcess, PoissonProcess};
 pub use dist::{Bernoulli, DiscreteDist, Exponential, Geometric, LogNormal, UniformRange, Zipf};
-pub use par::{run_replications, run_seeded_replications, ReplicationError};
+pub use par::{run_replications, ReplicationError};
 pub use rng::{RngFactory, SimRng};
 pub use shard::{
     Addr, Control, HubDecision, Mailbox, ShardConfig, ShardError, ShardRunStats, ShardWorkload,
@@ -87,7 +87,7 @@ pub mod prelude {
     pub use crate::dist::{
         Bernoulli, DiscreteDist, Exponential, Geometric, LogNormal, UniformRange, Zipf,
     };
-    pub use crate::par::{run_replications, run_seeded_replications, ReplicationError};
+    pub use crate::par::{run_replications, ReplicationError};
     pub use crate::rng::{RngFactory, SimRng};
     pub use crate::shard::{
         Addr, Control, HubDecision, Mailbox, ShardConfig, ShardError, ShardRunStats, ShardWorkload,

@@ -4,15 +4,16 @@
 //! *replications* — seed variants, parameter-grid cells, or both. Each
 //! replication is a pure function of its index, so the set can run on
 //! any number of worker threads **without changing a single output
-//! byte**: the pool assigns every replication a stable index, derives
-//! its RNG from a per-index SplitMix stream ([`RngFactory::indexed_stream`]),
-//! and merges results back in index order. `--threads 8` and
+//! byte**: the pool hands every replication a stable index, the job
+//! derives its RNG from that index's SplitMix stream
+//! ([`RngFactory::indexed_stream`](crate::RngFactory::indexed_stream)),
+//! and the pool merges results back in index order. `--threads 8` and
 //! `--threads 1` are therefore byte-identical; threads only change how
 //! long you wait.
 //!
 //! ## Determinism contract
 //!
-//! 1. The job closure must be a pure function of `(index, rng)` — no
+//! 1. The job closure must be a pure function of its index — no
 //!    shared mutable state, no wall clock, no OS entropy (rules D1/D3
 //!    of `hc-analyze` enforce the latter two).
 //! 2. Results are returned as `Vec<T>` in replication-index order,
@@ -29,7 +30,6 @@
 //! windows on): an idle thread takes the next unclaimed index, so a few
 //! expensive cells cannot serialize the whole grid behind one thread.
 
-use crate::rng::{RngFactory, SimRng};
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -331,33 +331,10 @@ where
     Ok(out)
 }
 
-/// Runs `jobs` seeded replications: job `i` receives the RNG stream
-/// `factory.indexed_stream(label, i)` — an independent, per-index
-/// SplitMix-derived stream — so outputs depend only on `(factory seed,
-/// label, index)`, never on the thread count or completion order.
-///
-/// # Errors
-///
-/// Propagates [`ReplicationError`] exactly as [`run_replications`].
-pub fn run_seeded_replications<T, F>(
-    factory: &RngFactory,
-    label: &str,
-    jobs: usize,
-    threads: usize,
-    job: F,
-) -> Result<Vec<T>, ReplicationError>
-where
-    T: Send,
-    F: Fn(usize, SimRng) -> T + Sync,
-{
-    run_replications(jobs, threads, |index| {
-        job(index, factory.indexed_stream(label, index as u64))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::RngFactory;
     use rand::Rng;
 
     #[test]
@@ -495,12 +472,13 @@ mod tests {
     #[test]
     fn seeded_replications_are_thread_count_invariant() {
         let factory = RngFactory::new(42);
-        let draw =
-            |_i: usize, mut rng: SimRng| -> Vec<u64> { (0..16).map(|_| rng.gen()).collect() };
-        let serial = run_seeded_replications(&factory, "grid", 10, 1, draw).expect("serial clean");
+        let draw = |i: usize| -> Vec<u64> {
+            let mut rng = factory.indexed_stream("grid", i as u64);
+            (0..16).map(|_| rng.gen()).collect()
+        };
+        let serial = run_replications(10, 1, draw).expect("serial clean");
         for threads in [2, 3, 4, 7] {
-            let parallel =
-                run_seeded_replications(&factory, "grid", 10, threads, draw).expect("par clean");
+            let parallel = run_replications(10, threads, draw).expect("par clean");
             assert_eq!(serial, parallel, "threads={threads}");
         }
     }

@@ -11,7 +11,7 @@ use hc_obs::analyze::{critical_path, DeriveAcc, SpanTree};
 use hc_sim::shard::{
     run as run_shards, Addr, HubDecision, Mailbox, ShardConfig, ShardWorkload, WindowInfo,
 };
-use hc_sim::{run_seeded_replications, OnlineStats, RngFactory, SimDuration, SimRng, SimTime};
+use hc_sim::{run_replications, OnlineStats, RngFactory, SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
 use rand::Rng;
 use std::collections::BTreeMap;
@@ -160,11 +160,9 @@ proptest! {
         seed in 0u64..300,
     ) {
         let factory = RngFactory::new(seed);
-        let plain = run_seeded_replications(&factory, "obs", jobs, threads, stats_job)
-            .expect("plain run succeeds");
-        let (recorded, trace) = hc_obs::record_scope(0, || {
-            run_seeded_replications(&factory, "obs", jobs, threads, stats_job)
-        });
+        let job = |i: usize| stats_job(i, factory.indexed_stream("obs", i as u64));
+        let plain = run_replications(jobs, threads, job).expect("plain run succeeds");
+        let (recorded, trace) = hc_obs::record_scope(0, || run_replications(jobs, threads, job));
         let recorded = recorded.expect("recorded run succeeds");
         prop_assert_eq!(plain, recorded, "a subscriber changed the results");
         // The trace really observed the jobs (per-task span + merged records).
@@ -178,10 +176,9 @@ proptest! {
         seed in 0u64..300,
     ) {
         let factory = RngFactory::new(seed);
+        let job = |i: usize| stats_job(i, factory.indexed_stream("obs", i as u64));
         let record = |t: usize| {
-            let (out, trace) = hc_obs::record_scope(0, || {
-                run_seeded_replications(&factory, "obs", jobs, t, stats_job)
-            });
+            let (out, trace) = hc_obs::record_scope(0, || run_replications(jobs, t, job));
             out.expect("run succeeds");
             trace
         };

@@ -3,9 +3,7 @@
 //! serialized statistics to the serial path, and a panicking replication
 //! must surface as a typed error without poisoning later runs.
 
-use hc_sim::{
-    run_replications, run_seeded_replications, OnlineStats, ReplicationError, RngFactory, SimRng,
-};
+use hc_sim::{run_replications, OnlineStats, ReplicationError, RngFactory, SimRng};
 use proptest::prelude::*;
 use rand::Rng;
 
@@ -36,10 +34,9 @@ proptest! {
         seed in 0u64..500,
     ) {
         let factory = RngFactory::new(seed);
-        let serial = run_seeded_replications(&factory, "equiv", jobs, 1, stats_job)
-            .expect("serial path never panics");
-        let parallel = run_seeded_replications(&factory, "equiv", jobs, threads, stats_job)
-            .expect("parallel path never panics");
+        let job = |i: usize| stats_job(i, factory.indexed_stream("equiv", i as u64));
+        let serial = run_replications(jobs, 1, job).expect("serial path never panics");
+        let parallel = run_replications(jobs, threads, job).expect("parallel path never panics");
         prop_assert_eq!(serial, parallel);
     }
 

@@ -60,7 +60,7 @@ fn main() {
         if a == b {
             b = PlayerId::new((b.raw() + 1) % PLAYERS as u64);
         }
-        play_esp_session(
+        play_session(
             &mut platform,
             &world,
             &mut population,

@@ -40,7 +40,7 @@ fn main() {
         platform.register_player();
     }
     for s in 0..6u64 {
-        play_esp_session(
+        play_session(
             &mut platform,
             &world,
             &mut population,

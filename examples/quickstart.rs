@@ -31,7 +31,7 @@ fn main() {
     let b = platform.register_player();
 
     // 4. Play one session.
-    let transcript = play_esp_session(
+    let transcript = play_session(
         &mut platform,
         &world,
         &mut population,

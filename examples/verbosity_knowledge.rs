@@ -45,7 +45,7 @@ fn main() {
             b = PlayerId::new((b.raw() + 1) % PLAYERS as u64);
         }
         let (narrator, guesser) = if s % 2 == 0 { (a, b) } else { (b, a) };
-        let t = play_verbosity_session(
+        let t = play_session(
             &mut platform,
             &world,
             &mut population,

@@ -41,7 +41,7 @@
 //!     .build(&mut rng);
 //! platform.register_player();
 //! platform.register_player();
-//! let transcript = play_esp_session(
+//! let transcript = play_session(
 //!     &mut platform, &world, &mut population,
 //!     SessionParams::pair(
 //!         PlayerId::new(0), PlayerId::new(1),
@@ -114,16 +114,10 @@ pub mod prelude {
         PopulationBuilder, ResponseTimeModel, SkillDynamics, SkillState, Vocabulary,
     };
     pub use hc_games::{
-        esp::{play_esp_replay_session, play_esp_session},
-        matchin::play_matchin_session,
-        params::SessionParams,
-        peekaboom::play_peekaboom_session,
-        squigl::play_squigl_session,
-        tagatune::play_tagatune_session,
-        verbosity::play_verbosity_session,
-        BradleyTerryRanking, Campaign, CampaignConfig, CampaignReport, EspWorld, MatchinWorld,
-        PeekaboomWorld, SessionDriver, SquiglWorld, TagATuneDriver, TagATuneWorld, VerbosityWorld,
-        WorldConfig,
+        matchin::play_matchin_session, peekaboom::play_peekaboom_session, play_session,
+        squigl::play_squigl_session, BradleyTerryRanking, Campaign, CampaignConfig, CampaignReport,
+        EspWorld, MatchinWorld, PeekaboomWorld, SessionDriver, SessionParams, SquiglWorld,
+        TagATuneDriver, TagATuneWorld, VerbosityWorld, WorldConfig,
     };
     pub use hc_sim::prelude::*;
 }

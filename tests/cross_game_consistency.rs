@@ -66,7 +66,7 @@ fn esp_sessions_respect_shared_invariants() {
     platform = platform2;
     for s in 0..5 {
         let (a, b) = pair(s);
-        let t = play_esp_session(
+        let t = play_session(
             &mut platform,
             &world,
             &mut pop,
@@ -81,16 +81,15 @@ fn esp_sessions_respect_shared_invariants() {
 #[test]
 fn tagatune_sessions_respect_shared_invariants() {
     let (mut platform, mut pop, mut rng) = fresh(2);
-    let world = TagATuneWorld::generate(&WorldConfig::small(), &mut rng);
-    world.register_tasks(&mut platform);
+    let driver = TagATuneDriver::generate(&WorldConfig::small(), 0.5, &mut rng);
+    driver.world.register_tasks(&mut platform);
     for s in 0..5 {
         let (a, b) = pair(s);
-        let t = play_tagatune_session(
+        let t = play_session(
             &mut platform,
-            &world,
+            &driver,
             &mut pop,
             SessionParams::pair(a, b, SessionId::new(s), SimTime::from_secs(s * 1_000)),
-            0.5,
             &mut rng,
         );
         check_transcript(&t, &platform);
@@ -104,7 +103,7 @@ fn verbosity_sessions_respect_shared_invariants() {
     world.register_tasks(&mut platform);
     for s in 0..5 {
         let (a, b) = pair(s);
-        let t = play_verbosity_session(
+        let t = play_session(
             &mut platform,
             &world,
             &mut pop,
@@ -187,15 +186,14 @@ fn ledger_time_accounting_is_consistent_across_games() {
     // Play one session of each game on one platform family and verify the
     // ledger counts two player-sides of wall time per session.
     let (mut platform, mut pop, mut rng) = fresh(6);
-    let world = TagATuneWorld::generate(&WorldConfig::small(), &mut rng);
-    world.register_tasks(&mut platform);
+    let driver = TagATuneDriver::generate(&WorldConfig::small(), 0.5, &mut rng);
+    driver.world.register_tasks(&mut platform);
     let (a, b) = pair(0);
-    let t = play_tagatune_session(
+    let t = play_session(
         &mut platform,
-        &world,
+        &driver,
         &mut pop,
         SessionParams::pair(a, b, SessionId::new(0), SimTime::ZERO),
-        0.5,
         &mut rng,
     );
     let expected_hours = t.duration().as_hours_f64() * 2.0;

@@ -383,11 +383,11 @@ fn t1_sessions(
 
 fn tagatune_sessions(seed: u64) -> SessionsFingerprint {
     let (mut platform, mut rng) = t1_setup(seed, "tagatune");
-    let world = TagATuneWorld::generate(&WorldConfig::standard(), &mut rng);
-    world.register_tasks(&mut platform);
+    let driver = TagATuneDriver::generate(&WorldConfig::standard(), 0.5, &mut rng);
+    driver.world.register_tasks(&mut platform);
     let mut pop = t1_population(&mut rng);
     t1_sessions(&mut platform, &mut rng, |pf, p, r| {
-        let t = play_tagatune_session(pf, &world, &mut pop, p, 0.5, r);
+        let t = play_session(pf, &driver, &mut pop, p, r);
         let outputs = t.candidate_outputs();
         (t, outputs, String::new())
     })
@@ -443,7 +443,7 @@ fn esp_sessions(seed: u64) -> SessionsFingerprint {
     world.register_tasks(&mut platform);
     let mut pop = t1_population(&mut rng);
     t1_sessions(&mut platform, &mut rng, |pf, p, r| {
-        let t = play_esp_session(pf, &world, &mut pop, p, r);
+        let t = play_session(pf, &world, &mut pop, p, r);
         let outputs = t.candidate_outputs();
         (t, outputs, String::new())
     })
@@ -455,7 +455,7 @@ fn verbosity_sessions(seed: u64) -> SessionsFingerprint {
     world.register_tasks(&mut platform);
     let mut pop = t1_population(&mut rng);
     t1_sessions(&mut platform, &mut rng, |pf, p, r| {
-        let t = play_verbosity_session(pf, &world, &mut pop, p, r);
+        let t = play_session(pf, &world, &mut pop, p, r);
         let outputs = t.candidate_outputs();
         (t, outputs, String::new())
     })
@@ -475,7 +475,7 @@ fn esp_replay_sessions(seed: u64) -> SessionsFingerprint {
     let mut kinds = [0u32; 2];
     let fp = t1_sessions(&mut platform, &mut rng, |pf, p, r| {
         if p.session_id.raw() % 3 != 2 {
-            let t = play_esp_session(pf, &world, &mut pop, p, r);
+            let t = play_session(pf, &world, &mut pop, p, r);
             let outputs = t.candidate_outputs();
             return (t, outputs, String::new());
         }
@@ -483,7 +483,7 @@ fn esp_replay_sessions(seed: u64) -> SessionsFingerprint {
             .map(|i| pf.replay().has_recording(TaskId::new(i)))
             .collect();
         let solo = SessionParams::solo(p.left(), p.session_id, p.start);
-        let t = play_esp_replay_session(pf, &world, &mut pop, solo, r);
+        let t = play_session(pf, &world, &mut pop, solo, r);
         let replayed: Vec<bool> = t
             .records
             .iter()
@@ -602,7 +602,7 @@ fn same_seed_runs_emit_byte_identical_label_snapshots() {
             } else {
                 b
             };
-            play_esp_session(
+            play_session(
                 &mut platform,
                 &world,
                 &mut pop,

@@ -50,7 +50,7 @@ fn session_with_exhausted_task_queue_ends_cleanly() {
         .build(&mut rng);
     platform.register_player();
     platform.register_player();
-    let t = play_esp_session(
+    let t = play_session(
         &mut platform,
         &world,
         &mut pop,
@@ -86,7 +86,7 @@ fn tiny_session_budgets_are_respected() {
         .build(&mut rng);
     platform.register_player();
     platform.register_player();
-    let t = play_esp_session(
+    let t = play_session(
         &mut platform,
         &world,
         &mut pop,
@@ -120,7 +120,7 @@ fn completion_threshold_drains_the_world() {
     platform.register_player();
     platform.register_player();
     for s in 0..20u64 {
-        play_esp_session(
+        play_session(
             &mut platform,
             &world,
             &mut pop,
@@ -138,7 +138,7 @@ fn completion_threshold_drains_the_world() {
     }
     assert_eq!(platform.tasks().completed_count(), 10, "world should drain");
     // Once drained, sessions end immediately with zero rounds.
-    let t = play_esp_session(
+    let t = play_session(
         &mut platform,
         &world,
         &mut pop,
@@ -190,7 +190,7 @@ fn all_spammer_crowd_verifies_almost_nothing_true() {
     let mut pop = PopulationBuilder::new(2).mix(mix).build(&mut rng);
     platform.register_player();
     platform.register_player();
-    play_esp_session(
+    play_session(
         &mut platform,
         &world,
         &mut pop,

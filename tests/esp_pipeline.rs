@@ -24,7 +24,7 @@ fn run_sessions(
         if a == b {
             b = PlayerId::new((b.raw() + 1) % PLAYERS as u64);
         }
-        play_esp_session(
+        play_session(
             platform,
             world,
             pop,
@@ -214,7 +214,7 @@ fn replay_fallback_preserves_label_quality() {
     // Lone players verify against recordings.
     for s in 0..30u64 {
         let p = PlayerId::new(s % PLAYERS as u64);
-        play_esp_replay_session(
+        play_session(
             &mut platform,
             &world,
             &mut pop,
