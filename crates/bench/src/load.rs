@@ -161,8 +161,10 @@ pub struct LoadOutcome {
 
 /// The service config the harness drives: promote on first agreement,
 /// no gold injection, no rematch avoidance, and session limits wide
-/// enough that clients decide when to close.
-fn service_config(seed: u64) -> ServiceConfig {
+/// enough that clients decide when to close. Replaying a run's response
+/// log into a service built from it rebuilds the run's state.
+#[must_use]
+pub fn service_config(seed: u64) -> ServiceConfig {
     let mut platform = PlatformConfig {
         agreement_threshold: 1,
         gold_injection_rate: 0.0,

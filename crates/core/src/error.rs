@@ -29,6 +29,9 @@ pub enum Error {
     },
     /// A job was created with no tasks.
     EmptyJob,
+    /// A job listed a task that is already enrolled in a job, or listed
+    /// it twice: a task belongs to at most one job.
+    TaskAlreadyEnrolled(TaskId),
     /// A configuration value was out of range.
     InvalidConfig(&'static str),
     /// The player is currently banned by the anti-cheat layer.
@@ -48,6 +51,9 @@ impl std::fmt::Display for Error {
                 write!(f, "answer kind mismatch: template expects {expected}")
             }
             Error::EmptyJob => write!(f, "job must contain at least one task"),
+            Error::TaskAlreadyEnrolled(id) => {
+                write!(f, "task {id} is already enrolled in a job")
+            }
             Error::InvalidConfig(what) => write!(f, "invalid configuration: {what}"),
             Error::PlayerBanned(id) => write!(f, "player {id} is banned"),
         }

@@ -10,6 +10,7 @@
 use crate::id::{JobId, TaskId};
 use hc_sim::SimTime;
 use serde::{Deserialize, Serialize};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// Completion criterion for a job.
@@ -33,7 +34,10 @@ pub enum JobState {
 }
 
 /// One labeling campaign.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Not serializable: the running totals below are derived from
+/// `outputs`, and a decoder could leave them stale.
+#[derive(Debug, Clone)]
 pub struct Job {
     /// Unique id.
     pub id: JobId,
@@ -51,6 +55,11 @@ pub struct Job {
     tasks: Vec<TaskId>,
     /// Verified outputs per enrolled task.
     outputs: BTreeMap<TaskId, u32>,
+    /// Running Σ of `outputs`.
+    credited: u64,
+    /// Running Σ over enrolled tasks of min(outputs, per-task goal);
+    /// stays 0 under [`JobGoal::TotalOutputs`].
+    capped: u64,
 }
 
 impl Job {
@@ -61,9 +70,14 @@ impl Job {
     }
 
     /// Total verified outputs credited so far.
+    ///
+    /// Credits stop once the job leaves [`JobState::Active`], while
+    /// promotions on its tasks go on. So this can be smaller than the
+    /// number of verified labels on the job's tasks, which is what an
+    /// export returns.
     #[must_use]
     pub fn total_outputs(&self) -> u64 {
-        self.outputs.values().map(|&c| u64::from(c)).sum()
+        self.credited
     }
 
     /// Verified outputs for one enrolled task.
@@ -80,12 +94,7 @@ impl Job {
                 if self.tasks.is_empty() || per == 0 {
                     return 1.0;
                 }
-                let done: u64 = self
-                    .tasks
-                    .iter()
-                    .map(|t| u64::from(self.outputs_for(*t).min(per)))
-                    .sum();
-                done as f64 / (self.tasks.len() as u64 * u64::from(per)) as f64
+                self.capped as f64 / (self.tasks.len() as u64 * u64::from(per)) as f64
             }
             JobGoal::TotalOutputs(total) => {
                 if total == 0 {
@@ -143,7 +152,9 @@ impl JobBook {
     ///
     /// # Errors
     ///
-    /// Returns [`crate::Error::EmptyJob`] when `tasks` is empty.
+    /// Returns [`crate::Error::EmptyJob`] when `tasks` is empty and
+    /// [`crate::Error::TaskAlreadyEnrolled`] when a task is already
+    /// enrolled in a job or listed twice; a refused job enrolls nothing.
     pub fn open(
         &mut self,
         name: &str,
@@ -155,10 +166,20 @@ impl JobBook {
             return Err(crate::Error::EmptyJob);
         }
         let id = JobId::new(self.next_id);
-        self.next_id += 1;
-        for t in &tasks {
-            self.task_index.insert(*t, id);
+        for (i, t) in tasks.iter().enumerate() {
+            match self.task_index.entry(*t) {
+                Entry::Vacant(slot) => {
+                    slot.insert(id);
+                }
+                Entry::Occupied(_) => {
+                    for enrolled in &tasks[..i] {
+                        self.task_index.remove(enrolled);
+                    }
+                    return Err(crate::Error::TaskAlreadyEnrolled(*t));
+                }
+            }
         }
+        self.next_id += 1;
         self.jobs.insert(
             id,
             Job {
@@ -170,6 +191,8 @@ impl JobBook {
                 closed_at: None,
                 tasks,
                 outputs: BTreeMap::new(),
+                credited: 0,
+                capped: 0,
             },
         );
         Ok(id)
@@ -200,15 +223,21 @@ impl JobBook {
     }
 
     /// Credits one verified output to the owning job (no-op for tasks not
-    /// enrolled anywhere); completes the job when its goal is met.
-    /// Returns the owning job id when credited.
+    /// enrolled anywhere, and for jobs no longer active); completes the
+    /// job when its goal is met. Returns the owning job id, credited or
+    /// not.
     pub fn credit_output(&mut self, task: TaskId, now: SimTime) -> Option<JobId> {
         let job_id = self.job_of(task)?;
         let job = self.jobs.get_mut(&job_id)?;
         if job.state != JobState::Active {
             return Some(job_id);
         }
-        *job.outputs.entry(task).or_insert(0) += 1;
+        let count = job.outputs.entry(task).or_insert(0);
+        *count += 1;
+        job.credited += 1;
+        if matches!(job.goal, JobGoal::OutputsPerTask(per) if *count <= per) {
+            job.capped += 1;
+        }
         if job.is_goal_met() {
             job.state = JobState::Completed;
             job.closed_at = Some(now);
@@ -310,6 +339,51 @@ mod tests {
         book.open("j", JobGoal::TotalOutputs(1), vec![t(1)], SimTime::ZERO)
             .unwrap();
         assert_eq!(book.credit_output(t(99), SimTime::ZERO), None);
+    }
+
+    #[test]
+    fn a_task_joins_at_most_one_job() {
+        let mut book = JobBook::new();
+        let first = book
+            .open(
+                "first",
+                JobGoal::OutputsPerTask(1),
+                vec![t(1), t(2)],
+                SimTime::ZERO,
+            )
+            .unwrap();
+        // A second job over an enrolled task is refused whole: task 3
+        // stays unenrolled and task 2 keeps crediting the first job.
+        assert_eq!(
+            book.open(
+                "second",
+                JobGoal::TotalOutputs(1),
+                vec![t(3), t(2)],
+                SimTime::ZERO
+            ),
+            Err(crate::Error::TaskAlreadyEnrolled(t(2)))
+        );
+        assert_eq!(book.job_of(t(3)), None);
+        assert_eq!(book.len(), 1);
+        book.credit_output(t(1), SimTime::from_secs(1));
+        assert_eq!(book.credit_output(t(2), SimTime::from_secs(2)), Some(first));
+        assert_eq!(book.get(first).unwrap().state, JobState::Completed);
+        // A task listed twice would count twice toward progress.
+        assert_eq!(
+            book.open(
+                "twice",
+                JobGoal::OutputsPerTask(1),
+                vec![t(4), t(4)],
+                SimTime::ZERO
+            ),
+            Err(crate::Error::TaskAlreadyEnrolled(t(4)))
+        );
+        assert_eq!(book.job_of(t(4)), None);
+        // Refused jobs consume no id.
+        let next = book
+            .open("next", JobGoal::TotalOutputs(1), vec![t(4)], SimTime::ZERO)
+            .unwrap();
+        assert_eq!(next, JobId::new(1));
     }
 
     #[test]

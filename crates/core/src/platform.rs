@@ -133,6 +133,9 @@ pub struct Platform {
     ledger: ContributionLedger,
     replay: ReplayStore,
     verified: Vec<VerifiedLabel>,
+    /// Positions in `verified` of each job's labels, in promotion order,
+    /// indexed by job id (the job book hands ids out densely from 0).
+    job_verified: Vec<Vec<usize>>,
     player_ids: IdAllocator<PlayerId>,
     task_ids: IdAllocator<TaskId>,
     gold_tasks: Vec<TaskId>,
@@ -161,6 +164,7 @@ impl Platform {
             ledger: ContributionLedger::new(),
             replay: ReplayStore::new(config.replay_capacity_per_task),
             verified: Vec::new(),
+            job_verified: Vec::new(),
             player_ids: IdAllocator::new(),
             task_ids: IdAllocator::new(),
             gold_tasks: Vec::new(),
@@ -303,7 +307,11 @@ impl Platform {
             self.tasks
                 .record_verified(task, self.config.task_completion_threshold);
             self.ledger.record_outputs(1);
-            self.jobs.credit_output(task, self.last_event_time);
+            if let Some(job) = self.jobs.credit_output(task, self.last_event_time) {
+                if let Some(positions) = self.job_verified.get_mut(job_index(job)) {
+                    positions.push(self.verified.len());
+                }
+            }
             if tracing {
                 hc_obs::counter("core.promotions", self.last_event_time.ticks(), 1);
             }
@@ -358,15 +366,32 @@ impl Platform {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::EmptyJob`] when `tasks` is empty and
-    /// [`Error::UnknownTask`] when any task was never registered.
+    /// Returns [`Error::EmptyJob`] when `tasks` is empty,
+    /// [`Error::UnknownTask`] when any task was never registered and
+    /// [`Error::TaskAlreadyEnrolled`] when a task is already in a job or
+    /// listed twice.
     pub fn open_job(&mut self, name: &str, goal: JobGoal, tasks: Vec<TaskId>) -> Result<JobId> {
+        let mut verified_before = false;
         for t in &tasks {
-            if self.tasks.get(*t).is_none() {
-                return Err(Error::UnknownTask(*t));
-            }
+            let task = self.tasks.get(*t).ok_or(Error::UnknownTask(*t))?;
+            verified_before |= task.verified_outputs > 0;
         }
-        self.jobs.open(name, goal, tasks, self.last_event_time)
+        let job = self.jobs.open(name, goal, tasks, self.last_event_time)?;
+        debug_assert_eq!(job_index(job), self.job_verified.len());
+        // Labels verified before their task was enrolled belong to the
+        // job too; only a job over such tasks pays for the scan.
+        let positions = if verified_before {
+            self.verified
+                .iter()
+                .enumerate()
+                .filter(|(_, v)| self.jobs.job_of(v.task) == Some(job))
+                .map(|(i, _)| i)
+                .collect()
+        } else {
+            Vec::new()
+        };
+        self.job_verified.push(positions);
+        Ok(job)
     }
 
     /// Read access to the job book.
@@ -401,6 +426,18 @@ impl Platform {
     #[must_use]
     pub fn verified_labels(&self) -> &[VerifiedLabel] {
         &self.verified
+    }
+
+    /// The verified labels on `job`'s tasks, in promotion order: the
+    /// verified-label stream filtered to the job, read from an index kept
+    /// as labels are promoted. `None` for a job that was never opened.
+    #[must_use]
+    pub fn job_labels(
+        &self,
+        job: JobId,
+    ) -> Option<impl ExactSizeIterator<Item = &VerifiedLabel> + '_> {
+        let positions = self.job_verified.get(job_index(job))?;
+        Some(positions.iter().map(|&i| &self.verified[i]))
     }
 
     /// Agreements dropped because a participant was distrusted.
@@ -466,6 +503,11 @@ impl Platform {
     pub fn score_rule(&self) -> ScoreRule {
         self.config.session.score_rule
     }
+}
+
+/// A job's slot in [`Platform`]'s per-job index.
+fn job_index(job: JobId) -> usize {
+    usize::try_from(u64::from(job)).unwrap_or(usize::MAX)
 }
 
 #[cfg(test)]
@@ -697,6 +739,36 @@ mod tests {
         assert!(p
             .open_job("bad", JobGoal::TotalOutputs(1), vec![TaskId::new(999)])
             .is_err());
+    }
+
+    #[test]
+    fn job_labels_include_labels_verified_before_enrollment() {
+        use crate::jobs::JobGoal;
+        let mut p = platform(1);
+        let (a, b) = (p.register_player(), p.register_player());
+        let (early, late, other) = (
+            p.add_task(Stimulus::Image(0)),
+            p.add_task(Stimulus::Image(1)),
+            p.add_task(Stimulus::Image(2)),
+        );
+        p.ingest_agreement(early, Label::new("cat"), a, b).unwrap();
+        p.ingest_agreement(other, Label::new("dog"), a, b).unwrap();
+        let job = p
+            .open_job("j", JobGoal::TotalOutputs(1), vec![late, early])
+            .unwrap();
+        p.ingest_agreement(late, Label::new("owl"), a, b).unwrap();
+        let labels: Vec<&str> = p
+            .job_labels(job)
+            .unwrap()
+            .map(|v| v.label.as_str())
+            .collect();
+        assert_eq!(
+            labels,
+            ["cat", "owl"],
+            "promotion order, pre-enrollment label kept"
+        );
+        assert_eq!(p.jobs().get(job).unwrap().total_outputs(), 1);
+        assert!(p.job_labels(JobId::new(9)).is_none());
     }
 
     #[test]

@@ -28,9 +28,6 @@ pub struct OutputAgreementResult {
     pub task: TaskId,
     /// The agreed label, if the seats matched.
     pub agreed_label: Option<Label>,
-    /// All distinct labels guessed by each seat (normalized), including the
-    /// agreed one — useful for off-path analysis.
-    pub guesses: [Vec<Label>; 2],
     /// Number of guesses rejected for taboo violations.
     pub taboo_rejections: u32,
     /// `true` if the round ended because both seats passed.
@@ -75,8 +72,8 @@ pub struct OutputAgreementRound {
     deadline: SimTime,
     started: SimTime,
     started_set: bool,
-    // Each seat's distinct guesses in first-guess order: insert +
-    // cross-seat `contains` on every guess, iterated once by `finish`.
+    // Each seat's distinct guesses: a guess matches when the other
+    // seat already typed it.
     guesses: [DetSet<Label>; 2],
     passed: [bool; 2],
     taboo_rejections: u32,
@@ -168,7 +165,6 @@ impl OutputAgreementRound {
                 self.passed[seat.index()] = false;
                 let own = seat.index();
                 if self.guesses[seat.other().index()].contains(&label) {
-                    self.guesses[own].insert(label.clone());
                     self.agreed = Some(label.clone());
                     self.over = true;
                     self.ended_at = at;
@@ -184,8 +180,7 @@ impl OutputAgreementRound {
 
     /// Closes the round at `now` (applying the timeout if it already
     /// passed) and returns its result. Idempotent on the recorded end time:
-    /// finishing an already-terminated round keeps its original end. The
-    /// guesses move into the result, so a second `finish` reports none.
+    /// finishing an already-terminated round keeps its original end.
     pub fn finish(&mut self, now: SimTime) -> OutputAgreementResult {
         if !self.over {
             self.over = true;
@@ -200,7 +195,6 @@ impl OutputAgreementRound {
         OutputAgreementResult {
             task: self.task,
             agreed_label: self.agreed.clone(),
-            guesses: std::mem::take(&mut self.guesses).map(|seat| seat.into_iter().collect()),
             taboo_rejections: self.taboo_rejections,
             both_passed: self.passed[0] && self.passed[1],
             timed_out,
@@ -348,22 +342,27 @@ mod tests {
     #[test]
     fn empty_normalized_labels_are_ignored() {
         let mut r = round();
-        assert_eq!(
-            r.submit(Seat::Left, Answer::text("!!!"), t(0)),
-            SubmitOutcome::Accepted
-        );
-        let res = r.finish(t(1));
-        assert!(res.guesses[0].is_empty());
+        for seat in [Seat::Left, Seat::Right] {
+            assert_eq!(
+                r.submit(seat, Answer::text("!!!"), t(0)),
+                SubmitOutcome::Accepted
+            );
+        }
+        assert!(!r.finish(t(1)).is_match());
     }
 
     #[test]
-    fn guesses_are_recorded_distinct_in_order() {
+    fn a_seat_never_matches_its_own_guess() {
         let mut r = round();
         r.submit(Seat::Left, Answer::text("one"), t(0));
-        r.submit(Seat::Left, Answer::text("two"), t(1));
-        r.submit(Seat::Left, Answer::text("ONE"), t(2)); // duplicate
-        let res = r.finish(t(3));
-        assert_eq!(res.guesses[0], vec![Label::new("one"), Label::new("two")]);
+        assert_eq!(
+            r.submit(Seat::Left, Answer::text("ONE"), t(1)),
+            SubmitOutcome::Accepted
+        );
+        assert_eq!(
+            r.submit(Seat::Right, Answer::text("one"), t(2)),
+            SubmitOutcome::Matched(Some(Label::new("one")))
+        );
     }
 
     #[test]

@@ -281,14 +281,10 @@ impl Service {
                 Ok(Response::JobCancelled { job: *job })
             }
             Request::ExportResults { job } => {
-                if self.platform.jobs().get(*job).is_none() {
-                    return Err(ServeError::UnknownJob { job: *job });
-                }
                 let labels: Vec<ExportedLabel> = self
                     .platform
-                    .verified_labels()
-                    .iter()
-                    .filter(|v| self.platform.jobs().job_of(v.task) == Some(*job))
+                    .job_labels(*job)
+                    .ok_or(ServeError::UnknownJob { job: *job })?
                     .map(|v| ExportedLabel {
                         task: v.task,
                         label: v.label.clone(),
@@ -651,7 +647,9 @@ fn percent(progress: f64) -> u32 {
     }
 }
 
-/// Maps the platform's typed errors into wire errors.
+/// Maps the platform's typed errors into wire errors. The rest, such
+/// as a task enrolled in a second job, become `InvalidRequest` with the
+/// core error's text.
 fn map_core(e: hc_core::Error) -> ServeError {
     match e {
         hc_core::Error::UnknownTask(task) => ServeError::UnknownTask { task },

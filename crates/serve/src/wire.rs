@@ -290,7 +290,10 @@ pub enum Response {
         state: JobState,
         /// Tasks enrolled.
         tasks: u32,
-        /// Verified outputs credited so far.
+        /// Verified outputs credited so far. Credits stop when the job
+        /// completes or is cancelled, but its tasks keep verifying
+        /// labels, so an export of the job can return more labels than
+        /// this.
         outputs: u64,
         /// Progress toward the goal, percent (0–100).
         progress_pct: u32,
