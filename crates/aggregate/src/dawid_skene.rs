@@ -72,19 +72,6 @@ impl DawidSkeneFit {
             })
             .collect()
     }
-
-    /// A worker's estimated accuracy: mean diagonal of their confusion
-    /// matrix weighted by priors.
-    #[must_use]
-    pub fn worker_accuracy(&self, worker: usize) -> Option<f64> {
-        let conf = self.confusion.get(worker)?;
-        let acc: f64 = conf
-            .iter()
-            .enumerate()
-            .map(|(true_c, row)| self.priors[true_c] * row[true_c])
-            .sum();
-        Some(acc)
-    }
 }
 
 impl DawidSkene {
@@ -274,14 +261,22 @@ mod tests {
             .with_adversarial_share(0.3)
             .generate(6, &mut r);
         let fit = DawidSkene::default().fit(&world.matrix);
+        // A worker's estimated accuracy: the diagonal of their confusion
+        // matrix weighted by the class priors.
+        let accuracy = |worker: usize| -> f64 {
+            fit.confusion[worker]
+                .iter()
+                .enumerate()
+                .map(|(true_c, row)| fit.priors[true_c] * row[true_c])
+                .sum()
+        };
         // Workers 0..6 are good (95%), workers 7..9 adversarial.
-        let good_acc = fit.worker_accuracy(0).unwrap();
-        let bad_acc = fit.worker_accuracy(world.matrix.n_workers() - 1).unwrap();
+        let good_acc = accuracy(0);
+        let bad_acc = accuracy(world.matrix.n_workers() - 1);
         assert!(
             good_acc > bad_acc + 0.2,
             "good {good_acc:.3} vs bad {bad_acc:.3}"
         );
-        assert!(fit.worker_accuracy(9999).is_none());
     }
 
     #[test]

@@ -42,7 +42,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod confusion;
 pub mod data;
 pub mod dawid_skene;
 pub mod majority;
@@ -51,7 +50,6 @@ pub mod synthetic;
 pub mod threshold;
 pub mod weighted;
 
-pub use confusion::ConfusionMatrix;
 pub use data::{Assignment, LabelMatrix};
 pub use dawid_skene::{DawidSkene, DawidSkeneFit};
 pub use majority::{plurality, MajorityVote};
@@ -72,7 +70,6 @@ pub trait Aggregator {
 
 /// Convenience re-exports.
 pub mod prelude {
-    pub use crate::confusion::ConfusionMatrix;
     pub use crate::data::{Assignment, LabelMatrix};
     pub use crate::dawid_skene::{DawidSkene, DawidSkeneFit};
     pub use crate::majority::{plurality, MajorityVote};

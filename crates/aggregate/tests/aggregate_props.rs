@@ -82,21 +82,6 @@ proptest! {
     }
 
     #[test]
-    fn confusion_matrix_accounts_for_everything(
-        estimates in prop::collection::vec(prop::option::of(0usize..3), 1..60),
-    ) {
-        let gold: Vec<usize> = (0..estimates.len()).map(|i| (i * 7) % 3).collect();
-        let m = ConfusionMatrix::from_estimates(&estimates, &gold, 3);
-        prop_assert_eq!(
-            m.answered() + m.abstained(),
-            estimates.len() as u64
-        );
-        // Pooled accuracy agrees with `score`.
-        let q = score(&estimates, &gold);
-        prop_assert!((m.accuracy() - q.accuracy).abs() < 1e-12);
-    }
-
-    #[test]
     fn perfect_workers_make_every_method_perfect(seed in 0u64..50, tasks in 5usize..30) {
         let world = synthetic(seed, tasks, 4, 8, 1.0, 3);
         for est in [

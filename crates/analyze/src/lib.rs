@@ -20,7 +20,7 @@
 //! |----|----------|-------|-----------|
 //! | D1 | error | library crates | no wall-clock / OS entropy (`SystemTime`, `Instant::now`, `thread_rng`, `rand::random`, `std::env`) |
 //! | D2 | error | library crates | no `HashMap`/`HashSet` (iteration-order nondeterminism); use `hc_collect::DetMap`/`DetSet` or `BTreeMap`/`BTreeSet` |
-//! | D3 | error | library crates | no ad-hoc threading (`std::thread`, `crossbeam`, mpsc channels) outside `hc-sim::par`/`shard` — all parallelism goes through the sanctioned engines |
+//! | D3 | error | library crates | no ad-hoc threading (`std::thread`, `crossbeam`, mpsc channels) outside `hc-sim::par` — all parallelism, the sharded engine's included, goes through its one worker pool |
 //! | P1 | error | library crates | no `unwrap()`/`expect()`/`panic!`/`todo!`/`unimplemented!`/`unreachable!` or computed-index slicing |
 //! | O1 | error | library crates | no `println!`/`eprintln!`/`dbg!` — library code emits through `hc-obs`; only the `hc-obs` sink modules may write output |
 //! | H1 | error | whole workspace | no `unsafe` code |
@@ -30,8 +30,8 @@
 //! | A1 | error | everywhere | `hc-analyze: allow(...)` must carry a justification |
 //! | W1 | error | everywhere | an allow comment that no longer suppresses a live diagnostic is stale — the allowlist can only shrink |
 //!
-//! Path-based exemptions: the sanctioned parallelism engines
-//! (`hc-sim::par`/`shard`) are exempt from D3, the `hc-obs` sink
+//! Path-based exemptions: the one worker pool (`hc-sim::par`) is
+//! exempt from D3, the `hc-obs` sink
 //! modules from O1, and the `hc-serve` socket front shim
 //! ([`serve_front_exempt`]) from D1/D3/O1 — it sits outside the
 //! determinism boundary by design. The `hc-serve` service core is a
@@ -45,11 +45,9 @@
 //! let lo = self.cdf[rank - 1];
 //! ```
 //!
-//! Warning-severity findings (R2) ratchet through
-//! `results/analyze_baseline.json` (see [`baseline`]): they may exist,
-//! but their per-file count can never grow.
+//! `hc-analyze check` fails on any finding, warning or error: a
+//! justified allow is the one way to accept one.
 
-pub mod baseline;
 pub mod graph;
 mod lex;
 pub mod parse;
@@ -84,13 +82,13 @@ const SKIP_DIRS: [&str; 4] = ["vendor", "target", ".git", "fixtures"];
 // Report model
 // ---------------------------------------------------------------------------
 
-/// How severe a diagnostic is; only errors fail the check.
+/// How severe a diagnostic is. Both severities fail `hc-analyze check`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Severity {
-    /// Invariant violation: fails `hc-analyze check`.
+    /// Invariant violation found line by line or on the symbol graph.
     Error,
-    /// Advisory: reported and ratcheted via the baseline, but does not
-    /// fail a plain check.
+    /// Flow finding (R2) that a sorted iteration or a justified allow
+    /// resolves.
     Warning,
 }
 
@@ -136,14 +134,6 @@ pub struct Report {
 }
 
 impl Report {
-    /// Whether any error-severity diagnostic was produced.
-    #[must_use]
-    pub fn has_errors(&self) -> bool {
-        self.diagnostics
-            .iter()
-            .any(|d| d.severity == Severity::Error)
-    }
-
     /// Count of error-severity diagnostics.
     #[must_use]
     pub fn error_count(&self) -> usize {
@@ -266,19 +256,15 @@ const D1_TOKENS: [&str; 5] = [
 /// these.
 const D3_TOKENS: [&str; 4] = ["std::thread", "thread::spawn", "crossbeam", "mpsc::"];
 
-/// Paths allowed to use threading primitives: the replication pool
-/// (`hc-sim::par`) and the sharded single-run engine
-/// (`hc-sim::shard`), each as a single file or a module directory.
-/// Both own a determinism contract (index-ordered merge; key-ordered
-/// window exchange) that makes their parallelism byte-invariant, which
-/// is exactly what D3 exists to protect — everything else must route
-/// through them.
+/// Paths allowed to use threading primitives: the one run-long worker
+/// pool (`hc-sim::par`), as a single file or a module directory. It owns
+/// the determinism contract (index-ordered merge) that makes parallelism
+/// byte-invariant, which is exactly what D3 exists to protect; the
+/// sharded engine (`hc-sim::shard`) and everything else route through
+/// it.
 #[must_use]
 pub fn d3_exempt(rel_path: &str) -> bool {
-    rel_path == "crates/sim/src/par.rs"
-        || rel_path.starts_with("crates/sim/src/par/")
-        || rel_path == "crates/sim/src/shard.rs"
-        || rel_path.starts_with("crates/sim/src/shard/")
+    rel_path == "crates/sim/src/par.rs" || rel_path.starts_with("crates/sim/src/par/")
 }
 
 /// The `hc-serve` socket front shim: the one sanctioned crossing of the
@@ -998,7 +984,7 @@ fn f(xs: &[u32], i: usize) -> u32 { xs[i - 1] }
         let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() } // hc-analyze: allow(P1)\n";
         let r = run(src, LIB);
         assert_eq!(rules(&r), vec![("A1", 1)]);
-        assert!(r.has_errors());
+        assert_eq!(r.error_count(), 1);
     }
 
     #[test]
@@ -1006,7 +992,7 @@ fn f(xs: &[u32], i: usize) -> u32 { xs[i - 1] }
         let src = "// hc-analyze: allow(D1): nothing here actually\nfn f() {}\n";
         let r = run(src, LIB);
         assert_eq!(rules(&r), vec![("W1", 1)]);
-        assert!(r.has_errors());
+        assert_eq!(r.error_count(), 1);
     }
 
     #[test]
@@ -1082,7 +1068,7 @@ impl Board {
         let mut report = Report::default();
         analyze_source(src, "crates/games/src/board.rs", LIB, &mut report);
         assert_eq!(rules(&report), vec![("R2", 5)]);
-        assert!(!report.has_errors(), "R2 is a ratcheted warning");
+        assert_eq!(report.error_count(), 0, "R2 is warning severity");
     }
 
     #[test]

@@ -1,28 +1,22 @@
 //! CLI for `hc-analyze`:
-//! `cargo run -p hc-analyze -- check [--json] [--root PATH]
-//! [--baseline PATH [--update-baseline]]`.
+//! `cargo run -p hc-analyze -- check [--json] [--root PATH]`.
 //!
-//! Exit status is 0 when no error-severity diagnostic fires and the
-//! baseline ratchet (when requested) is satisfied, 1 when an error or a
-//! ratchet regression fires, 2 on usage or IO problems (including a
-//! missing baseline file). `hc-analyze` is a tool crate, so reading
-//! `std::env` here is exactly the kind of thing the pass forbids in
-//! library code but permits in tools.
+//! Exit status is 0 when no diagnostic fires, 1 when any does (error or
+//! warning alike: a justified inline allow is the one way to accept a
+//! finding), 2 on usage or IO problems. `hc-analyze` is a tool crate, so
+//! reading `std::env` here is exactly the kind of thing the pass forbids
+//! in library code but permits in tools.
 
-use hc_analyze::baseline::Baseline;
-use hc_analyze::{analyze_workspace, Severity};
+use hc_analyze::analyze_workspace;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str =
-    "usage: hc-analyze check [--json] [--root PATH] [--baseline PATH [--update-baseline]]";
+const USAGE: &str = "usage: hc-analyze check [--json] [--root PATH]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut json = false;
     let mut root: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut update_baseline = false;
     let mut command: Option<String> = None;
 
     let mut it = args.into_iter();
@@ -36,14 +30,6 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--baseline" => match it.next() {
-                Some(p) => baseline_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--baseline requires a path\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--update-baseline" => update_baseline = true,
             "check" if command.is_none() => command = Some(arg),
             other => {
                 eprintln!("unknown argument `{other}`\n{USAGE}");
@@ -53,10 +39,6 @@ fn main() -> ExitCode {
     }
     if command.as_deref() != Some("check") {
         eprintln!("{USAGE}");
-        return ExitCode::from(2);
-    }
-    if update_baseline && baseline_path.is_none() {
-        eprintln!("--update-baseline requires --baseline PATH\n{USAGE}");
         return ExitCode::from(2);
     }
 
@@ -79,30 +61,6 @@ fn main() -> ExitCode {
         }
     };
 
-    // Ratchet: regressions against the baseline fail the run; an update
-    // rewrites the accepted counts to the current (lower or equal)
-    // water mark.
-    let mut regressions = Vec::new();
-    if let Some(path) = &baseline_path {
-        if update_baseline {
-            if let Err(e) = Baseline::from_report(&report).save(path) {
-                eprintln!("hc-analyze: {e}");
-                return ExitCode::from(2);
-            }
-        } else {
-            let baseline = match Baseline::load(path) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!(
-                        "hc-analyze: {e}\n(run with --update-baseline to create the baseline)"
-                    );
-                    return ExitCode::from(2);
-                }
-            };
-            regressions = baseline.regressions(&report);
-        }
-    }
-
     if json {
         match serde_json::to_string_pretty(&report) {
             Ok(s) => println!("{s}"),
@@ -111,39 +69,22 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         }
-        for r in &regressions {
-            eprintln!("{r}");
-        }
     } else {
         for d in &report.diagnostics {
             println!("{d}");
         }
-        for r in &regressions {
-            println!("{r}");
-        }
-        let warnings = report
-            .diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Warning)
-            .count();
         println!(
             "hc-analyze: {} files, {} errors, {} warnings, {} allows honored",
             report.files_scanned,
             report.error_count(),
-            warnings,
+            report.warning_count(),
             report.allows_honored
         );
-        if !regressions.is_empty() {
-            println!(
-                "hc-analyze: {} ratchet regression(s) against the baseline",
-                regressions.len()
-            );
-        }
     }
 
-    if report.has_errors() || !regressions.is_empty() {
-        ExitCode::from(1)
-    } else {
+    if report.diagnostics.is_empty() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::from(1)
     }
 }

@@ -1,7 +1,6 @@
-//! Fixture: the second sanctioned threading exemption — the sharded
-//! single-run engine (`hc-sim::shard`) owns a key-ordered exchange
-//! merge that keeps its worker threads byte-deterministic; D3 must
-//! stay silent here.
+//! Fixture: the sharded single-run engine (`hc-sim::shard`) reaches
+//! threads only through the worker pool in `hc-sim::par`, so it has no
+//! D3 exemption: spawning threads here directly must fire D3.
 
 pub fn windows() {
     let _ = crossbeam::thread::scope(|scope| {

@@ -55,6 +55,7 @@ fn planted_violations_fire_exactly() {
         ("W1", "crates/sim/src/allowed.rs", 16),
         ("D1", "crates/sim/src/d1.rs", 4),
         ("D1", "crates/sim/src/d1.rs", 9),
+        ("D3", "crates/sim/src/shard.rs", 6),
     ]
     .iter()
     .map(|(r, p, l)| (r.to_string(), p.to_string(), *l))
@@ -88,18 +89,19 @@ fn the_replication_pool_path_is_exempt_from_d3() {
 }
 
 #[test]
-fn the_shard_engine_path_is_exempt_from_d3() {
-    // fixtures/ws/crates/sim/src/shard.rs uses crossbeam scoped
-    // threads, mirroring the real sharded single-run engine; the
-    // path-based exemption must keep it silent — while the hand-rolled
-    // shard exchange planted in crates/core (shardx.rs) still fires.
+fn the_shard_engine_path_fires_d3() {
+    // fixtures/ws/crates/sim/src/shard.rs uses crossbeam scoped threads
+    // directly. The sharded engine reaches threads only through the
+    // worker pool in `hc-sim::par`, so its path has no exemption: D3
+    // fires there, as it does on the hand-rolled shard exchange planted
+    // in crates/core (shardx.rs).
     let report = analyze_workspace(&fixture_root()).expect("fixture walk");
     assert!(
-        !report
+        report
             .diagnostics
             .iter()
-            .any(|d| d.path.contains("sim/src/shard.rs")),
-        "D3 fired on the exempt shard-engine path: {:?}",
+            .any(|d| d.path == "crates/sim/src/shard.rs" && d.rule == "D3"),
+        "D3 stayed silent on the shard-engine path: {:?}",
         report.diagnostics
     );
     assert!(
@@ -159,9 +161,9 @@ fn justified_allows_suppress_and_are_counted() {
 #[test]
 fn severity_split_matches_rule_contract() {
     let report = analyze_workspace(&fixture_root()).expect("fixture walk");
-    assert!(report.has_errors());
-    // Only R2 is ratchet-managed warning severity; everything else —
-    // including the stale-allow audit W1 — gates as an error.
+    assert!(report.error_count() > 0);
+    // Only R2 has warning severity; everything else — including the
+    // stale-allow audit W1 — is an error. `check` fails on both.
     let warnings: Vec<_> = report
         .diagnostics
         .iter()

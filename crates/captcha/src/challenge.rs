@@ -85,15 +85,6 @@ impl Captcha {
             CaptchaOutcome::Fail
         }
     }
-
-    /// Checks one word of the challenge (used by reCAPTCHA for the control
-    /// word only).
-    #[must_use]
-    pub fn check_word(&self, index: usize, answer: &str) -> bool {
-        self.words
-            .get(index)
-            .is_some_and(|w| fuzzy_agree(w, answer, self.max_edits))
-    }
 }
 
 #[cfg(test)]
@@ -120,15 +111,6 @@ mod tests {
         let c = Captcha::new(vec!["a".into(), "b".into()], 0.5, 1);
         assert!(!c.check(&["a".into()]).is_pass());
         assert!(!c.check(&["a".into(), "b".into(), "c".into()]).is_pass());
-    }
-
-    #[test]
-    fn check_word_is_per_index() {
-        let c = Captcha::new(vec!["alpha".into(), "beta".into()], 0.5, 1);
-        assert!(c.check_word(0, "alpha"));
-        assert!(c.check_word(1, "betta")); // 1 edit
-        assert!(!c.check_word(1, "alpha"));
-        assert!(!c.check_word(5, "alpha"));
     }
 
     #[test]

@@ -43,15 +43,6 @@ impl HumanReader {
         }
     }
 
-    /// A careless or hurried user.
-    #[must_use]
-    pub fn careless() -> Self {
-        HumanReader {
-            skill: 0.88,
-            distortion_penalty: 0.15,
-        }
-    }
-
     /// Creates a reader with explicit parameters (clamped into `[0, 1]`).
     #[must_use]
     pub fn new(skill: f64, distortion_penalty: f64) -> Self {
@@ -178,7 +169,8 @@ mod tests {
     #[test]
     fn careless_reader_is_worse() {
         assert!(
-            HumanReader::careless().word_accuracy(0.5) < HumanReader::typical().word_accuracy(0.5)
+            HumanReader::new(0.88, 0.15).word_accuracy(0.5)
+                < HumanReader::typical().word_accuracy(0.5)
         );
     }
 

@@ -275,25 +275,10 @@ impl ReCaptcha {
         }
     }
 
-    /// Status of one corpus word.
-    #[must_use]
-    pub fn status_of(&self, index: usize) -> Option<&WordStatus> {
-        self.status.get(index)
-    }
-
     /// Words still pending.
     #[must_use]
     pub fn pending_count(&self) -> usize {
         self.pending.len()
-    }
-
-    /// Words digitized by human votes.
-    #[must_use]
-    pub fn digitized_count(&self) -> usize {
-        self.status
-            .iter()
-            .filter(|s| matches!(s, WordStatus::Digitized { .. }))
-            .count()
     }
 
     /// Words accepted directly from agreeing OCR passes.
@@ -411,10 +396,7 @@ mod tests {
         assert!(!resp.passed);
         assert!(!resp.digitized);
         assert_eq!(s.control_failures(), 1);
-        assert!(matches!(
-            s.status_of(ch.unknown_index),
-            Some(WordStatus::Pending)
-        ));
+        assert!(matches!(s.status[ch.unknown_index], WordStatus::Pending));
     }
 
     #[test]
@@ -437,10 +419,10 @@ mod tests {
             }
         }
         assert!(digitized);
-        let status = s.status_of(ch.unknown_index).unwrap();
+        let status = &s.status[ch.unknown_index];
         assert_eq!(status.text(), Some(normalize_label(&truth).as_str()));
         assert_eq!(s.pending_count(), pending_before - 1);
-        assert_eq!(s.digitized_count(), 1);
+        assert_eq!(s.digitized_accuracy().1, 1);
     }
 
     #[test]
@@ -457,7 +439,7 @@ mod tests {
         assert!(resp.passed);
         assert!(!resp.digitized);
         assert_eq!(
-            s.status_of(ch.unknown_index).unwrap().text(),
+            s.status[ch.unknown_index].text(),
             Some(normalize_label(&truth).as_str())
         );
     }

@@ -62,9 +62,10 @@ proptest! {
             ReCaptchaConfig::default(),
             &mut rng,
         );
-        // Invariant: ocr_solved + digitized + pending == corpus size.
+        // Invariant: ocr_solved + digitized + pending == corpus size (the
+        // second half of `digitized_accuracy` counts digitized words).
         prop_assert_eq!(
-            service.ocr_solved_count() + service.digitized_count() + service.pending_count(),
+            service.ocr_solved_count() + service.digitized_accuracy().1 + service.pending_count(),
             n
         );
         // Drive some perfect answers and re-check the invariant.
@@ -74,7 +75,7 @@ proptest! {
             let truth = ch.unknown_truth.clone();
             service.answer(&ch, &control, &truth);
             prop_assert_eq!(
-                service.ocr_solved_count() + service.digitized_count() + service.pending_count(),
+                service.ocr_solved_count() + service.digitized_accuracy().1 + service.pending_count(),
                 n
             );
         }

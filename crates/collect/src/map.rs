@@ -135,11 +135,6 @@ impl<K, V> DetMap<K, V> {
         self.entries.iter().map(|(_, v)| v)
     }
 
-    /// Iterates values mutably in insertion order.
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
-        self.entries.iter_mut().map(|(_, v)| v)
-    }
-
     /// Iterates `(key, value)` pairs in **sorted key order** — the
     /// serialization boundary: use this wherever bytes or float
     /// accumulation depend on visit order, and the output matches what

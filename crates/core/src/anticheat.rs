@@ -1,4 +1,4 @@
-//! Anti-cheat: reputation, collusion detection, and spam detection.
+//! Anti-cheat: collusion detection and spam detection.
 //!
 //! Agreement-based verification has a known attack surface: two colluders
 //! who coordinate out-of-band (e.g. "always type `a`") can flood the label
@@ -6,64 +6,17 @@
 //! systems defended in depth — random matching makes colluders unlikely to
 //! be paired, taboo lists break constant strategies, gold tasks catch
 //! consistently-wrong players. This module adds the platform-side
-//! *detection* layer the paper describes:
-//!
-//! * [`Reputation`] — an exponentially-weighted trust score per player fed
-//!   by gold outcomes and verified-output hits.
-//! * [`CheatDetector`] — flags (a) **pair anomaly**: players who end up
-//!   paired together far more often than random matching predicts, and
-//!   (b) **low answer entropy**: players whose output distribution is
-//!   degenerate (the "always type `a`" strategy).
+//! *detection* layer the paper describes: [`CheatDetector`] flags
+//! (a) **pair anomaly**: players who end up paired together far more
+//! often than random matching predicts, and (b) **low answer entropy**:
+//! players whose output distribution is degenerate (the "always type
+//! `a`" strategy).
 
 use crate::answer::Label;
 use crate::id::PlayerId;
 use hc_collect::PlayerStore;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-
-/// Exponentially-weighted reputation in `[0, 1]`.
-///
-/// New players start at `initial`; each positive/negative event moves the
-/// score toward 1/0 with step `alpha`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Reputation {
-    score: f64,
-    alpha: f64,
-}
-
-impl Reputation {
-    /// Creates a reputation starting at `initial` with learning rate
-    /// `alpha` (both clamped to `[0, 1]`).
-    #[must_use]
-    pub fn new(initial: f64, alpha: f64) -> Self {
-        Reputation {
-            score: initial.clamp(0.0, 1.0),
-            alpha: alpha.clamp(0.0, 1.0),
-        }
-    }
-
-    /// Current score.
-    #[must_use]
-    pub fn score(&self) -> f64 {
-        self.score
-    }
-
-    /// Records a positive signal (gold hit, promoted output).
-    pub fn record_positive(&mut self) {
-        self.score += self.alpha * (1.0 - self.score);
-    }
-
-    /// Records a negative signal (gold miss, rejected output).
-    pub fn record_negative(&mut self) {
-        self.score -= self.alpha * self.score;
-    }
-}
-
-impl Default for Reputation {
-    fn default() -> Self {
-        Reputation::new(0.5, 0.1)
-    }
-}
 
 /// Verdict produced by [`CheatDetector::assess`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -251,30 +204,6 @@ impl CheatDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn reputation_moves_and_clamps() {
-        let mut r = Reputation::new(0.5, 0.5);
-        r.record_positive();
-        assert!((r.score() - 0.75).abs() < 1e-12);
-        r.record_negative();
-        assert!((r.score() - 0.375).abs() < 1e-12);
-        for _ in 0..100 {
-            r.record_positive();
-        }
-        assert!(r.score() <= 1.0);
-        for _ in 0..100 {
-            r.record_negative();
-        }
-        assert!(r.score() >= 0.0);
-    }
-
-    #[test]
-    fn reputation_constructor_clamps() {
-        assert_eq!(Reputation::new(5.0, 0.1).score(), 1.0);
-        assert_eq!(Reputation::new(-1.0, 0.1).score(), 0.0);
-        assert_eq!(Reputation::default().score(), 0.5);
-    }
 
     #[test]
     fn pair_anomaly_needs_evidence() {

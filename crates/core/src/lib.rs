@@ -15,8 +15,7 @@
 //!   retention levers: points, streak bonuses, skill levels, leaderboards.
 //! * **Output verification** ([`verify`]) — random matching, taboo words,
 //!   k-agreement repetition, and gold-answer player testing.
-//! * **Anti-cheat** ([`anticheat`]) — reputation tracking, collusion and
-//!   spam detection.
+//! * **Anti-cheat** ([`anticheat`]) — collusion and spam detection.
 //! * **GWAP evaluation metrics** ([`metrics`]) — throughput, average
 //!   lifetime play (ALP) and expected contribution, exactly as the paper
 //!   defines them.
@@ -78,7 +77,7 @@ pub use jobs::{Job, JobBook, JobGoal, JobState};
 pub use matchmaker::{BatchMatcher, MatchDecision, MatchmakerConfig, PairingPolicy};
 pub use metrics::{ContributionLedger, GwapMetrics};
 pub use platform::{Platform, PlatformConfig, VerifiedLabel};
-pub use replay::{RecordedRound, RecordedSession, ReplayStore};
+pub use replay::{RecordedRound, ReplayStore};
 pub use scoring::{Leaderboard, ScoreRule, Scoreboard, SkillLevel};
 pub use session::{RoundRecord, Session, SessionConfig, SessionTranscript};
 pub use task::{Stimulus, Task, TaskQueue, TaskState};
@@ -91,7 +90,7 @@ pub use verify::{AgreementTracker, GoldBank, GoldOutcome, TabooList};
 /// Convenience re-exports covering the whole public surface.
 pub mod prelude {
     pub use crate::answer::{Answer, Label, Region, Verdict};
-    pub use crate::anticheat::{CheatAssessment, CheatDetector, Reputation};
+    pub use crate::anticheat::{CheatAssessment, CheatDetector};
     pub use crate::bucket::{BucketLayout, BucketPool};
     pub use crate::error::{Error, Result};
     pub use crate::id::{JobId, PlayerId, RoundId, SessionId, TaskId};
@@ -99,7 +98,7 @@ pub mod prelude {
     pub use crate::matchmaker::{BatchMatcher, MatchDecision, MatchmakerConfig, PairingPolicy};
     pub use crate::metrics::{ContributionLedger, GwapMetrics};
     pub use crate::platform::{Platform, PlatformConfig, VerifiedLabel};
-    pub use crate::replay::{RecordedRound, RecordedSession, ReplayStore};
+    pub use crate::replay::{RecordedRound, ReplayStore};
     pub use crate::scoring::{Leaderboard, ScoreRule, Scoreboard, SkillLevel};
     pub use crate::session::{RoundRecord, Session, SessionConfig, SessionTranscript};
     pub use crate::task::{Stimulus, Task, TaskQueue, TaskState};

@@ -170,12 +170,6 @@ impl ContributionLedger {
         self.play_time.len() as u64
     }
 
-    /// Lifetime play of one player, if recorded.
-    #[must_use]
-    pub fn lifetime_of(&self, player: PlayerId) -> Option<SimDuration> {
-        self.play_time.get(player.raw()).copied()
-    }
-
     /// Computes the paper's three metrics. With no recorded time or no
     /// players every rate is 0 (never NaN).
     #[must_use]
@@ -246,11 +240,8 @@ mod tests {
         let mut l = ContributionLedger::new();
         l.record_play(PlayerId::new(1), SimDuration::from_mins(30));
         l.record_play(PlayerId::new(1), SimDuration::from_mins(61));
-        assert_eq!(
-            l.lifetime_of(PlayerId::new(1)),
-            Some(SimDuration::from_mins(91))
-        );
         assert_eq!(l.player_count(), 1);
+        assert!((l.metrics().alp_hours - 91.0 / 60.0).abs() < 1e-12);
     }
 
     #[test]
@@ -283,11 +274,8 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.total_outputs(), 12);
         assert_eq!(a.player_count(), 2);
-        assert_eq!(
-            a.lifetime_of(PlayerId::new(1)),
-            Some(SimDuration::from_hours(2))
-        );
         assert!((a.total_human_hours() - 4.0).abs() < 1e-12);
+        assert!((a.metrics().alp_hours - 2.0).abs() < 1e-12);
     }
 
     #[test]

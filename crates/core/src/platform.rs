@@ -777,7 +777,7 @@ mod tests {
         assert_eq!(p.config().agreement_threshold, 1);
         assert_eq!(p.score_rule().match_points, 100);
         assert_eq!(p.agreement().threshold(), 1);
-        assert_eq!(p.replay().covered_tasks(), 0);
+        assert_eq!(p.replay().recorded_total(), 0);
         let _ = p.replay_mut();
         p.set_cheat_detector(CheatDetector::new(0.4, 1.0, 5));
     }

@@ -56,13 +56,6 @@ impl RecordedRound {
     }
 }
 
-/// A sequence of recorded rounds replayed as one "bot" session partner.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RecordedSession {
-    /// The rounds, in play order.
-    pub rounds: Vec<RecordedRound>,
-}
-
 /// Per-task bank of recorded rounds.
 ///
 /// # Examples
@@ -122,12 +115,6 @@ impl ReplayStore {
             return None;
         }
         Some(&list[rng.gen_range(0..list.len())])
-    }
-
-    /// Number of tasks with at least one recording.
-    #[must_use]
-    pub fn covered_tasks(&self) -> usize {
-        self.by_task.len()
     }
 
     /// Total recordings ever stored (including evicted).
@@ -209,7 +196,7 @@ mod tests {
         let s = ReplayStore::new(4);
         let mut r = rng();
         assert!(s.sample(TaskId::new(1), &mut r).is_none());
-        assert_eq!(s.covered_tasks(), 0);
+        assert!(!s.has_recording(TaskId::new(1)));
     }
 
     #[test]
@@ -218,8 +205,9 @@ mod tests {
         s.record(rec(1, 1, &["a"]));
         s.record(rec(2, 1, &["b"]));
         s.record(rec(2, 2, &["c"]));
-        assert_eq!(s.covered_tasks(), 2);
+        assert!(s.has_recording(TaskId::new(1)));
         assert!(s.has_recording(TaskId::new(2)));
+        assert!(!s.has_recording(TaskId::new(3)));
     }
 
     #[test]

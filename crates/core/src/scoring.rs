@@ -93,19 +93,6 @@ impl SkillLevel {
             _ => SkillLevel::Grandmaster,
         }
     }
-
-    /// Points still needed to reach the next level (`None` at the top).
-    #[must_use]
-    pub fn points_to_next(score: u64) -> Option<u64> {
-        let next = match SkillLevel::for_score(score) {
-            SkillLevel::Newcomer => 5_000,
-            SkillLevel::Apprentice => 25_000,
-            SkillLevel::Expert => 100_000,
-            SkillLevel::Master => 500_000,
-            SkillLevel::Grandmaster => return None,
-        };
-        Some(next - score)
-    }
 }
 
 impl std::fmt::Display for SkillLevel {
@@ -298,13 +285,6 @@ mod tests {
         assert_eq!(SkillLevel::for_score(100_000), SkillLevel::Master);
         assert_eq!(SkillLevel::for_score(1_000_000), SkillLevel::Grandmaster);
         assert!(SkillLevel::Newcomer < SkillLevel::Grandmaster);
-    }
-
-    #[test]
-    fn points_to_next_level() {
-        assert_eq!(SkillLevel::points_to_next(0), Some(5_000));
-        assert_eq!(SkillLevel::points_to_next(4_000), Some(1_000));
-        assert_eq!(SkillLevel::points_to_next(600_000), None);
     }
 
     #[test]

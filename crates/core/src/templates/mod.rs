@@ -40,12 +40,6 @@ impl Seat {
         }
     }
 
-    /// Both seats, left first.
-    #[must_use]
-    pub const fn both() -> [Seat; 2] {
-        [Seat::Left, Seat::Right]
-    }
-
     /// Index 0 for left, 1 for right — for seat-indexed arrays.
     #[must_use]
     pub const fn index(self) -> usize {
@@ -115,7 +109,6 @@ mod tests {
         assert_eq!(Seat::Left.other(), Seat::Right);
         assert_eq!(Seat::Right.other(), Seat::Left);
         assert_eq!(Seat::Left.other().other(), Seat::Left);
-        assert_eq!(Seat::both(), [Seat::Left, Seat::Right]);
         assert_eq!(Seat::Left.index(), 0);
         assert_eq!(Seat::Right.index(), 1);
     }

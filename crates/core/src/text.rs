@@ -12,8 +12,16 @@
 /// to single spaces, and a trivial English plural reduction (`dogs` → `dog`,
 /// `boxes` → `box`, but `glass` stays `glass`).
 ///
-/// Normalization is **idempotent**: `normalize_label(normalize_label(s)) ==
-/// normalize_label(s)` (property-tested).
+/// Normalization is **not idempotent**: a word whose singular still ends
+/// in a reducible plural loses that too on a second pass (`gases` → `gas`
+/// → `ga`). ROADMAP item 1 tracks the fix, and
+/// `crates/serve/tests/lifecycle.rs::echoing_a_taboo_label_that_normalizes_again_is_recorded`
+/// pins what the defect does to a taboo echo. The property test
+/// `tests/properties.rs::normalization_is_idempotent` checks
+/// `normalize_label(normalize_label(s)) == normalize_label(s)` only on 64
+/// random strings of up to 40 characters, each printable ASCII or one of
+/// seven non-ASCII extras (tab, `À`, `ß`, `Ω`, `я`, `中`, an emoji); such
+/// strings almost never hold a word like `gases`.
 ///
 /// # Examples
 ///
@@ -30,8 +38,8 @@ pub fn normalize_label(raw: &str) -> String {
         if c.is_alphanumeric() {
             // Full Unicode lowercasing (may expand, e.g. 'İ' → "i\u{307}");
             // expansion products that are not themselves alphanumeric
-            // (combining marks) are dropped to keep normalization
-            // idempotent.
+            // (combining marks) are dropped so that lowercasing twice
+            // changes nothing.
             cleaned.extend(c.to_lowercase().filter(|lc| lc.is_alphanumeric()));
         } else {
             cleaned.push(' ');
@@ -47,17 +55,10 @@ pub fn normalize_label(raw: &str) -> String {
     label
 }
 
-/// Reduces a trivial English plural. Deliberately conservative: only the
-/// unambiguous `-ies`→`-y`, `-xes/-ses/-shes/-ches`→ drop `es`, and a
-/// trailing `-s` (not `-ss`, not `-us`, not `-is`) → drop `s`.
-#[must_use]
-pub fn singularize(word: &str) -> String {
-    let mut singular = String::with_capacity(word.len());
-    push_singular(&mut singular, word);
-    singular
-}
-
-/// Appends [`singularize`]`(w)` to `out` without allocating a word.
+/// Appends `w` to `out` with a trivial English plural reduced, without
+/// allocating a word. Deliberately conservative: only the unambiguous
+/// `-ies`→`-y`, `-xes/-ses/-shes/-ches`→ drop `es`, and a trailing `-s`
+/// (not `-ss`, not `-us`, not `-is`) → drop `s`.
 fn push_singular(out: &mut String, w: &str) {
     if w.len() > 3 && w.ends_with("ies") {
         out.push_str(&w[..w.len() - 3]); // hc-analyze: allow(P1): ends_with("ies") guarantees an ASCII suffix at least 3 bytes long
@@ -167,16 +168,16 @@ mod tests {
 
     #[test]
     fn plural_reduction_is_conservative() {
-        assert_eq!(singularize("dogs"), "dog");
-        assert_eq!(singularize("boxes"), "box");
-        assert_eq!(singularize("churches"), "church");
-        assert_eq!(singularize("dishes"), "dish");
-        assert_eq!(singularize("cities"), "city");
-        assert_eq!(singularize("glass"), "glass");
-        assert_eq!(singularize("bus"), "bus");
-        assert_eq!(singularize("tennis"), "tennis");
-        assert_eq!(singularize("is"), "is");
-        assert_eq!(singularize("as"), "as");
+        assert_eq!(normalize_label("dogs"), "dog");
+        assert_eq!(normalize_label("boxes"), "box");
+        assert_eq!(normalize_label("churches"), "church");
+        assert_eq!(normalize_label("dishes"), "dish");
+        assert_eq!(normalize_label("cities"), "city");
+        assert_eq!(normalize_label("glass"), "glass");
+        assert_eq!(normalize_label("bus"), "bus");
+        assert_eq!(normalize_label("tennis"), "tennis");
+        assert_eq!(normalize_label("is"), "is");
+        assert_eq!(normalize_label("as"), "as");
     }
 
     #[test]
@@ -212,7 +213,11 @@ mod tests {
                 .filter(|c| c.is_alphanumeric() || *c == ' ')
                 .collect::<String>()
                 .split_whitespace()
-                .map(singularize)
+                .map(|w| {
+                    let mut singular = String::new();
+                    push_singular(&mut singular, w);
+                    singular
+                })
                 .collect();
             assert_eq!(normalize_label(raw), words.join(" "), "raw={raw:?}");
         }

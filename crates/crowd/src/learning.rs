@@ -103,11 +103,6 @@ impl SkillState {
         self.lifetime_rounds += rounds;
         self.sitting_minutes += minutes.max(0.0);
     }
-
-    /// Starts a fresh sitting (fatigue resets; practice persists).
-    pub fn new_sitting(&mut self) {
-        self.sitting_minutes = 0.0;
-    }
 }
 
 #[cfg(test)]
@@ -167,15 +162,12 @@ mod tests {
     }
 
     #[test]
-    fn state_advances_and_resets() {
+    fn state_advances_and_ignores_negative_minutes() {
         let mut s = SkillState::default();
         s.advance(10, 5.0);
         s.advance(5, -3.0); // negative minutes ignored
         assert_eq!(s.lifetime_rounds, 15);
         assert!((s.sitting_minutes - 5.0).abs() < 1e-12);
-        s.new_sitting();
-        assert_eq!(s.sitting_minutes, 0.0);
-        assert_eq!(s.lifetime_rounds, 15, "practice persists across sittings");
     }
 
     #[test]

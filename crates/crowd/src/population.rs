@@ -175,7 +175,7 @@ impl PopulationBuilder {
                 )
             })
             .collect();
-        Population { players }
+        Population::from_profiles(players)
     }
 }
 
@@ -183,14 +183,24 @@ impl PopulationBuilder {
 #[derive(Debug, Clone)]
 pub struct Population {
     players: Vec<PlayerProfile>,
+    /// Whether slot `i` holds id `first + i`, as in every builder
+    /// population: lookups then index the slot instead of scanning.
+    dense: bool,
 }
 
 impl Population {
     /// Builds a population directly from explicit profiles (for hand-
-    /// crafted experiment setups, e.g. planting specific colluders).
+    /// crafted experiment setups, e.g. planting specific colluders). Ids
+    /// may be in any order; lookups resolve to the first profile holding
+    /// the id.
     #[must_use]
     pub fn from_profiles(players: Vec<PlayerProfile>) -> Self {
-        Population { players }
+        let first = players.first().map_or(0, |p| p.id.raw());
+        let dense = players
+            .iter()
+            .zip(0u64..)
+            .all(|(p, i)| first.checked_add(i) == Some(p.id.raw()));
+        Population { players, dense }
     }
 
     /// Number of players.
@@ -211,20 +221,27 @@ impl Population {
         &self.players
     }
 
-    /// Mutable access (behaviours carry state, e.g. spam cursors).
-    pub fn players_mut(&mut self) -> &mut [PlayerProfile] {
-        &mut self.players
+    /// The slot holding `id`: O(1) for a dense population, a scan
+    /// otherwise.
+    fn slot(&self, id: PlayerId) -> Option<usize> {
+        if !self.dense {
+            return self.players.iter().position(|p| p.id == id);
+        }
+        let first = self.players.first()?.id.raw();
+        let i = usize::try_from(id.raw().checked_sub(first)?).ok()?;
+        (self.players.get(i)?.id == id).then_some(i)
     }
 
     /// Looks up a player by id.
     #[must_use]
     pub fn get(&self, id: PlayerId) -> Option<&PlayerProfile> {
-        self.players.iter().find(|p| p.id == id)
+        self.players.get(self.slot(id)?)
     }
 
     /// Mutable lookup by id.
     pub fn get_mut(&mut self, id: PlayerId) -> Option<&mut PlayerProfile> {
-        self.players.iter_mut().find(|p| p.id == id)
+        let i = self.slot(id)?;
+        self.players.get_mut(i)
     }
 
     /// Mutable access to two *distinct* players at once (needed to seat a
@@ -238,8 +255,8 @@ impl Population {
         if a == b {
             return None;
         }
-        let ia = self.players.iter().position(|p| p.id == a)?;
-        let ib = self.players.iter().position(|p| p.id == b)?;
+        let ia = self.slot(a)?;
+        let ib = self.slot(b)?;
         let (lo, hi) = (ia.min(ib), ia.max(ib));
         let (left, right) = self.players.split_at_mut(hi);
         let (first, second) = (&mut left[lo], &mut right[0]);
@@ -248,16 +265,6 @@ impl Population {
         } else {
             Some((second, first))
         }
-    }
-
-    /// Count of players per archetype name.
-    #[must_use]
-    pub fn archetype_counts(&self) -> std::collections::BTreeMap<&'static str, usize> {
-        let mut counts = std::collections::BTreeMap::new();
-        for p in &self.players {
-            *counts.entry(p.archetype()).or_insert(0) += 1;
-        }
-        counts
     }
 
     /// Fraction of adversarial players.
@@ -280,6 +287,13 @@ mod tests {
         rand::rngs::StdRng::seed_from_u64(77)
     }
 
+    fn count_of(pop: &Population, archetype: &str) -> usize {
+        pop.players()
+            .iter()
+            .filter(|p| p.archetype() == archetype)
+            .count()
+    }
+
     #[test]
     fn build_is_deterministic_for_a_seed() {
         let builder = PopulationBuilder::new(50);
@@ -298,8 +312,7 @@ mod tests {
     #[test]
     fn realistic_mix_shares_are_plausible() {
         let pop = PopulationBuilder::new(2000).build(&mut rng());
-        let counts = pop.archetype_counts();
-        let honest = *counts.get("honest").unwrap_or(&0) as f64 / 2000.0;
+        let honest = count_of(&pop, "honest") as f64 / 2000.0;
         assert!((honest - 0.70).abs() < 0.05, "honest share {honest}");
         assert_eq!(pop.adversarial_share(), 0.0);
     }
@@ -370,9 +383,8 @@ mod tests {
         assert_eq!(mix.len(), 2);
         assert!(!mix.is_empty());
         let pop = PopulationBuilder::new(200).mix(mix).build(&mut rng());
-        let counts = pop.archetype_counts();
-        assert!(counts.contains_key("honest"));
-        assert!(counts.contains_key("random"));
+        assert!(count_of(&pop, "honest") > 0);
+        assert!(count_of(&pop, "random") > 0);
     }
 
     #[test]
@@ -380,7 +392,7 @@ mod tests {
         let pop = PopulationBuilder::new(20)
             .mix(ArchetypeMix::all_honest())
             .build(&mut rng());
-        assert_eq!(pop.archetype_counts().get("honest"), Some(&20));
+        assert_eq!(count_of(&pop, "honest"), 20);
     }
 
     #[test]

@@ -34,26 +34,6 @@ impl Default for ResponseTimeModel {
 }
 
 impl ResponseTimeModel {
-    /// A fast player (half the default latencies).
-    #[must_use]
-    pub fn fast() -> Self {
-        ResponseTimeModel {
-            think_mu: 0.8 - std::f64::consts::LN_2,
-            think_sigma: 0.6,
-            per_char_secs: 0.08,
-        }
-    }
-
-    /// A slow player (double the default think time).
-    #[must_use]
-    pub fn slow() -> Self {
-        ResponseTimeModel {
-            think_mu: 0.8 + std::f64::consts::LN_2,
-            think_sigma: 0.9,
-            per_char_secs: 0.25,
-        }
-    }
-
     /// Samples the latency for producing `label` (pass = empty text).
     pub fn sample<R: Rng + ?Sized>(&self, label: Option<&Label>, rng: &mut R) -> SimDuration {
         let think = LogNormal::new(self.think_mu, self.think_sigma)
@@ -61,12 +41,6 @@ impl ResponseTimeModel {
             .sample(rng);
         let typing = label.map_or(0.0, |l| l.len() as f64 * self.per_char_secs);
         SimDuration::from_secs_f64((think + typing).max(0.05))
-    }
-
-    /// Expected think time in seconds (log-normal mean).
-    #[must_use]
-    pub fn mean_think_secs(&self) -> f64 {
-        (self.think_mu + 0.5 * self.think_sigma * self.think_sigma).exp()
     }
 }
 
@@ -91,7 +65,8 @@ mod tests {
             total += d.as_secs_f64();
         }
         let mean = total / f64::from(n);
-        let expected = m.mean_think_secs() + 3.0 * 0.15;
+        // Log-normal mean think time plus three characters of typing.
+        let expected = (m.think_mu + 0.5 * m.think_sigma * m.think_sigma).exp() + 3.0 * 0.15;
         assert!(
             (mean - expected).abs() / expected < 0.1,
             "mean={mean} expected≈{expected}"
@@ -111,17 +86,5 @@ mod tests {
         assert!(long.as_secs_f64() > short.as_secs_f64() + 5.0);
         let pass = m.sample(None, &mut r);
         assert!(pass.as_secs_f64() < 0.1);
-    }
-
-    #[test]
-    fn presets_are_ordered() {
-        assert!(
-            ResponseTimeModel::fast().mean_think_secs()
-                < ResponseTimeModel::default().mean_think_secs()
-        );
-        assert!(
-            ResponseTimeModel::default().mean_think_secs()
-                < ResponseTimeModel::slow().mean_think_secs()
-        );
     }
 }

@@ -1,16 +1,61 @@
 //! Property tests over the crowd substrate: behaviours, populations and
 //! engagement must satisfy their contracts for *all* parameters.
 
-use hc_core::{Answer, Label, TabooList};
+use hc_core::{Answer, Label, PlayerId, TabooList};
 use hc_crowd::{
-    ArchetypeMix, Behavior, EngagementModel, LabelDistribution, PopulationBuilder,
-    ResponseTimeModel, SkillDynamics, Vocabulary,
+    ArchetypeMix, Behavior, EngagementModel, LabelDistribution, PlayerProfile, Population,
+    PopulationBuilder, ResponseTimeModel, SkillDynamics, Vocabulary,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
 
 fn rng(seed: u64) -> rand::rngs::StdRng {
     rand::rngs::StdRng::seed_from_u64(seed)
+}
+
+/// Reference lookup: the first slot holding `id`, by a front-to-back scan.
+fn scan_slot(players: &[PlayerProfile], id: u64) -> Option<usize> {
+    players.iter().position(|p| p.id.raw() == id)
+}
+
+/// Checks `get`, `get_mut` and `get_pair_mut` against [`scan_slot`] for
+/// every query pair, and for each query paired with itself.
+fn lookups_match_scan(pop: &mut Population, queries: &[(u64, u64)]) -> Result<(), TestCaseError> {
+    let players = pop.players().to_vec();
+    let at = |slot: Option<usize>| slot.map(|i| players[i].clone());
+    for &(a, b) in queries {
+        for (a, b) in [(a, b), (a, a)] {
+            let want = at(scan_slot(&players, a));
+            prop_assert_eq!(pop.get(PlayerId::new(a)).cloned(), want.clone());
+            prop_assert_eq!(pop.get_mut(PlayerId::new(a)).map(|p| p.clone()), want);
+            let want_pair = if a == b {
+                None
+            } else {
+                at(scan_slot(&players, a)).zip(at(scan_slot(&players, b)))
+            };
+            let got_pair = pop
+                .get_pair_mut(PlayerId::new(a), PlayerId::new(b))
+                .map(|(x, y)| (x.clone(), y.clone()));
+            prop_assert_eq!(got_pair, want_pair);
+        }
+    }
+    Ok(())
+}
+
+/// Profiles with the given ids, each with a distinct skill so that two
+/// profiles sharing an id still compare unequal.
+fn profiles(ids: &[u64]) -> Vec<PlayerProfile> {
+    ids.iter()
+        .enumerate()
+        .map(|(i, &id)| {
+            PlayerProfile::new(
+                PlayerId::new(id),
+                i as f64 / 100.0,
+                Behavior::Honest,
+                ResponseTimeModel::default(),
+            )
+        })
+        .collect()
 }
 
 fn truth() -> LabelDistribution {
@@ -97,7 +142,7 @@ proptest! {
         let m = EngagementModel::new(median.ln(), sigma, churn).unwrap();
         let mut r = rng(seed);
         let plan = m.sample_lifetime(&mut r);
-        prop_assert!(plan.session_count() >= 1);
+        prop_assert!(!plan.session_lengths.is_empty());
         prop_assert!(plan.total_play().as_secs_f64() > 0.0);
         prop_assert!(m.expected_alp_hours() > 0.0);
     }
@@ -133,5 +178,38 @@ proptest! {
         let d = SkillDynamics::default();
         let (lo, hi) = if m1 <= m2 { (m1, m2) } else { (m2, m1) };
         prop_assert!(d.fatigue_multiplier(lo) >= d.fatigue_multiplier(hi) - 1e-12);
+    }
+
+    #[test]
+    fn builder_population_lookups_match_a_scan(
+        size in 0usize..40,
+        first in 0u64..1_000,
+        seed in 0u64..100,
+        offsets in prop::collection::vec((0u64..50, 0u64..50), 1..20),
+    ) {
+        let mut pop = PopulationBuilder::new(size).first_id(first).build(&mut rng(seed));
+        // Offsets straddle both ends of the id range, so misses are covered.
+        let low = first.saturating_sub(3);
+        let queries: Vec<(u64, u64)> = offsets.iter().map(|&(a, b)| (low + a, low + b)).collect();
+        lookups_match_scan(&mut pop, &queries)?;
+    }
+
+    #[test]
+    fn from_profiles_lookups_match_a_scan(
+        ids in prop::collection::vec(0u64..60, 0..40),
+        base in 0u64..100,
+        keys in prop::collection::vec(0u64..1_000, 0..30),
+        queries in prop::collection::vec((0u64..160, 0u64..160), 1..20),
+    ) {
+        // Arbitrary ids: unordered, gapped, possibly repeated.
+        lookups_match_scan(&mut Population::from_profiles(profiles(&ids)), &queries)?;
+        // Contiguous ids `base..base + n` in shuffled order.
+        let mut order: Vec<(u64, u64)> = keys.iter().copied().zip(base..).collect();
+        order.sort_unstable();
+        let shuffled: Vec<u64> = order.iter().map(|&(_, id)| id).collect();
+        lookups_match_scan(&mut Population::from_profiles(profiles(&shuffled)), &queries)?;
+        // The same ids in order: the indexed path.
+        let sorted: Vec<u64> = (base..base + keys.len() as u64).collect();
+        lookups_match_scan(&mut Population::from_profiles(profiles(&sorted)), &queries)?;
     }
 }

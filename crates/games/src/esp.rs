@@ -448,7 +448,7 @@ mod tests {
             ),
             &mut r,
         );
-        assert!(platform.replay().covered_tasks() > 0);
+        assert!(platform.replay().recorded_total() > 0);
     }
 
     #[test]

@@ -699,7 +699,7 @@ fn wire_labels_that_normalize_to_nothing_are_refused() {
 }
 
 /// Known defect, pinned until `normalize_label` is made idempotent
-/// (ROADMAP item 5): a taboo label whose normal form is not a fixed point
+/// (ROADMAP item 1): a taboo label whose normal form is not a fixed point
 /// of normalization cannot be echoed into a `TabooLabel`. `gases`
 /// promotes `gas`; the wire text `gas` decodes as `Label::new("gas")`,
 /// which is `ga`, and is recorded. Before decoding normalized labels the

@@ -1,107 +1,17 @@
-//! Arrival processes — when do players show up?
+//! Arrival process — when do players show up?
 //!
 //! GWAP platforms live or die by concurrency: output-agreement games need
 //! *pairs* of simultaneous players, so pairing latency and the replay-bot
 //! fallback rate (experiment F5) are direct functions of the arrival
-//! process. Two models are provided:
-//!
-//! * [`PoissonProcess`] — stationary Poisson arrivals at a constant rate;
-//!   the workhorse for sweeps.
-//! * [`DiurnalProcess`] — a non-homogeneous Poisson process with a 24-hour
-//!   sinusoidal rate profile, sampled by Lewis–Shedler thinning; models the
-//!   day/night traffic swing real game portals see.
+//! process. [`DiurnalProcess`] is a non-homogeneous Poisson process with a
+//! 24-hour sinusoidal rate profile, sampled by Lewis–Shedler thinning; it
+//! models the day/night traffic swing real game portals see (experiment
+//! F11).
 
 use crate::dist::Exponential;
 use crate::time::{SimDuration, SimTime};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-
-/// A source of arrival instants.
-pub trait ArrivalProcess {
-    /// The first arrival strictly after `after`.
-    fn next_after<R: Rng + ?Sized>(&self, after: SimTime, rng: &mut R) -> SimTime;
-
-    /// All arrivals in `(from, until]`, in order.
-    fn arrivals_between<R: Rng + ?Sized>(
-        &self,
-        from: SimTime,
-        until: SimTime,
-        rng: &mut R,
-    ) -> Vec<SimTime> {
-        let mut out = Vec::new();
-        let mut t = from;
-        loop {
-            t = self.next_after(t, rng);
-            if t > until {
-                break;
-            }
-            out.push(t);
-        }
-        out
-    }
-}
-
-/// Stationary Poisson arrivals at `rate` events per simulated second.
-///
-/// # Examples
-///
-/// ```
-/// use hc_sim::prelude::*;
-/// use rand::SeedableRng;
-///
-/// let p = PoissonProcess::new(10.0); // 10 players/second
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-/// let arrivals = p.arrivals_between(SimTime::ZERO, SimTime::from_secs(100), &mut rng);
-/// // Expect ~1000 arrivals over 100 s.
-/// assert!((800..1200).contains(&arrivals.len()));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PoissonProcess {
-    rate_per_sec: f64,
-}
-
-impl PoissonProcess {
-    /// Creates a process with `rate_per_sec` arrivals per second.
-    /// Non-positive or non-finite rates are treated as "never arrives".
-    #[must_use]
-    pub fn new(rate_per_sec: f64) -> Self {
-        let rate_per_sec = if rate_per_sec.is_finite() && rate_per_sec > 0.0 {
-            rate_per_sec
-        } else {
-            0.0
-        };
-        PoissonProcess { rate_per_sec }
-    }
-
-    /// Creates a process from a per-minute rate.
-    #[must_use]
-    pub fn per_minute(rate_per_min: f64) -> Self {
-        PoissonProcess::new(rate_per_min / 60.0)
-    }
-
-    /// Creates a process from a per-hour rate.
-    #[must_use]
-    pub fn per_hour(rate_per_hour: f64) -> Self {
-        PoissonProcess::new(rate_per_hour / 3600.0)
-    }
-
-    /// The arrival rate in events per second.
-    #[must_use]
-    pub fn rate_per_sec(&self) -> f64 {
-        self.rate_per_sec
-    }
-}
-
-impl ArrivalProcess for PoissonProcess {
-    fn next_after<R: Rng + ?Sized>(&self, after: SimTime, rng: &mut R) -> SimTime {
-        if self.rate_per_sec <= 0.0 {
-            return SimTime::MAX;
-        }
-        let exp = Exponential::new(self.rate_per_sec).expect("constructor validated rate"); // hc-analyze: allow(P1): rate checked positive two lines up
-        let gap = exp.sample(rng).max(1e-6); // at least one tick
-        after + SimDuration::from_secs_f64(gap)
-    }
-}
 
 /// A non-homogeneous Poisson process with a sinusoidal 24-hour profile:
 ///
@@ -152,10 +62,9 @@ impl DiurnalProcess {
     pub fn peak_rate(&self) -> f64 {
         self.base_rate_per_sec * (1.0 + self.amplitude)
     }
-}
 
-impl ArrivalProcess for DiurnalProcess {
-    fn next_after<R: Rng + ?Sized>(&self, after: SimTime, rng: &mut R) -> SimTime {
+    /// The first arrival strictly after `after`.
+    pub fn next_after<R: Rng + ?Sized>(&self, after: SimTime, rng: &mut R) -> SimTime {
         let peak = self.peak_rate();
         if peak <= 0.0 {
             return SimTime::MAX;
@@ -174,6 +83,25 @@ impl ArrivalProcess for DiurnalProcess {
         }
         SimTime::MAX // pathological parameters; treat as silence
     }
+
+    /// All arrivals in `(from, until]`, in order.
+    pub fn arrivals_between<R: Rng + ?Sized>(
+        &self,
+        from: SimTime,
+        until: SimTime,
+        rng: &mut R,
+    ) -> Vec<SimTime> {
+        let mut out = Vec::new();
+        let mut t = from;
+        loop {
+            t = self.next_after(t, rng);
+            if t > until {
+                break;
+            }
+            out.push(t);
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -186,41 +114,12 @@ mod tests {
     }
 
     #[test]
-    fn poisson_rate_is_respected() {
-        let mut r = rng();
-        let p = PoissonProcess::new(5.0);
-        let n = p
-            .arrivals_between(SimTime::ZERO, SimTime::from_secs(2000), &mut r)
-            .len();
-        let rate = n as f64 / 2000.0;
-        assert!((rate - 5.0).abs() < 0.25, "rate={rate}");
-    }
-
-    #[test]
-    fn poisson_unit_conversions() {
-        assert!((PoissonProcess::per_minute(60.0).rate_per_sec() - 1.0).abs() < 1e-12);
-        assert!((PoissonProcess::per_hour(3600.0).rate_per_sec() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn zero_rate_never_arrives() {
         let mut r = rng();
-        assert_eq!(
-            PoissonProcess::new(0.0).next_after(SimTime::ZERO, &mut r),
-            SimTime::MAX
-        );
-        assert_eq!(
-            PoissonProcess::new(f64::NAN).next_after(SimTime::ZERO, &mut r),
-            SimTime::MAX
-        );
-    }
-
-    #[test]
-    fn arrivals_are_strictly_increasing() {
-        let mut r = rng();
-        let p = PoissonProcess::new(100.0);
-        let xs = p.arrivals_between(SimTime::ZERO, SimTime::from_secs(10), &mut r);
-        assert!(xs.windows(2).all(|w| w[0] < w[1]));
+        for base in [0.0, f64::NAN] {
+            let silent = DiurnalProcess::new(base, 0.5, SimDuration::ZERO);
+            assert_eq!(silent.next_after(SimTime::ZERO, &mut r), SimTime::MAX);
+        }
     }
 
     #[test]

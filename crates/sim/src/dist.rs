@@ -41,69 +41,6 @@ impl std::fmt::Display for ParamError {
 
 impl std::error::Error for ParamError {}
 
-/// A closed–open uniform range `[lo, hi)` over `f64`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct UniformRange {
-    lo: f64,
-    hi: f64,
-}
-
-impl UniformRange {
-    /// Creates the range `[lo, hi)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParamError`] if the bounds are non-finite or `lo >= hi`.
-    pub fn new(lo: f64, hi: f64) -> Result<Self, ParamError> {
-        if !lo.is_finite() || !hi.is_finite() || lo >= hi {
-            return Err(ParamError::new("uniform range requires finite lo < hi"));
-        }
-        Ok(UniformRange { lo, hi })
-    }
-
-    /// Draws one sample.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        rng.gen_range(self.lo..self.hi)
-    }
-}
-
-/// A Bernoulli trial with success probability `p` (clamped to `[0, 1]`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Bernoulli {
-    p: f64,
-}
-
-impl Bernoulli {
-    /// Creates a trial with success probability `p`, clamping to `[0, 1]`
-    /// (non-finite `p` clamps to 0).
-    #[must_use]
-    pub fn new(p: f64) -> Self {
-        let p = if p.is_finite() {
-            p.clamp(0.0, 1.0)
-        } else {
-            0.0
-        };
-        Bernoulli { p }
-    }
-
-    /// The success probability.
-    #[must_use]
-    pub fn p(&self) -> f64 {
-        self.p
-    }
-
-    /// Draws one trial.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
-        if self.p >= 1.0 {
-            true
-        } else if self.p <= 0.0 {
-            false
-        } else {
-            rng.gen::<f64>() < self.p
-        }
-    }
-}
-
 /// An exponential distribution with rate `lambda` (mean `1/lambda`).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Exponential {
@@ -168,24 +105,6 @@ impl LogNormal {
                 "log-normal requires finite mu and sigma >= 0",
             ));
         }
-        Ok(LogNormal { mu, sigma })
-    }
-
-    /// Creates a log-normal from the *linear-space* mean and median:
-    /// `median = exp(mu)` and `mean = exp(mu + sigma^2 / 2)`. Convenient for
-    /// calibrating engagement models from published aggregate numbers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParamError`] unless `0 < median <= mean`.
-    pub fn from_mean_median(mean: f64, median: f64) -> Result<Self, ParamError> {
-        if !(mean.is_finite() && median.is_finite()) || median <= 0.0 || mean < median {
-            return Err(ParamError::new(
-                "log-normal calibration requires 0 < median <= mean",
-            ));
-        }
-        let mu = median.ln();
-        let sigma = (2.0 * (mean / median).ln()).max(0.0).sqrt();
         Ok(LogNormal { mu, sigma })
     }
 
@@ -429,8 +348,6 @@ mod tests {
 
     #[test]
     fn constructors_reject_bad_parameters() {
-        assert!(UniformRange::new(1.0, 1.0).is_err());
-        assert!(UniformRange::new(f64::NAN, 2.0).is_err());
         assert!(Exponential::new(0.0).is_err());
         assert!(Exponential::new(-1.0).is_err());
         assert!(LogNormal::new(f64::INFINITY, 1.0).is_err());
@@ -445,24 +362,6 @@ mod tests {
     }
 
     #[test]
-    fn bernoulli_extremes_are_exact() {
-        let mut r = rng();
-        assert!(Bernoulli::new(1.0).sample(&mut r));
-        assert!(!Bernoulli::new(0.0).sample(&mut r));
-        assert_eq!(Bernoulli::new(2.0).p(), 1.0);
-        assert_eq!(Bernoulli::new(f64::NAN).p(), 0.0);
-    }
-
-    #[test]
-    fn bernoulli_mean_close_to_p() {
-        let mut r = rng();
-        let b = Bernoulli::new(0.3);
-        let hits = (0..20_000).filter(|_| b.sample(&mut r)).count();
-        let freq = hits as f64 / 20_000.0;
-        assert!((freq - 0.3).abs() < 0.02, "freq={freq}");
-    }
-
-    #[test]
     fn exponential_mean_matches() {
         let mut r = rng();
         let e = Exponential::new(2.0).unwrap();
@@ -472,8 +371,10 @@ mod tests {
     }
 
     #[test]
-    fn lognormal_calibration_recovers_moments() {
-        let ln = LogNormal::from_mean_median(91.0, 40.0).unwrap();
+    fn lognormal_moments_match_parameters() {
+        // median = exp(mu), mean = exp(mu + sigma^2 / 2).
+        let sigma = (2.0 * (91.0f64 / 40.0).ln()).sqrt();
+        let ln = LogNormal::new(40.0f64.ln(), sigma).unwrap();
         assert!((ln.mean() - 91.0).abs() < 1e-9);
         assert!((ln.median() - 40.0).abs() < 1e-9);
 
@@ -481,12 +382,6 @@ mod tests {
         let n = 200_000;
         let mean: f64 = (0..n).map(|_| ln.sample(&mut r)).sum::<f64>() / n as f64;
         assert!((mean - 91.0).abs() / 91.0 < 0.05, "sampled mean={mean}");
-    }
-
-    #[test]
-    fn lognormal_rejects_mean_below_median() {
-        assert!(LogNormal::from_mean_median(10.0, 20.0).is_err());
-        assert!(LogNormal::from_mean_median(10.0, 0.0).is_err());
     }
 
     #[test]
@@ -565,16 +460,6 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.02, "mean={mean}");
         assert!((var - 1.0).abs() < 0.05, "var={var}");
-    }
-
-    #[test]
-    fn uniform_range_bounds_respected() {
-        let mut r = rng();
-        let u = UniformRange::new(-2.0, 3.0).unwrap();
-        for _ in 0..1000 {
-            let x = u.sample(&mut r);
-            assert!((-2.0..3.0).contains(&x));
-        }
     }
 
     #[test]

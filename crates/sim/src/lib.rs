@@ -22,11 +22,11 @@
 //! | [`wheel`] | [`WheelQueue`] — a hierarchical timing-wheel future-event list: stable `(time, seq)` order, O(1) amortized push/pop |
 //! | [`rng`] | [`RngFactory`] — deterministic derivation of independent RNG streams |
 //! | [`dist`] | Distributions not in `rand` core: exponential, log-normal, Zipf, geometric, discrete |
-//! | [`arrival`] | Poisson and diurnal arrival processes |
-//! | [`stats`] | Online statistics: Welford mean/variance, histograms, percentiles, confidence intervals |
+//! | [`arrival`] | [`DiurnalProcess`] — a diurnal (24-hour sinusoidal) Poisson arrival process |
+//! | [`stats`] | [`OnlineStats`] (Welford mean/variance) and a confidence interval for a mean |
 //! | [`par`] | Deterministic replication grids on the one run-long worker pool of both engines: same bytes at any `--threads` |
 //! | [`shard`] | Deterministic sharded single-run engine: lock-stepped windows, shard steps and jobs on the worker pool, a message exchange; same bytes at any `--shards`/`--threads` |
-//! | [`timeseries`] | Windowed rate and gauge series for timeline experiments |
+//! | [`timeseries`] | [`RateSeries`] — windowed event rates for timeline experiments |
 //!
 //! ## Example
 //!
@@ -36,7 +36,8 @@
 //! // Deterministic two-stream simulation: arrivals + a measurement.
 //! let factory = RngFactory::new(42);
 //! let mut rng = factory.stream("arrivals");
-//! let arrivals = PoissonProcess::new(2.0); // 2 events per simulated second
+//! // 2 events per simulated second, no day/night swing.
+//! let arrivals = DiurnalProcess::new(2.0, 0.0, SimDuration::ZERO);
 //! let mut queue: WheelQueue<&'static str> = WheelQueue::new();
 //!
 //! let mut t = SimTime::ZERO;
@@ -68,34 +69,32 @@ pub mod time;
 pub mod timeseries;
 pub mod wheel;
 
-pub use arrival::{ArrivalProcess, DiurnalProcess, PoissonProcess};
-pub use dist::{Bernoulli, DiscreteDist, Exponential, Geometric, LogNormal, UniformRange, Zipf};
+pub use arrival::DiurnalProcess;
+pub use dist::{DiscreteDist, Exponential, Geometric, LogNormal, Zipf};
 pub use par::{run_replications, ReplicationError};
 pub use rng::{RngFactory, SimRng};
 pub use shard::{
     Addr, Control, HubDecision, Mailbox, ShardConfig, ShardError, ShardRunStats, ShardWorkload,
     WindowInfo,
 };
-pub use stats::{ConfidenceInterval, Histogram, OnlineStats, SampleSet};
+pub use stats::{ConfidenceInterval, OnlineStats};
 pub use time::{SimDuration, SimTime};
-pub use timeseries::{GaugeSeries, RateSeries};
+pub use timeseries::RateSeries;
 pub use wheel::WheelQueue;
 
 /// Convenience re-exports for downstream crates and examples.
 pub mod prelude {
-    pub use crate::arrival::{ArrivalProcess, DiurnalProcess, PoissonProcess};
-    pub use crate::dist::{
-        Bernoulli, DiscreteDist, Exponential, Geometric, LogNormal, UniformRange, Zipf,
-    };
+    pub use crate::arrival::DiurnalProcess;
+    pub use crate::dist::{DiscreteDist, Exponential, Geometric, LogNormal, Zipf};
     pub use crate::par::{run_replications, ReplicationError};
     pub use crate::rng::{RngFactory, SimRng};
     pub use crate::shard::{
         Addr, Control, HubDecision, Mailbox, ShardConfig, ShardError, ShardRunStats, ShardWorkload,
         WindowInfo,
     };
-    pub use crate::stats::{ConfidenceInterval, Histogram, OnlineStats, SampleSet};
+    pub use crate::stats::{ConfidenceInterval, OnlineStats};
     pub use crate::time::{SimDuration, SimTime};
-    pub use crate::timeseries::{GaugeSeries, RateSeries};
+    pub use crate::timeseries::RateSeries;
     pub use crate::wheel::WheelQueue;
     pub use rand::Rng;
 }

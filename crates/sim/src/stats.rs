@@ -1,13 +1,10 @@
-//! Online and batch statistics for experiment harnesses.
+//! Online statistics for experiment harnesses.
 //!
-//! Every experiment binary reports means, spreads, percentiles and
-//! confidence intervals; this module provides the shared machinery:
+//! Experiment binaries report means, spreads and confidence intervals;
+//! this module provides the shared machinery:
 //!
 //! * [`OnlineStats`] — single-pass Welford mean/variance with min/max.
-//! * [`SampleSet`] — a retained sample supporting exact quantiles.
-//! * [`Histogram`] — fixed-width binning for distribution-shaped figures.
-//! * [`ConfidenceInterval`] — normal-approximation CIs for means and
-//!   proportions (Wald and Wilson).
+//! * [`ConfidenceInterval`] — normal-approximation CIs for means.
 
 use serde::{Deserialize, Serialize};
 
@@ -26,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// }
 /// assert_eq!(s.count(), 8);
 /// assert!((s.mean() - 5.0).abs() < 1e-12);
-/// assert!((s.population_variance() - 4.0).abs() < 1e-12);
+/// assert!((s.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct OnlineStats {
@@ -101,16 +98,6 @@ impl OnlineStats {
         }
     }
 
-    /// Population variance (divides by `n`), or 0 when empty.
-    #[must_use]
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
     /// Sample variance (divides by `n-1`), or 0 with fewer than 2 samples.
     #[must_use]
     pub fn sample_variance(&self) -> f64 {
@@ -144,216 +131,6 @@ impl OnlineStats {
     pub fn sum(&self) -> f64 {
         self.mean() * self.count as f64
     }
-
-    /// 95% normal-approximation confidence interval for the mean.
-    #[must_use]
-    pub fn mean_ci95(&self) -> ConfidenceInterval {
-        ConfidenceInterval::for_mean(self.mean(), self.std_dev(), self.count)
-    }
-}
-
-/// A retained sample supporting exact order statistics.
-///
-/// Unlike [`OnlineStats`] this stores all observations; use it where exact
-/// medians/percentiles matter (latency figures) and sample counts are
-/// bounded.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct SampleSet {
-    values: Vec<f64>,
-    sorted: bool,
-}
-
-impl SampleSet {
-    /// Creates an empty sample set.
-    #[must_use]
-    pub fn new() -> Self {
-        SampleSet {
-            values: Vec::new(),
-            sorted: true,
-        }
-    }
-
-    /// Adds one observation (non-finite values ignored).
-    pub fn push(&mut self, x: f64) {
-        if !x.is_finite() {
-            return;
-        }
-        self.values.push(x);
-        self.sorted = false;
-    }
-
-    /// Extends from an iterator of observations.
-    pub fn extend<I: IntoIterator<Item = f64>>(&mut self, iter: I) {
-        for x in iter {
-            self.push(x);
-        }
-    }
-
-    /// Number of retained observations.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// `true` when no observations have been retained.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Arithmetic mean, or `None` when empty.
-    #[must_use]
-    pub fn mean(&self) -> Option<f64> {
-        if self.values.is_empty() {
-            None
-        } else {
-            Some(self.values.iter().sum::<f64>() / self.values.len() as f64)
-        }
-    }
-
-    /// Exact quantile by linear interpolation between order statistics.
-    /// `q` is clamped to `[0, 1]`. Returns `None` when empty.
-    pub fn quantile(&mut self, q: f64) -> Option<f64> {
-        if self.values.is_empty() {
-            return None;
-        }
-        self.ensure_sorted();
-        let q = q.clamp(0.0, 1.0);
-        let pos = q * (self.values.len() - 1) as f64;
-        let lo = pos.floor() as usize;
-        let hi = pos.ceil() as usize;
-        let frac = pos - lo as f64;
-        Some(self.values[lo] * (1.0 - frac) + self.values[hi] * frac)
-    }
-
-    /// The median (50th percentile).
-    pub fn median(&mut self) -> Option<f64> {
-        self.quantile(0.5)
-    }
-
-    /// 95th percentile.
-    pub fn p95(&mut self) -> Option<f64> {
-        self.quantile(0.95)
-    }
-
-    /// 99th percentile.
-    pub fn p99(&mut self) -> Option<f64> {
-        self.quantile(0.99)
-    }
-
-    /// Immutable view of the raw values (unspecified order).
-    #[must_use]
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
-    fn ensure_sorted(&mut self) {
-        if !self.sorted {
-            self.values.sort_by(f64::total_cmp);
-            self.sorted = true;
-        }
-    }
-}
-
-/// A fixed-width histogram over `[lo, hi)` with overflow/underflow buckets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram over `[lo, hi)` with `bins` equal-width buckets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0` or `lo >= hi` or either bound is non-finite —
-    /// these are programming errors, not data errors.
-    #[must_use]
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(
-            lo.is_finite() && hi.is_finite() && lo < hi,
-            "histogram bounds must be finite with lo < hi"
-        );
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-            total: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        if !x.is_finite() {
-            return;
-        }
-        self.total += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let w = (self.hi - self.lo) / self.bins.len() as f64;
-            let idx = (((x - self.lo) / w) as usize).min(self.bins.len() - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Count in bucket `i`.
-    #[must_use]
-    pub fn bin_count(&self, i: usize) -> u64 {
-        self.bins.get(i).copied().unwrap_or(0)
-    }
-
-    /// Number of buckets.
-    #[must_use]
-    pub fn bin_len(&self) -> usize {
-        self.bins.len()
-    }
-
-    /// `(lo, hi)` bounds of bucket `i`.
-    #[must_use]
-    pub fn bin_bounds(&self, i: usize) -> (f64, f64) {
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        (self.lo + w * i as f64, self.lo + w * (i + 1) as f64)
-    }
-
-    /// Observations below `lo`.
-    #[must_use]
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above `hi`.
-    #[must_use]
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total recorded observations (including under/overflow).
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Fraction of in-range mass in bucket `i`.
-    #[must_use]
-    pub fn bin_fraction(&self, i: usize) -> f64 {
-        let in_range = self.total - self.underflow - self.overflow;
-        if in_range == 0 {
-            0.0
-        } else {
-            self.bin_count(i) as f64 / in_range as f64
-        }
-    }
 }
 
 /// A symmetric confidence interval `center ± half_width`.
@@ -382,51 +159,6 @@ impl ConfidenceInterval {
             center: mean,
             half_width,
         }
-    }
-
-    /// Wilson score 95% interval for a proportion with `successes` out of
-    /// `trials`. Returns the interval *center and half-width* of the Wilson
-    /// interval (better behaved than Wald at the extremes — exactly where
-    /// CAPTCHA pass rates live).
-    #[must_use]
-    pub fn for_proportion(successes: u64, trials: u64) -> Self {
-        if trials == 0 {
-            return ConfidenceInterval {
-                center: 0.0,
-                half_width: 0.0,
-            };
-        }
-        let n = trials as f64;
-        let p = successes as f64 / n;
-        let z2 = Z95 * Z95;
-        let denom = 1.0 + z2 / n;
-        let center = (p + z2 / (2.0 * n)) / denom;
-        let half_width = (Z95 / denom) * ((p * (1.0 - p) / n) + z2 / (4.0 * n * n)).sqrt();
-        ConfidenceInterval { center, half_width }
-    }
-
-    /// Lower bound of the interval.
-    #[must_use]
-    pub fn lo(&self) -> f64 {
-        self.center - self.half_width
-    }
-
-    /// Upper bound of the interval.
-    #[must_use]
-    pub fn hi(&self) -> f64 {
-        self.center + self.half_width
-    }
-
-    /// `true` if `x` lies inside the interval.
-    #[must_use]
-    pub fn contains(&self, x: f64) -> bool {
-        x >= self.lo() && x <= self.hi()
-    }
-}
-
-impl std::fmt::Display for ConfidenceInterval {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{:.4} ± {:.4}", self.center, self.half_width)
     }
 }
 
@@ -505,81 +237,11 @@ mod tests {
     }
 
     #[test]
-    fn quantiles_interpolate() {
-        let mut s = SampleSet::new();
-        s.extend([4.0, 1.0, 3.0, 2.0]);
-        assert_eq!(s.median(), Some(2.5));
-        assert_eq!(s.quantile(0.0), Some(1.0));
-        assert_eq!(s.quantile(1.0), Some(4.0));
-        assert_eq!(s.quantile(2.0), Some(4.0)); // clamped
-        assert_eq!(s.len(), 4);
-    }
-
-    #[test]
-    fn quantiles_on_empty_set() {
-        let mut s = SampleSet::new();
-        assert!(s.is_empty());
-        assert_eq!(s.median(), None);
-        assert_eq!(s.mean(), None);
-    }
-
-    #[test]
-    fn p95_on_uniform_ramp() {
-        let mut s = SampleSet::new();
-        s.extend((0..=100).map(f64::from));
-        assert_eq!(s.p95(), Some(95.0));
-        assert_eq!(s.p99(), Some(99.0));
-    }
-
-    #[test]
-    fn histogram_bins_and_flows() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for x in [-1.0, 0.0, 1.9, 2.0, 9.99, 10.0, 42.0] {
-            h.record(x);
-        }
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.bin_count(0), 2); // 0.0 and 1.9
-        assert_eq!(h.bin_count(1), 1); // 2.0
-        assert_eq!(h.bin_count(4), 1); // 9.99
-        assert_eq!(h.total(), 7);
-        assert_eq!(h.bin_bounds(1), (2.0, 4.0));
-        assert!((h.bin_fraction(0) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bin")]
-    fn histogram_zero_bins_panics() {
-        let _ = Histogram::new(0.0, 1.0, 0);
-    }
-
-    #[test]
     fn mean_ci_shrinks_with_n() {
         let wide = ConfidenceInterval::for_mean(5.0, 2.0, 10);
         let narrow = ConfidenceInterval::for_mean(5.0, 2.0, 1000);
         assert!(narrow.half_width < wide.half_width);
-        assert!(wide.contains(5.0));
+        assert_eq!(wide.center, 5.0);
         assert_eq!(ConfidenceInterval::for_mean(5.0, 2.0, 1).half_width, 0.0);
-    }
-
-    #[test]
-    fn wilson_interval_behaviour() {
-        // 0/0 trials: degenerate.
-        let ci = ConfidenceInterval::for_proportion(0, 0);
-        assert_eq!(ci.center, 0.0);
-        // 95/100: interval near 0.95 and inside [0, 1].
-        let ci = ConfidenceInterval::for_proportion(95, 100);
-        assert!(ci.lo() > 0.85 && ci.hi() <= 1.0);
-        assert!(ci.contains(0.95));
-        // Extreme 100/100 keeps the upper bound at most 1.
-        let ci = ConfidenceInterval::for_proportion(100, 100);
-        assert!(ci.hi() <= 1.0 + 1e-12);
-        assert!(ci.lo() > 0.9);
-    }
-
-    #[test]
-    fn ci_display() {
-        let ci = ConfidenceInterval::for_mean(1.0, 0.5, 100);
-        assert!(ci.to_string().contains('±'));
     }
 }

@@ -3,8 +3,7 @@
 //! Campaign-level figures ("labels per hour as the deployment ages") need
 //! event counts bucketed by simulated time. [`RateSeries`] accumulates
 //! timestamped counts into fixed-width windows and reports per-window
-//! rates; [`GaugeSeries`] records last-value-wins samples of a level
-//! (queue depth, pending words) per window.
+//! rates.
 
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -86,12 +85,6 @@ impl RateSeries {
         self.window_count(i) as f64 / self.window.as_secs_f64()
     }
 
-    /// Events per hour within window `i`.
-    #[must_use]
-    pub fn rate_per_hour(&self, i: usize) -> f64 {
-        self.rate_per_sec(i) * 3600.0
-    }
-
     /// `(window start, count)` pairs for all recorded windows.
     pub fn iter(&self) -> impl Iterator<Item = (SimTime, u64)> + '_ {
         self.counts
@@ -104,64 +97,6 @@ impl RateSeries {
     #[must_use]
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()
-    }
-}
-
-/// Last-value-wins level samples per window (queue depth, backlog size).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct GaugeSeries {
-    window: SimDuration,
-    values: Vec<Option<f64>>,
-}
-
-impl GaugeSeries {
-    /// Creates a gauge series with the given window width.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero window.
-    #[must_use]
-    pub fn new(window: SimDuration) -> Self {
-        assert!(!window.is_zero(), "window must be positive");
-        GaugeSeries {
-            window,
-            values: Vec::new(),
-        }
-    }
-
-    /// Samples the gauge at `at` (later samples within a window win).
-    pub fn sample(&mut self, at: SimTime, value: f64) {
-        if !value.is_finite() {
-            return;
-        }
-        let idx = (at.ticks() / self.window.ticks()) as usize;
-        if idx >= self.values.len() {
-            self.values.resize(idx + 1, None);
-        }
-        self.values[idx] = Some(value);
-    }
-
-    /// The recorded value in window `i`; windows without samples inherit
-    /// the most recent earlier value (`None` before the first sample).
-    #[must_use]
-    pub fn window_value(&self, i: usize) -> Option<f64> {
-        if self.values.is_empty() {
-            return None;
-        }
-        let upto = i.min(self.values.len() - 1);
-        self.values[..=upto].iter().rev().find_map(|v| *v)
-    }
-
-    /// Number of windows touched.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// `true` when nothing has been sampled.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
     }
 }
 
@@ -182,7 +117,7 @@ mod tests {
         assert_eq!(s.window_count(3), 2);
         assert_eq!(s.len(), 4);
         assert_eq!(s.total(), 5);
-        assert!((s.rate_per_hour(0) - 720.0).abs() < 1e-9);
+        assert!((s.rate_per_sec(0) - 0.2).abs() < 1e-12);
         assert_eq!(s.window(), SimDuration::from_secs(10));
     }
 
@@ -208,27 +143,5 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.window_count(5), 0);
         assert_eq!(s.total(), 0);
-    }
-
-    #[test]
-    fn gauge_last_value_wins_and_carries_forward() {
-        let mut g = GaugeSeries::new(SimDuration::from_secs(10));
-        g.sample(SimTime::from_secs(1), 5.0);
-        g.sample(SimTime::from_secs(9), 7.0); // same window, overwrites
-        g.sample(SimTime::from_secs(25), 3.0);
-        assert_eq!(g.window_value(0), Some(7.0));
-        assert_eq!(g.window_value(1), Some(7.0), "carried forward");
-        assert_eq!(g.window_value(2), Some(3.0));
-        assert_eq!(g.window_value(50), Some(3.0), "carries past the end");
-        assert_eq!(g.len(), 3);
-    }
-
-    #[test]
-    fn gauge_ignores_non_finite_and_handles_empty() {
-        let mut g = GaugeSeries::new(SimDuration::from_secs(10));
-        assert!(g.is_empty());
-        assert_eq!(g.window_value(0), None);
-        g.sample(SimTime::ZERO, f64::NAN);
-        assert!(g.is_empty());
     }
 }

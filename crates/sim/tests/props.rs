@@ -1,8 +1,8 @@
 //! Property tests over the simulation kernel's distributions and
 //! statistics — the numerical foundation every experiment rests on.
 
-use hc_sim::dist::{Bernoulli, DiscreteDist, Exponential, Geometric, LogNormal, Zipf};
-use hc_sim::{Histogram, OnlineStats, RateSeries, SampleSet, SimDuration, SimTime};
+use hc_sim::dist::{DiscreteDist, Exponential, Geometric, LogNormal, Zipf};
+use hc_sim::{OnlineStats, RateSeries, SimDuration, SimTime};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -78,19 +78,6 @@ proptest! {
     }
 
     #[test]
-    fn bernoulli_respects_extremes(p in -1.0f64..2.0, seed in 0u64..100) {
-        let b = Bernoulli::new(p);
-        let mut r = rng(seed);
-        let x = b.sample(&mut r);
-        if p <= 0.0 {
-            prop_assert!(!x);
-        }
-        if p >= 1.0 {
-            prop_assert!(x);
-        }
-    }
-
-    #[test]
     fn online_stats_bounds_hold(values in prop::collection::vec(-1e9f64..1e9, 1..200)) {
         let mut s = OnlineStats::new();
         for &v in &values {
@@ -100,30 +87,6 @@ proptest! {
         let max = s.max().unwrap();
         prop_assert!(min <= s.mean() + 1e-6 && s.mean() <= max + 1e-6);
         prop_assert!(s.sample_variance() >= 0.0);
-        prop_assert!(s.population_variance() <= s.sample_variance() + 1e-6 || values.len() == 1);
-    }
-
-    #[test]
-    fn sample_set_quantiles_are_monotone(values in prop::collection::vec(-1e6f64..1e6, 1..100)) {
-        let mut set = SampleSet::new();
-        set.extend(values.iter().copied());
-        let q25 = set.quantile(0.25).unwrap();
-        let q50 = set.quantile(0.5).unwrap();
-        let q75 = set.quantile(0.75).unwrap();
-        prop_assert!(q25 <= q50 && q50 <= q75);
-        prop_assert!(set.quantile(0.0).unwrap() <= q25);
-        prop_assert!(q75 <= set.quantile(1.0).unwrap());
-    }
-
-    #[test]
-    fn histogram_conserves_mass(values in prop::collection::vec(-10.0f64..20.0, 0..200)) {
-        let mut h = Histogram::new(0.0, 10.0, 7);
-        for &v in &values {
-            h.record(v);
-        }
-        let binned: u64 = (0..h.bin_len()).map(|i| h.bin_count(i)).sum();
-        prop_assert_eq!(binned + h.underflow() + h.overflow(), h.total());
-        prop_assert_eq!(h.total(), values.len() as u64);
     }
 
     #[test]

@@ -131,7 +131,11 @@ fn crowd_models_round_trip() {
     assert!((back.session_sigma - e.session_sigma).abs() < 1e-12);
     assert!((back.churn_rate - e.churn_rate).abs() < 1e-12);
 
-    let r = ResponseTimeModel::fast();
+    let r = ResponseTimeModel {
+        think_mu: 0.1,
+        think_sigma: 0.6,
+        per_char_secs: 0.08,
+    };
     assert_eq!(roundtrip(&r), r);
 
     let d = SkillDynamics::default();
