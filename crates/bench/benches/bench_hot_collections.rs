@@ -3,9 +3,11 @@
 //! types. Every group runs the *same* operation sequence twice — once on
 //! the old std B-tree structure ("btree") and once on the new structure
 //! ("det") — so `det` vs `btree` per group is a direct speedup readout.
+//! The ESP tag group also runs it on `DetSet<Label>` ("det_label").
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hc_collect::{DetMap, DetSet, Interner, Sym};
+use hc_core::Label;
 use std::collections::{BTreeMap, BTreeSet};
 use std::hint::black_box;
 
@@ -101,6 +103,31 @@ fn bench_esp_tags(c: &mut Criterion) {
             black_box(agreed)
         });
     });
+    // The same sequence over `Label`s, the type taboo lists and guess sets
+    // hold. Guesses are clones of one vocabulary's labels, as a world's are.
+    let labels: Vec<Label> = vocab.iter().map(|w| Label::new(w)).collect();
+    let label_guesses: Vec<Label> = id_stream(0x1234, 4096)
+        .iter()
+        .map(|&x| labels[(x % 256) as usize].clone())
+        .collect();
+    group.bench_with_input(
+        BenchmarkId::new("det_label", vocab.len()),
+        &label_guesses,
+        |b, gs| {
+            b.iter(|| {
+                let mut taboo: DetSet<Label> = DetSet::new();
+                let mut agreed = 0u64;
+                for g in gs {
+                    if taboo.contains(g) {
+                        agreed += 1;
+                    } else {
+                        taboo.insert(g.clone());
+                    }
+                }
+                black_box(agreed)
+            });
+        },
+    );
     group.finish();
 }
 

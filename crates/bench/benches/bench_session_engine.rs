@@ -11,6 +11,10 @@
 //! `esp/replay_session` seats a third player against the recordings that
 //! live sessions between the other two left: the replay half of the ESP
 //! round, where the right seat's answers come from a recording.
+//!
+//! `queue/serve_verify_60k` plans one session's rounds at a time through a
+//! 60,000-task `TaskQueue`, serving each task and verifying every third:
+//! a big world, where every task starts on the same level.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hc_core::prelude::*;
@@ -94,11 +98,42 @@ fn bench_esp_sessions(c: &mut Criterion, name: &str, regime: Regime) {
     });
 }
 
+/// Tasks in the `queue/serve_verify_60k` world.
+const BIG_WORLD_TASKS: u64 = 60_000;
+
+fn bench_big_task_queue(c: &mut Criterion) {
+    c.bench_function("queue/serve_verify_60k", |b| {
+        let mut queue = TaskQueue::new();
+        for i in 0..BIG_WORLD_TASKS {
+            queue.insert(Task::new(TaskId::new(i), Stimulus::Image(i)));
+        }
+        let players = [PlayerId::new(1), PlayerId::new(2)];
+        b.iter(|| {
+            let mut served = 0u32;
+            for round in 0..15 {
+                let Some(task) = queue.next_for(&players) else {
+                    break;
+                };
+                queue.record_served(task, &players);
+                if round % 3 == 0 {
+                    queue.record_verified(task, 0);
+                }
+                served += 1;
+            }
+            for p in players {
+                queue.clear_seen(p);
+            }
+            black_box(served)
+        });
+    });
+}
+
 fn bench_session(c: &mut Criterion) {
     bench_esp_sessions(c, "esp/full_session", Regime::Fresh);
     bench_esp_sessions(c, "esp/saturated_session", Regime::Saturated);
     bench_esp_sessions(c, "esp/no_taboo_session", Regime::NoTaboo);
     bench_esp_sessions(c, "esp/replay_session", Regime::Replay);
+    bench_big_task_queue(c);
 }
 
 criterion_group!(benches, bench_session);

@@ -7,10 +7,12 @@
 //! verification layer.
 
 use crate::text::normalize_label;
+use hc_collect::hash::hash_one;
 use serde::read::Reader;
 use serde::{DeError, Deserialize, Serialize, Value};
-use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// A normalized free-text label.
@@ -21,6 +23,15 @@ use std::sync::Arc;
 /// shared: cloning a label (taboo lists, agreement tallies, replay
 /// recordings all hold copies) bumps a count instead of copying bytes.
 ///
+/// The hash of the text is computed once, at construction, and `Hash`
+/// writes that one `u64`. Equality checks identity first (a clone of the
+/// same label is one pointer compare), then the cached hashes, and reads
+/// the text only when both agree. So a label-keyed `DetMap`/`DetSet`
+/// probe never hashes the string again. For the same reason `Label` does
+/// not borrow as `str`: a `&str` key cannot hash the way its `Label`
+/// does, so look labels up by a `Label`. Order, `Debug`, `Display` and
+/// the JSON form are those of the text.
+///
 /// # Examples
 ///
 /// ```
@@ -28,8 +39,46 @@ use std::sync::Arc;
 /// assert_eq!(Label::new("  Dogs! "), Label::new("dog"));
 /// assert_eq!(Label::new("Hot Dog").as_str(), "hot dog");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Label(Arc<str>);
+#[derive(Clone)]
+pub struct Label {
+    text: Arc<str>,
+    /// `hash_one` of `text`, fixed at construction.
+    hash: u64,
+}
+
+impl PartialEq for Label {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.text, &other.text) || (self.hash == other.hash && self.text == other.text)
+    }
+}
+
+impl Eq for Label {}
+
+impl Hash for Label {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// Text order, which is what sorted (serialized) views follow.
+impl Ord for Label {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.text.cmp(&other.text)
+    }
+}
+
+impl PartialOrd for Label {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// `Label("dog")`: golden fingerprints embed this text.
+impl fmt::Debug for Label {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Label").field(&self.as_str()).finish()
+    }
+}
 
 /// Encodes as the bare JSON string, as a `String` newtype would.
 impl Serialize for Label {
@@ -60,31 +109,33 @@ impl Label {
     /// Builds a label, normalizing `raw`.
     #[must_use]
     pub fn new(raw: &str) -> Self {
-        Label(normalize_label(raw).into())
+        let text: Arc<str> = normalize_label(raw).into();
+        let hash = hash_one(&*text);
+        Label { text, hash }
     }
 
     /// The normalized text.
     #[must_use]
     pub fn as_str(&self) -> &str {
-        &self.0
+        &self.text
     }
 
     /// `true` when normalization erased everything (e.g. pure punctuation).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.text.is_empty()
     }
 
     /// Length in bytes of the normalized text.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.text.len()
     }
 }
 
 impl fmt::Display for Label {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(&self.text)
     }
 }
 
@@ -100,15 +151,9 @@ impl From<String> for Label {
     }
 }
 
-impl Borrow<str> for Label {
-    fn borrow(&self) -> &str {
-        &self.0
-    }
-}
-
 impl AsRef<str> for Label {
     fn as_ref(&self) -> &str {
-        &self.0
+        &self.text
     }
 }
 
@@ -286,12 +331,67 @@ mod tests {
     }
 
     #[test]
-    fn label_borrows_as_str() {
+    fn hash_sets_find_a_label_through_an_equal_one_built_apart() {
+        use hc_collect::DetSet;
         use std::collections::HashSet;
-        let mut set: HashSet<Label> = HashSet::new();
-        set.insert(Label::new("tree"));
-        assert!(set.contains("tree"));
-        assert!(!set.contains("bush"));
+        let mut std_set: HashSet<Label> = HashSet::new();
+        let mut det_set: DetSet<Label> = DetSet::new();
+        std_set.insert(Label::new("tree"));
+        det_set.insert(Label::new("tree"));
+        let probe = Label::new("Trees");
+        assert!(std_set.contains(&probe));
+        assert!(det_set.contains(&probe));
+        assert!(!std_set.contains(&Label::new("bush")));
+        assert!(!det_set.contains(&Label::new("bush")));
+    }
+
+    proptest::proptest! {
+        /// Everything observable about a label is a function of its
+        /// normalized text. Raw strings come from a small alphabet, so
+        /// that many normalize alike, and from arbitrary characters.
+        #[test]
+        fn labels_behave_as_their_normalized_text(
+            words in proptest::collection::vec("[abeAB s!]{0,6}", 1..16),
+            wild in proptest::collection::vec(".{0,10}", 0..4),
+        ) {
+            use hc_collect::DetSet;
+            use proptest::{prop_assert, prop_assert_eq};
+            use std::collections::BTreeSet;
+            let raws: Vec<String> = words.into_iter().chain(wild).collect();
+            let texts: Vec<String> = raws.iter().map(|r| normalize_label(r)).collect();
+            let labels: Vec<Label> = raws.iter().map(|r| Label::new(r)).collect();
+            for (i, a) in labels.iter().enumerate() {
+                let text = &texts[i];
+                prop_assert_eq!(format!("{a:?}"), format!("Label({text:?})"));
+                let json = serde_json::to_string(a).unwrap();
+                prop_assert_eq!(&json, &serde_json::to_string(text).unwrap());
+                // Decoding normalizes the wire text again, so the bytes
+                // come back unchanged exactly when normalizing is
+                // idempotent on this text (`gases → gas → ga` is not).
+                let back: Label = serde_json::from_str(&json).unwrap();
+                prop_assert_eq!(&back, &Label::new(text));
+                let idempotent = normalize_label(text) == *text;
+                prop_assert_eq!(serde_json::to_string(&back).unwrap() == json, idempotent);
+                for (j, b) in labels.iter().enumerate() {
+                    let same = texts[i] == texts[j];
+                    prop_assert_eq!(a == b, same);
+                    prop_assert!(!same || hash_one(a) == hash_one(b));
+                    prop_assert_eq!(a.cmp(b), texts[i].cmp(&texts[j]));
+                }
+            }
+            let mut set = DetSet::new();
+            let mut model = BTreeSet::new();
+            for (raw, text) in raws.iter().zip(&texts) {
+                prop_assert_eq!(set.insert(Label::new(raw)), model.insert(text.clone()));
+                prop_assert_eq!(set.len(), model.len());
+            }
+            let pairs = raws.iter().map(String::as_str).zip(texts.iter().map(String::as_str));
+            let probes = pairs.chain([("ZZ", "zz")]);
+            for (raw, text) in probes {
+                prop_assert_eq!(set.contains(&Label::new(raw)), model.contains(text));
+            }
+            prop_assert!(set.iter_sorted().map(Label::as_str).eq(model.iter().map(String::as_str)));
+        }
     }
 
     #[test]

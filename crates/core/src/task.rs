@@ -12,7 +12,7 @@ use crate::id::{PlayerId, TaskId};
 use crate::verify::TabooList;
 use hc_collect::{DetMap, PlayerStore};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// What a task presents to the player — an abstract stimulus reference.
 ///
@@ -127,13 +127,17 @@ pub struct TaskQueue {
     /// level `(verified_outputs, times_served)`; each level's ids stay
     /// ascending, so walking the levels in order and each level's ids in
     /// turn is serving priority. Every count or state change moves the
-    /// task to another level.
-    live: BTreeMap<(u32, u32), Vec<TaskId>>,
+    /// task to another level. A served task usually leaves the front of
+    /// its level, which a deque does in O(1) however large the level.
+    live: Levels,
     /// The tasks each player was served since their seen marks were last
     /// cleared, without repeats. Sessions clear them when they end, so a
     /// list holds at most one session's rounds and a scan beats hashing.
     seen: PlayerStore<Vec<TaskId>>,
 }
+
+/// Live task ids by level, each level's ids ascending.
+type Levels = BTreeMap<(u32, u32), VecDeque<TaskId>>;
 
 /// A task's level in [`TaskQueue::live`]; `None` once it can never be
 /// served again.
@@ -269,7 +273,7 @@ impl TaskQueue {
 
 /// Removes `id` from `level` (a binary search), dropping the level once
 /// it is empty.
-fn unlink(live: &mut BTreeMap<(u32, u32), Vec<TaskId>>, level: Option<(u32, u32)>, id: TaskId) {
+fn unlink(live: &mut Levels, level: Option<(u32, u32)>, id: TaskId) {
     let Some(level) = level else { return };
     if let Some(ids) = live.get_mut(&level) {
         if let Ok(at) = ids.binary_search(&id) {
@@ -283,7 +287,7 @@ fn unlink(live: &mut BTreeMap<(u32, u32), Vec<TaskId>>, level: Option<(u32, u32)
 
 /// Adds `id` to `level`, keeping its ids ascending; usually an append,
 /// since tasks move up one level at a time in id order.
-fn link(live: &mut BTreeMap<(u32, u32), Vec<TaskId>>, level: Option<(u32, u32)>, id: TaskId) {
+fn link(live: &mut Levels, level: Option<(u32, u32)>, id: TaskId) {
     let Some(level) = level else { return };
     let ids = live.entry(level).or_default();
     if let Err(at) = ids.binary_search(&id) {
