@@ -221,7 +221,7 @@ fn main() {
         );
     }
     table.print();
-    println!("\nexpected shape: poison rate falls with each defense layer; gold + reputation drives it toward zero while honest verification volume survives");
+    println!("\nexpected shape: with no defense the poison rate tracks the colluder share; k-agreement (k=2) cuts it at 10–25% colluders but raises it at 40% (0.153 → 0.236); gold tests hold it at or below 0.013 in every cell and cut verified volume to 300; the entropy detector's recall rises with the colluder share");
     outcome.write_bench_json(&opts);
     outcome.write_trace(&opts);
 }

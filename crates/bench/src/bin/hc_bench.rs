@@ -49,8 +49,9 @@
 //! * `trace export-chrome` converts a trace to Chrome trace-event JSON
 //!   loadable in Perfetto or `chrome://tracing`.
 //!
-//! The analysis subcommands stream the JSONL input record by record, so
-//! million-record traces never materialize in memory.
+//! Every trace subcommand but `export-chrome` streams the JSONL input
+//! record by record, so million-record traces never materialize in
+//! memory; `export-chrome` is the one pass that reads a whole file.
 //!
 //! Exit status: 0 pass, 1 check failed, 2 usage/IO error.
 
@@ -58,7 +59,7 @@ use hc_bench::compare::{
     determinism_diff, load_bench_json, merge_sweep, p99_compare, perf_compare,
 };
 use hc_bench::trace::{derive_summary, load_summary, load_trace, stream_trace, summarize};
-use hc_obs::analyze::{self, SpanTree, TimeSeriesAcc, TreeBuilder};
+use hc_obs::analyze::{self, DeriveAcc, SpanTree, TimeSeriesAcc, TreeBuilder};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -95,9 +96,9 @@ fn trace_command(args: &[String]) -> ExitCode {
         return usage_error("expected a trace subcommand");
     };
     match (cmd.as_str(), rest) {
-        ("summary", [path]) => match load_trace(Path::new(path)) {
-            Ok(trace) => {
-                print!("{}", summarize(&trace));
+        ("summary", [path]) => match summarize(Path::new(path)) {
+            Ok(summary) => {
+                print!("{summary}");
                 ExitCode::SUCCESS
             }
             Err(e) => io_error(&e),
@@ -140,12 +141,17 @@ fn trace_command(args: &[String]) -> ExitCode {
                 },
                 _ => return usage_error("expected `trace flame TRACE [--top N]`"),
             };
-            match build_tree(Path::new(path)) {
-                Ok(tree) => {
-                    match top {
-                        Some(n) => print!("{}", analyze::render_flame_top(&tree, n)),
-                        None => print!("{}", analyze::render_folded(&tree)),
-                    }
+            let rendered = match top {
+                Some(n) => {
+                    let mut acc = DeriveAcc::new();
+                    stream_trace(Path::new(path), |r| acc.add(r))
+                        .map(|_| analyze::render_flame_top(&acc, n))
+                }
+                None => build_tree(Path::new(path)).map(|tree| analyze::render_folded(&tree)),
+            };
+            match rendered {
+                Ok(text) => {
+                    print!("{text}");
                     ExitCode::SUCCESS
                 }
                 Err(e) => io_error(&e),

@@ -5,21 +5,22 @@
 //! this module turns that file back into numbers a human can read:
 //!
 //! * [`summarize`] — per-span aggregates (count / total / mean / max
-//!   sim-time), event counts, the metrics registry, and — when the run
-//!   recorded the `metrics.*` counters — the paper's live throughput and
-//!   ALP derived *from the trace alone*;
-//! * [`load_trace`] — parse a JSONL trace file into a full [`Trace`]
-//!   (fine for small inputs; `export-chrome` needs the whole thing);
+//!   sim-time, from `DeriveAcc`), event counts, the metrics registry,
+//!   and — when the run recorded the `metrics.*` counters — the paper's
+//!   live throughput and ALP derived *from the trace alone*;
 //! * [`stream_trace`] — fold a JSONL trace record by record without
-//!   materializing the record vector, for the analysis passes
-//!   (`critical-path`, `flame`, `timeseries`, `derive`, `diff` in the
-//!   `hc-bench` binary) whose accumulators are all streaming;
+//!   materializing the record vector; every analysis pass (`summary`,
+//!   `critical-path`, `flame`, `timeseries`, `derive`, `diff` in the
+//!   `hc-bench` binary) streams through it;
+//! * [`load_trace`] — parse a JSONL trace file into a full [`Trace`],
+//!   which only `export-chrome` needs;
 //! * [`derive_summary`] / [`load_summary`] — the derived-metrics
 //!   summary behind the CI trace-regression gate.
 //!
 //! Everything here reports **sim-time**; the only wall-clock numbers are
 //! the machine-dependent stats, which are labelled as such.
 
+use hc_core::GwapMetrics;
 use hc_obs::analyze::{DeriveAcc, DerivedMetrics};
 use hc_obs::sink::jsonl::Line;
 use hc_obs::{MetricsRegistry, Record, RecordData, Trace};
@@ -110,134 +111,63 @@ pub fn load_summary(path: &Path) -> Result<DerivedMetrics, String> {
     }
 }
 
-/// Aggregate over all spans sharing one `(target, name)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SpanAgg {
-    /// Number of spans.
-    pub count: u64,
-    /// Summed duration, sim-µs.
-    pub total_us: u64,
-    /// Longest single span, sim-µs.
-    pub max_us: u64,
-}
-
-impl SpanAgg {
-    /// Mean duration in sim-µs (0 when empty).
-    #[must_use]
-    pub fn mean_us(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_us as f64 / self.count as f64
-        }
-    }
-}
-
-/// Folds a trace's spans into per-`(target, name)` aggregates.
+/// The paper's metrics derived from the `metrics.*` counters the
+/// `ContributionLedger` mirrors into every trace, or `None` when the
+/// run recorded no play time.
 #[must_use]
-pub fn span_aggregates(trace: &Trace) -> BTreeMap<(String, String), SpanAgg> {
-    let mut spans: BTreeMap<(String, String), SpanAgg> = BTreeMap::new();
-    for r in &trace.records {
-        if let RecordData::Span {
-            target,
-            name,
-            dur_us,
-            ..
-        } = &r.data
-        {
-            let agg = spans.entry((target.clone(), name.clone())).or_default();
-            agg.count += 1;
-            agg.total_us += dur_us;
-            agg.max_us = agg.max_us.max(*dur_us);
-        }
-    }
-    spans
-}
-
-/// Live GWAP metrics derived from the `metrics.*` counters the
-/// `ContributionLedger` mirrors into every trace.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LiveGwap {
-    /// Verified outputs per human-hour.
-    pub throughput_per_human_hour: f64,
-    /// Average lifetime play per player, hours.
-    pub alp_hours: f64,
-    /// Total verified outputs counted.
-    pub outputs: u64,
-    /// Total human-hours counted.
-    pub human_hours: f64,
-    /// Distinct players counted.
-    pub players: u64,
-}
-
-/// Derives [`LiveGwap`] from a trace's counters, or `None` when the run
-/// recorded no play time.
-#[must_use]
-pub fn live_gwap(trace: &Trace) -> Option<LiveGwap> {
-    let play_us = trace.metrics.counter("metrics.play_us");
-    if play_us == 0 {
-        return None;
-    }
-    let outputs = trace.metrics.counter("metrics.outputs");
-    let players = trace.metrics.counter("metrics.players");
-    let human_hours = play_us as f64 / 3_600_000_000.0;
-    let throughput = if human_hours > 0.0 {
-        outputs as f64 / human_hours
-    } else {
-        0.0
-    };
-    let alp = if players > 0 {
-        human_hours / players as f64
-    } else {
-        0.0
-    };
-    Some(LiveGwap {
-        throughput_per_human_hour: throughput,
-        alp_hours: alp,
-        outputs,
-        human_hours,
-        players,
+fn live_gwap(metrics: &MetricsRegistry) -> Option<GwapMetrics> {
+    let play_us = metrics.counter("metrics.play_us");
+    (play_us > 0).then(|| {
+        GwapMetrics::from_totals(
+            metrics.counter("metrics.outputs"),
+            play_us as f64 / 3_600_000_000.0,
+            metrics.counter("metrics.players"),
+        )
     })
 }
 
-/// Renders a human-readable summary of a trace.
-#[must_use]
-pub fn summarize(trace: &Trace) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "trace: {} records over {} sim-µs",
-        trace.records.len(),
-        trace.max_t_us()
-    );
+/// Streams a JSONL trace into a human-readable summary.
+///
+/// # Errors
+///
+/// Propagates [`stream_trace`] failures.
+pub fn summarize(path: &Path) -> Result<String, String> {
+    let mut records = 0u64;
+    let mut max_t_us = 0u64;
+    let mut spans = DeriveAcc::new();
+    let mut events: BTreeMap<(String, String), u64> = BTreeMap::new();
+    let tail = stream_trace(path, |r| {
+        records += 1;
+        max_t_us = max_t_us.max(r.end_us());
+        spans.add(r);
+        if let RecordData::Event { target, name, .. } = &r.data {
+            *events.entry((target.clone(), name.clone())).or_insert(0) += 1;
+        }
+    })?;
 
-    let spans = span_aggregates(trace);
-    if !spans.is_empty() {
+    let mut out = String::new();
+    let _ = writeln!(out, "trace: {records} records over {max_t_us} sim-µs");
+
+    if !spans.spans().is_empty() {
         let _ = writeln!(out, "\nspans (sim-time):");
         let _ = writeln!(
             out,
             "  {:<28} {:>8} {:>14} {:>12} {:>12}",
             "target/name", "count", "total µs", "mean µs", "max µs"
         );
-        for ((target, name), agg) in &spans {
+        for ((target, name), agg) in spans.spans() {
             let _ = writeln!(
                 out,
                 "  {:<28} {:>8} {:>14} {:>12.1} {:>12}",
                 format!("{target}/{name}"),
                 agg.count,
                 agg.total_us,
-                agg.mean_us(),
+                agg.total_us as f64 / agg.count as f64,
                 agg.max_us
             );
         }
     }
 
-    let mut events: BTreeMap<(String, String), u64> = BTreeMap::new();
-    for r in &trace.records {
-        if let RecordData::Event { target, name, .. } = &r.data {
-            *events.entry((target.clone(), name.clone())).or_insert(0) += 1;
-        }
-    }
     if !events.is_empty() {
         let _ = writeln!(out, "\nevents:");
         for ((target, name), n) in &events {
@@ -245,21 +175,22 @@ pub fn summarize(trace: &Trace) -> String {
         }
     }
 
-    if !trace.metrics.counters().is_empty() {
+    let metrics = &tail.metrics;
+    if !metrics.counters().is_empty() {
         let _ = writeln!(out, "\ncounters:");
-        for (name, v) in trace.metrics.counters() {
+        for (name, v) in metrics.counters() {
             let _ = writeln!(out, "  {name:<28} {v:>12}");
         }
     }
-    if !trace.metrics.gauges().is_empty() {
+    if !metrics.gauges().is_empty() {
         let _ = writeln!(out, "\ngauges (last / min / max):");
-        for (name, g) in trace.metrics.gauges() {
+        for (name, g) in metrics.gauges() {
             let _ = writeln!(out, "  {name:<28} {:>10} / {} / {}", g.last, g.min, g.max);
         }
     }
-    if !trace.metrics.histograms().is_empty() {
+    if !metrics.histograms().is_empty() {
         let _ = writeln!(out, "\nhistograms (count / mean / min / max):");
-        for (name, h) in trace.metrics.histograms() {
+        for (name, h) in metrics.histograms() {
             let _ = writeln!(
                 out,
                 "  {name:<28} {} / {:.3} / {} / {}",
@@ -271,26 +202,26 @@ pub fn summarize(trace: &Trace) -> String {
         }
     }
 
-    if let Some(gwap) = live_gwap(trace) {
+    if let Some(gwap) = live_gwap(metrics) {
         let _ = writeln!(out, "\nlive GWAP metrics (from counters):");
         let _ = writeln!(
             out,
             "  throughput {:.1}/human-hour   ALP {:.1} min   outputs {}   human-hours {:.2}   players {}",
             gwap.throughput_per_human_hour,
             gwap.alp_hours * 60.0,
-            gwap.outputs,
-            gwap.human_hours,
-            gwap.players
+            gwap.total_outputs,
+            gwap.total_human_hours,
+            gwap.player_count
         );
     }
 
-    if !trace.machine.is_empty() {
+    if !tail.machine.is_empty() {
         let _ = writeln!(out, "\nmachine-dependent stats (vary across runs/hosts):");
-        for (name, v) in &trace.machine {
+        for (name, v) in &tail.machine {
             let _ = writeln!(out, "  {name:<28} {v}");
         }
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -310,44 +241,48 @@ mod tests {
         trace
     }
 
-    #[test]
-    fn span_aggregates_fold_by_target_and_name() {
-        let aggs = span_aggregates(&demo_trace());
-        let run = aggs
-            .get(&("sim".to_string(), "run".to_string()))
-            .expect("sim/run present");
-        assert_eq!(run.count, 2);
-        assert_eq!(run.total_us, 6_000);
-        assert_eq!(run.max_us, 4_000);
-        assert!((run.mean_us() - 3_000.0).abs() < 1e-9);
+    fn temp_path(tag: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("hc-bench-trace-{tag}-{}.jsonl", std::process::id()))
+    }
+
+    /// Writes `trace` to a temp file and summarizes it.
+    fn summary_of(trace: &Trace, tag: &str) -> String {
+        let path = temp_path(tag);
+        std::fs::write(&path, hc_obs::sink::jsonl::render(trace)).expect("write temp trace");
+        let summary = summarize(&path);
+        let _ = std::fs::remove_file(&path);
+        summary.expect("summarize")
     }
 
     #[test]
     fn live_gwap_derives_the_paper_metrics() {
         // 200 outputs over 2 human-hours by 2 players: throughput 100/h,
         // ALP 1 h — the ledger doctest's numbers, now read off the trace.
-        let gwap = live_gwap(&demo_trace()).expect("play time recorded");
+        let gwap = live_gwap(&demo_trace().metrics).expect("play time recorded");
         assert!((gwap.throughput_per_human_hour - 100.0).abs() < 1e-9);
         assert!((gwap.alp_hours - 1.0).abs() < 1e-9);
-        assert_eq!(gwap.players, 2);
+        assert_eq!(gwap.player_count, 2);
     }
 
     #[test]
     fn live_gwap_absent_without_play_time() {
-        assert!(live_gwap(&Trace::new()).is_none());
+        assert!(live_gwap(&MetricsRegistry::new()).is_none());
     }
 
     #[test]
     fn summary_mentions_every_section() {
-        let s = summarize(&demo_trace());
+        let s = summary_of(&demo_trace(), "sections");
         for needle in [
+            "trace: 6 records over 6000 sim-µs",
             "spans (sim-time)",
-            "sim/run",
+            // count 2, total 6,000, mean 3,000.0, max 4,000.
+            "sim/run                             2           6000       3000.0         4000",
             "events:",
             "core/pair",
             "counters:",
             "metrics.outputs",
             "live GWAP metrics",
+            "throughput 100.0/human-hour   ALP 60.0 min",
             "machine-dependent",
             "par.workers",
         ] {
@@ -356,14 +291,26 @@ mod tests {
     }
 
     #[test]
-    fn empty_trace_summarizes_to_the_header_only() {
-        let s = summarize(&Trace::new());
-        assert!(s.starts_with("trace: 0 records"));
-        assert!(!s.contains("spans"));
+    fn summary_orders_span_rows_by_target_then_name() {
+        // `sim.shard/a` sorts before `sim/z` as a joined string, but the
+        // rows follow the (target, name) pair: `sim` before `sim.shard`.
+        let ((), trace) = hc_obs::record_scope(0, || {
+            hc_obs::span("sim.shard", "a", 0, 10, &[]);
+            hc_obs::span("sim", "z", 0, 10, &[]);
+        });
+        let s = summary_of(&trace, "order");
+        let (sim, shard) = (
+            s.find("sim/z").expect("sim/z"),
+            s.find("sim.shard/a").expect("sim.shard/a"),
+        );
+        assert!(sim < shard, "{s}");
     }
 
-    fn temp_path(tag: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("hc-bench-trace-{tag}-{}.jsonl", std::process::id()))
+    #[test]
+    fn empty_trace_summarizes_to_the_header_only() {
+        let s = summary_of(&Trace::new(), "empty");
+        assert!(s.starts_with("trace: 0 records"));
+        assert!(!s.contains("spans"));
     }
 
     #[test]

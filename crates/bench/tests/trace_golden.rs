@@ -65,20 +65,21 @@ fn fixture_tree() -> SpanTree {
     SpanTree::from_records(&fixture_trace().records)
 }
 
-fn fixture_derived() -> DerivedMetrics {
+fn fixture_acc() -> DeriveAcc {
     let mut acc = DeriveAcc::new();
     for r in &fixture_trace().records {
         acc.add(r);
     }
-    acc.finish()
+    acc
+}
+
+fn fixture_derived() -> DerivedMetrics {
+    fixture_acc().finish()
 }
 
 /// The fixture with one slower window — the "current" side of the diff.
 fn perturbed_derived() -> DerivedMetrics {
-    let mut acc = DeriveAcc::new();
-    for r in &fixture_trace().records {
-        acc.add(r);
-    }
+    let mut acc = fixture_acc();
     let ((), extra) = hc_obs::record_scope(0, || {
         hc_obs::span("games", "session", 6_000, 7_400, &[]);
         hc_obs::counter("shard.exchange.sent", 7_400, 5);
@@ -125,7 +126,7 @@ fn folded_stacks_match_golden() {
 #[test]
 fn flame_top_matches_golden() {
     assert_eq!(
-        hc_obs::analyze::render_flame_top(&fixture_tree(), 5),
+        hc_obs::analyze::render_flame_top(&fixture_acc(), 5),
         include_str!("golden/flame_top.txt"),
         "flame top-N format drifted; regenerate the golden file if intentional"
     );
@@ -215,7 +216,7 @@ fn regenerate() {
     );
     write(
         "flame_top.txt",
-        hc_obs::analyze::render_flame_top(&fixture_tree(), 5),
+        hc_obs::analyze::render_flame_top(&fixture_acc(), 5),
     );
     write("timeseries.txt", timeseries_acc().render_text());
     write("timeseries.json", timeseries_acc().render_json());

@@ -40,6 +40,34 @@ pub struct GwapMetrics {
 }
 
 impl GwapMetrics {
+    /// The three metrics from play totals. With no recorded time or no
+    /// players every rate is 0 (never NaN).
+    #[must_use]
+    pub fn from_totals(
+        total_outputs: u64,
+        total_human_hours: f64,
+        player_count: u64,
+    ) -> GwapMetrics {
+        let throughput = if total_human_hours > 0.0 {
+            total_outputs as f64 / total_human_hours
+        } else {
+            0.0
+        };
+        let alp = if player_count > 0 {
+            total_human_hours / player_count as f64
+        } else {
+            0.0
+        };
+        GwapMetrics {
+            throughput_per_human_hour: throughput,
+            alp_hours: alp,
+            expected_contribution: throughput * alp,
+            total_outputs,
+            total_human_hours,
+            player_count,
+        }
+    }
+
     /// A campaign's metrics: the platform ledger's live play (`live`,
     /// from [`ContributionLedger::metrics`]) plus the play time of solo
     /// sessions, which a campaign keeps in its own `solo` ledger because
@@ -51,26 +79,11 @@ impl GwapMetrics {
     /// high whenever some players played only solo and others only live.
     #[must_use]
     pub fn with_solo_play(live: &GwapMetrics, solo: &ContributionLedger) -> GwapMetrics {
-        let hours = live.total_human_hours + solo.total_human_hours();
-        let players = live.player_count.max(solo.player_count());
-        let throughput = if hours > 0.0 {
-            live.total_outputs as f64 / hours
-        } else {
-            0.0
-        };
-        let alp = if players > 0 {
-            hours / players as f64
-        } else {
-            0.0
-        };
-        GwapMetrics {
-            throughput_per_human_hour: throughput,
-            alp_hours: alp,
-            expected_contribution: throughput * alp,
-            total_outputs: live.total_outputs,
-            total_human_hours: hours,
-            player_count: players,
-        }
+        GwapMetrics::from_totals(
+            live.total_outputs,
+            live.total_human_hours + solo.total_human_hours(),
+            live.player_count.max(solo.player_count()),
+        )
     }
 }
 
@@ -170,30 +183,15 @@ impl ContributionLedger {
         self.play_time.len() as u64
     }
 
-    /// Computes the paper's three metrics. With no recorded time or no
-    /// players every rate is 0 (never NaN).
+    /// Computes the paper's three metrics (see
+    /// [`GwapMetrics::from_totals`]).
     #[must_use]
     pub fn metrics(&self) -> GwapMetrics {
-        let hours = self.total_human_hours();
-        let players = self.player_count();
-        let throughput = if hours > 0.0 {
-            self.total_outputs as f64 / hours
-        } else {
-            0.0
-        };
-        let alp = if players > 0 {
-            hours / players as f64
-        } else {
-            0.0
-        };
-        GwapMetrics {
-            throughput_per_human_hour: throughput,
-            alp_hours: alp,
-            expected_contribution: throughput * alp,
-            total_outputs: self.total_outputs,
-            total_human_hours: hours,
-            player_count: players,
-        }
+        GwapMetrics::from_totals(
+            self.total_outputs,
+            self.total_human_hours(),
+            self.player_count(),
+        )
     }
 
     /// Merges another ledger into this one (per-player times add).

@@ -287,3 +287,66 @@ fn next_for_leaves_the_queue_unchanged() {
     assert_eq!(first, Some(TaskId::new(1)));
     assert_eq!(queue.next_for(&seat), first, "asking again changes nothing");
 }
+
+/// A big world's shape: 60,000 tasks all start on level (0, 0). Serving
+/// drains that level from its front, every task once, then moves on to
+/// level (0, 1); verifications move some tasks up a level and complete
+/// others. Every choice and every touched record must match the lazy
+/// heap's.
+#[test]
+fn sixty_thousand_tasks_on_one_level_serve_like_the_lazy_heap() {
+    const TASKS: u64 = 60_000;
+    let mut queue = TaskQueue::new();
+    let mut oracle = LazyHeapQueue::default();
+    for id in 0..TASKS {
+        let task = Task::new(TaskId::new(id), Stimulus::Image(id));
+        queue.insert(task.clone());
+        oracle.insert(task);
+    }
+    let mut rng = StdRng::seed_from_u64(TASKS);
+    for step in 0..TASKS + 2_000 {
+        let seats = [
+            PlayerId::new(rng.gen_range(0..64)),
+            PlayerId::new(rng.gen_range(0..64)),
+        ];
+        let got = queue.next_for(&seats);
+        assert_eq!(got, oracle.next_for(&seats), "step {step}: serving order");
+        let Some(task) = got else { continue };
+        queue.record_served(task, &seats);
+        oracle.record_served(task, &seats);
+        let threshold = match step % 21 {
+            0 => Some(1),
+            s if s % 3 == 0 => Some(2),
+            _ => None,
+        };
+        if let Some(threshold) = threshold {
+            queue.record_verified(task, threshold);
+            oracle.record_verified(task, threshold);
+        }
+        if step % 5_000 == 0 {
+            queue.clear_seen(seats[0]);
+            oracle.clear_seen(seats[0]);
+        }
+        let (g, w) = (queue.get(task).expect("served task"), &oracle.tasks[&task]);
+        assert!(
+            g.state == w.state
+                && g.times_served == w.times_served
+                && g.verified_outputs == w.verified_outputs,
+            "step {step}: task {task:?} is {g:?}, oracle {w:?}"
+        );
+    }
+    let completed = oracle
+        .tasks
+        .values()
+        .filter(|t| t.state == TaskState::Completed)
+        .count();
+    assert_eq!(queue.len(), oracle.tasks.len());
+    assert_eq!(queue.completed_count(), completed);
+    assert!(completed > 0, "some tasks completed");
+    let served_twice = oracle
+        .tasks
+        .values()
+        .filter(|t| t.times_served == 2)
+        .count();
+    assert!(served_twice > 0, "serving reached level (0, 1)");
+}

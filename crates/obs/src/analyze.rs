@@ -9,6 +9,13 @@
 //! records (only) because critical-path and flame analysis need random
 //! access to the tree.
 //!
+//! Each fact has one source: parent links come from
+//! [`TreeBuilder::finish`] and are walked by `SpanTree::walk` (folded
+//! stacks and the Chrome export), self times from one streaming fold
+//! shared by [`TreeBuilder`] and [`DeriveAcc`], per-frame span
+//! aggregates from [`DeriveAcc`], and counter/gauge/histogram
+//! summaries from [`MetricsRegistry::apply`].
+//!
 //! ## The `layout.` prefix
 //!
 //! Records whose span target or metric name starts with [`LAYOUT_PREFIX`]
@@ -19,6 +26,7 @@
 //! byte-identical across shard layouts as well as thread counts. The
 //! timeseries pass keeps them: plotting skew is its job.
 
+use crate::metrics::{GaugeStat, HistStat, MetricsRegistry};
 use crate::record::{Record, RecordData};
 use crate::sink::{f, obj, s, u};
 use serde_json::Value;
@@ -71,13 +79,24 @@ impl SpanInfo {
 }
 
 /// The span forest of a trace: spans in emission order plus resolved
-/// parent/child links (parents resolve within a track only).
+/// parent/child links (parents resolve within a track only) and each
+/// span's self time.
 #[derive(Debug, Default)]
 pub struct SpanTree {
     /// All spans, in record order.
     pub spans: Vec<SpanInfo>,
+    self_us: Vec<u64>,
     children: Vec<Vec<usize>>,
     roots: Vec<usize>,
+}
+
+/// One step of [`SpanTree::walk`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Visit {
+    /// The walk reaches span `i`, before any of its children.
+    Enter(usize),
+    /// The walk leaves span `i`, after all of its children.
+    Exit(usize),
 }
 
 impl SpanTree {
@@ -105,22 +124,33 @@ impl SpanTree {
         &self.children[i]
     }
 
-    /// Per-span self time: duration minus the union of child intervals
-    /// (clipped to the span's own interval).
+    /// Per-span self time, indexed like [`SpanTree::spans`]: duration
+    /// minus the union of child intervals (clipped to the span's own
+    /// interval), recorded as each span arrived. A child recorded after
+    /// its parent, which the scope API never emits, does not count.
     #[must_use]
-    pub fn self_times(&self) -> Vec<u64> {
-        self.spans
-            .iter()
-            .enumerate()
-            .map(|(i, span)| {
-                let intervals: Vec<(u64, u64)> = self.children[i]
-                    .iter()
-                    .map(|&c| (self.spans[c].start_us, self.spans[c].end_us()))
-                    .collect();
-                span.dur_us
-                    .saturating_sub(coverage(&intervals, span.start_us, span.end_us()))
-            })
-            .collect()
+    pub fn self_times(&self) -> &[u64] {
+        &self.self_us
+    }
+
+    /// Walks the subtrees under `roots` depth-first, children in
+    /// [`SpanTree::children`] order: every span is entered before its
+    /// children and exited after them.
+    pub(crate) fn walk(&self, roots: &[usize], mut visit: impl FnMut(Visit)) {
+        for &root in roots {
+            // Explicit stack of (span, next-child cursor).
+            let mut stack: Vec<(usize, usize)> = vec![(root, 0)];
+            visit(Visit::Enter(root));
+            while let Some((node, cursor)) = stack.pop() {
+                if let Some(&child) = self.children[node].get(cursor) {
+                    stack.push((node, cursor + 1));
+                    stack.push((child, 0));
+                    visit(Visit::Enter(child));
+                } else {
+                    visit(Visit::Exit(node));
+                }
+            }
+        }
     }
 }
 
@@ -129,6 +159,8 @@ impl SpanTree {
 #[derive(Debug, Default)]
 pub struct TreeBuilder {
     spans: Vec<SpanInfo>,
+    self_us: Vec<u64>,
+    self_times: SelfTimes,
 }
 
 impl TreeBuilder {
@@ -149,6 +181,8 @@ impl TreeBuilder {
             ..
         } = &r.data
         {
+            self.self_us
+                .push(self.self_times.add(r.track, *id, *parent, r.t_us, *dur_us));
             self.spans.push(SpanInfo {
                 track: r.track,
                 id: *id,
@@ -185,10 +219,58 @@ impl TreeBuilder {
         }
         SpanTree {
             spans,
+            self_us: self.self_us,
             children,
             roots,
         }
     }
+}
+
+/// The self-time fold shared by [`TreeBuilder`] and [`DeriveAcc`]. A
+/// span's children precede it in the record stream, so when its record
+/// arrives every child interval is known; memory stays bounded by the
+/// currently *open* scopes, whose child lists retire with their parent.
+#[derive(Debug, Default)]
+struct SelfTimes {
+    /// `(track, parent id)` → intervals of already-seen children.
+    pending: BTreeMap<(u32, u64), Vec<(u64, u64)>>,
+}
+
+impl SelfTimes {
+    /// Folds one span in and returns its self time: duration minus the
+    /// union of its children's intervals, clipped to its own.
+    fn add(&mut self, track: u32, id: u64, parent: u64, start: u64, dur: u64) -> u64 {
+        let end = start.saturating_add(dur);
+        if parent != 0 {
+            let slot = self.pending.entry((track, parent)).or_default();
+            slot.push((start, end));
+            if slot.len() >= 1024 {
+                normalize(slot);
+            }
+        }
+        let covered = if id == 0 {
+            0
+        } else {
+            self.pending
+                .remove(&(track, id))
+                .map(|kids| coverage(&kids, start, end))
+                .unwrap_or(0)
+        };
+        dur.saturating_sub(covered)
+    }
+}
+
+/// Coalesces an interval list in place (sort + merge overlapping).
+fn normalize(intervals: &mut Vec<(u64, u64)>) {
+    intervals.sort_unstable();
+    let mut merged: Vec<(u64, u64)> = Vec::with_capacity(intervals.len());
+    for &(a, b) in intervals.iter() {
+        match merged.last_mut() {
+            Some((_, hi)) if a <= *hi => *hi = (*hi).max(b),
+            _ => merged.push((a, b)),
+        }
+    }
+    *intervals = merged;
 }
 
 /// Total coverage of `[lo, hi]` by the union of `intervals`.
@@ -455,23 +537,24 @@ pub fn critical_path_json(tree: &SpanTree, top: Option<usize>) -> String {
 /// (`root;child;leaf self_us`), aggregated and sorted by stack.
 #[must_use]
 pub fn folded_stacks(tree: &SpanTree) -> Vec<(String, u64)> {
-    let self_times = tree.self_times();
     let mut folded: BTreeMap<String, u64> = BTreeMap::new();
-    // Depth-first, carrying the stack label down.
-    let mut work: Vec<(usize, String)> = tree
-        .roots()
-        .iter()
-        .rev()
-        .map(|&i| (i, tree.spans[i].frame()))
-        .collect();
-    while let Some((node, stack)) = work.pop() {
-        if self_times[node] > 0 {
-            *folded.entry(stack.clone()).or_insert(0) += self_times[node];
+    // The current stack label, and its length before each open frame.
+    let mut stack = String::new();
+    let mut marks: Vec<usize> = Vec::new();
+    tree.walk(tree.roots(), |visit| match visit {
+        Visit::Enter(i) => {
+            marks.push(stack.len());
+            if !stack.is_empty() {
+                stack.push(';');
+            }
+            stack.push_str(&tree.spans[i].frame());
+            let self_us = tree.self_times()[i];
+            if self_us > 0 {
+                *folded.entry(stack.clone()).or_insert(0) += self_us;
+            }
         }
-        for &child in tree.children(node).iter().rev() {
-            work.push((child, format!("{stack};{}", tree.spans[child].frame())));
-        }
-    }
+        Visit::Exit(_) => stack.truncate(marks.pop().unwrap_or(0)),
+    });
     folded.into_iter().collect()
 }
 
@@ -485,28 +568,21 @@ pub fn render_folded(tree: &SpanTree) -> String {
     out
 }
 
-/// Renders the top-`n` frames by aggregate self time.
+/// Renders the top-`n` frames by aggregate self time, `layout.` frames
+/// included.
 #[must_use]
-pub fn render_flame_top(tree: &SpanTree, n: usize) -> String {
-    let self_times = tree.self_times();
-    let mut by_frame: BTreeMap<String, (u64, u64, u64)> = BTreeMap::new();
-    for (i, span) in tree.spans.iter().enumerate() {
-        let slot = by_frame.entry(span.frame()).or_insert((0, 0, 0));
-        slot.0 += 1;
-        slot.1 += span.dur_us;
-        slot.2 += self_times[i];
-    }
-    let mut rows: Vec<(String, (u64, u64, u64))> = by_frame.into_iter().collect();
-    rows.sort_by(|a, b| b.1 .2.cmp(&a.1 .2).then(a.0.cmp(&b.0)));
+pub fn render_flame_top(acc: &DeriveAcc, n: usize) -> String {
+    let mut rows: Vec<(String, SpanDerived)> = acc.frames().into_iter().collect();
+    rows.sort_by(|a, b| b.1.self_us.cmp(&a.1.self_us).then(a.0.cmp(&b.0)));
     let mut out = String::new();
     out.push_str(&format!(
         "{:<36} {:>10} {:>14} {:>14}\n",
         "span", "count", "total_us", "self_us"
     ));
-    for (frame, (count, total, self_us)) in rows.into_iter().take(n) {
+    for (frame, agg) in rows.into_iter().take(n) {
         out.push_str(&format!(
             "{:<36} {:>10} {:>14} {:>14}\n",
-            frame, count, total, self_us
+            frame, agg.count, agg.total_us, agg.self_us
         ));
     }
     out
@@ -727,7 +803,7 @@ impl Sketch {
     }
 }
 
-/// Aggregate over all spans sharing one `target/name` frame.
+/// Aggregate over all spans sharing one frame.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SpanDerived {
     /// Number of spans.
@@ -740,34 +816,27 @@ pub struct SpanDerived {
     pub max_us: u64,
 }
 
-/// Aggregate over one histogram.
+impl SpanDerived {
+    fn merge(&mut self, other: &SpanDerived) {
+        self.count += other.count;
+        self.total_us += other.total_us;
+        self.self_us += other.self_us;
+        self.max_us = self.max_us.max(other.max_us);
+    }
+}
+
+/// Aggregate over one histogram: the registry's summary plus quantile
+/// estimates.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HistDerived {
-    /// Sample count.
-    pub count: u64,
-    /// Sample sum.
-    pub sum: f64,
-    /// Smallest sample.
-    pub min: f64,
-    /// Largest sample.
-    pub max: f64,
+    /// Count, sum, min and max.
+    pub stat: HistStat,
     /// Median estimate (log2-bucket midpoint).
     pub p50: f64,
     /// 90th-percentile estimate.
     pub p90: f64,
     /// 99th-percentile estimate.
     pub p99: f64,
-}
-
-/// Aggregate over one gauge.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GaugeDerived {
-    /// Last level, in record order.
-    pub last: f64,
-    /// Smallest level.
-    pub min: f64,
-    /// Largest level.
-    pub max: f64,
 }
 
 /// The derived-metrics summary: every deterministic, layout-invariant
@@ -780,46 +849,24 @@ pub struct DerivedMetrics {
     /// Counter totals.
     pub counters: BTreeMap<String, u64>,
     /// Gauge summaries.
-    pub gauges: BTreeMap<String, GaugeDerived>,
+    pub gauges: BTreeMap<String, GaugeStat>,
     /// Histogram summaries with quantile estimates.
     pub histograms: BTreeMap<String, HistDerived>,
 }
 
-#[derive(Debug)]
-struct HistAcc {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-    sketch: Sketch,
-}
-
-/// Streaming accumulator for [`DerivedMetrics`]. Feed records in
-/// emission order; memory stays bounded by the number of metric names
-/// plus the currently *open* scope spans (children always precede
-/// their parent in the stream, so child-coverage accumulators retire
-/// as soon as the parent's record arrives).
+/// Streaming accumulator for [`DerivedMetrics`] and the one per-frame
+/// span fold. Feed records in emission order; memory stays bounded by
+/// the number of frames and metric names plus the currently *open*
+/// scope spans. Span aggregates keep `layout.` frames (the flame table
+/// and `trace summary` show them) until [`DeriveAcc::finish`] drops
+/// them; `layout.` metrics are never folded.
 #[derive(Debug, Default)]
 pub struct DeriveAcc {
-    spans: BTreeMap<String, SpanDerived>,
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, GaugeDerived>,
-    hists: BTreeMap<String, HistAcc>,
-    /// `(track, parent id)` → intervals of already-seen children.
-    pending: BTreeMap<(u32, u64), Vec<(u64, u64)>>,
-}
-
-/// Coalesces an interval list in place (sort + merge overlapping).
-fn normalize(intervals: &mut Vec<(u64, u64)>) {
-    intervals.sort_unstable();
-    let mut merged: Vec<(u64, u64)> = Vec::with_capacity(intervals.len());
-    for &(a, b) in intervals.iter() {
-        match merged.last_mut() {
-            Some((_, hi)) if a <= *hi => *hi = (*hi).max(b),
-            _ => merged.push((a, b)),
-        }
-    }
-    *intervals = merged;
+    spans: BTreeMap<(String, String), SpanDerived>,
+    metrics: MetricsRegistry,
+    /// Quantile sketches of the histograms in `metrics`.
+    sketches: BTreeMap<String, Sketch>,
+    self_times: SelfTimes,
 }
 
 impl DeriveAcc {
@@ -840,103 +887,93 @@ impl DeriveAcc {
                 parent,
                 ..
             } => {
-                let start = r.t_us;
-                let end = start.saturating_add(*dur_us);
-                if *parent != 0 {
-                    let slot = self.pending.entry((r.track, *parent)).or_default();
-                    slot.push((start, end));
-                    if slot.len() >= 1024 {
-                        normalize(slot);
-                    }
-                }
-                let covered = if *id == 0 {
-                    0
-                } else {
-                    self.pending
-                        .remove(&(r.track, *id))
-                        .map(|kids| coverage(&kids, start, end))
-                        .unwrap_or(0)
-                };
-                if is_layout(target) {
-                    return;
-                }
-                let slot = self.spans.entry(format!("{target}/{name}")).or_default();
-                slot.count += 1;
-                slot.total_us += dur_us;
-                slot.self_us += dur_us.saturating_sub(covered);
-                slot.max_us = slot.max_us.max(*dur_us);
+                let self_us = self.self_times.add(r.track, *id, *parent, r.t_us, *dur_us);
+                let slot = self
+                    .spans
+                    .entry((target.clone(), name.clone()))
+                    .or_default();
+                slot.merge(&SpanDerived {
+                    count: 1,
+                    total_us: *dur_us,
+                    self_us,
+                    max_us: *dur_us,
+                });
             }
-            RecordData::Counter { name, delta } => {
-                if is_layout(name) {
-                    return;
+            RecordData::Counter { name, .. } | RecordData::Gauge { name, .. } => {
+                if !is_layout(name) {
+                    self.metrics.apply(r);
                 }
-                *self.counters.entry(name.clone()).or_insert(0) += delta;
-            }
-            RecordData::Gauge { name, value } => {
-                if is_layout(name) {
-                    return;
-                }
-                self.gauges
-                    .entry(name.clone())
-                    .and_modify(|g| {
-                        g.last = *value;
-                        g.min = g.min.min(*value);
-                        g.max = g.max.max(*value);
-                    })
-                    .or_insert(GaugeDerived {
-                        last: *value,
-                        min: *value,
-                        max: *value,
-                    });
             }
             RecordData::Observe { name, value } => {
-                if is_layout(name) {
-                    return;
+                if !is_layout(name) {
+                    self.metrics.apply(r);
+                    self.sketches.entry(name.clone()).or_default().add(*value);
                 }
-                let slot = self.hists.entry(name.clone()).or_insert(HistAcc {
-                    count: 0,
-                    sum: 0.0,
-                    min: f64::INFINITY,
-                    max: f64::NEG_INFINITY,
-                    sketch: Sketch::default(),
-                });
-                slot.count += 1;
-                slot.sum += value;
-                slot.min = slot.min.min(*value);
-                slot.max = slot.max.max(*value);
-                slot.sketch.add(*value);
             }
             RecordData::Event { .. } => {}
         }
     }
 
+    /// Span aggregates keyed by `(target, name)`, `layout.` targets
+    /// included.
+    #[must_use]
+    pub fn spans(&self) -> &BTreeMap<(String, String), SpanDerived> {
+        &self.spans
+    }
+
+    /// Span aggregates keyed by `target/name` frame, `layout.` frames
+    /// included.
+    #[must_use]
+    pub fn frames(&self) -> BTreeMap<String, SpanDerived> {
+        frames(self.spans.iter())
+    }
+
     /// Finishes the fold.
     #[must_use]
     pub fn finish(self) -> DerivedMetrics {
+        fn owned<T>(view: Vec<(&str, T)>) -> BTreeMap<String, T> {
+            view.into_iter().map(|(k, v)| (k.to_string(), v)).collect()
+        }
         DerivedMetrics {
-            spans: self.spans,
-            counters: self.counters,
-            gauges: self.gauges,
+            spans: frames(
+                self.spans
+                    .iter()
+                    .filter(|((target, _), _)| !is_layout(target)),
+            ),
+            counters: owned(self.metrics.counters()),
+            gauges: owned(self.metrics.gauges()),
             histograms: self
-                .hists
+                .metrics
+                .histograms()
                 .into_iter()
-                .map(|(name, h)| {
+                .map(|(name, stat)| {
+                    let sketch = &self.sketches[name];
                     (
-                        name,
+                        name.to_string(),
                         HistDerived {
-                            count: h.count,
-                            sum: h.sum,
-                            min: h.min,
-                            max: h.max,
-                            p50: h.sketch.quantile(0.50),
-                            p90: h.sketch.quantile(0.90),
-                            p99: h.sketch.quantile(0.99),
+                            stat,
+                            p50: sketch.quantile(0.50),
+                            p90: sketch.quantile(0.90),
+                            p99: sketch.quantile(0.99),
                         },
                     )
                 })
                 .collect(),
         }
     }
+}
+
+/// Folds `(target, name)` aggregates into `target/name` frames.
+fn frames<'a>(
+    spans: impl Iterator<Item = (&'a (String, String), &'a SpanDerived)>,
+) -> BTreeMap<String, SpanDerived> {
+    let mut out: BTreeMap<String, SpanDerived> = BTreeMap::new();
+    for ((target, name), agg) in spans {
+        out.entry(format!("{target}/{name}"))
+            .or_default()
+            .merge(agg);
+    }
+    out
 }
 
 impl DerivedMetrics {
@@ -988,10 +1025,10 @@ impl DerivedMetrics {
                     (
                         k.clone(),
                         obj(vec![
-                            ("count", u(v.count)),
-                            ("sum", f(v.sum)),
-                            ("min", f(v.min)),
-                            ("max", f(v.max)),
+                            ("count", u(v.stat.count)),
+                            ("sum", f(v.stat.sum)),
+                            ("min", f(v.stat.min)),
+                            ("max", f(v.stat.max)),
                             ("p50", f(v.p50)),
                             ("p90", f(v.p90)),
                             ("p99", f(v.p99)),
@@ -1058,7 +1095,7 @@ impl DerivedMetrics {
         for (k, v) in section("gauges")? {
             out.gauges.insert(
                 k.clone(),
-                GaugeDerived {
+                GaugeStat {
                     last: want_f(v, "last")?,
                     min: want_f(v, "min")?,
                     max: want_f(v, "max")?,
@@ -1069,10 +1106,12 @@ impl DerivedMetrics {
             out.histograms.insert(
                 k.clone(),
                 HistDerived {
-                    count: want_u(v, "count")?,
-                    sum: want_f(v, "sum")?,
-                    min: want_f(v, "min")?,
-                    max: want_f(v, "max")?,
+                    stat: HistStat {
+                        count: want_u(v, "count")?,
+                        sum: want_f(v, "sum")?,
+                        min: want_f(v, "min")?,
+                        max: want_f(v, "max")?,
+                    },
                     p50: want_f(v, "p50")?,
                     p90: want_f(v, "p90")?,
                     p99: want_f(v, "p99")?,
@@ -1233,10 +1272,7 @@ pub fn diff(baseline: &DerivedMetrics, current: &DerivedMetrics, max_rel: f64) -
     for key in union_keys(&baseline.gauges, &current.gauges) {
         let (a, b) = (baseline.gauges.get(key), current.gauges.get(key));
         for (field, get) in [
-            (
-                "last",
-                (|v: &GaugeDerived| v.last) as fn(&GaugeDerived) -> f64,
-            ),
+            ("last", (|v: &GaugeStat| v.last) as fn(&GaugeStat) -> f64),
             ("min", |v| v.min),
             ("max", |v| v.max),
         ] {
@@ -1248,14 +1284,14 @@ pub fn diff(baseline: &DerivedMetrics, current: &DerivedMetrics, max_rel: f64) -
         for (field, get) in [
             (
                 "count",
-                (|v: &HistDerived| v.count as f64) as fn(&HistDerived) -> f64,
+                (|v: &HistDerived| v.stat.count as f64) as fn(&HistDerived) -> f64,
             ),
-            ("sum", |v| v.sum),
+            ("sum", |v| v.stat.sum),
             ("p50", |v| v.p50),
             ("p90", |v| v.p90),
             ("p99", |v| v.p99),
-            ("min", |v| v.min),
-            ("max", |v| v.max),
+            ("min", |v| v.stat.min),
+            ("max", |v| v.stat.max),
         ] {
             compare(format!("hist:{key}.{field}"), a.map(get), b.map(get));
         }
@@ -1449,8 +1485,8 @@ mod tests {
         assert_eq!(run.self_us, 40);
         assert_eq!(derived.counters.get("demo.requests"), Some(&5));
         let lat = derived.histograms.get("demo.latency").expect("hist");
-        assert_eq!(lat.count, 2);
-        assert_eq!(lat.sum, 10.0);
+        assert_eq!(lat.stat.count, 2);
+        assert_eq!(lat.stat.sum, 10.0);
         // 8.0 is in bucket exp=3 -> midpoint 12; 2.0 in exp=1 -> 3.
         assert_eq!(lat.p50, 3.0);
         assert_eq!(lat.p99, 12.0);

@@ -20,83 +20,31 @@
 //!   metrics snapshot in the JSONL sink.
 
 use super::{f, fields_value, obj, s, u};
+use crate::analyze::{SpanInfo, SpanTree, Visit};
 use crate::collector::Trace;
 use crate::record::{Fields, RecordData};
 use serde_json::Value;
 use std::collections::BTreeMap;
 
-struct SpanNode<'t> {
-    target: &'t str,
-    name: &'t str,
-    start_us: u64,
-    end_us: u64,
-    id: u64,
-    parent: u64,
-    fields: &'t Fields,
-}
-
-fn begin_event(tid: &Value, node: &SpanNode<'_>) -> Value {
+fn begin_event(span: &SpanInfo, fields: &Fields) -> Value {
     obj(vec![
-        ("name", s(node.name)),
-        ("cat", s(node.target)),
+        ("name", s(&span.name)),
+        ("cat", s(&span.target)),
         ("ph", s("B")),
-        ("ts", u(node.start_us)),
+        ("ts", u(span.start_us)),
         ("pid", u(0)),
-        ("tid", tid.clone()),
-        ("args", fields_value(node.fields)),
+        ("tid", u(u64::from(span.track))),
+        ("args", fields_value(fields)),
     ])
 }
 
-fn end_event(tid: &Value, node: &SpanNode<'_>) -> Value {
+fn end_event(span: &SpanInfo) -> Value {
     obj(vec![
         ("ph", s("E")),
-        ("ts", u(node.end_us)),
+        ("ts", u(span.end_us())),
         ("pid", u(0)),
-        ("tid", tid.clone()),
+        ("tid", u(u64::from(span.track))),
     ])
-}
-
-/// Emits one track's spans as properly nested B/E pairs: roots in
-/// emission order, children (sorted by start time, then emission order)
-/// opened inside their parent — depth-first, iteratively.
-fn emit_track_spans(track: u32, nodes: &[SpanNode<'_>], events: &mut Vec<Value>) {
-    let tid = u(u64::from(track));
-    let mut index_of: BTreeMap<u64, usize> = BTreeMap::new();
-    for (i, n) in nodes.iter().enumerate() {
-        if n.id != 0 {
-            index_of.insert(n.id, i);
-        }
-    }
-    let mut children: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
-    let mut roots: Vec<usize> = Vec::new();
-    for (i, n) in nodes.iter().enumerate() {
-        match index_of.get(&n.parent) {
-            Some(&p) if n.parent != 0 && p != i => children[p].push(i),
-            _ => roots.push(i),
-        }
-    }
-    let by_start = |order: &mut Vec<usize>| {
-        order.sort_by_key(|&i| (nodes[i].start_us, i));
-    };
-    roots.sort_by_key(|&i| (nodes[i].start_us, i));
-    for kids in &mut children {
-        by_start(kids);
-    }
-    // Explicit stack: (node, next-child cursor); push B on first visit,
-    // E once every child has been emitted.
-    for root in roots {
-        let mut stack: Vec<(usize, usize)> = vec![(root, 0)];
-        events.push(begin_event(&tid, &nodes[root]));
-        while let Some((node, cursor)) = stack.pop() {
-            if let Some(&child) = children[node].get(cursor) {
-                stack.push((node, cursor + 1));
-                stack.push((child, 0));
-                events.push(begin_event(&tid, &nodes[child]));
-            } else {
-                events.push(end_event(&tid, &nodes[node]));
-            }
-        }
-    }
 }
 
 /// Renders the trace as a single JSON object document
@@ -113,32 +61,28 @@ pub fn render(trace: &Trace) -> String {
             ("args", obj(vec![("name", s(name))])),
         ]));
     }
-    // Span-tree pass: group spans by track, emit nested B/E pairs.
-    let mut spans_by_track: BTreeMap<u32, Vec<SpanNode<'_>>> = BTreeMap::new();
-    for r in &trace.records {
-        if let RecordData::Span {
-            target,
-            name,
-            dur_us,
-            id,
-            parent,
-            fields,
-        } = &r.data
-        {
-            spans_by_track.entry(r.track).or_default().push(SpanNode {
-                target,
-                name,
-                start_us: r.t_us,
-                end_us: r.t_us.saturating_add(*dur_us),
-                id: *id,
-                parent: *parent,
-                fields,
-            });
-        }
-    }
-    for (track, nodes) in &spans_by_track {
-        emit_track_spans(*track, nodes, &mut events);
-    }
+    // Span pass: the span tree's depth-first walk, one track at a time.
+    // Parents resolve within a track and sibling order is (start time,
+    // record order), so sorting the roots stably by track keeps each
+    // track's own order. Fields come from the span records, which are
+    // in the tree's record order.
+    let tree = SpanTree::from_records(&trace.records);
+    let fields: Vec<&Fields> = trace
+        .records
+        .iter()
+        .filter_map(|r| match &r.data {
+            RecordData::Span { fields, .. } => Some(fields),
+            _ => None,
+        })
+        .collect();
+    let mut roots = tree.roots().to_vec();
+    roots.sort_by_key(|&i| tree.spans[i].track);
+    tree.walk(&roots, |visit| {
+        events.push(match visit {
+            Visit::Enter(i) => begin_event(&tree.spans[i], fields[i]),
+            Visit::Exit(i) => end_event(&tree.spans[i]),
+        });
+    });
     // Instant/counter pass, in record order.
     let mut cumulative: BTreeMap<&str, u64> = BTreeMap::new();
     for r in &trace.records {

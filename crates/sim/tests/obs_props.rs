@@ -5,15 +5,21 @@
 //! sharded engine's derived-metrics summary must be byte-identical at
 //! any shard layout, and span trees built through the scope API must
 //! be structurally sound (children inside parents, critical path
-//! bounded by its root).
+//! bounded by its root). On the same span trees, the one tree, the one
+//! self-time fold and the one per-frame aggregate must give what the
+//! passes gave when each linked or folded spans on its own.
 
-use hc_obs::analyze::{critical_path, DeriveAcc, SpanTree};
+use hc_obs::analyze::{
+    critical_path, folded_stacks, render_flame_top, DeriveAcc, SpanDerived, SpanTree, LAYOUT_PREFIX,
+};
+use hc_obs::{FieldValue, Fields, RecordData};
 use hc_sim::shard::{
     run as run_shards, Addr, HubDecision, Mailbox, ShardConfig, ShardWorkload, WindowInfo,
 };
 use hc_sim::{run_replications, OnlineStats, RngFactory, SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
 use rand::Rng;
+use serde_json::{Number, Value};
 use std::collections::BTreeMap;
 
 /// A replication job with data-dependent cost that also emits a scope
@@ -152,6 +158,264 @@ fn toy_derived_summary(n: u64, k: usize, threads: usize, horizon: u64) -> String
     acc.finish().to_json()
 }
 
+/// One step of a scope program: (kind, raw clock advance, selector).
+type Op = (u8, u64, u32);
+
+fn scope_programs() -> impl Strategy<Value = Vec<Op>> {
+    proptest::collection::vec((0u8..4, 0u64..2_000, 0u32..3), 0..48)
+}
+
+/// Records a well-formed scope program: enter a scope, emit a leaf (on
+/// target `prop` or `prop.io`), exit the innermost scope, or emit a
+/// `layout.` lane on track 0–2, with a forward-only clock. The clock
+/// stands still about half the time (raw advances up to 1,000 count as
+/// 0), so sibling and root start times often tie.
+fn record_program(ops: &[Op]) -> hc_obs::Trace {
+    let ((), trace) = hc_obs::record_scope(0, || {
+        let mut clock = 0u64;
+        let mut stack: Vec<hc_obs::SpanScope> = Vec::new();
+        for (i, &(op, raw_advance, k)) in ops.iter().enumerate() {
+            let advance = raw_advance.saturating_sub(1_000);
+            let fields = [("op", i.into())];
+            match op {
+                0 => stack.push(hc_obs::enter("prop", "scope", clock)),
+                1 => {
+                    let target = if k == 1 { "prop.io" } else { "prop" };
+                    hc_obs::span(target, "leaf", clock, clock + advance, &fields);
+                }
+                2 => {
+                    if let Some(scope) = stack.pop() {
+                        scope.exit(clock, &fields);
+                    }
+                }
+                _ => {
+                    hc_obs::span_on_track(k, "layout.prop", "lane", clock, clock + advance, &fields)
+                }
+            }
+            clock += advance;
+        }
+        while let Some(scope) = stack.pop() {
+            scope.exit(clock, &[]);
+        }
+    });
+    trace
+}
+
+// Reference copies of the analysis passes as they were when each one
+// linked or folded spans on its own: per-span child coverage, the flame
+// table's fold, folded stacks carrying cloned labels, and the Chrome
+// export's per-track linker.
+
+fn reference_coverage(intervals: &[(u64, u64)], lo: u64, hi: u64) -> u64 {
+    let mut clipped: Vec<(u64, u64)> = intervals
+        .iter()
+        .filter_map(|&(a, b)| {
+            let (a, b) = (a.max(lo), b.min(hi));
+            (a < b).then_some((a, b))
+        })
+        .collect();
+    clipped.sort_unstable();
+    let mut covered = 0;
+    let mut cursor = lo;
+    for (a, b) in clipped {
+        let a = a.max(cursor);
+        if b > a {
+            covered += b - a;
+            cursor = b;
+        }
+    }
+    covered
+}
+
+fn reference_self_times(tree: &SpanTree) -> Vec<u64> {
+    tree.spans
+        .iter()
+        .enumerate()
+        .map(|(i, span)| {
+            let intervals: Vec<(u64, u64)> = tree
+                .children(i)
+                .iter()
+                .map(|&c| (tree.spans[c].start_us, tree.spans[c].end_us()))
+                .collect();
+            span.dur_us
+                .saturating_sub(reference_coverage(&intervals, span.start_us, span.end_us()))
+        })
+        .collect()
+}
+
+fn reference_folded_stacks(tree: &SpanTree, self_times: &[u64]) -> Vec<(String, u64)> {
+    let mut folded: BTreeMap<String, u64> = BTreeMap::new();
+    let mut work: Vec<(usize, String)> = tree
+        .roots()
+        .iter()
+        .rev()
+        .map(|&i| (i, tree.spans[i].frame()))
+        .collect();
+    while let Some((node, stack)) = work.pop() {
+        if self_times[node] > 0 {
+            *folded.entry(stack.clone()).or_insert(0) += self_times[node];
+        }
+        for &child in tree.children(node).iter().rev() {
+            work.push((child, format!("{stack};{}", tree.spans[child].frame())));
+        }
+    }
+    folded.into_iter().collect()
+}
+
+fn reference_frames(tree: &SpanTree, self_times: &[u64]) -> BTreeMap<String, SpanDerived> {
+    let mut by_frame: BTreeMap<String, SpanDerived> = BTreeMap::new();
+    for (i, span) in tree.spans.iter().enumerate() {
+        let slot = by_frame.entry(span.frame()).or_default();
+        slot.count += 1;
+        slot.total_us += span.dur_us;
+        slot.self_us += self_times[i];
+        slot.max_us = slot.max_us.max(span.dur_us);
+    }
+    by_frame
+}
+
+fn reference_flame_top(frames: &BTreeMap<String, SpanDerived>, n: usize) -> String {
+    let mut rows: Vec<(&String, &SpanDerived)> = frames.iter().collect();
+    rows.sort_by(|a, b| b.1.self_us.cmp(&a.1.self_us).then(a.0.cmp(b.0)));
+    let mut out = format!(
+        "{:<36} {:>10} {:>14} {:>14}\n",
+        "span", "count", "total_us", "self_us"
+    );
+    for (frame, agg) in rows.into_iter().take(n) {
+        out.push_str(&format!(
+            "{:<36} {:>10} {:>14} {:>14}\n",
+            frame, agg.count, agg.total_us, agg.self_us
+        ));
+    }
+    out
+}
+
+fn json_obj(pairs: Vec<(&str, Value)>) -> Value {
+    Value::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
+
+fn json_u(x: u64) -> Value {
+    Value::Number(Number::from_u64(x))
+}
+
+fn json_s(x: &str) -> Value {
+    Value::String(x.to_string())
+}
+
+fn json_fields(fields: &Fields) -> Value {
+    Value::Object(
+        fields
+            .iter()
+            .map(|(k, v)| {
+                let v = match v {
+                    FieldValue::Bool(b) => Value::Bool(*b),
+                    FieldValue::U64(x) => json_u(*x),
+                    FieldValue::I64(x) => Value::Number(Number::from_i64(*x)),
+                    FieldValue::F64(x) => Value::Number(Number::from_f64(*x)),
+                    FieldValue::Str(x) => json_s(x),
+                };
+                (k.clone(), v)
+            })
+            .collect(),
+    )
+}
+
+/// The Chrome export of a spans-only trace with no track names, its
+/// spans linked per track: roots and children by (start, emission
+/// order), depth-first.
+fn reference_chrome(trace: &hc_obs::Trace) -> String {
+    struct Node<'t> {
+        target: &'t str,
+        name: &'t str,
+        start_us: u64,
+        end_us: u64,
+        id: u64,
+        parent: u64,
+        fields: &'t Fields,
+    }
+    let mut by_track: BTreeMap<u32, Vec<Node<'_>>> = BTreeMap::new();
+    for r in &trace.records {
+        if let RecordData::Span {
+            target,
+            name,
+            dur_us,
+            id,
+            parent,
+            fields,
+        } = &r.data
+        {
+            by_track.entry(r.track).or_default().push(Node {
+                target,
+                name,
+                start_us: r.t_us,
+                end_us: r.t_us.saturating_add(*dur_us),
+                id: *id,
+                parent: *parent,
+                fields,
+            });
+        }
+    }
+    let mut events = Vec::new();
+    for (track, nodes) in &by_track {
+        let tid = json_u(u64::from(*track));
+        let begin = |n: &Node<'_>| {
+            json_obj(vec![
+                ("name", json_s(n.name)),
+                ("cat", json_s(n.target)),
+                ("ph", json_s("B")),
+                ("ts", json_u(n.start_us)),
+                ("pid", json_u(0)),
+                ("tid", tid.clone()),
+                ("args", json_fields(n.fields)),
+            ])
+        };
+        let end = |n: &Node<'_>| {
+            json_obj(vec![
+                ("ph", json_s("E")),
+                ("ts", json_u(n.end_us)),
+                ("pid", json_u(0)),
+                ("tid", tid.clone()),
+            ])
+        };
+        let mut index_of: BTreeMap<u64, usize> = BTreeMap::new();
+        for (i, n) in nodes.iter().enumerate() {
+            if n.id != 0 {
+                index_of.insert(n.id, i);
+            }
+        }
+        let mut children: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
+        let mut roots: Vec<usize> = Vec::new();
+        for (i, n) in nodes.iter().enumerate() {
+            match index_of.get(&n.parent) {
+                Some(&p) if n.parent != 0 && p != i => children[p].push(i),
+                _ => roots.push(i),
+            }
+        }
+        roots.sort_by_key(|&i| (nodes[i].start_us, i));
+        for kids in &mut children {
+            kids.sort_by_key(|&i| (nodes[i].start_us, i));
+        }
+        for root in roots {
+            let mut stack: Vec<(usize, usize)> = vec![(root, 0)];
+            events.push(begin(&nodes[root]));
+            while let Some((node, cursor)) = stack.pop() {
+                if let Some(&child) = children[node].get(cursor) {
+                    stack.push((node, cursor + 1));
+                    stack.push((child, 0));
+                    events.push(begin(&nodes[child]));
+                } else {
+                    events.push(end(&nodes[node]));
+                }
+            }
+        }
+    }
+    let doc = json_obj(vec![
+        ("traceEvents", Value::Array(events)),
+        ("displayTimeUnit", json_s("ms")),
+    ]);
+    format!("{doc}\n")
+}
+
 proptest! {
     #[test]
     fn recording_never_perturbs_results(
@@ -210,30 +474,8 @@ proptest! {
     }
 
     #[test]
-    fn span_trees_nest_and_bound_the_critical_path(
-        ops in proptest::collection::vec((0u8..3, 1u64..1_000), 0..48),
-    ) {
-        // Random well-formed scope programs: enter a scope, emit a leaf,
-        // or exit the innermost scope, with a forward-only clock.
-        let ((), trace) = hc_obs::record_scope(0, || {
-            let mut clock = 0u64;
-            let mut stack: Vec<hc_obs::SpanScope> = Vec::new();
-            for &(op, advance) in &ops {
-                match op {
-                    0 => stack.push(hc_obs::enter("prop", "scope", clock)),
-                    1 => hc_obs::span("prop", "leaf", clock, clock + advance, &[]),
-                    _ => {
-                        if let Some(scope) = stack.pop() {
-                            scope.exit(clock, &[]);
-                        }
-                    }
-                }
-                clock += advance;
-            }
-            while let Some(scope) = stack.pop() {
-                scope.exit(clock, &[]);
-            }
-        });
+    fn span_trees_nest_and_bound_the_critical_path(ops in scope_programs()) {
+        let trace = record_program(&ops);
         let tree = SpanTree::from_records(&trace.records);
         // Every child interval lies inside its parent's.
         let mut by_key: BTreeMap<(u32, u64), usize> = BTreeMap::new();
@@ -274,5 +516,29 @@ proptest! {
         } else {
             prop_assert!(tree.spans.is_empty());
         }
+    }
+    #[test]
+    fn one_tree_and_one_fold_match_the_reference_passes(ops in scope_programs()) {
+        let trace = record_program(&ops);
+        let tree = SpanTree::from_records(&trace.records);
+        let self_times = reference_self_times(&tree);
+        prop_assert_eq!(tree.self_times(), self_times.as_slice());
+        prop_assert_eq!(folded_stacks(&tree), reference_folded_stacks(&tree, &self_times));
+        let mut acc = DeriveAcc::new();
+        for r in &trace.records {
+            acc.add(r);
+        }
+        let frames = reference_frames(&tree, &self_times);
+        prop_assert_eq!(&acc.frames(), &frames);
+        for n in [3, 100] {
+            prop_assert_eq!(render_flame_top(&acc, n), reference_flame_top(&frames, n));
+        }
+        let derived = acc.finish();
+        let kept: BTreeMap<String, SpanDerived> = frames
+            .into_iter()
+            .filter(|(frame, _)| !frame.starts_with(LAYOUT_PREFIX))
+            .collect();
+        prop_assert_eq!(derived.spans, kept);
+        prop_assert_eq!(hc_obs::sink::chrome::render(&trace), reference_chrome(&trace));
     }
 }
