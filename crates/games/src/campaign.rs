@@ -6,22 +6,26 @@
 //! timed-out waiter to the game's solo mode — the ESP Game's replay bot —
 //! or, for a game without one, sends them home to come back after a
 //! return gap. A [`SessionDriver`] plugs in the concrete game: the same
-//! type that drives it on the sharded engine
-//! ([`ShardGame`](crate::shard::ShardGame)), here
-//! playing whole sessions against the platform with
-//! [`play_session`]. [`EspWorld`](crate::esp::EspWorld),
+//! type that drives it on the sharded engine ([`ShardGame`]), here
+//! playing whole sessions against the platform with [`play_session`].
+//! [`EspWorld`](crate::esp::EspWorld),
 //! [`VerbosityWorld`](crate::verbosity::VerbosityWorld) and
 //! [`TagATuneDriver`](crate::tagatune::TagATuneDriver) are the three. This
 //! is the machinery experiments T1, F5 and F10 run on; [`crate::shard`]
 //! runs the same dynamics across cores.
+//!
+//! Setup, the sitting policy, the arrival and gap draws, the session
+//! close-out and the report are the crate-private `deploy` rules, which
+//! the sharded engine applies too; this module adds the serial loop.
 
+use crate::deploy::{deploy, exponential_delay, SessionTally, Sitting};
 use crate::params::{play_session, SessionDriver, SessionParams};
+use crate::shard::ShardGame;
 use hc_collect::DetMap;
 use hc_core::matchmaker::{trace_pairing, MatchmakerStats};
 use hc_core::prelude::*;
-use hc_crowd::{ArchetypeMix, EngagementModel, Population, PopulationBuilder};
-use hc_sim::dist::Exponential;
-use hc_sim::{RngFactory, SimRng, WheelQueue};
+use hc_crowd::{ArchetypeMix, EngagementModel, Population};
+use hc_sim::{OnlineStats, RngFactory, SimRng, WheelQueue};
 
 /// How often the campaign sweeps its wait pool for timed-out waiters.
 pub const SWEEP_INTERVAL: SimDuration = SimDuration::from_secs(5);
@@ -65,7 +69,9 @@ impl CampaignConfig {
     }
 }
 
-/// What a campaign run produced (serial or sharded).
+/// What a campaign run produced (serial or sharded). Engine statistics
+/// (window and step counts) are deliberately absent: a sharded report
+/// must be the same at any shard and thread layout.
 #[derive(Debug, Clone)]
 pub struct CampaignReport {
     /// Which game ran.
@@ -86,6 +92,26 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
+    /// `game`'s report: metrics over the platform's ledger plus the
+    /// tallied solo play, precision, and the wait pool's statistics.
+    pub(crate) fn new<G: ShardGame>(
+        game: &G,
+        platform: &Platform,
+        tally: &SessionTally,
+        matchmaker: MatchmakerStats,
+        waits: &OnlineStats,
+    ) -> Self {
+        CampaignReport {
+            game: game.name(),
+            metrics: GwapMetrics::with_solo_play(&platform.metrics(), &tally.solo_play),
+            precision: game.precision(platform),
+            matchmaker,
+            live_sessions: tally.live,
+            solo_sessions: tally.solo,
+            mean_wait_secs: waits.mean(),
+        }
+    }
+
     /// Precision as a fraction (1.0 when nothing verified).
     #[must_use]
     pub fn precision_rate(&self) -> f64 {
@@ -106,8 +132,7 @@ enum Ev {
 #[derive(Debug)]
 struct Plan {
     sittings: Vec<SimDuration>,
-    next: usize,
-    remaining: SimDuration,
+    sitting: Sitting,
 }
 
 /// The serial campaign runner.
@@ -122,9 +147,7 @@ pub struct Campaign<D: SessionDriver> {
     plans: DetMap<PlayerId, Plan>,
     session_ids: hc_core::id::IdAllocator<SessionId>,
     rng: SimRng,
-    live_sessions: u64,
-    solo_sessions: u64,
-    solo_play: ContributionLedger,
+    tally: SessionTally,
     /// Reused timeout-sweep output.
     timed_out: Vec<(PlayerId, SimDuration)>,
 }
@@ -137,15 +160,13 @@ impl<D: SessionDriver> Campaign<D> {
     /// Panics when the platform config is invalid.
     pub fn new(driver: D, config: CampaignConfig, seed: u64) -> Self {
         let factory = RngFactory::new(seed);
-        let mut platform = Platform::new(config.platform).expect("valid platform config"); // hc-analyze: allow(P1): documented # Panics contract for invalid experiment configs
-        driver.register(&mut platform);
-        let mut pop_rng = factory.stream("population");
-        let population = PopulationBuilder::new(config.players)
-            .mix(config.mix.clone())
-            .build(&mut pop_rng);
-        for _ in 0..config.players {
-            platform.register_player();
-        }
+        let (platform, population) = deploy(
+            &driver,
+            config.platform,
+            config.players,
+            &config.mix,
+            &factory,
+        );
         let mut plan_rng = factory.stream("plans");
         let plans = population
             .players()
@@ -156,8 +177,7 @@ impl<D: SessionDriver> Campaign<D> {
                     p.id,
                     Plan {
                         sittings: lifetime.session_lengths,
-                        next: 0,
-                        remaining: SimDuration::ZERO,
+                        sitting: Sitting::default(),
                     },
                 )
             })
@@ -171,9 +191,7 @@ impl<D: SessionDriver> Campaign<D> {
             plans,
             session_ids: hc_core::id::IdAllocator::new(),
             rng: factory.stream("campaign"),
-            live_sessions: 0,
-            solo_sessions: 0,
-            solo_play: ContributionLedger::new(),
+            tally: SessionTally::default(),
             timed_out: Vec::new(),
         }
     }
@@ -183,12 +201,9 @@ impl<D: SessionDriver> Campaign<D> {
         // Every player gets an opening arrival (plus the sweep tick), so
         // the queue's working set is at least the population.
         let mut queue: WheelQueue<Ev> = WheelQueue::with_capacity(self.config.players.max(16) + 1);
-        let spread = Exponential::new(1.0 / self.config.arrival_spread.as_secs_f64().max(1e-6))
-            .expect("positive spread"); // hc-analyze: allow(P1): rate argument clamped to at least 1e-6
-        let ids: Vec<PlayerId> = self.population.players().iter().map(|p| p.id).collect();
-        for p in ids {
-            let at = SimTime::from_secs_f64(spread.sample(&mut self.rng));
-            queue.push(at, Ev::Arrival(p));
+        for p in self.population.players() {
+            let at = SimTime::ZERO + exponential_delay(self.config.arrival_spread, &mut self.rng);
+            queue.push(at, Ev::Arrival(p.id));
         }
         queue.push(SimTime::ZERO + SWEEP_INTERVAL, Ev::Sweep);
 
@@ -235,32 +250,24 @@ impl<D: SessionDriver> Campaign<D> {
                 0,
                 last_now.ticks(),
                 &[
-                    ("live_sessions", self.live_sessions.into()),
-                    ("replay_sessions", self.solo_sessions.into()),
+                    ("live_sessions", self.tally.live.into()),
+                    ("replay_sessions", self.tally.solo.into()),
                 ],
             );
         }
-        CampaignReport {
-            game: self.driver.name(),
-            metrics: GwapMetrics::with_solo_play(&self.platform.metrics(), &self.solo_play),
-            precision: self.driver.precision(&self.platform),
-            matchmaker: self.pool.stats(),
-            live_sessions: self.live_sessions,
-            solo_sessions: self.solo_sessions,
-            mean_wait_secs: self.pool.wait_stats().mean(),
-        }
+        CampaignReport::new(
+            &self.driver,
+            &self.platform,
+            &self.tally,
+            self.pool.stats(),
+            self.pool.wait_stats(),
+        )
     }
 
     fn arrive(&mut self, queue: &mut WheelQueue<Ev>, now: SimTime, player: PlayerId) {
-        {
-            let plan = self.plans.get_mut(&player).expect("planned player"); // hc-analyze: allow(P1): every registered player gets a plan at construction
-            if plan.remaining.is_zero() {
-                let Some(len) = plan.sittings.get(plan.next).copied() else {
-                    return; // churned for good
-                };
-                plan.next += 1;
-                plan.remaining = len;
-            }
+        let plan = self.plans.get_mut(&player).expect("planned player"); // hc-analyze: allow(P1): every registered player gets a plan at construction
+        if !plan.sitting.sit(&plan.sittings) {
+            return; // churned for good
         }
         if let MatchDecision::Paired { partner, waited } =
             self.pool.on_arrival(now, player, &mut self.rng)
@@ -275,9 +282,9 @@ impl<D: SessionDriver> Campaign<D> {
                 SessionParams::pair(left, right, sid, now),
                 &mut self.rng,
             );
-            self.live_sessions += 1;
+            self.tally.count(&t);
             for p in [partner, player] {
-                self.schedule_next(queue, t.ended, p, t.duration());
+                self.schedule_next(queue, t.ended, p, Some(t.duration()));
             }
         }
     }
@@ -290,8 +297,7 @@ impl<D: SessionDriver> Campaign<D> {
         self.pool.take_timed_out_into(now, &mut timed_out);
         for &(player, waited) in &timed_out {
             if !D::SOLO_MODE {
-                let gap = self.return_gap();
-                queue.push(now + gap, Ev::Arrival(player));
+                self.schedule_next(queue, now, player, None);
                 continue;
             }
             let sid = self.session_ids.next();
@@ -303,37 +309,29 @@ impl<D: SessionDriver> Campaign<D> {
                 &mut self.rng,
             );
             trace_pairing(now, player, None, waited);
-            self.solo_sessions += 1;
-            self.solo_play.record_play(player, t.duration());
-            self.schedule_next(queue, t.ended, player, t.duration());
+            self.tally.count(&t);
+            self.schedule_next(queue, t.ended, player, Some(t.duration()));
         }
         self.timed_out = timed_out;
     }
 
+    /// Schedules `player`'s next arrival after a session that ended at
+    /// `end` having played `played`, or after a give-up at `end`.
     fn schedule_next(
         &mut self,
         queue: &mut WheelQueue<Ev>,
         end: SimTime,
         player: PlayerId,
-        played: SimDuration,
+        played: Option<SimDuration>,
     ) {
         let plan = self.plans.get_mut(&player).expect("planned player"); // hc-analyze: allow(P1): every registered player gets a plan at construction
-        plan.remaining = plan
-            .remaining
-            .saturating_sub(played.max(SimDuration::from_secs(1)));
-        if !plan.remaining.is_zero() {
-            queue.push(end, Ev::Arrival(player));
-        } else if plan.next < plan.sittings.len() {
-            let gap = self.return_gap();
-            queue.push(end + gap, Ev::Arrival(player));
+        let (mean, rng) = (self.config.mean_return_gap, &mut self.rng);
+        if let Some(at) = plan
+            .sitting
+            .next_arrival(end, played, &plan.sittings, || exponential_delay(mean, rng))
+        {
+            queue.push(at, Ev::Arrival(player));
         }
-    }
-
-    fn return_gap(&mut self) -> SimDuration {
-        let gap = Exponential::new(1.0 / self.config.mean_return_gap.as_secs_f64().max(1e-6))
-            .expect("positive gap") // hc-analyze: allow(P1): rate argument clamped to at least 1e-6
-            .sample(&mut self.rng);
-        SimDuration::from_secs_f64(gap)
     }
 
     /// Post-run access to the platform.
@@ -355,7 +353,7 @@ mod tests {
     use crate::tagatune::TagATuneDriver;
     use crate::verbosity::VerbosityWorld;
     use crate::world::WorldConfig;
-    use hc_crowd::PlayerProfile;
+    use hc_crowd::{PlayerProfile, PopulationBuilder};
     use rand::Rng;
     use std::sync::{Arc, Mutex, PoisonError};
 

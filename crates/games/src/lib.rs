@@ -59,6 +59,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod campaign;
+mod deploy;
 pub mod esp;
 pub mod matchin;
 pub mod params;
@@ -74,7 +75,7 @@ pub use esp::EspWorld;
 pub use matchin::{play_matchin_session, BradleyTerryRanking, MatchinWorld};
 pub use params::{play_session, SessionDriver, SessionParams};
 pub use peekaboom::{play_peekaboom_session, PeekaboomWorld};
-pub use shard::{ShardGame, ShardedCampaign, ShardedCampaignConfig, ShardedCampaignReport};
+pub use shard::{ShardGame, ShardedCampaign, ShardedCampaignConfig};
 pub use squigl::{play_squigl_session, SquiglWorld};
 pub use tagatune::{TagATuneDriver, TagATuneWorld};
 pub use verbosity::{fact_label, parse_fact, Relation, VerbosityWorld};

@@ -13,6 +13,7 @@
 //! planned ([`crate::shard`]). Peekaboom, Squigl and Matchin keep their
 //! own `play_*_session` functions on the same `SessionPlay`.
 
+use crate::deploy::close_session;
 use crate::shard::{apply_round, plan_round, PlannedRound, PlayedRound, ShardGame};
 use hc_core::prelude::*;
 use hc_crowd::{PlayerProfile, Population};
@@ -96,11 +97,7 @@ pub fn play_session<D: SessionDriver, R: Rng + ?Sized>(
         apply_round(platform, round);
     }
     let transcript = play.finish();
-    if solo {
-        platform.tasks_clear_seen(left);
-    } else {
-        platform.record_session(&transcript);
-    }
+    close_session(platform, &transcript);
     if hc_obs::active() {
         let kind = if solo { "replay_session" } else { "session" };
         hc_obs::span(

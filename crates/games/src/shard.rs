@@ -69,17 +69,19 @@
 //! ids, session ids), never of the shard layout, which is what makes
 //! the merged order — and therefore every downstream byte —
 //! `K`-invariant.
+//!
+//! Setup, the sitting policy, the arrival and gap draws, the session
+//! close-out and the report are the crate-private `deploy` rules, which
+//! the serial campaign applies too; this module adds the sharded loop.
 
 use crate::campaign::CampaignReport;
+use crate::deploy::{close_session, deploy, exponential_delay, SessionTally, Sitting};
 use crate::params::{SessionDriver, SessionParams, SessionPlay};
 use hc_collect::{DetMap, PlayerStore, SliceArena, Span};
-use hc_core::matchmaker::trace_pairing;
+use hc_core::matchmaker::{trace_pairing, MatchmakerStats};
 use hc_core::prelude::*;
-use hc_crowd::{ArchetypeMix, EngagementModel, PlayerProfile, PopulationBuilder};
-use hc_sim::dist::Exponential;
-use hc_sim::shard::{
-    Addr, HubDecision, Mailbox, ShardConfig, ShardError, ShardWorkload, WindowInfo,
-};
+use hc_crowd::{ArchetypeMix, EngagementModel, PlayerProfile};
+use hc_sim::shard::{Addr, Mailbox, ShardConfig, ShardError, ShardWorkload, WindowInfo};
 use hc_sim::{OnlineStats, RngFactory, SimRng, WheelQueue};
 use rand::Rng;
 
@@ -391,19 +393,12 @@ impl ShardedCampaignConfig {
     }
 }
 
-/// What a sharded campaign run produced: the serial campaign's report.
-/// Engine statistics (window and step counts) are deliberately absent:
-/// step counts depend on `K`, and everything in this report must be
-/// `K`/`thread`-invariant.
-pub type ShardedCampaignReport = CampaignReport;
-
 /// Per-player sitting plan; the sitting lengths live in the shard's
 /// shared [`SliceArena`].
 #[derive(Debug)]
 struct SittingPlan {
     span: Span,
-    next: u32,
-    remaining: SimDuration,
+    sitting: Sitting,
     /// Gap draws so far — indexes the player's stateless gap RNG.
     gap_draws: u64,
 }
@@ -455,7 +450,6 @@ struct Deployment<D: ShardGame> {
     config: ShardedCampaignConfig,
     factory: RngFactory,
     session_cfg: SessionConfig,
-    rule: ScoreRule,
     layout: BucketLayout,
 }
 
@@ -465,14 +459,7 @@ struct CampaignHub {
     platform: Platform,
     session_ids: hc_core::id::IdAllocator<SessionId>,
     plan_rng: SimRng,
-    in_flight: u64,
-    live_sessions: u64,
-    solo_sessions: u64,
-    solo_play: ContributionLedger,
-    // Bucket-pool statistics, merged post-run in ascending bucket order
-    // so the floating-point reduction is layout-invariant.
-    match_stats: hc_core::matchmaker::MatchmakerStats,
-    wait_stats: OnlineStats,
+    tally: SessionTally,
 }
 
 impl<D: ShardGame> ShardedCampaign<D> {
@@ -486,17 +473,13 @@ impl<D: ShardGame> ShardedCampaign<D> {
     pub fn new(driver: D, config: ShardedCampaignConfig, seed: u64) -> Self {
         assert!(config.shards > 0, "at least one shard is required");
         let factory = RngFactory::new(seed);
-        let mut platform = Platform::new(config.platform).expect("valid platform config"); // hc-analyze: allow(P1): documented # Panics contract for invalid experiment configs
-        driver.register(&mut platform);
-        let mut pop_rng = factory.stream("population");
-        let population = PopulationBuilder::new(config.players)
-            .mix(config.mix.clone())
-            .build(&mut pop_rng);
-        for _ in 0..config.players {
-            platform.register_player();
-        }
-        let spread = Exponential::new(1.0 / config.arrival_spread.as_secs_f64().max(1e-6))
-            .expect("positive spread"); // hc-analyze: allow(P1): rate argument clamped to at least 1e-6
+        let (platform, population) = deploy(
+            &driver,
+            config.platform,
+            config.players,
+            &config.mix,
+            &factory,
+        );
         let k = config.shards;
         let layout = BucketLayout::new(config.match_buckets);
         let mm_cfg = platform.config().matchmaker;
@@ -534,21 +517,18 @@ impl<D: ShardGame> ShardedCampaign<D> {
                 p.raw(),
                 SittingPlan {
                     span,
-                    next: 0,
-                    remaining: SimDuration::ZERO,
+                    sitting: Sitting::default(),
                     gap_draws: 0,
                 },
             );
-            let first = SimTime::from_secs_f64(
-                spread.sample(&mut factory.indexed_stream("player.arrival", p.raw())),
-            );
+            let mut arrival_rng = factory.indexed_stream("player.arrival", p.raw());
+            let first = SimTime::ZERO + exponential_delay(config.arrival_spread, &mut arrival_rng);
             if first <= config.horizon {
                 shard.calendar.push(first, p);
             }
             shard.idle.insert(p.raw(), profile.clone());
         }
         let session_cfg = platform.config().session;
-        let rule = platform.score_rule();
         let plan_rng = factory.stream("shard.plan");
         ShardedCampaign {
             deployment: Deployment {
@@ -556,19 +536,13 @@ impl<D: ShardGame> ShardedCampaign<D> {
                 config,
                 factory,
                 session_cfg,
-                rule,
                 layout,
             },
             hub: CampaignHub {
                 platform,
                 session_ids: hc_core::id::IdAllocator::new(),
                 plan_rng,
-                in_flight: 0,
-                live_sessions: 0,
-                solo_sessions: 0,
-                solo_play: ContributionLedger::new(),
-                match_stats: hc_core::matchmaker::MatchmakerStats::default(),
-                wait_stats: OnlineStats::new(),
+                tally: SessionTally::default(),
             },
             shards: Some(shards),
         }
@@ -578,9 +552,9 @@ impl<D: ShardGame> ShardedCampaign<D> {
     ///
     /// # Errors
     ///
-    /// Propagates engine failures ([`ShardError`]) — a panicking shard,
-    /// a dead worker, or a window-cap overrun.
-    pub fn run(&mut self) -> std::result::Result<ShardedCampaignReport, ShardError> {
+    /// Propagates engine failures ([`ShardError`]) — a panicking shard
+    /// or job, or a dead worker.
+    pub fn run(&mut self) -> std::result::Result<CampaignReport, ShardError> {
         let mut shards = self.shards.take().ok_or_else(|| ShardError::Config {
             message: "run() may only be called once".to_string(),
         })?;
@@ -591,40 +565,34 @@ impl<D: ShardGame> ShardedCampaign<D> {
         // high-water mark so the last window stays inside it.
         let campaign = hc_obs::enter("games", "shard.campaign", 0);
         hc_sim::shard::run(&cfg, &self.deployment, &mut self.hub, &mut shards)?;
-        let hub = &mut self.hub;
+        let hub = &self.hub;
         // Reduce per-bucket matchmaking statistics in ascending bucket
         // order — a fixed reduction order keeps the floating-point sums
         // byte-identical at any shard layout.
         let mut tiers: Vec<&MatchBucket> = shards.iter().flat_map(|s| s.buckets.iter()).collect();
         tiers.sort_by_key(|mb| mb.bucket);
+        let (mut matchmaker, mut waits) = (MatchmakerStats::default(), OnlineStats::new());
         for mb in tiers {
-            hub.match_stats.merge(&mb.pool.stats());
-            hub.wait_stats.merge(mb.pool.wait_stats());
+            matchmaker.merge(&mb.pool.stats());
+            waits.merge(mb.pool.wait_stats());
         }
         campaign.close(&[
-            ("live_sessions", hub.live_sessions.into()),
-            ("solo_sessions", hub.solo_sessions.into()),
+            ("live_sessions", hub.tally.live.into()),
+            ("solo_sessions", hub.tally.solo.into()),
         ]);
-        Ok(self.report())
+        Ok(CampaignReport::new(
+            &self.deployment.driver,
+            &hub.platform,
+            &hub.tally,
+            matchmaker,
+            &waits,
+        ))
     }
 
     /// The platform, for post-run inspection.
     #[must_use]
     pub fn platform(&self) -> &Platform {
         &self.hub.platform
-    }
-
-    fn report(&self) -> ShardedCampaignReport {
-        let (driver, hub) = (&self.deployment.driver, &self.hub);
-        ShardedCampaignReport {
-            game: driver.name(),
-            metrics: GwapMetrics::with_solo_play(&hub.platform.metrics(), &hub.solo_play),
-            precision: driver.precision(&hub.platform),
-            matchmaker: hub.match_stats,
-            live_sessions: hub.live_sessions,
-            solo_sessions: hub.solo_sessions,
-            mean_wait_secs: hub.wait_stats.mean(),
-        }
     }
 }
 
@@ -644,41 +612,21 @@ impl<D: ShardGame> Deployment<D> {
     ) {
         let p = profile.id;
         let plan = state.plans.get_mut(p.raw()).expect("planned player"); // hc-analyze: allow(P1): every player gets a plan at construction
-        let next_arrival = match played {
-            Some(d) => {
-                plan.remaining = plan
-                    .remaining
-                    .saturating_sub(d.max(SimDuration::from_secs(1)));
-                if !plan.remaining.is_zero() {
-                    Some(at)
-                } else if (plan.next as usize) < plan.span.len() {
-                    Some(at + self.gap_after(plan, p))
-                } else {
-                    None // churned for good
-                }
-            }
-            // Give-up: the sitting continues at the next return visit.
-            None => Some(at + self.gap_after(plan, p)),
-        };
+        let lengths = state.sittings.get(plan.span);
+        let gap_draws = &mut plan.gap_draws;
+        let next_arrival = plan.sitting.next_arrival(at, played, lengths, || {
+            // The player's counter-indexed stream: the same draw at any layout.
+            let key = (*gap_draws << 40) | p.raw();
+            *gap_draws += 1;
+            let mut rng = self.factory.indexed_stream("player.gap", key);
+            exponential_delay(self.config.mean_return_gap, &mut rng)
+        });
         state.idle.insert(p.raw(), profile);
         if let Some(t) = next_arrival {
             if t <= self.config.horizon {
                 state.calendar.push(t, p);
             }
         }
-    }
-
-    /// Draws a return gap from the player's stateless counter-indexed
-    /// stream — identical no matter which shard layout runs the draw.
-    fn gap_after(&self, plan: &mut SittingPlan, p: PlayerId) -> SimDuration {
-        let mut rng = self
-            .factory
-            .indexed_stream("player.gap", (plan.gap_draws << 40) | p.raw());
-        plan.gap_draws += 1;
-        let gap = Exponential::new(1.0 / self.config.mean_return_gap.as_secs_f64().max(1e-6))
-            .expect("positive gap") // hc-analyze: allow(P1): rate argument clamped to at least 1e-6
-            .sample(&mut rng);
-        SimDuration::from_secs_f64(gap)
     }
 
     /// Hub-side: a bucket pool paired two players; plan and dispatch
@@ -696,20 +644,10 @@ impl<D: ShardGame> Deployment<D> {
         hub.platform.set_time(at);
         let seats = [waiter.id, arriver.id];
         trace_pairing(at, arriver.id, Some(waiter.id), waited);
-        let sid = hub.session_ids.next();
         let rounds = self
             .driver
             .plan_live(&mut hub.platform, seats, &mut hub.plan_rng);
-        hub.dispatch(
-            mail,
-            SessionJob {
-                sid,
-                start: at,
-                seats,
-                profiles: vec![waiter, arriver],
-                rounds,
-            },
-        );
+        hub.dispatch(mail, at, seats, vec![waiter, arriver], rounds);
     }
 
     /// Hub-side: rescue one timed-out waiter (solo session or give-up).
@@ -729,17 +667,7 @@ impl<D: ShardGame> Deployment<D> {
         {
             Some(rounds) => {
                 trace_pairing(at, p, None, waited);
-                let sid = hub.session_ids.next();
-                hub.dispatch(
-                    mail,
-                    SessionJob {
-                        sid,
-                        start: at,
-                        seats: [p, p],
-                        profiles: vec![profile],
-                        rounds,
-                    },
-                );
+                hub.dispatch(mail, at, [p, p], vec![profile], rounds);
             }
             None => {
                 // No solo mode: give up and return at a later sitting.
@@ -758,32 +686,43 @@ impl<D: ShardGame> Deployment<D> {
 }
 
 impl CampaignHub {
-    /// Sends a planned session to be played as a job, keyed by its id.
-    fn dispatch(&mut self, mail: &mut Mailbox<CampaignMsg>, job: SessionJob) {
-        self.in_flight += 1;
-        let key = u128::from(job.sid.raw());
-        mail.send(Addr::Job, job.start, key, CampaignMsg::Play(Box::new(job)));
+    /// Sends a session planned at `at` to be played as a job, under the
+    /// next session id (also its exchange key).
+    fn dispatch(
+        &mut self,
+        mail: &mut Mailbox<CampaignMsg>,
+        at: SimTime,
+        seats: [PlayerId; 2],
+        profiles: Vec<PlayerProfile>,
+        rounds: Vec<PlannedRound>,
+    ) {
+        let sid = self.session_ids.next();
+        let job = SessionJob {
+            sid,
+            start: at,
+            seats,
+            profiles,
+            rounds,
+        };
+        mail.send(
+            Addr::Job,
+            at,
+            u128::from(sid.raw()),
+            CampaignMsg::Play(Box::new(job)),
+        );
     }
 
     /// Applies a finished session's effects in play order.
     fn apply_done(&mut self, outcome: PlayedSession) {
-        self.in_flight -= 1;
         let transcript = &outcome.transcript;
-        let solo = transcript.players[0] == transcript.players[1];
         self.platform.set_time(transcript.ended);
         for round in outcome.rounds {
             apply_round(&mut self.platform, round);
         }
-        if solo {
-            let player = transcript.players[0];
-            self.platform.tasks_clear_seen(player);
-            self.solo_play.record_play(player, transcript.duration());
-            self.solo_sessions += 1;
-        } else {
-            self.platform.record_session(transcript);
-            self.live_sessions += 1;
-        }
+        close_session(&mut self.platform, transcript);
+        self.tally.count(transcript);
         if hc_obs::active() {
+            let solo = transcript.players[0] == transcript.players[1];
             hc_obs::span(
                 "games",
                 "shard.session",
@@ -860,13 +799,8 @@ impl<D: ShardGame> ShardWorkload for Deployment<D> {
         // returns above) to their bucket-owning shards.
         while let Some((t, p)) = state.calendar.pop_before(win.last_tick()) {
             let plan = state.plans.get_mut(p.raw()).expect("planned player"); // hc-analyze: allow(P1): every player gets a plan at construction
-            if plan.remaining.is_zero() {
-                if plan.next as usize >= plan.span.len() {
-                    continue; // churned
-                }
-                let len = state.sittings.get(plan.span)[plan.next as usize];
-                plan.next += 1;
-                plan.remaining = len;
+            if !plan.sitting.sit(state.sittings.get(plan.span)) {
+                continue; // churned
             }
             let Some(profile) = state.idle.take(p.raw()) else {
                 debug_assert!(false, "arrival for a player who is not home");
@@ -939,9 +873,8 @@ impl<D: ShardGame> ShardWorkload for Deployment<D> {
         };
         let mut job = *job;
         let mut rng = self.factory.indexed_stream("shard.session", job.sid.raw());
-        let outcome = self
-            .driver
-            .play(&mut job, self.session_cfg, self.rule, &mut rng);
+        let cfg = self.session_cfg;
+        let outcome = self.driver.play(&mut job, cfg, cfg.score_rule, &mut rng);
         let end = outcome.transcript.ended;
         let played = outcome.transcript.duration();
         mail.send(
@@ -973,7 +906,7 @@ impl<D: ShardGame> ShardWorkload for Deployment<D> {
         win: &WindowInfo,
         inbox: Vec<(SimTime, CampaignMsg)>,
         mail: &mut Mailbox<CampaignMsg>,
-    ) -> HubDecision {
+    ) {
         // Canonical key order: all Dones (sid order) land first, then
         // Paireds ((time, arriver) order), then TimedOuts ((time,
         // player) order) — outcomes apply before new sessions are
@@ -1009,10 +942,6 @@ impl<D: ShardGame> ShardWorkload for Deployment<D> {
                 &[("messages", processed.into())],
             );
         }
-        // The hub never forces a wake: sessions in flight keep pending
-        // messages inside the engine, and every matchmaking deadline
-        // lives on the shards now.
-        HubDecision::running(None)
     }
 }
 
@@ -1045,7 +974,7 @@ mod tests {
         ShardedCampaign::new(driver, config, seed)
     }
 
-    fn fingerprint(report: &ShardedCampaignReport, platform: &Platform) -> String {
+    fn fingerprint(report: &CampaignReport, platform: &Platform) -> String {
         // Everything downstream serialization would see, including the
         // exact verified-label order and float bits.
         format!(

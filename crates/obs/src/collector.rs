@@ -76,6 +76,25 @@ struct Collector {
     trace: Trace,
 }
 
+impl Collector {
+    /// The one way a record enters a trace: advances the sim-time
+    /// high-water mark to its end, folds it into the metrics and
+    /// appends it.
+    fn append(&mut self, track: u32, t_us: u64, data: RecordData) {
+        let record = Record { track, t_us, data };
+        self.clock_us = self.clock_us.max(record.end_us());
+        self.trace.metrics.apply(&record);
+        self.trace.records.push(record);
+    }
+
+    /// Hands out the next span id.
+    fn next_id(&mut self) -> u64 {
+        let id = self.next_span_id;
+        self.next_span_id += 1;
+        id
+    }
+}
+
 thread_local! {
     static STACK: RefCell<Vec<Collector>> = const { RefCell::new(Vec::new()) };
 }
@@ -133,16 +152,7 @@ pub fn record_scope<T>(track: u32, f: impl FnOnce() -> T) -> (T, Trace) {
 }
 
 fn push(t_us: u64, data: RecordData) {
-    with_top(|top| {
-        let record = Record {
-            track: top.track,
-            t_us,
-            data,
-        };
-        top.clock_us = top.clock_us.max(record.end_us());
-        top.trace.metrics.apply(&record);
-        top.trace.records.push(record);
-    });
+    with_top(|top| top.append(top.track, t_us, data));
 }
 
 /// An open scope span handle returned by [`enter`]. Close it with
@@ -166,8 +176,7 @@ pub struct SpanScope {
 /// allocation-free) when no recording scope is active.
 pub fn enter(target: &str, name: &str, start_us: u64) -> SpanScope {
     let opened = with_top(|top| {
-        let id = top.next_span_id;
-        top.next_span_id += 1;
+        let id = top.next_id();
         let parent = top.open.last().copied().unwrap_or(0);
         top.open.push(id);
         (id, parent)
@@ -213,21 +222,15 @@ impl SpanScope {
                 top.open.truncate(pos);
             }
             let end_us = end_us.unwrap_or_else(|| top.clock_us.max(self.start_us));
-            let record = Record {
-                track: top.track,
-                t_us: self.start_us,
-                data: RecordData::Span {
-                    target: std::mem::take(&mut self.target),
-                    name: std::mem::take(&mut self.name),
-                    dur_us: end_us.saturating_sub(self.start_us),
-                    id: self.id,
-                    parent: self.parent,
-                    fields,
-                },
+            let data = RecordData::Span {
+                target: std::mem::take(&mut self.target),
+                name: std::mem::take(&mut self.name),
+                dur_us: end_us.saturating_sub(self.start_us),
+                id: self.id,
+                parent: self.parent,
+                fields,
             };
-            top.clock_us = top.clock_us.max(record.end_us());
-            top.trace.metrics.apply(&record);
-            top.trace.records.push(record);
+            top.append(top.track, self.start_us, data);
         });
     }
 
@@ -252,29 +255,7 @@ impl Drop for SpanScope {
 /// Records a completed sim-time span `[start_us, end_us]` as a leaf of
 /// the currently open scope (if any).
 pub fn span(target: &str, name: &str, start_us: u64, end_us: u64, fields: &[(&str, FieldValue)]) {
-    if !active() {
-        return;
-    }
-    with_top(|top| {
-        let id = top.next_span_id;
-        top.next_span_id += 1;
-        let parent = top.open.last().copied().unwrap_or(0);
-        let record = Record {
-            track: top.track,
-            t_us: start_us,
-            data: RecordData::Span {
-                target: target.to_string(),
-                name: name.to_string(),
-                dur_us: end_us.saturating_sub(start_us),
-                id,
-                parent,
-                fields: fields_from(fields),
-            },
-        };
-        top.clock_us = top.clock_us.max(record.end_us());
-        top.trace.metrics.apply(&record);
-        top.trace.records.push(record);
-    });
+    leaf_span(None, target, name, start_us, end_us, fields);
 }
 
 /// Records a completed span on an explicit auxiliary `track` (a Chrome
@@ -289,27 +270,37 @@ pub fn span_on_track(
     end_us: u64,
     fields: &[(&str, FieldValue)],
 ) {
+    leaf_span(Some(track), target, name, start_us, end_us, fields);
+}
+
+/// Records a completed span with the next id: on the collector's own
+/// track under the open scope, or as a root on an auxiliary `track`.
+fn leaf_span(
+    track: Option<u32>,
+    target: &str,
+    name: &str,
+    start_us: u64,
+    end_us: u64,
+    fields: &[(&str, FieldValue)],
+) {
     if !active() {
         return;
     }
     with_top(|top| {
-        let id = top.next_span_id;
-        top.next_span_id += 1;
-        let record = Record {
-            track,
-            t_us: start_us,
-            data: RecordData::Span {
-                target: target.to_string(),
-                name: name.to_string(),
-                dur_us: end_us.saturating_sub(start_us),
-                id,
-                parent: 0,
-                fields: fields_from(fields),
-            },
+        let id = top.next_id();
+        let (track, parent) = match track {
+            Some(track) => (track, 0),
+            None => (top.track, top.open.last().copied().unwrap_or(0)),
         };
-        top.clock_us = top.clock_us.max(record.end_us());
-        top.trace.metrics.apply(&record);
-        top.trace.records.push(record);
+        let data = RecordData::Span {
+            target: target.to_string(),
+            name: name.to_string(),
+            dur_us: end_us.saturating_sub(start_us),
+            id,
+            parent,
+            fields: fields_from(fields),
+        };
+        top.append(track, start_us, data);
     });
 }
 
@@ -356,16 +347,11 @@ pub fn counter(name: &str, t_us: u64, delta: u64) {
 /// so it stays deterministic.
 pub fn counter_now(name: &str, delta: u64) {
     with_top(|top| {
-        let record = Record {
-            track: top.track,
-            t_us: top.clock_us,
-            data: RecordData::Counter {
-                name: name.to_string(),
-                delta,
-            },
+        let data = RecordData::Counter {
+            name: name.to_string(),
+            delta,
         };
-        top.trace.metrics.apply(&record);
-        top.trace.records.push(record);
+        top.append(top.track, top.clock_us, data);
     });
 }
 

@@ -73,10 +73,6 @@ pub use arrival::DiurnalProcess;
 pub use dist::{DiscreteDist, Exponential, Geometric, LogNormal, Zipf};
 pub use par::{run_replications, ReplicationError};
 pub use rng::{RngFactory, SimRng};
-pub use shard::{
-    Addr, Control, HubDecision, Mailbox, ShardConfig, ShardError, ShardRunStats, ShardWorkload,
-    WindowInfo,
-};
 pub use stats::{ConfidenceInterval, OnlineStats};
 pub use time::{SimDuration, SimTime};
 pub use timeseries::RateSeries;
@@ -88,10 +84,6 @@ pub mod prelude {
     pub use crate::dist::{DiscreteDist, Exponential, Geometric, LogNormal, Zipf};
     pub use crate::par::{run_replications, ReplicationError};
     pub use crate::rng::{RngFactory, SimRng};
-    pub use crate::shard::{
-        Addr, Control, HubDecision, Mailbox, ShardConfig, ShardError, ShardRunStats, ShardWorkload,
-        WindowInfo,
-    };
     pub use crate::stats::{ConfidenceInterval, OnlineStats};
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::timeseries::RateSeries;

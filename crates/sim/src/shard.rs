@@ -48,9 +48,9 @@
 //! routed in item order, and inboxes are merged by key.
 //!
 //! A shard is *active* in a window when its inbox is non-empty or its
-//! reported wake time falls inside the window. The run ends when no
-//! messages are pending and neither the shards nor the hub report a
-//! wake time (or the hub returns [`Control::Stop`]).
+//! reported wake time falls inside the window. Every shard steps in
+//! window 0. The run ends when no message is pending and no shard
+//! reports a wake time; the hub only answers its inbox.
 
 use crate::par::{with_pool, Pool};
 use crate::time::{SimDuration, SimTime};
@@ -81,12 +81,6 @@ pub struct WindowInfo {
 }
 
 impl WindowInfo {
-    /// `true` when `t` falls inside this window (`start <= t < end`).
-    #[must_use]
-    pub fn contains(&self, t: SimTime) -> bool {
-        self.start <= t && t < self.end
-    }
-
     /// The last instant that still belongs to this window.
     #[must_use]
     pub fn last_tick(&self) -> SimTime {
@@ -161,15 +155,8 @@ impl<M> Mailbox<M> {
     }
 
     /// Number of messages queued so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.out.len()
-    }
-
-    /// `true` when nothing has been queued.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.out.is_empty()
     }
 
     /// The window `env` is delivered in: shard→hub and job→hub mail
@@ -180,45 +167,6 @@ impl<M> Mailbox<M> {
             self.window
         } else {
             (env.at.ticks() / self.window_ticks).max(self.window + 1)
-        }
-    }
-}
-
-/// Whether the hub wants the run to continue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Control {
-    /// Keep processing windows while work remains.
-    Continue,
-    /// Stop immediately after this window (pending messages are dropped).
-    Stop,
-}
-
-/// What the hub reports at the end of its phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HubDecision {
-    /// Continue or stop the run.
-    pub control: Control,
-    /// Earliest time the hub wants a window even without messages
-    /// (e.g. a pending timeout sweep). `None` when the hub is idle.
-    pub next_wake: Option<SimTime>,
-}
-
-impl HubDecision {
-    /// Continue, waking at `next_wake` if no messages arrive earlier.
-    #[must_use]
-    pub fn running(next_wake: Option<SimTime>) -> Self {
-        HubDecision {
-            control: Control::Continue,
-            next_wake,
-        }
-    }
-
-    /// Stop the run after this window.
-    #[must_use]
-    pub fn stop() -> Self {
-        HubDecision {
-            control: Control::Stop,
-            next_wake: None,
         }
     }
 }
@@ -256,14 +204,15 @@ pub trait ShardWorkload {
     fn run_job(&self, at: SimTime, msg: Self::Msg, mail: &mut Mailbox<Self::Msg>);
 
     /// Steps the hub through `win` after the pool phase, consuming the
-    /// merged shard→hub and job→hub inbox (canonical order).
+    /// merged shard→hub and job→hub inbox (canonical order). The hub
+    /// never wakes a window itself: it runs in every window that runs.
     fn hub_step(
         &self,
         hub: &mut Self::Hub,
         win: &WindowInfo,
         inbox: Vec<(SimTime, Self::Msg)>,
         mail: &mut Mailbox<Self::Msg>,
-    ) -> HubDecision;
+    );
 }
 
 /// Engine parameters.
@@ -275,21 +224,13 @@ pub struct ShardConfig {
     pub threads: usize,
     /// Window length; every shard sees the same lock-stepped grid.
     pub window: SimDuration,
-    /// Safety cap on processed windows (a stuck workload errors out
-    /// instead of spinning forever).
-    pub max_windows: u64,
 }
 
 impl ShardConfig {
-    /// A config with the given thread count and window length and no
-    /// practical window cap.
+    /// A config with the given thread count and window length.
     #[must_use]
     pub fn new(threads: usize, window: SimDuration) -> Self {
-        ShardConfig {
-            threads,
-            window,
-            max_windows: u64::MAX,
-        }
+        ShardConfig { threads, window }
     }
 }
 
@@ -334,11 +275,6 @@ pub enum ShardError {
         /// What was wrong.
         message: String,
     },
-    /// `max_windows` was reached before the workload quiesced.
-    WindowCap {
-        /// Windows processed before giving up.
-        windows: u64,
-    },
 }
 
 impl fmt::Display for ShardError {
@@ -352,9 +288,6 @@ impl fmt::Display for ShardError {
             }
             ShardError::Pool { message } => write!(f, "shard pool: {message}"),
             ShardError::Config { message } => write!(f, "shard config: {message}"),
-            ShardError::WindowCap { windows } => {
-                write!(f, "window cap reached after {windows} windows")
-            }
         }
     }
 }
@@ -484,8 +417,7 @@ fn file_mail<M>(
 /// index of the window wins, so the error is deterministic),
 /// [`ShardError::JobPanicked`] when a job panics and no shard step of
 /// the window did (lowest job key wins), [`ShardError::Pool`] on
-/// worker-pool failure, [`ShardError::Config`] for invalid configs, and
-/// [`ShardError::WindowCap`] when `cfg.max_windows` is exhausted.
+/// worker-pool failure, and [`ShardError::Config`] for invalid configs.
 pub fn run<W>(
     cfg: &ShardConfig,
     workload: &W,
@@ -553,10 +485,9 @@ where
     // its step item during the pool phase.
     let mut slots: Vec<Option<&'s mut W::Shard>> = shards.iter_mut().map(Some).collect();
     let mut pending: BTreeMap<u64, Vec<Envelope<W::Msg>>> = BTreeMap::new();
-    // Every shard and the hub get an initial step in window 0 so they
-    // can seed their calendars before any messages exist.
+    // Every shard gets an initial step in window 0 so it can seed its
+    // calendar before any messages exist.
     let mut wakes: Vec<Option<SimTime>> = vec![Some(SimTime::ZERO); k];
-    let mut hub_wake: Option<SimTime> = Some(SimTime::ZERO);
     let mut last_window: Option<u64> = None;
     let mut stats = ShardRunStats::default();
 
@@ -565,16 +496,11 @@ where
         // never re-running a processed window.
         let floor = last_window.map_or(0, |w| w + 1);
         let mut next: Option<u64> = pending.keys().next().copied();
-        for wake in wakes.iter().chain(std::iter::once(&hub_wake)).flatten() {
+        for wake in wakes.iter().flatten() {
             let cand = window_of(*wake).max(floor);
             next = Some(next.map_or(cand, |n| n.min(cand)));
         }
         let Some(wi) = next else { break };
-        if stats.windows >= cfg.max_windows {
-            return Err(ShardError::WindowCap {
-                windows: stats.windows,
-            });
-        }
         last_window = Some(wi);
         stats.windows += 1;
         let win = WindowInfo {
@@ -675,7 +601,7 @@ where
             .map(|e| (e.at, e.msg))
             .collect();
         let mut hub_mail = Mailbox::new(SRC_HUB, wi, window_ticks, hub_inbox.len());
-        let decision = workload.hub_step(hub, &win, hub_inbox, &mut hub_mail);
+        workload.hub_step(hub, &win, hub_inbox, &mut hub_mail);
         let hub_sent = hub_mail.len() as u64;
         stats.messages += hub_sent;
         exchange_sent += hub_sent;
@@ -726,11 +652,6 @@ where
                     ("stepped", (stepped.len() as u64).into()),
                 ],
             );
-        }
-
-        hub_wake = decision.next_wake;
-        if decision.control == Control::Stop {
-            break;
         }
     }
 
@@ -823,10 +744,10 @@ mod tests {
         fn hub_step(
             &self,
             hub: &mut ToyHub,
-            win: &WindowInfo,
+            _: &WindowInfo,
             inbox: Vec<(SimTime, ToyMsg)>,
             mail: &mut Mailbox<ToyMsg>,
-        ) -> HubDecision {
+        ) {
             let k = self.k;
             for (at, msg) in inbox {
                 if let ToyMsg::ToHub { from } = msg {
@@ -843,7 +764,6 @@ mod tests {
                     );
                 }
             }
-            HubDecision::running((win.index + 1 < self.horizon).then_some(win.end))
         }
     }
 
@@ -915,8 +835,7 @@ mod tests {
                 _: &WindowInfo,
                 _: Vec<(SimTime, ())>,
                 _: &mut Mailbox<()>,
-            ) -> HubDecision {
-                HubDecision::stop()
+            ) {
             }
         }
         let err = run(
@@ -930,43 +849,9 @@ mod tests {
     }
 
     #[test]
-    fn window_cap_errors_instead_of_spinning() {
-        struct Spin;
-        impl ShardWorkload for Spin {
-            type Shard = ();
-            type Msg = ();
-            type Hub = ();
-            fn shard_step(
-                &self,
-                _: usize,
-                (): &mut (),
-                win: &WindowInfo,
-                _: Vec<(SimTime, ())>,
-                _: &mut Mailbox<()>,
-            ) -> Option<SimTime> {
-                Some(win.end)
-            }
-            fn run_job(&self, _: SimTime, (): (), _: &mut Mailbox<()>) {}
-            fn hub_step(
-                &self,
-                (): &mut (),
-                _: &WindowInfo,
-                _: Vec<(SimTime, ())>,
-                _: &mut Mailbox<()>,
-            ) -> HubDecision {
-                HubDecision::running(None)
-            }
-        }
-        let mut cfg = ShardConfig::new(1, SimDuration::from_secs(1));
-        cfg.max_windows = 10;
-        let err = run(&cfg, &Spin, &mut (), &mut [()]).expect_err("spins");
-        assert_eq!(err, ShardError::WindowCap { windows: 10 });
-    }
-
-    #[test]
-    fn hub_stop_ends_the_run() {
-        struct Stopper;
-        impl ShardWorkload for Stopper {
+    fn the_run_ends_when_no_shard_wakes() {
+        struct Countdown;
+        impl ShardWorkload for Countdown {
             type Shard = ();
             type Msg = ();
             type Hub = u64;
@@ -978,32 +863,28 @@ mod tests {
                 _: Vec<(SimTime, ())>,
                 _: &mut Mailbox<()>,
             ) -> Option<SimTime> {
-                Some(win.end)
+                (win.index < 3).then_some(win.end)
             }
             fn run_job(&self, _: SimTime, (): (), _: &mut Mailbox<()>) {}
             fn hub_step(
                 &self,
                 windows_seen: &mut u64,
-                win: &WindowInfo,
+                _: &WindowInfo,
                 _: Vec<(SimTime, ())>,
                 _: &mut Mailbox<()>,
-            ) -> HubDecision {
+            ) {
                 *windows_seen += 1;
-                if win.index >= 3 {
-                    HubDecision::stop()
-                } else {
-                    HubDecision::running(None)
-                }
             }
         }
         let mut windows_seen = 0;
         let stats = run(
             &ShardConfig::new(1, SimDuration::from_secs(1)),
-            &Stopper,
+            &Countdown,
             &mut windows_seen,
             &mut [()],
         )
         .expect("runs");
+        // Windows 0-3: the hub steps in each, and nothing wakes after 3.
         assert_eq!(windows_seen, 4);
         assert_eq!(stats.windows, 4);
     }
@@ -1035,8 +916,7 @@ mod tests {
                 _: &WindowInfo,
                 _: Vec<(SimTime, ())>,
                 _: &mut Mailbox<()>,
-            ) -> HubDecision {
-                HubDecision::running(None)
+            ) {
             }
         }
         for threads in [1, 4] {
@@ -1095,8 +975,7 @@ mod tests {
                 _: &WindowInfo,
                 _: Vec<(SimTime, Ping)>,
                 _: &mut Mailbox<Ping>,
-            ) -> HubDecision {
-                HubDecision::running(None)
+            ) {
             }
         }
         let stats = run(
@@ -1184,14 +1063,13 @@ mod tests {
             win: &WindowInfo,
             inbox: Vec<(SimTime, Parcel)>,
             _: &mut Mailbox<Parcel>,
-        ) -> HubDecision {
+        ) {
             assert_ne!(Some(win.index), self.hub_panics_in, "the hub exploded");
             for (_, parcel) in inbox {
                 if let Parcel::Note(key) = parcel {
                     log.push((win.index, key));
                 }
             }
-            HubDecision::running(None)
         }
     }
 
@@ -1267,10 +1145,6 @@ mod tests {
             }
             .to_string(),
             "shard 2 panicked: kaput"
-        );
-        assert_eq!(
-            ShardError::WindowCap { windows: 9 }.to_string(),
-            "window cap reached after 9 windows"
         );
         assert_eq!(
             ShardError::JobPanicked {

@@ -13,9 +13,7 @@ use hc_obs::analyze::{
     critical_path, folded_stacks, render_flame_top, DeriveAcc, SpanDerived, SpanTree, LAYOUT_PREFIX,
 };
 use hc_obs::{FieldValue, Fields, RecordData};
-use hc_sim::shard::{
-    run as run_shards, Addr, HubDecision, Mailbox, ShardConfig, ShardWorkload, WindowInfo,
-};
+use hc_sim::shard::{run as run_shards, Addr, Mailbox, ShardConfig, ShardWorkload, WindowInfo};
 use hc_sim::{run_replications, OnlineStats, RngFactory, SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
 use rand::Rng;
@@ -116,10 +114,10 @@ impl ShardWorkload for Toy {
     fn hub_step(
         &self,
         (): &mut (),
-        win: &WindowInfo,
+        _: &WindowInfo,
         inbox: Vec<(SimTime, ToyMsg)>,
         mail: &mut Mailbox<ToyMsg>,
-    ) -> HubDecision {
+    ) {
         for (at, msg) in inbox {
             if let ToyMsg::ToHub { from } = msg {
                 let to = (from * 31 + 17) % self.n;
@@ -132,7 +130,6 @@ impl ShardWorkload for Toy {
                 );
             }
         }
-        HubDecision::running((win.index + 1 < self.horizon).then_some(win.end))
     }
 }
 

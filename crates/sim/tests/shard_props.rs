@@ -21,7 +21,7 @@
 //!
 //! The hub's log — every entry in processing order — is the observable.
 
-use hc_sim::shard::{run, Addr, HubDecision, Mailbox, ShardConfig, ShardWorkload, WindowInfo};
+use hc_sim::shard::{run, Addr, Mailbox, ShardConfig, ShardWorkload, WindowInfo};
 use hc_sim::{SimDuration, SimTime, WheelQueue};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -131,7 +131,7 @@ impl ShardWorkload for Relay {
         _win: &WindowInfo,
         inbox: Vec<(SimTime, Msg)>,
         mail: &mut Mailbox<Msg>,
-    ) -> HubDecision {
+    ) {
         for (at, msg) in inbox {
             match msg {
                 Msg::Fire { agent } => {
@@ -150,7 +150,6 @@ impl ShardWorkload for Relay {
                 }
             }
         }
-        HubDecision::running(None)
     }
 }
 
