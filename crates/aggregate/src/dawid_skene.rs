@@ -142,7 +142,7 @@ impl DawidSkene {
 
             // ---- E-step: posteriors from confusion matrices (log space).
             let mut max_delta = 0.0f64;
-            #[allow(clippy::needless_range_loop)] // t indexes two arrays
+            #[expect(clippy::needless_range_loop, reason = "t indexes two arrays")]
             for t in 0..n_tasks {
                 let labels = matrix.labels_for(t);
                 if labels.is_empty() {

@@ -38,6 +38,22 @@
 //! assert!(q_ds.accuracy >= q_mv.accuracy - 0.1); // DS is competitive
 //! ```
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::dbg_macro,
+        clippy::disallowed_types,
+        clippy::disallowed_methods
+    )
+)]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

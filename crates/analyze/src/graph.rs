@@ -1,14 +1,16 @@
-//! Workspace symbol/use graph: every parsed function becomes a node,
-//! call edges are resolved by name (over-approximating where the
-//! receiver type is unknown), and reachability is a plain BFS.
+//! Workspace symbol graph: every parsed function becomes a node, call
+//! edges are resolved by name and argument count (over-approximating
+//! where the receiver type is unknown), and reachability is a plain BFS.
 //!
 //! Over-approximation is deliberate: a method call `.play(…)` links to
-//! *every* `play` defined in an impl or trait, so a rule running on the
-//! reachable set can miss nothing that name resolution could actually
-//! bind — at the cost of occasionally visiting an unrelated same-named
-//! function. Edges into *barrier* methods are cut by the caller (used
-//! for the serial hub sections of the shard engines, which the
-//! per-shard RNG discipline deliberately does not cover).
+//! *every* `play` with a matching parameter count defined in an impl or
+//! trait, so a rule running on the reachable set can miss nothing that
+//! name resolution could actually bind — at the cost of occasionally
+//! visiting an unrelated same-named function. A call whose argument
+//! list does not close on its line binds by name alone. Edges into
+//! *barrier* methods are cut by the caller (used for the serial hub
+//! sections of the shard engines, which the per-shard RNG discipline
+//! deliberately does not cover).
 
 use crate::parse::{FieldDef, FnDef, ParsedFile};
 use std::collections::{BTreeMap, BTreeSet};
@@ -100,7 +102,10 @@ impl SymbolGraph {
         };
         let mut out = Vec::new();
         for line in &unit.code[start - 1..end.min(unit.code.len())] {
-            for call in calls_in_line(line) {
+            for mut call in calls_in_line(line) {
+                if call.qualifier.as_deref() == Some("Self") {
+                    call.qualifier.clone_from(&f.impl_ty);
+                }
                 if barriers.contains(&call.name.as_str()) {
                     continue;
                 }
@@ -125,10 +130,22 @@ pub struct CallSite {
     pub method: bool,
     /// Explicit `Type::name(` qualifier, if any.
     pub qualifier: Option<String>,
+    /// Top-level argument count, when the argument list closes on the
+    /// call's line.
+    pub args: Option<usize>,
 }
 
 /// Whether a call site can bind to a candidate definition.
 fn call_matches(call: &CallSite, target: &FnDef, same_file: bool) -> bool {
+    // A qualified call to a method passes the receiver as its first
+    // argument (`Ty::m(&x, a)`).
+    let receiver = usize::from(call.qualifier.is_some() && target.has_self);
+    if call
+        .args
+        .is_some_and(|n| n != target.arity && n != target.arity + receiver)
+    {
+        return false;
+    }
     if let Some(q) = &call.qualifier {
         return target.impl_ty.as_deref() == Some(q.as_str());
     }
@@ -189,9 +206,47 @@ pub fn calls_in_line(code: &str) -> Vec<CallSite> {
             name: name.to_string(),
             method,
             qualifier,
+            args: arg_count(code, i),
         });
     }
     out
+}
+
+/// Counts the top-level arguments of the call whose `(` sits at byte
+/// `open`, or `None` when the list does not close on this line. Commas
+/// nested in brackets, turbofish generics (`::<A, B>`) and closure
+/// parameter lists (`|a, b|`) do not separate arguments.
+fn arg_count(code: &str, open: usize) -> Option<usize> {
+    let bytes = code.as_bytes();
+    let mut depth = 0usize;
+    let mut angle = 0usize;
+    let mut args = 0;
+    let mut arg_start = open + 1;
+    let mut i = open + 1;
+    while i < bytes.len() {
+        match bytes[i] {
+            b'(' | b'[' | b'{' => depth += 1,
+            b')' | b']' | b'}' if depth > 0 => depth -= 1,
+            b')' => {
+                let last = !code[arg_start..i].trim().is_empty();
+                return Some(args + usize::from(last));
+            }
+            b']' | b'}' => return None,
+            b'<' if code[..i].ends_with("::") => angle += 1,
+            b'>' if angle > 0 => angle -= 1,
+            b',' if depth == 0 && angle == 0 => {
+                args += 1;
+                arg_start = i + 1;
+            }
+            b'|' if depth == 0 && matches!(code[arg_start..i].trim(), "" | "move") => {
+                // A closure's parameter list: skip to its closing `|`.
+                i += 1 + code[i + 1..].find('|')?;
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    None
 }
 
 #[cfg(test)]
@@ -212,32 +267,82 @@ mod tests {
 
     #[test]
     fn call_extraction_distinguishes_forms() {
-        let calls = calls_in_line("let x = helper(a).finish(); Ty::make(); mac!(b); f(1)");
+        let calls = calls_in_line("let x = helper(a).finish(); Ty::make(); mac!(b); f(1, g(2, 3))");
+        let site = |name: &str, method, qualifier: Option<&str>, args| CallSite {
+            name: name.into(),
+            method,
+            qualifier: qualifier.map(Into::into),
+            args: Some(args),
+        };
         assert_eq!(
             calls,
             vec![
-                CallSite {
-                    name: "helper".into(),
-                    method: false,
-                    qualifier: None
-                },
-                CallSite {
-                    name: "finish".into(),
-                    method: true,
-                    qualifier: None
-                },
-                CallSite {
-                    name: "make".into(),
-                    method: false,
-                    qualifier: Some("Ty".into())
-                },
-                CallSite {
-                    name: "f".into(),
-                    method: false,
-                    qualifier: None
-                },
+                site("helper", false, None, 1),
+                site("finish", true, None, 0),
+                site("make", false, Some("Ty"), 0),
+                site("f", false, None, 2),
+                site("g", false, None, 2),
             ]
         );
+    }
+
+    #[test]
+    fn argument_counts_skip_nested_commas() {
+        let count = |code: &str| calls_in_line(code)[0].args;
+        assert_eq!(count("f()"), Some(0));
+        assert_eq!(count("f(a, b,)"), Some(2));
+        assert_eq!(count("f([a, b], (c, d), S { e, g })"), Some(3));
+        assert_eq!(
+            count("f(Vec::<(A, B)>::new(), BTreeMap::<K, V>::new())"),
+            Some(2)
+        );
+        assert_eq!(count("f(|a, b| a + b, move |c, d| c || d, || 0)"), Some(3));
+        assert_eq!(count("f(a < b, c > d)"), Some(2));
+        // A list that does not close on the line binds by name alone.
+        assert_eq!(count("f(a,"), None);
+    }
+
+    #[test]
+    fn method_calls_bind_only_same_arity_methods() {
+        let u = unit(
+            "a.rs",
+            "\
+pub struct Serial;
+impl Serial {
+    fn arrive(&mut self, queue: u32, now: u64, player: u64) {}
+    fn step(&mut self) {
+        Self::arrive(self, 1, 2, 3);
+    }
+}
+pub struct Sitting;
+impl Sitting {
+    fn arrive(&mut self, lengths: &[u32]) -> bool { true }
+}
+fn job(s: &mut Sitting, q: &mut Serial) {
+    s.arrive(&[1]);
+}
+fn ufcs(q: &mut Serial) {
+    Serial::arrive(q, 1, 2, 3);
+}
+",
+        );
+        let units = vec![u];
+        let graph = SymbolGraph::build(&units);
+        let reached = |root: &str| -> Vec<Option<String>> {
+            let root = graph.fns_named(root)[0];
+            let mut tys: Vec<Option<String>> = graph
+                .reachable(&units, &[root], &[])
+                .iter()
+                .filter(|&&(fi, gi)| units[fi].parsed.fns[gi].name == "arrive")
+                .map(|&(fi, gi)| units[fi].parsed.fns[gi].impl_ty.clone())
+                .collect();
+            tys.sort();
+            tys
+        };
+        assert_eq!(reached("job"), vec![Some("Sitting".to_string())]);
+        assert_eq!(reached("ufcs"), vec![Some("Serial".to_string())]);
+        // `Self::` resolves to the caller's impl type.
+        assert_eq!(reached("step"), vec![Some("Serial".to_string())]);
     }
 
     #[test]

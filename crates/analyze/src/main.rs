@@ -4,8 +4,7 @@
 //! Exit status is 0 when no diagnostic fires, 1 when any does (error or
 //! warning alike: a justified inline allow is the one way to accept a
 //! finding), 2 on usage or IO problems. `hc-analyze` is a tool crate, so
-//! reading `std::env` here is exactly the kind of thing the pass forbids
-//! in library code but permits in tools.
+//! it may read `std::env`, which clippy forbids in library code.
 
 use hc_analyze::analyze_workspace;
 use std::path::PathBuf;

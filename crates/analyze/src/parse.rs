@@ -1,5 +1,5 @@
-//! Item-level parser: extracts functions, structs, impl blocks, and
-//! `use` imports from the lexed code channel — still no `syn`.
+//! Item-level parser: extracts functions, structs and impl blocks from
+//! the lexed code channel — still no `syn`.
 //!
 //! The parser is a single pass that accumulates "header" text between
 //! statement terminators (`{`, `}`, `;`) and classifies each header
@@ -33,12 +33,13 @@ pub struct FnDef {
     /// Trait being implemented (`impl Trait for Ty`) or defined
     /// (default methods in `trait Trait`), if any.
     pub trait_name: Option<String>,
-    /// Parameters (excluding `self`).
+    /// Parameters (excluding `self`) bound to a plain name.
     pub params: Vec<Param>,
+    /// Number of parameters excluding `self`, pattern parameters
+    /// (`(a, b): (u32, u32)`) included.
+    pub arity: usize,
     /// Whether the signature takes a `self` receiver.
     pub has_self: bool,
-    /// 1-based line where the signature starts.
-    pub sig_line: usize,
     /// Inclusive 1-based body line range; `None` for bodiless trait
     /// method declarations.
     pub body: Option<(usize, usize)>,
@@ -60,20 +61,6 @@ pub struct StructDef {
     pub name: String,
     /// Named fields in declaration order.
     pub fields: Vec<FieldDef>,
-    /// 1-based line of the `struct` keyword.
-    pub line: usize,
-}
-
-/// One imported name from a `use` declaration (brace groups are
-/// flattened, `as` renames record the alias).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UseDecl {
-    /// The name brought into scope.
-    pub name: String,
-    /// The full path text it came from.
-    pub path: String,
-    /// 1-based line of the `use`.
-    pub line: usize,
 }
 
 /// Everything extracted from one file.
@@ -83,8 +70,6 @@ pub struct ParsedFile {
     pub fns: Vec<FnDef>,
     /// Struct items, in source order.
     pub structs: Vec<StructDef>,
-    /// Flattened imports.
-    pub uses: Vec<UseDecl>,
 }
 
 #[derive(Debug, Clone)]
@@ -311,7 +296,6 @@ fn classify_header(
                 out.structs.push(StructDef {
                     name,
                     fields: Vec::new(),
-                    line: header_line,
                 });
                 return Ctx::Struct {
                     idx: out.structs.len() - 1,
@@ -330,8 +314,7 @@ fn classify_header(
     Ctx::Other
 }
 
-/// A `;` terminated the header: record `use` declarations and bodiless
-/// trait method signatures.
+/// A `;` terminated the header: record bodiless trait method signatures.
 fn finish_semicolon(
     header: &str,
     stack: &[(usize, Ctx)],
@@ -340,12 +323,6 @@ fn finish_semicolon(
 ) {
     let text = strip_attrs(header.trim());
     let tokens: Vec<&str> = text.split_whitespace().collect();
-    if tokens.first() == Some(&"use")
-        || (tokens.first() == Some(&"pub") && tokens.get(1) == Some(&"use"))
-    {
-        record_use(text, header_line, out);
-        return;
-    }
     if matches!(stack.last(), Some((_, Ctx::Trait { .. }))) {
         if let Some(pos) = fn_token_pos(&tokens) {
             if let Some(def) = parse_fn_header(text, &tokens, pos, stack, header_line, false) {
@@ -455,14 +432,14 @@ fn parse_fn_header(
         return None;
     }
     let (impl_ty, trait_name) = enclosing_impl(stack);
-    let (params, has_self) = parse_params(text);
+    let (params, arity, has_self) = parse_params(text);
     Some(FnDef {
         name,
         impl_ty,
         trait_name,
         params,
+        arity,
         has_self,
-        sig_line: header_line,
         body: has_body.then_some((header_line, header_line)),
     })
 }
@@ -479,10 +456,12 @@ fn enclosing_impl(stack: &[(usize, Ctx)]) -> (Option<String>, Option<String>) {
     (None, None)
 }
 
-/// Splits the parenthesized parameter list at top-level commas.
-fn parse_params(text: &str) -> (Vec<Param>, bool) {
+/// Splits the parenthesized parameter list at top-level commas: the
+/// named parameters, the non-`self` parameter count, and whether a
+/// `self` receiver leads.
+fn parse_params(text: &str) -> (Vec<Param>, usize, bool) {
     let Some(open) = text.find('(') else {
-        return (Vec::new(), false);
+        return (Vec::new(), 0, false);
     };
     let bytes = text.as_bytes();
     let mut depth = 0i32;
@@ -505,6 +484,7 @@ fn parse_params(text: &str) -> (Vec<Param>, bool) {
     }
     let inner = &text[open + 1..close.min(text.len())];
     let mut params = Vec::new();
+    let mut arity = 0;
     let mut has_self = false;
     depth = 0;
     angle = 0;
@@ -538,6 +518,7 @@ fn parse_params(text: &str) -> (Vec<Param>, bool) {
             has_self = true;
             continue;
         }
+        arity += 1;
         // Skip lifetimes left from `&'a self` handling.
         if let Some(colon) = piece.find(':') {
             let name = piece[..colon].trim().trim_start_matches("mut ").trim();
@@ -553,51 +534,10 @@ fn parse_params(text: &str) -> (Vec<Param>, bool) {
             }
         } else if piece.contains("self") {
             has_self = true;
+            arity -= 1;
         }
     }
-    (params, has_self)
-}
-
-/// Records a `use` declaration, flattening `{a, b as c}` groups.
-fn record_use(text: &str, line: usize, out: &mut ParsedFile) {
-    let path_text = text
-        .trim_start_matches("pub ")
-        .trim_start_matches("use ")
-        .trim()
-        .trim_end_matches(';')
-        .trim();
-    if let Some(open) = path_text.find('{') {
-        let base = path_text[..open].trim_end_matches("::").trim();
-        let inner = path_text[open + 1..].trim_end_matches('}');
-        for part in inner.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            push_use(base, part, line, out);
-        }
-    } else {
-        push_use("", path_text, line, out);
-    }
-}
-
-fn push_use(base: &str, part: &str, line: usize, out: &mut ParsedFile) {
-    let (path, name) = match part.rsplit_once(" as ") {
-        Some((p, alias)) => (p.trim(), alias.trim().to_string()),
-        None => (part, part.rsplit("::").next().unwrap_or(part).to_string()),
-    };
-    let full = if base.is_empty() {
-        path.to_string()
-    } else {
-        format!("{base}::{path}")
-    };
-    if !name.is_empty() && name != "*" {
-        out.uses.push(UseDecl {
-            name,
-            path: full,
-            line,
-        });
-    }
+    (params, arity, has_self)
 }
 
 #[cfg(test)]
@@ -730,17 +670,18 @@ impl Hub {
     }
 
     #[test]
-    fn use_groups_flatten_and_aliases_record() {
+    fn use_groups_do_not_open_items() {
         let src = "\
 use hc_sim::rng::{RngFactory, SimRng};
-pub use hc_collect::DetMap as Map;
-use std::fmt;
+pub use hc_collect::{DetMap as Map, DetSet};
+fn after(rng: &mut SimRng) -> u32 {
+    0
+}
 ";
         let p = parse(src);
-        let names: Vec<&str> = p.uses.iter().map(|u| u.name.as_str()).collect();
-        assert_eq!(names, vec!["RngFactory", "SimRng", "Map", "fmt"]);
-        assert_eq!(p.uses[0].path, "hc_sim::rng::RngFactory");
-        assert_eq!(p.uses[2].path, "hc_collect::DetMap");
+        assert_eq!(p.fns.len(), 1);
+        assert_eq!(p.fns[0].name, "after");
+        assert_eq!(p.fns[0].body, Some((3, 5)));
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! semantics.
 
 use crate::graph::{FnId, SourceUnit, SymbolGraph};
-use crate::{FileKind, Finding, Severity};
+use crate::{Finding, Severity};
 use std::collections::BTreeSet;
 
 /// Paths whose every function is an R1 reachability root: the two
@@ -66,13 +66,13 @@ const UNINDEXED_RNG_TOKENS: [&str; 5] = [
 /// Runs R1 and R2 over every unit; returns `(unit index, finding)`.
 pub(crate) fn semantic_findings(
     units: &[SourceUnit],
-    kinds: &[FileKind],
+    library: &[bool],
     test_lines: &[Vec<bool>],
 ) -> Vec<(usize, Finding)> {
     let graph = SymbolGraph::build(units);
     let mut out = Vec::new();
-    check_r1(units, kinds, test_lines, &graph, &mut out);
-    check_r2(units, kinds, test_lines, &graph, &mut out);
+    check_r1(units, library, test_lines, &graph, &mut out);
+    check_r2(units, library, test_lines, &graph, &mut out);
     out.sort_by(|a, b| (a.0, a.1.line, a.1.rule).cmp(&(b.0, b.1.line, b.1.rule)));
     out.dedup_by(|a, b| a.0 == b.0 && a.1.line == b.1.line && a.1.rule == b.1.rule);
     out
@@ -84,7 +84,7 @@ pub(crate) fn semantic_findings(
 
 fn check_r1(
     units: &[SourceUnit],
-    kinds: &[FileKind],
+    library: &[bool],
     test_lines: &[Vec<bool>],
     graph: &SymbolGraph,
     out: &mut Vec<(usize, Finding)>,
@@ -111,7 +111,7 @@ fn check_r1(
     }
     for (fi, gi) in graph.reachable(units, &roots, &HUB_BARRIERS) {
         let unit = &units[fi];
-        if !matches!(kinds[fi], FileKind::Library { .. }) || r1_exempt(&unit.rel_path) {
+        if !library[fi] || r1_exempt(&unit.rel_path) {
             continue;
         }
         let f = &unit.parsed.fns[gi];
@@ -333,15 +333,13 @@ const R2_SINKS: [(&str, &[&str]); 3] = [
 
 fn check_r2(
     units: &[SourceUnit],
-    kinds: &[FileKind],
+    library: &[bool],
     test_lines: &[Vec<bool>],
     graph: &SymbolGraph,
     out: &mut Vec<(usize, Finding)>,
 ) {
     for (fi, unit) in units.iter().enumerate() {
-        if !matches!(kinds[fi], FileKind::Library { .. })
-            || unit.rel_path.starts_with("crates/collect/")
-        {
+        if !library[fi] || unit.rel_path.starts_with("crates/collect/") {
             continue;
         }
         for (gi, f) in unit.parsed.fns.iter().enumerate() {

@@ -5,15 +5,15 @@ pub fn justified(xs: &[u32], n: usize) -> u32 {
     xs[n - 1]
 }
 
-pub fn trailing(x: Option<u32>) -> u32 {
-    x.unwrap() // hc-analyze: allow(P1): fixture exercises the trailing form
+pub fn trailing(xs: &[u32], n: usize) -> u32 {
+    xs[n - 2] // hc-analyze: allow(P1): fixture exercises the trailing form
 }
 
-pub fn unjustified(x: Option<u32>) -> u32 {
-    x.unwrap() // hc-analyze: allow(P1)
+pub fn unjustified(xs: &[u32], n: usize) -> u32 {
+    xs[n + 1] // hc-analyze: allow(P1)
 }
 
-// hc-analyze: allow(D1): nothing below actually uses a clock
+// hc-analyze: allow(P1): nothing below actually indexes with arithmetic
 pub fn stale() -> u32 {
     7
 }

@@ -1,9 +1,9 @@
 //! Fixture: a clean library file full of near-misses that must NOT fire.
-//! A comment mentioning .unwrap() and HashMap and SystemTime is prose.
+//! A comment mentioning xs[i - 1] and factory.stream(x) is prose.
 
-/// Doc example prose: `xs[i - 1].unwrap()` inside backticks is not code.
+/// Doc example prose: `xs[i - 1]` inside backticks is not code.
 pub fn describe() -> &'static str {
-    "strings may say HashMap, thread_rng, panic!(now) and xs[i - 1]"
+    "strings may say factory.stream(now), rng.clone() and xs[i - 1]"
 }
 
 pub fn checked(xs: &[u32], i: usize) -> Option<u32> {

@@ -2,43 +2,53 @@
 //! inside string literals, multi-hash raw strings, (nested) comments,
 //! and behind escaped char literals must never fire a diagnostic — the
 //! lexer strips every quoted and commented channel before rules run.
+//! Each token sits where it would fire as code (checked first), so a
+//! silent property is a lexer result, not a rule that cannot match.
 
-use hc_analyze::{analyze_source, classify, Report};
+use hc_analyze::{analyze_sources, Report};
 use proptest::prelude::*;
 
-/// A non-core library path: every determinism rule applies, none of the
-/// path exemptions do.
+/// A library path, so P1 applies.
 const LIB_PATH: &str = "crates/games/src/prop_fixture.rs";
 
-fn run(source: &str) -> Report {
-    let mut report = Report::default();
-    analyze_source(source, LIB_PATH, classify(LIB_PATH), &mut report);
-    report
+/// Tokens of the kept rules with the rule each fires as code inside
+/// [`fixture`]: a computed index (P1), un-indexed and cloned RNGs in an
+/// R1 root (R1), and insertion-order iteration of a `DetMap` field into
+/// a string (R2). None contain `"`, `\`, or `hc-analyze`, so they embed
+/// directly in string/comment contexts without re-escaping. (The
+/// vendored proptest has no `sample::select`; tests draw an index
+/// instead.)
+const RULE_TOKENS: [(&str, &str); 5] = [
+    ("P1", "xs[i - 1]"),
+    ("R1", "self.factory.stream(session)"),
+    ("R1", "rng.clone()"),
+    ("R1", "SimRng::from_entropy()"),
+    ("R2", "self.counts.iter().map(|c| c.0.to_string())"),
+];
+
+/// `body` inside `ShardWorkload::run_job` (an R1 root) of a type with a
+/// `DetMap` field, with an RNG and a slice in scope.
+fn fixture(body: &str) -> String {
+    format!(
+        "//! Prop fixture.\n\npub struct Board {{\n    counts: DetMap<String, u64>,\n    factory: RngFactory,\n}}\n\n\
+         impl ShardWorkload for Board {{\n    fn run_job(&self, rng: &mut SimRng, xs: &[u32], i: usize) -> u64 {{\n\
+         {body}\n        0\n    }}\n}}\n"
+    )
 }
 
-/// Tokens that fire D1/D2/D3/P1/O1/H1/R1/R2 when they appear in library
-/// code. None contain `"`, `\`, or `hc-analyze`, so they embed directly
-/// in string/comment contexts without re-escaping. (The vendored
-/// proptest has no `sample::select`; tests draw an index instead.)
-const RULE_TOKENS: [&str; 17] = [
-    "HashMap::new()",
-    "HashSet::default()",
-    "rand::thread_rng()",
-    "SystemTime::now()",
-    "Instant::now()",
-    "std::thread::spawn(work)",
-    "crossbeam::scope",
-    "xs[i - 1].unwrap()",
-    "value.expect(msg)",
-    "panic!(oops)",
-    "println!(stats)",
-    "dbg!(x)",
-    "unsafe { transmute(x) }",
-    "factory.stream(session)",
-    "rng.clone()",
-    "from_entropy()",
-    "counts.iter()",
-];
+fn run(source: &str) -> Report {
+    analyze_sources(&[(LIB_PATH.to_string(), source.to_string())])
+}
+
+#[test]
+fn every_token_fires_when_written_as_code() {
+    assert!(run(&fixture("")).diagnostics.is_empty());
+    for (rule, token) in RULE_TOKENS {
+        let report = run(&fixture(&format!("        let _probe = {token};")));
+        let rules: Vec<&str> = report.diagnostics.iter().map(|d| d.rule.as_str()).collect();
+        assert_eq!(rules, vec![rule], "{token}: {:?}", report.diagnostics);
+    }
+}
 
 proptest! {
     #[test]
@@ -47,15 +57,8 @@ proptest! {
         pre in "[a-zA-Z0-9 _]{0,12}",
         post in "[a-zA-Z0-9 _]{0,12}",
     ) {
-        let token = RULE_TOKENS[token_idx];
-        let mut src = String::from(
-            "//! Prop fixture.\n\npub fn quoted() -> &'static str {\n    let s = \"",
-        );
-        src.push_str(&pre);
-        src.push_str(token);
-        src.push_str(&post);
-        src.push_str("\";\n    s\n}\n");
-        let report = run(&src);
+        let token = RULE_TOKENS[token_idx].1;
+        let report = run(&fixture(&format!("        let _s = \"{pre}{token}{post}\";")));
         prop_assert!(report.diagnostics.is_empty(), "fired: {:?}", report.diagnostics);
     }
 
@@ -67,20 +70,10 @@ proptest! {
         // Embed a quote followed by one hash fewer than the delimiter:
         // a lexer that miscounts hashes closes the raw string early and
         // exposes the token as code.
-        let token = RULE_TOKENS[token_idx];
+        let token = RULE_TOKENS[token_idx].1;
         let h = "#".repeat(hashes);
-        let mut src = String::from(
-            "//! Prop fixture.\n\npub fn raw() -> &'static str {\n    r",
-        );
-        src.push_str(&h);
-        src.push('"');
-        src.push_str(token);
-        src.push_str(" \"");
-        src.push_str(&"#".repeat(hashes - 1));
-        src.push_str(" tail\"");
-        src.push_str(&h);
-        src.push_str("\n}\n");
-        let report = run(&src);
+        let inner = "#".repeat(hashes - 1);
+        let report = run(&fixture(&format!("        let _s = r{h}\"{token} \"{inner} tail\"{h};")));
         prop_assert!(report.diagnostics.is_empty(), "fired: {:?}", report.diagnostics);
     }
 
@@ -89,19 +82,13 @@ proptest! {
         token_idx in 0usize..RULE_TOKENS.len(),
         depth in 1usize..4,
     ) {
-        let token = RULE_TOKENS[token_idx];
-        let mut src = String::from("//! Prop fixture.\n\n// prose: ");
-        src.push_str(token);
-        src.push('\n');
-        for _ in 0..depth {
-            src.push_str("/* ");
-        }
-        src.push_str(token);
-        for _ in 0..depth {
-            src.push_str(" */");
-        }
-        src.push_str("\npub fn quiet() -> u32 {\n    0\n}\n");
-        let report = run(&src);
+        let token = RULE_TOKENS[token_idx].1;
+        let body = format!(
+            "        // prose: {token}\n        {}{token}{}",
+            "/* ".repeat(depth),
+            " */".repeat(depth)
+        );
+        let report = run(&fixture(&body));
         prop_assert!(report.diagnostics.is_empty(), "fired: {:?}", report.diagnostics);
     }
 
@@ -110,7 +97,7 @@ proptest! {
         token_idx in 0usize..RULE_TOKENS.len(),
         char_idx in 0usize..8,
     ) {
-        let token = RULE_TOKENS[token_idx];
+        let token = RULE_TOKENS[token_idx].1;
         let c = ['a', 'Z', '9', '_', '\\', '\'', '\n', '\t'][char_idx];
         // An escaped char literal ('\'', '\\') that is mis-lexed leaves
         // the lexer inside a bogus string state, which would expose the
@@ -122,12 +109,7 @@ proptest! {
             '\t' => "'\\t'".to_string(),
             other => format!("'{other}'"),
         };
-        let mut src = String::from("//! Prop fixture.\n\npub fn chars() -> char {\n    let q = ");
-        src.push_str(&lit);
-        src.push_str(";\n    let _s = \"");
-        src.push_str(token);
-        src.push_str("\";\n    q\n}\n");
-        let report = run(&src);
+        let report = run(&fixture(&format!("        let _q = {lit};\n        let _s = \"{token}\";")));
         prop_assert!(report.diagnostics.is_empty(), "fired: {:?}", report.diagnostics);
     }
 
@@ -135,10 +117,8 @@ proptest! {
     fn allow_text_inside_strings_is_not_an_annotation(filler in "[a-z ]{0,10}") {
         // If the allow were parsed out of the string it would be stale
         // (no diagnostic on the guarded line) and fire W1.
-        let mut src = String::from("//! Prop fixture.\n\npub fn s() -> &'static str {\n    \"");
-        src.push_str(&filler);
-        src.push_str("hc-analyze: allow(D1): not a real annotation\"\n}\n");
-        let report = run(&src);
+        let body = format!("        let _s = \"{filler}hc-analyze: allow(P1): not a real annotation\";");
+        let report = run(&fixture(&body));
         prop_assert!(report.diagnostics.is_empty(), "fired: {:?}", report.diagnostics);
         prop_assert_eq!(report.allows_honored, 0);
     }

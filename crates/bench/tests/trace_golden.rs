@@ -47,7 +47,6 @@ fn fixture_trace() -> hc_obs::Trace {
             );
             hc_obs::counter("shard.exchange.sent", start + 1_800, 2 + w);
             hc_obs::gauge("layout.shard.skew", start + 1_800, 1.0 + w as f64 / 10.0);
-            #[allow(clippy::cast_precision_loss)]
             hc_obs::observe(
                 "shard.exchange.wait_us",
                 start + 1_800,

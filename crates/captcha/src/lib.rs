@@ -28,6 +28,22 @@
 //! * [`pipeline`] — the digitization loop over a whole corpus, tracking
 //!   progress and residual error for experiments F1/F7.
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::dbg_macro,
+        clippy::disallowed_types,
+        clippy::disallowed_methods
+    )
+)]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -206,10 +206,14 @@ impl ReCaptcha {
             return None;
         }
         let unknown_index = self.pending[rng.gen_range(0..self.pending.len())];
+        #[expect(
+            clippy::expect_used,
+            reason = "pending indices are built from this corpus"
+        )]
         let word = self
             .corpus
             .word(unknown_index)
-            .expect("pending indices are valid"); // hc-analyze: allow(P1): pending indices are built from this corpus
+            .expect("pending indices are valid");
         let control_index = rng.gen_range(0..self.control_bank.len());
         self.served += 1;
         // Both words render at the service's CAPTCHA-grade distortion —
@@ -311,7 +315,8 @@ impl ReCaptcha {
         for (i, s) in self.status.iter().enumerate() {
             if let Some(text) = s.text() {
                 resolved += 1;
-                let truth = normalize_label(&self.corpus.word(i).expect("index valid").truth); // hc-analyze: allow(P1): status and corpus have equal length
+                #[expect(clippy::expect_used, reason = "status and corpus have equal length")]
+                let truth = normalize_label(&self.corpus.word(i).expect("index valid").truth);
                 if text == truth {
                     correct += 1;
                 }
@@ -328,7 +333,8 @@ impl ReCaptcha {
         for (i, s) in self.status.iter().enumerate() {
             if let WordStatus::Digitized { text, .. } = s {
                 digitized += 1;
-                let truth = normalize_label(&self.corpus.word(i).expect("index valid").truth); // hc-analyze: allow(P1): status and corpus have equal length
+                #[expect(clippy::expect_used, reason = "status and corpus have equal length")]
+                let truth = normalize_label(&self.corpus.word(i).expect("index valid").truth);
                 if text == &truth {
                     correct += 1;
                 }

@@ -1,7 +1,7 @@
 //! Seed-free FxHash-style mixing.
 //!
 //! The standard library's default hasher (`RandomState`) draws OS entropy
-//! once per process, which rule D1/D2 bans: the same program would lay
+//! once per process, which library code may not use: the same program would lay
 //! out its tables differently on every run. [`FxHasher`] is the classic
 //! rustc hash instead — a fixed multiply-rotate mixer with no seed at
 //! all, so hash values (and therefore probe sequences) are a pure

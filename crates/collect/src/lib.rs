@@ -1,7 +1,7 @@
 //! Deterministic hot-path collections.
 //!
-//! The platform bans `std::collections::HashMap`/`HashSet` (analyzer rule
-//! D2): their `RandomState` hasher draws OS entropy at construction, so
+//! The platform bans `std::collections::HashMap`/`HashSet` (clippy's
+//! `disallowed_types`, configured in `clippy.toml`): their `RandomState` hasher draws OS entropy at construction, so
 //! iteration order — and therefore any serialized output or float
 //! summation driven by it — varies run to run. The original fix was
 //! `BTreeMap`/`BTreeSet` everywhere, which is deterministic but pays
@@ -35,6 +35,23 @@
 //! goes through `iter_sorted()`. The serde impls in this crate always
 //! serialize in sorted key order, matching `BTreeMap`'s wire format
 //! exactly.
+
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::dbg_macro,
+        clippy::disallowed_types,
+        clippy::disallowed_methods
+    )
+)]
 
 pub mod hash;
 pub mod intern;

@@ -93,6 +93,10 @@ impl<T> PlayerStore<T> {
     /// # Panics
     ///
     /// Panics when `id` is not owned by this store's stride/phase.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented # Panics contract; ids are dense player indices far below usize::MAX"
+    )]
     fn slot_of(&self, id: u64) -> usize {
         assert!(
             self.owns(id),
@@ -100,7 +104,6 @@ impl<T> PlayerStore<T> {
             self.stride,
             self.phase
         );
-        // hc-analyze: allow(P1): documented # Panics contract; ids are dense player indices far below usize::MAX
         usize::try_from((id - self.phase) / self.stride).expect("id fits in usize")
     }
 
@@ -306,9 +309,17 @@ impl<T> SliceArena<T> {
     ///
     /// Panics when the arena would exceed `u32::MAX` items.
     pub fn alloc<I: IntoIterator<Item = T>>(&mut self, iter: I) -> Span {
-        let start = u32::try_from(self.items.len()).expect("arena start fits in u32"); // hc-analyze: allow(P1): documented # Panics contract; spans index with u32 by design
+        #[expect(
+            clippy::expect_used,
+            reason = "documented # Panics contract; spans index with u32 by design"
+        )]
+        let start = u32::try_from(self.items.len()).expect("arena start fits in u32");
         self.items.extend(iter);
-        let end = u32::try_from(self.items.len()).expect("arena length fits in u32"); // hc-analyze: allow(P1): documented # Panics contract; spans index with u32 by design
+        #[expect(
+            clippy::expect_used,
+            reason = "documented # Panics contract; spans index with u32 by design"
+        )]
+        let end = u32::try_from(self.items.len()).expect("arena length fits in u32");
         Span {
             start,
             len: end - start,

@@ -109,7 +109,10 @@ impl<T: From<u64>> IdAllocator<T> {
     }
 
     /// Allocates the next id.
-    #[allow(clippy::should_implement_trait)] // deliberate: not an Iterator
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "deliberate: an id allocator never ends, so it is not an Iterator"
+    )]
     pub fn next(&mut self) -> T {
         let id = T::from(self.next);
         self.next += 1;

@@ -79,11 +79,16 @@ impl EngagementModel {
 
     /// Samples one player's complete lifetime.
     pub fn sample_lifetime<R: Rng + ?Sized>(&self, rng: &mut R) -> LifetimePlan {
+        #[expect(
+            clippy::expect_used,
+            reason = "churn_rate validated by the constructor"
+        )]
         let sessions = Geometric::new(self.churn_rate)
-            .expect("validated") // hc-analyze: allow(P1): churn_rate validated by the constructor
+            .expect("validated")
             .sample(rng)
             .min(10_000); // tail guard
-        let session_dist = LogNormal::new(self.session_mu, self.session_sigma).expect("validated"); // hc-analyze: allow(P1): mu/sigma validated by the constructor
+        #[expect(clippy::expect_used, reason = "mu/sigma validated by the constructor")]
+        let session_dist = LogNormal::new(self.session_mu, self.session_sigma).expect("validated");
         let session_lengths = (0..sessions)
             .map(|_| SimDuration::from_secs_f64(session_dist.sample(rng) * 60.0))
             .collect();

@@ -83,7 +83,11 @@ impl ArchetypeMix {
     /// setup errors).
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Behavior {
         let weights: Vec<f64> = self.entries.iter().map(|(_, w)| *w).collect();
-        let dist = DiscreteDist::new(&weights).expect("archetype mix must have valid weights"); // hc-analyze: allow(P1): documented # Panics contract for empty or invalid mixes
+        #[expect(
+            clippy::expect_used,
+            reason = "documented # Panics contract for empty or invalid mixes"
+        )]
+        let dist = DiscreteDist::new(&weights).expect("archetype mix must have valid weights");
         self.entries[dist.sample(rng)].0.clone()
     }
 
@@ -221,6 +225,12 @@ impl Population {
         &self.players
     }
 
+    /// The players, in id order, moved out of the population.
+    #[must_use]
+    pub fn into_players(self) -> Vec<PlayerProfile> {
+        self.players
+    }
+
     /// The slot holding `id`: O(1) for a dense population, a scan
     /// otherwise.
     fn slot(&self, id: PlayerId) -> Option<usize> {
@@ -300,6 +310,7 @@ mod tests {
         let a = builder.build(&mut rand::rngs::StdRng::seed_from_u64(1));
         let b = builder.build(&mut rand::rngs::StdRng::seed_from_u64(1));
         assert_eq!(a.players(), b.players());
+        assert_eq!(a.into_players(), b.players());
     }
 
     #[test]

@@ -36,8 +36,12 @@ impl Default for ResponseTimeModel {
 impl ResponseTimeModel {
     /// Samples the latency for producing `label` (pass = empty text).
     pub fn sample<R: Rng + ?Sized>(&self, label: Option<&Label>, rng: &mut R) -> SimDuration {
+        #[expect(
+            clippy::expect_used,
+            reason = "model parameters validated at construction"
+        )]
         let think = LogNormal::new(self.think_mu, self.think_sigma)
-            .expect("model parameters validated by construction") // hc-analyze: allow(P1): model parameters validated at construction
+            .expect("model parameters validated by construction")
             .sample(rng);
         let typing = label.map_or(0.0, |l| l.len() as f64 * self.per_char_secs);
         SimDuration::from_secs_f64((think + typing).max(0.05))

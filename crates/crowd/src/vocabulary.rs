@@ -42,7 +42,11 @@ impl Vocabulary {
     /// are programming errors in experiment setup).
     #[must_use]
     pub fn new(size: usize, exponent: f64) -> Self {
-        let zipf = Zipf::new(size, exponent).expect("valid vocabulary parameters"); // hc-analyze: allow(P1): documented # Panics contract for size == 0 or bad exponent
+        #[expect(
+            clippy::expect_used,
+            reason = "documented # Panics contract for size == 0 or bad exponent"
+        )]
+        let zipf = Zipf::new(size, exponent).expect("valid vocabulary parameters");
         let labels = (0..size).map(|i| Label::new(&format!("w{i}"))).collect();
         Vocabulary { labels, zipf }
     }

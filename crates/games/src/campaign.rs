@@ -265,7 +265,11 @@ impl<D: SessionDriver> Campaign<D> {
     }
 
     fn arrive(&mut self, queue: &mut WheelQueue<Ev>, now: SimTime, player: PlayerId) {
-        let plan = self.plans.get_mut(&player).expect("planned player"); // hc-analyze: allow(P1): every registered player gets a plan at construction
+        #[expect(
+            clippy::expect_used,
+            reason = "every registered player gets a plan at construction"
+        )]
+        let plan = self.plans.get_mut(&player).expect("planned player");
         if !plan.sitting.sit(&plan.sittings) {
             return; // churned for good
         }
@@ -324,7 +328,11 @@ impl<D: SessionDriver> Campaign<D> {
         player: PlayerId,
         played: Option<SimDuration>,
     ) {
-        let plan = self.plans.get_mut(&player).expect("planned player"); // hc-analyze: allow(P1): every registered player gets a plan at construction
+        #[expect(
+            clippy::expect_used,
+            reason = "every registered player gets a plan at construction"
+        )]
+        let plan = self.plans.get_mut(&player).expect("planned player");
         let (mean, rng) = (self.config.mean_return_gap, &mut self.rng);
         if let Some(at) = plan
             .sitting

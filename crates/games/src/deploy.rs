@@ -29,7 +29,11 @@ pub(crate) fn deploy<G: ShardGame>(
     mix: &ArchetypeMix,
     factory: &RngFactory,
 ) -> (Platform, Population) {
-    let mut platform = Platform::new(platform).expect("valid platform config"); // hc-analyze: allow(P1): documented # Panics contract for invalid experiment configs
+    #[expect(
+        clippy::expect_used,
+        reason = "documented # Panics contract for invalid experiment configs"
+    )]
+    let mut platform = Platform::new(platform).expect("valid platform config");
     game.register(&mut platform);
     let population = PopulationBuilder::new(players)
         .mix(mix.clone())
@@ -43,8 +47,9 @@ pub(crate) fn deploy<G: ShardGame>(
 /// An exponential delay with mean `mean` (at least 1 µs): a player's
 /// first arrival after time zero, and the gap before a later sitting.
 pub(crate) fn exponential_delay<R: Rng + ?Sized>(mean: SimDuration, rng: &mut R) -> SimDuration {
+    #[expect(clippy::expect_used, reason = "rate argument clamped to at least 1e-6")]
     let secs = Exponential::new(1.0 / mean.as_secs_f64().max(1e-6))
-        .expect("positive rate") // hc-analyze: allow(P1): rate argument clamped to at least 1e-6
+        .expect("positive rate")
         .sample(rng);
     SimDuration::from_secs_f64(secs)
 }

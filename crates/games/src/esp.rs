@@ -214,7 +214,11 @@ impl EspSeat<'_> {
                 (*cursor, answer)
             }
             EspSeat::Recorded(events) => {
-                let (at, label) = events.pop().expect("a recorded answer is due"); // hc-analyze: allow(P1): called only while next_at found an event
+                #[expect(
+                    clippy::expect_used,
+                    reason = "called only while next_at found an event"
+                )]
+                let (at, label) = events.pop().expect("a recorded answer is due");
                 (at, Answer::Text(label))
             }
         }

@@ -179,9 +179,13 @@ pub fn play_matchin_session<R: Rng + ?Sized>(
         if b == a {
             b = (b + 1) % world.len();
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "callers pass two distinct registered ids"
+        )]
         let (pa, pb) = population
             .get_pair_mut(left, right)
-            .expect("players exist and are distinct"); // hc-analyze: allow(P1): callers pass two distinct registered ids
+            .expect("players exist and are distinct");
         let mut choices = [0usize; 2];
         let mut duration = SimDuration::ZERO;
         for (idx, profile) in [pa, pb].into_iter().enumerate() {

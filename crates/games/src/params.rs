@@ -76,12 +76,20 @@ pub fn play_session<D: SessionDriver, R: Rng + ?Sized>(
         &params.seats[..]
     };
     let (left_profile, mut right_profile) = if solo {
-        let profile = population.get_mut(left).expect("player exists"); // hc-analyze: allow(P1): documented # Panics contract for unregistered seats
+        #[expect(
+            clippy::expect_used,
+            reason = "documented # Panics contract for unregistered seats"
+        )]
+        let profile = population.get_mut(left).expect("player exists");
         (profile, None)
     } else {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented # Panics contract for unregistered seats"
+        )]
         let (l, r) = population
             .get_pair_mut(left, right)
-            .expect("both players exist"); // hc-analyze: allow(P1): documented # Panics contract for unregistered seats
+            .expect("both players exist");
         (l, Some(r))
     };
     let cfg = platform.config().session;

@@ -176,9 +176,13 @@ pub fn play_peekaboom_session<R: Rng + ?Sized>(
         };
         let mut round = InversionRound::new(task, object.word.clone(), cfg.round_time_limit);
         let deadline = now + cfg.round_time_limit;
+        #[expect(
+            clippy::expect_used,
+            reason = "callers pass two distinct registered ids"
+        )]
         let (pb, pp) = population
             .get_pair_mut(boom, peek)
-            .expect("players exist and are distinct"); // hc-analyze: allow(P1): callers pass two distinct registered ids
+            .expect("players exist and are distinct");
         let mut cursor = now;
         let mut reveals: Vec<Region> = Vec::new();
         let mut end = deadline;
@@ -202,6 +206,10 @@ pub fn play_peekaboom_session<R: Rng + ?Sized>(
             // Peek's guess quality scales with how much object is visible.
             let coverage = PeekaboomWorld::coverage(&object, &reveals);
             let p_word = (0.05 + 0.9 * coverage).clamp(0.0, 0.98);
+            #[expect(
+                clippy::expect_used,
+                reason = "candidate weights are positive by construction"
+            )]
             let candidates = LabelDistribution::new(vec![
                 (object.word.clone(), p_word.max(0.01)),
                 (
@@ -213,7 +221,7 @@ pub fn play_peekaboom_session<R: Rng + ?Sized>(
                     (1.0 - p_word) / 2.0 + 1e-9,
                 ),
             ])
-            .expect("valid candidate weights"); // hc-analyze: allow(P1): candidate weights are positive by construction
+            .expect("valid candidate weights");
             for _ in 0..GUESSES_PER_REVEAL {
                 let guess = pp
                     .behavior

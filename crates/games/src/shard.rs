@@ -506,7 +506,7 @@ impl<D: ShardGame> ShardedCampaign<D> {
                 sweep_scratch: Vec::new(),
             })
             .collect();
-        for profile in population.players() {
+        for profile in population.into_players() {
             let p = profile.id;
             let shard = &mut shards[(p.raw() % k as u64) as usize];
             let lifetime = config
@@ -526,7 +526,7 @@ impl<D: ShardGame> ShardedCampaign<D> {
             if first <= config.horizon {
                 shard.calendar.push(first, p);
             }
-            shard.idle.insert(p.raw(), profile.clone());
+            shard.idle.insert(p.raw(), profile);
         }
         let session_cfg = platform.config().session;
         let plan_rng = factory.stream("shard.plan");
@@ -611,7 +611,11 @@ impl<D: ShardGame> Deployment<D> {
         played: Option<SimDuration>,
     ) {
         let p = profile.id;
-        let plan = state.plans.get_mut(p.raw()).expect("planned player"); // hc-analyze: allow(P1): every player gets a plan at construction
+        #[expect(
+            clippy::expect_used,
+            reason = "every player gets a plan at construction"
+        )]
+        let plan = state.plans.get_mut(p.raw()).expect("planned player");
         let lengths = state.sittings.get(plan.span);
         let gap_draws = &mut plan.gap_draws;
         let next_arrival = plan.sitting.next_arrival(at, played, lengths, || {
@@ -770,7 +774,11 @@ impl<D: ShardGame> ShardWorkload for Deployment<D> {
                     mb.draws += 1;
                     match mb.pool.on_arrival(at, profile.id, &mut rng) {
                         MatchDecision::Paired { partner, waited } => {
-                            let waiter = mb.parked.remove(&partner.raw()).expect("parked waiter"); // hc-analyze: allow(P1): queued players always park their profile
+                            #[expect(
+                                clippy::expect_used,
+                                reason = "queued players always park their profile"
+                            )]
+                            let waiter = mb.parked.remove(&partner.raw()).expect("parked waiter");
                             mail.send(
                                 Addr::Hub,
                                 at,
@@ -798,7 +806,11 @@ impl<D: ShardGame> ShardWorkload for Deployment<D> {
         // Emit this window's arrivals (including any scheduled by the
         // returns above) to their bucket-owning shards.
         while let Some((t, p)) = state.calendar.pop_before(win.last_tick()) {
-            let plan = state.plans.get_mut(p.raw()).expect("planned player"); // hc-analyze: allow(P1): every player gets a plan at construction
+            #[expect(
+                clippy::expect_used,
+                reason = "every player gets a plan at construction"
+            )]
+            let plan = state.plans.get_mut(p.raw()).expect("planned player");
             if !plan.sitting.sit(state.sittings.get(plan.span)) {
                 continue; // churned
             }
@@ -833,7 +845,11 @@ impl<D: ShardGame> ShardWorkload for Deployment<D> {
                     continue;
                 }
                 for &(p, waited) in &state.sweep_scratch {
-                    let profile = mb.parked.remove(&p.raw()).expect("parked waiter"); // hc-analyze: allow(P1): queued players always park their profile
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "queued players always park their profile"
+                    )]
+                    let profile = mb.parked.remove(&p.raw()).expect("parked waiter");
                     mail.send(
                         Addr::Hub,
                         sweep_at,

@@ -174,10 +174,14 @@ pub fn play_squigl_session<R: Rng + ?Sized>(
         let Some(object) = world.object_for_task(task).cloned() else {
             break;
         };
+        #[expect(
+            clippy::expect_used,
+            reason = "callers pass two distinct registered ids"
+        )]
         let (pa, pb) = population
             .get_pair_mut(left, right)
-            .expect("players exist and are distinct"); // hc-analyze: allow(P1): callers pass two distinct registered ids
-                                                       // Each player traces once; tracing takes a few think-time draws.
+            .expect("players exist and are distinct");
+        // Each player traces once; tracing takes a few think-time draws.
         let mut duration = SimDuration::ZERO;
         let mut traces = [Region::new(0, 0, 0, 0); 2];
         for (i, profile) in [pa, pb].into_iter().enumerate() {

@@ -138,6 +138,10 @@ impl VerbosityWorld {
         let secrets: Vec<Label> = (0..config.stimuli)
             .map(|i| Label::new(&format!("secret{i}")))
             .collect();
+        #[expect(
+            clippy::expect_used,
+            reason = "pmf values are valid non-negative weights"
+        )]
         let facts = objects
             .truths
             .iter()
@@ -150,7 +154,7 @@ impl VerbosityWorld {
                         (fact_label(relation, obj), truth.pmf_of(obj))
                     })
                     .collect();
-                LabelDistribution::new(pairs).expect("truth weights are valid") // hc-analyze: allow(P1): pmf values are valid non-negative weights
+                LabelDistribution::new(pairs).expect("truth weights are valid")
             })
             .collect();
         VerbosityWorld {

@@ -101,6 +101,10 @@ pub(crate) fn verified_precision(
 
 /// Draws one stimulus's ground-truth label distribution: `k` distinct
 /// Zipf-popular concepts with geometrically decaying weights.
+#[expect(
+    clippy::expect_used,
+    reason = "decayed weights are positive and finite"
+)]
 pub fn sample_stimulus_truth<R: Rng + ?Sized>(
     config: &WorldConfig,
     vocab: &Vocabulary,
@@ -131,7 +135,7 @@ pub fn sample_stimulus_truth<R: Rng + ?Sized>(
         .enumerate()
         .map(|(i, l)| (l, config.weight_decay.powi(i as i32)))
         .collect();
-    LabelDistribution::new(pairs).expect("constructed weights are valid") // hc-analyze: allow(P1): decayed weights are positive and finite
+    LabelDistribution::new(pairs).expect("constructed weights are valid")
 }
 
 /// The generic world: one truth distribution per stimulus, plus the shared
@@ -151,7 +155,11 @@ impl BaseWorld {
     ///
     /// Panics when the config is invalid (experiment setup error).
     pub fn generate<R: Rng + ?Sized>(config: &WorldConfig, rng: &mut R) -> Self {
-        config.validate().expect("world config must be valid"); // hc-analyze: allow(P1): documented # Panics contract for invalid configs
+        #[expect(
+            clippy::expect_used,
+            reason = "documented # Panics contract for invalid configs"
+        )]
+        config.validate().expect("world config must be valid");
         let vocabulary = Vocabulary::new(config.vocabulary, config.zipf_exponent);
         let truths = (0..config.stimuli)
             .map(|_| sample_stimulus_truth(config, &vocabulary, rng))

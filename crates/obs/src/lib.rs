@@ -2,8 +2,8 @@
 //!
 //! Spans, structured events and a metrics registry for the
 //! human-computation workspace, keyed on **sim-time** (microsecond
-//! ticks), never wall-clock — so the layer itself satisfies the D1
-//! determinism rule and a recorded trace is a pure function of the
+//! ticks), never wall-clock — so the layer itself keeps the library
+//! ban on wall-clock time and a recorded trace is a pure function of the
 //! simulation seed.
 //!
 //! ## Model
@@ -46,6 +46,22 @@
 //! trace-event JSON loadable in Perfetto / `chrome://tracing`, mapping
 //! sim-time microseconds directly onto the `ts` axis.
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::dbg_macro,
+        clippy::disallowed_types,
+        clippy::disallowed_methods
+    )
+)]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

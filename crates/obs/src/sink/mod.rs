@@ -1,9 +1,9 @@
 //! Trace sinks: serialization in and out of [`crate::Trace`].
 //!
 //! Sinks are the only place observability data is rendered for the
-//! outside world, and `crates/obs/src/sink` is the one library path the
-//! analyzer's O1 rule exempts from the console-output ban — everything
-//! else routes diagnostics through `hc-obs` records. Rendering is
+//! outside world. They return strings and print nothing (library code is
+//! under clippy's print lints); everything else routes diagnostics
+//! through `hc-obs` records. Rendering is
 //! hand-rolled over ordered [`serde_json::Value`] objects (never
 //! derive), so field order is fixed by construction and golden files
 //! stay byte-stable.

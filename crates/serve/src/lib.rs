@@ -19,9 +19,9 @@
 //!   the `hc-load` harness and the `serve-load` CI job assert.
 //! * [`front`] is a **thin socket shim** — line-delimited JSON over
 //!   TCP — that decodes requests, calls [`Service::handle`], and
-//!   encodes responses. It is the only sanctioned home for
-//!   nondeterminism (sockets, threads, wall-clock latency) and is
-//!   exempted by name in `hc-analyze`.
+//!   encodes responses. It is the only home for nondeterminism
+//!   (sockets and blocking reads); it serves one connection at a time on
+//!   the caller's thread, under the same library lints as the core.
 //!
 //! ## Example
 //!
@@ -43,6 +43,23 @@
 //! let status = svc.handle(&Request::JobStatus { job });
 //! assert!(matches!(status, Response::JobStatusReport { .. }));
 //! ```
+
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::dbg_macro,
+        clippy::disallowed_types,
+        clippy::disallowed_methods
+    )
+)]
 
 pub mod front;
 pub mod service;

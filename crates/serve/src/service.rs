@@ -501,7 +501,6 @@ impl Service {
             }
         };
         if hc_obs::active() {
-            #[allow(clippy::cast_precision_loss)] // diagnostics only
             hc_obs::observe(
                 "serve.round.latency_us",
                 at.ticks(),
@@ -536,7 +535,6 @@ impl Service {
         self.platform.record_session(&transcript);
         self.sessions_recorded += 1;
         if hc_obs::active() {
-            #[allow(clippy::cast_precision_loss)] // diagnostics only
             hc_obs::observe(
                 "serve.session.length_us",
                 at.ticks(),

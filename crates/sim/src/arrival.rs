@@ -69,7 +69,8 @@ impl DiurnalProcess {
         if peak <= 0.0 {
             return SimTime::MAX;
         }
-        let envelope = Exponential::new(peak).expect("peak > 0"); // hc-analyze: allow(P1): peak checked positive two lines up
+        #[expect(clippy::expect_used, reason = "peak checked positive two lines up")]
+        let envelope = Exponential::new(peak).expect("peak > 0");
         let mut t = after;
         // Lewis–Shedler thinning: propose from the homogeneous envelope,
         // accept with probability rate(t)/peak.

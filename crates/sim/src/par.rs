@@ -14,8 +14,8 @@
 //! ## Determinism contract
 //!
 //! 1. The job closure must be a pure function of its index — no
-//!    shared mutable state, no wall clock, no OS entropy (rules D1/D3
-//!    of `hc-analyze` enforce the latter two).
+//!    shared mutable state, no wall clock, no OS entropy (clippy's
+//!    `disallowed_methods` in library crates enforces the latter two).
 //! 2. Results are returned as `Vec<T>` in replication-index order,
 //!    regardless of completion order.
 //! 3. A panicking replication surfaces as [`ReplicationError::Panicked`]
@@ -206,6 +206,10 @@ where
 ///
 /// The panic message of a helper thread that died outside an item (a
 /// bug in the pool itself; items contain their own panics).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one worker pool: its index-ordered merge keeps results byte-identical at any thread count"
+)]
 pub(crate) fn with_pool<I, T, F, R>(
     threads: usize,
     work: F,

@@ -349,7 +349,6 @@ fn perform<'s, W: ShardWorkload>(
             state,
             inbox,
         } => {
-            #[allow(clippy::cast_possible_truncation)] // shard counts are small
             // Steps mostly answer their inbox one-for-one (plus a bounded
             // fan of returns), so twice the inbox is a good steady-state fit.
             let mut mail = Mailbox::new(shard as u32, win.index, window_ticks, inbox.len() * 2);
@@ -386,7 +385,6 @@ fn file_mail<M>(
         if dw > win.index {
             deferred += 1;
             if traced {
-                #[allow(clippy::cast_precision_loss)] // diagnostics only
                 hc_obs::observe(
                     "shard.exchange.wait_us",
                     win.end.ticks(),
@@ -474,7 +472,6 @@ where
     // byte-identical across layouts.
     let traced = hc_obs::active();
     let run_scope = traced.then(|| {
-        #[allow(clippy::cast_possible_truncation)] // shard counts are small
         for s in 0..k {
             hc_obs::name_track(SHARD_TRACK_BASE + s as u32, &format!("shard-{s}"));
         }
@@ -513,7 +510,7 @@ where
         let mut exchange_sent = 0u64;
         let mut exchange_deferred = 0u64;
         // Deterministic per-shard work units (inbox + emitted mail) for
-        // the `layout.` lanes and skew gauge; never wall-clock (D1).
+        // the `layout.` lanes and skew gauge; never wall-clock.
         let mut work: Vec<u64> = if traced { vec![0; k] } else { Vec::new() };
         let mut stepped: Vec<usize> = Vec::new();
 
@@ -612,7 +609,6 @@ where
             // Per-shard lanes and the skew gauge are the shard-layout-
             // dependent view; the `layout.` prefix keeps them out of
             // derived-metrics summaries (they stay layout-invariant).
-            #[allow(clippy::cast_possible_truncation)] // shard counts are small
             for &s in &stepped {
                 hc_obs::span_on_track(
                     SHARD_TRACK_BASE + s as u32,
@@ -630,7 +626,6 @@ where
             let total_work: u64 = stepped.iter().map(|&s| work[s]).sum();
             if total_work > 0 {
                 let max_work = stepped.iter().map(|&s| work[s]).max().unwrap_or(0);
-                #[allow(clippy::cast_precision_loss)] // diagnostics only
                 let skew = max_work as f64 * stepped.len() as f64 / total_work as f64;
                 hc_obs::gauge("layout.shard.skew", win.end.ticks(), skew);
             }
@@ -663,7 +658,6 @@ where
         ]);
     }
     if hc_obs::active() {
-        #[allow(clippy::cast_precision_loss)] // diagnostics only
         {
             hc_obs::machine_stat("shard.windows", stats.windows as f64);
             hc_obs::machine_stat("shard.steps", stats.shard_steps as f64);

@@ -256,7 +256,11 @@ impl<E> WheelQueue<E> {
         let next = self.wheel_next?;
         let slot = digit(next, 0);
         let queue = &mut self.slots[slot];
-        let entry = queue.pop_front().expect("occupied level-0 slot"); // hc-analyze: allow(P1): settle() leaves wheel_next pointing at a non-empty level-0 slot
+        #[expect(
+            clippy::expect_used,
+            reason = "settle() leaves wheel_next pointing at a non-empty level-0 slot"
+        )]
+        let entry = queue.pop_front().expect("occupied level-0 slot");
         debug_assert_eq!(entry.ticks, next);
         if queue.is_empty() {
             self.occ[0] &= !(1 << slot);

@@ -121,7 +121,6 @@ impl ShardWorkload for Toy {
         for (at, msg) in inbox {
             if let ToyMsg::ToHub { from } = msg {
                 let to = (from * 31 + 17) % self.n;
-                #[allow(clippy::cast_possible_truncation)] // toy entity counts are small
                 mail.send(
                     Addr::Shard(to as usize % self.k),
                     at,
