@@ -117,10 +117,17 @@ const SPLICE_VALUES: &[&str] = &[
     "1e400",
     "-0",
     "18446744073709551616",
+    "2.0",
+    "1e2",
+    "4294967296",
+    "-0.0",
     "null",
     "true",
     "\"w1\"",
     "\"SUN!\"",
+    "\"W13\"",
+    "\"cats\"",
+    "\"hot  dog\"",
     "\"\\u00e9\\ud83d\\ude00\"",
     "{}",
     "[]",
