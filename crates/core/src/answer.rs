@@ -6,7 +6,7 @@
 //! those; [`Label`] is a *normalized* free-text label, the currency of the
 //! verification layer.
 
-use crate::text::{is_normal_label, normalize_label};
+use crate::text::normalize_label;
 use hc_collect::hash::hash_one;
 use serde::read::Reader;
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -106,16 +106,10 @@ impl<'de> Deserialize<'de> for Label {
 }
 
 impl Label {
-    /// Builds a label, normalizing `raw`. Text that is already normal
-    /// (such as `w17` or `hot dog`) is copied once, without the two
-    /// buffers normalizing builds.
+    /// Builds a label, normalizing `raw`.
     #[must_use]
     pub fn new(raw: &str) -> Self {
-        let text: Arc<str> = if is_normal_label(raw) {
-            raw.into()
-        } else {
-            normalize_label(raw).into()
-        };
+        let text: Arc<str> = normalize_label(raw).into();
         let hash = hash_one(&*text);
         Label { text, hash }
     }
@@ -398,36 +392,6 @@ mod tests {
             }
             prop_assert!(set.iter_sorted().map(Label::as_str).eq(model.iter().map(String::as_str)));
         }
-    }
-
-    proptest::proptest! {
-        /// Skipping normalization for text that is already normal builds
-        /// the same label: on arbitrary strings, and on strings shaped
-        /// like the fast path's input, a trailing plural `s` included.
-        #[test]
-        fn label_new_is_normalize_label(
-            wild in ".{0,16}",
-            shaped in "[a-z0-9]{1,8}( [a-z0-9]{1,8}){0,2}s?",
-        ) {
-            for raw in [&wild, &shaped] {
-                let label = Label::new(raw);
-                proptest::prop_assert_eq!(label.as_str(), normalize_label(raw));
-            }
-        }
-    }
-
-    #[test]
-    fn normal_text_is_recognized() {
-        for raw in ["w17", "hot dog", "a 1 b", "tree", "x"] {
-            assert!(is_normal_label(raw), "{raw:?}");
-        }
-        for raw in [
-            "", " dog", "dog ", "hot  dog", "Dog", "dogs", "glass", "dogs x", "café", "a-b",
-        ] {
-            assert!(!is_normal_label(raw), "{raw:?}");
-        }
-        // `gas → ga` stays what normalization makes of it.
-        assert_eq!(Label::new("gas").as_str(), "ga");
     }
 
     #[test]

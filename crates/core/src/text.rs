@@ -55,22 +55,6 @@ pub fn normalize_label(raw: &str) -> String {
     label
 }
 
-/// Whether [`normalize_label`] returns `raw` unchanged because it is
-/// already normal: ASCII `[a-z0-9]` words separated by single spaces,
-/// no word ending in `s`. Every rule of [`normalize_label`] leaves such
-/// text as it is (each plural rule of [`push_singular`] needs a trailing
-/// `s`), so callers may skip normalizing it. The converse does not hold:
-/// `glass` is normal but fails this test.
-pub(crate) fn is_normal_label(raw: &str) -> bool {
-    raw.split(' ').all(|word| {
-        !word.is_empty()
-            && !word.ends_with('s')
-            && word
-                .bytes()
-                .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit())
-    })
-}
-
 /// Appends `w` to `out` with a trivial English plural reduced, without
 /// allocating a word. Deliberately conservative: only the unambiguous
 /// `-ies`→`-y`, `-xes/-ses/-shes/-ches`→ drop `es`, and a trailing `-s`
