@@ -31,6 +31,7 @@ use hc_core::{Answer, Label, PlatformConfig, PlayerId, SessionId, Stimulus, Tabo
 use hc_crowd::{Behavior, LabelDistribution, Vocabulary};
 use hc_serve::{Request, Response, RoundOutcome, ServeError, Service, ServiceConfig, SessionPhase};
 use hc_sim::{run_replications, RngFactory, SimDuration, SimTime};
+use serde::Serialize;
 use serde_json::Value;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -410,18 +411,14 @@ pub fn fnv1a64(bytes: &[u8]) -> String {
     format!("{hash:016x}")
 }
 
-fn log_line(request: &Request, response: &Response) -> String {
-    let record = Value::Object(vec![
-        (
-            "request".to_string(),
-            serde_json::to_value(request).unwrap_or(Value::Null),
-        ),
-        (
-            "response".to_string(),
-            serde_json::to_value(response).unwrap_or(Value::Null),
-        ),
-    ]);
-    record.to_string()
+/// Appends one response-log line, `{"request":…,"response":…}`, each
+/// message written straight from its typed value.
+fn push_log_line(log: &mut String, request: &Request, response: &Response) {
+    log.push_str("{\"request\":");
+    request.write_json(log);
+    log.push_str(",\"response\":");
+    response.write_json(log);
+    log.push_str("}\n");
 }
 
 /// Latency floors come from replaying the identical scenario this many
@@ -529,8 +526,7 @@ fn execute(opts: &LoadOpts) -> Result<ScenarioRun, String> {
         let response = service.handle(request);
         latencies.push(clock.elapsed().as_secs_f64());
         summary.requests += 1;
-        log.push_str(&log_line(request, &response));
-        log.push('\n');
+        push_log_line(log, request, &response);
         response
     };
 
